@@ -9,9 +9,10 @@ from lavlab import mania_one_endpoint_truncations, mania_two_endpoint_scan
 
 report = mania_two_endpoint_scan([100, 200], [5, 10], restarts=4)
 print("two-endpoint bounded-slope scan (Mania):")
-print(f"{'n':>6} {'M':>6} {'best energy':>14} {'iterations':>11}")
+print(f"{'n':>6} {'M':>6} {'best energy':>14} {'iterations':>11} {'stop':>10} {'PG residual':>12}")
 for r in report.rows:
-    print(f"{r.mesh_n:6d} {r.slope_bound:6g} {r.best_energy:14.6e} {r.iterations:11d}")
+    print(f"{r.mesh_n:6d} {r.slope_bound:6g} {r.best_energy:14.6e} {r.iterations:11d} "
+          f"{r.stop_reason:>10} {r.pg_residual:12.2e}")
 print(f"floor estimate   : {report.floor_estimate:.6e}")
 print(f"minimizer energy : {report.reference_energy:.3e}")
 print(f"gap estimate     : {report.gap_estimate:.6e}")

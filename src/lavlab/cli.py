@@ -371,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-scan", help="bounded-slope scan of Mania's problem")
     common(p)
-    p.add_argument("--problem", choices=["mania"], default="mania")
     p.add_argument("--n", dest="n_grid", type=_parse_ints, help="comma-separated mesh sizes")
     p.add_argument("--M", dest="M_grid", type=_parse_floats, help="comma-separated slope bounds")
     p.add_argument("--restarts", type=int)

@@ -9,6 +9,7 @@ than as an evaluation error.  Results are extended reals: any sample above
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -31,9 +32,24 @@ _EXACT_FD_REL = 1e-5
 
 @lru_cache(maxsize=None)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], owned by lavlab.
+
+    numpy's table is symmetrized (nodes odd, weights even) and the weights
+    are rescaled so their exactly rounded sum is 2, so constants integrate
+    to the same bits whatever numpy version built the table.
+    """
     if order < 1:
         raise ArgumentError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    w = w * (2.0 / math.fsum(w))
+    middle = slice((order - 1) // 2, order // 2 + 1)  # one weight or a pair
+    for _ in range(4):
+        defect = 2.0 - math.fsum(w)
+        if defect == 0.0:
+            break
+        w[middle] += defect / w[middle].size
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -54,13 +70,28 @@ def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
                      y_left: np.ndarray, y_right: np.ndarray,
                      order: int = DEFAULT_ORDER) -> np.ndarray:
     """Per-cell quadrature contributions from per-cell endpoint values."""
-    x, w = _gauss(order)
-    h = np.diff(nodes)
+    h, tq, w = quadrature_points(nodes, order)
     d = (y_right - y_left) / h
-    mid = (nodes[:-1] + nodes[1:]) / 2.0
-    tq = mid[:, None] + (h[:, None] / 2.0) * x[None, :]
     yq = y_left[:, None] + d[:, None] * (tq - nodes[:-1, None])
     vq = np.broadcast_to(d[:, None], tq.shape)
+    return cell_sums(spec, h, tq, yq, vq, w)
+
+
+def quadrature_points(nodes: np.ndarray, order: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, tq, w): cell widths, the Gauss points of each cell (one row per
+    cell), and the weights."""
+    x, w = _gauss(order)
+    h = np.diff(nodes)
+    mid = (nodes[:-1] + nodes[1:]) / 2.0
+    tq = mid[:, None] + (h[:, None] / 2.0) * x[None, :]
+    return h, tq, w
+
+
+def cell_sums(spec: LagrangianSpec, h: np.ndarray, tq: np.ndarray,
+              yq: np.ndarray, vq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(h/2) * sum_k w_k L(tq, yq, vq) per cell; +inf for a cell with any
+    sample that is non-finite or above INF_THRESHOLD."""
     with np.errstate(over="ignore", invalid="ignore"):
         lq = _eval_spec(spec, tq, yq, vq)
         bad = ~np.isfinite(lq) | (np.abs(lq) > INF_THRESHOLD)
@@ -113,10 +144,10 @@ def _extended_diff(a: float, b: float) -> float:
 
 
 def _total(per_cell: np.ndarray) -> float:
-    total = 0.0
-    for c in per_cell:  # left-to-right for bit-stable reports
-        total += float(c)
-    return total
+    """Left-to-right sum, for bit-stable reports.  np.cumsum accumulates
+    sequentially (unlike np.sum, which is pairwise), so its last entry is
+    the same bits as the plain Python loop."""
+    return float(np.cumsum(per_cell)[-1])
 
 
 def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> EnergyReport:
@@ -149,11 +180,7 @@ def exact_profile_energy(spec: LagrangianSpec, f: Callable, mesh: Mesh,
     1e-5 * min(t - a, b - t), which never crosses the endpoints where the
     profiles of interest are singular.
     """
-    x, w = _gauss(order)
-    nodes = mesh.nodes
-    h = np.diff(nodes)
-    mid = (nodes[:-1] + nodes[1:]) / 2.0
-    tq = mid[:, None] + (h[:, None] / 2.0) * x[None, :]
+    h, tq, w = quadrature_points(mesh.nodes, order)
     yq = np.asarray(f(tq), dtype=float)
     if df is not None:
         vq = np.asarray(df(tq), dtype=float)
@@ -161,12 +188,7 @@ def exact_profile_energy(spec: LagrangianSpec, f: Callable, mesh: Mesh,
         delta = _EXACT_FD_REL * np.minimum(tq - mesh.a, mesh.b - tq)
         vq = (np.asarray(f(tq + delta), dtype=float)
               - np.asarray(f(tq - delta), dtype=float)) / (2.0 * delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lq = _eval_spec(spec, tq, yq, vq)
-        bad = ~np.isfinite(lq) | (np.abs(lq) > INF_THRESHOLD)
-        contrib = (h / 2.0) * (np.where(bad, 0.0, lq) @ w)
-    contrib[bad.any(axis=1)] = np.inf
-    return _total(contrib)
+    return _total(cell_sums(spec, h, tq, yq, vq, w))
 
 
 @dataclass(frozen=True)

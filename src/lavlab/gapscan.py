@@ -16,16 +16,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, cell_energies, cell_energies_lr,
-                         energy, energy_converged)
-from .lagrangian import LagrangianSpec, catalog
+from .functional import (DEFAULT_ORDER, _eval_spec, _total, cell_sums,
+                         energy, energy_converged, quadrature_points)
+from .lagrangian import _FD_STEP, LagrangianSpec, catalog
 from .repar import reparametrize
 from .trajectory import Mesh, Trajectory, graded_mesh, sample, uniform_mesh
 
 DEFAULT_SEED = 0x4C41565245
-
-_GRAD_STEP_REL = 1e-6
-_MAX_HALVINGS = 40
 
 
 # -- reference minimizing families ------------------------------------------
@@ -89,54 +86,222 @@ def cuberoot_truncation(n: int, tail_power: float = 3.0) -> Trajectory:
 
 # -- bounded-slope minimization ----------------------------------------------
 
-
-def _project_two(y_prop: np.ndarray, h: np.ndarray,
-                 A: float, B: float, m_eff: float) -> np.ndarray | None:
-    """Left-anchored sequential slope clipping, then an endpoint-restoring
-    ramp over the unclipped cells; None when the correction would violate
-    the bound (the step is then rejected)."""
-    n = h.size
-    out = np.empty(n + 1)
-    out[0] = A
-    clipped = np.zeros(n, dtype=bool)
-    for i in range(n):
-        s = (y_prop[i + 1] - out[i]) / h[i]
-        if s > m_eff:
-            s = m_eff
-            clipped[i] = True
-        elif s < -m_eff:
-            s = -m_eff
-            clipped[i] = True
-        out[i + 1] = out[i] + s * h[i]
-    defect = B - out[n]
-    if defect == 0.0:
-        return out
-    free_w = float(h[~clipped].sum())
-    if free_w == 0.0:
-        return None
-    ramp_slope = defect / free_w
-    slopes = np.diff(out) / h
-    slopes[~clipped] += ramp_slope
-    if np.max(np.abs(slopes[~clipped])) > m_eff:
-        return None
-    out[1:] = out[0] + np.cumsum(slopes * h)
-    out[n] = B
-    if np.max(np.abs(np.diff(out) / h)) > m_eff * (1.0 + 1e-12):
-        return None
-    return out
+# Stop once the projected-gradient residual (in slope units) is this small.
+_PG_TOL = 1e-8
+# The winning start may run this many times max_iters on to stationarity.
+_POLISH_FACTOR = 20
+# Nonmonotone SPG (Birgin, Martinez & Raydan 2000): reference window,
+# sufficient-decrease constant, spectral step safeguards, and the
+# interpolation bracket of the backtracking.
+_SPG_MEMORY = 10
+_SPG_GAMMA = 1e-4
+_SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
+_SPG_SIGMA = (0.1, 0.9)
 
 
-def _project_one(y_prop: np.ndarray, h: np.ndarray, B: float,
-                 m_eff: float) -> np.ndarray:
-    """Right-anchored sequential clipping for the final-endpoint-only mode."""
-    n = h.size
-    out = np.empty(n + 1)
-    out[n] = B
-    for i in range(n - 1, -1, -1):
-        s = (out[i + 1] - y_prop[i]) / h[i]
-        s = min(max(s, -m_eff), m_eff)
-        out[i] = out[i + 1] - s * h[i]
-    return out
+class _SlopeSet:
+    """The feasible slopes {|s| <= m, h.s = c}, or the box alone when c is
+    None, with the exact projection onto them in the h-weighted metric."""
+
+    def __init__(self, h: np.ndarray, c: float | None, m: float):
+        self.h, self.c, self.m = h, c, m
+        self.width = float(h.sum())
+        self.signed_h = np.concatenate((h, -h))
+
+    def project(self, u: np.ndarray) -> np.ndarray:
+        """argmin of sum h (s - u)^2 over the set.
+
+        The answer is clip(u - mu, -m, m), where mu is the root of the
+        non-increasing piecewise-linear phi(mu) = h . clip(u - mu, -m, m).
+        phi is evaluated at all 2n breakpoints u -+ m at once by a sort and
+        a cumsum (the continuous quadratic knapsack, Kiwiel 2008).
+        """
+        m, c, width = self.m, self.c, self.width
+        if c is None:
+            return np.clip(u, -m, m)
+        mu = (float(self.h @ u) - c) / width
+        if np.abs(u - mu).max() <= m:  # no bound active: a plain shift
+            return u - mu
+        bp = np.concatenate((u - m, u + m))
+        by = bp.argsort()
+        bp = bp[by]
+        # width of the unclipped cells between consecutive breakpoints
+        free = self.signed_h[by].cumsum()
+        np.maximum(free, 0.0, out=free)
+        phi = m * width - (free[:-1] * np.diff(bp)).cumsum()  # phi(bp[1:])
+        k = int(np.count_nonzero(phi >= c))  # bp[k] is the last with phi >= c
+        phi_k = phi[k - 1] if k else m * width
+        mu = bp[k] + (phi_k - c) / free[k] if free[k] > 0.0 else bp[k]
+        return np.clip(u - mu, -m, m)
+
+
+@dataclass(frozen=True)
+class MinimizeInfo:
+    """How `minimize_bounded` obtained its answer.
+
+    `iterations`, `energy_evals` and `gradient_evals` are totals over all
+    starts; `pg_residual` and `stop_reason` belong to the returned
+    trajectory: "converged" (residual <= tolerance), "max_iters" (iteration
+    cap) or "stalled" (the line search could not decrease the energy, or
+    the gradient is not finite).
+    """
+
+    iterations: int
+    energy_evals: int
+    gradient_evals: int
+    pg_residual: float
+    stop_reason: str
+
+
+class _SlopeProblem:
+    """Quadrature energy as a function of the cell slopes s.
+
+    Nodal values are y_i = A + sum_{j<i} h_j s_j with y_n pinned to B (two
+    endpoints), or y_i = B - sum_{j>=i} h_j s_j (final endpoint only).  The
+    quadrature geometry is built once and shared by the energy and the
+    gradient, and the energy is computed from y exactly as
+    `cell_energies(spec, nodes, y, order)` does.
+    """
+
+    def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
+                 boundary: tuple[float | None, float]):
+        self.spec = spec
+        self.A, self.B = boundary
+        self.h, self.tq, self.w = quadrature_points(mesh.nodes, order)
+        self.offsets = self.tq - mesh.nodes[:-1, None]  # from each left node
+        self.energy_evals = 0
+        self.gradient_evals = 0
+
+    def values(self, s: np.ndarray) -> np.ndarray:
+        """Nodal values of the slopes s, with the pinned endpoints exact."""
+        y = np.empty(s.size + 1)
+        if self.A is None:
+            y[:-1] = self.B - np.cumsum((self.h * s)[::-1])[::-1]
+        else:
+            y[0] = self.A
+            y[1:] = self.A + np.cumsum(self.h * s)
+        y[-1] = self.B
+        return y
+
+    def cells(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(per-cell contributions, yq, vq): the same bits as
+        `cell_energies(spec, nodes, y, order)`, plus the samples behind them."""
+        d = (y[1:] - y[:-1]) / self.h
+        yq = y[:-1, None] + d[:, None] * self.offsets
+        vq = np.empty_like(yq)
+        vq[:] = d[:, None]
+        return cell_sums(self.spec, self.h, self.tq, yq, vq, self.w), yq, vq
+
+    def energy(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(total energy, yq, vq); the total is summed as `energy` does."""
+        self.energy_evals += 1
+        contrib, yq, vq = self.cells(y)
+        return _total(contrib), yq, vq
+
+    def _point_partials(self, yq, vq) -> tuple[np.ndarray, np.ndarray]:
+        """(L_y, L_v) at the quadrature samples: exact partials when the
+        spec has them, central differences of its integrand otherwise."""
+        spec, tq = self.spec, self.tq
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if spec.partials is not None:
+                _, ly, lv = spec.partials
+                return (np.asarray(ly(tq, yq, vq), dtype=float),
+                        np.asarray(lv(tq, yq, vq), dtype=float))
+            hy = _FD_STEP * np.maximum(1.0, np.abs(yq))
+            hv = _FD_STEP * np.maximum(1.0, np.abs(vq))
+            return ((_eval_spec(spec, tq, yq + hy, vq)
+                     - _eval_spec(spec, tq, yq - hy, vq)) / (2.0 * hy),
+                    (_eval_spec(spec, tq, yq, vq + hv)
+                     - _eval_spec(spec, tq, yq, vq - hv)) / (2.0 * hv))
+
+    def gradient(self, yq: np.ndarray, vq: np.ndarray) -> np.ndarray:
+        """dE/ds_j divided by h_j, i.e. the gradient in the h-weighted metric.
+
+        Cell j's own samples move with s_j through y' and the offset from its
+        left node; every later cell (earlier ones in one-endpoint mode)
+        moves rigidly by -+h_j, which a cumsum of the per-cell L_y
+        integrals collects.
+        """
+        self.gradient_evals += 1
+        ly, lv = self._point_partials(yq, vq)
+        rigid = (self.h / 2.0) * (ly @ self.w)
+        g = ((ly * self.offsets + lv) @ self.w) / 2.0
+        if self.A is None:
+            g -= np.cumsum(rigid)
+        else:
+            g[:-1] += np.cumsum(rigid[::-1])[::-1][1:]
+        return g
+
+
+@dataclass
+class _Iterate:
+    """One SPG run: the current point and what the next step needs."""
+
+    s: np.ndarray
+    y: np.ndarray
+    e: float
+    g: np.ndarray
+    history: list[float]
+    step: float | None = None
+    iterations: int = 0
+    pg_residual: float = math.inf
+    stop_reason: str = "max_iters"
+
+
+def _start(prob: _SlopeProblem, s: np.ndarray, y: np.ndarray) -> _Iterate:
+    e, yq, vq = prob.energy(y)
+    return _Iterate(s=s, y=y, e=e, g=prob.gradient(yq, vq), history=[e])
+
+
+def _spg(prob: _SlopeProblem, it: _Iterate, project: Callable,
+         budget: int) -> _Iterate:
+    """Nonmonotone spectral projected gradient on the slopes, for at most
+    `budget` more iterations (Birgin, Martinez & Raydan 2000, SPG2).
+
+    Steps are Barzilai-Borwein; the backtracking accepts a point whose
+    energy is below the maximum of the last few plus a sufficient decrease,
+    so an accepted energy never exceeds the start's.
+    """
+    h = prob.h
+    while True:
+        if not (math.isfinite(it.e) and np.all(np.isfinite(it.g))):
+            it.stop_reason = "stalled"
+            return it
+        it.pg_residual = float(np.abs(project(it.s - it.g) - it.s).max())
+        if it.pg_residual <= _PG_TOL:
+            it.stop_reason = "converged"
+            return it
+        if budget == 0:
+            it.stop_reason = "max_iters"
+            return it
+        budget -= 1
+        if it.step is None:
+            it.step = min(max(1.0 / it.pg_residual, _SPG_STEP_MIN), _SPG_STEP_MAX)
+        d = project(it.s - it.step * it.g) - it.s
+        slope = float(np.dot(h * it.g, d))
+        ref = max(it.history[-_SPG_MEMORY:])
+        alpha = 1.0
+        scale = max(1.0, float(np.abs(it.s).max()))
+        while True:
+            s_new = it.s + alpha * d
+            y_new = prob.values(s_new)
+            e_new, yq, vq = prob.energy(y_new)
+            if e_new <= ref + _SPG_GAMMA * alpha * slope:
+                break
+            if alpha * float(np.abs(d).max()) <= 1e-16 * scale:
+                it.stop_reason = "stalled"
+                return it
+            trial = -0.5 * alpha * alpha * slope / (e_new - it.e - alpha * slope)
+            lo, hi = _SPG_SIGMA
+            alpha = trial if lo * alpha <= trial <= hi * alpha else alpha / 2.0
+        g_new = prob.gradient(yq, vq)
+        ds, dg = s_new - it.s, g_new - it.g
+        curvature = float(np.dot(h * ds, dg))
+        it.step = (min(max(float(np.dot(h * ds, ds)) / curvature, _SPG_STEP_MIN),
+                       _SPG_STEP_MAX) if curvature > 0.0 else _SPG_STEP_MAX)
+        it.s, it.y, it.e, it.g = s_new, y_new, e_new, g_new
+        it.history.append(e_new)
+        it.iterations += 1
 
 
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
@@ -144,89 +309,47 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
                      max_iters: int = 150,
                      extra_inits: Sequence[Trajectory] = ()
-                     ) -> tuple[Trajectory, float, int]:
-    """Best slope-bounded trajectory found by projected gradient descent.
+                     ) -> tuple[Trajectory, float, MinimizeInfo]:
+    """Best slope-bounded trajectory by spectral projected gradient.
 
-    The gradient of the quadrature energy is taken by central finite
-    differences per free node (step 1e-6 * scale); steps use a halving line
-    search (up to 40 halvings) and every iterate is projected back to the
-    slope box [-M, M] exactly.  `restarts` seeded pseudo-random starts are
-    run in addition to the straight-line start; the best result wins.
+    The unknowns are the cell slopes s in [-M, M]^n; with both endpoints
+    pinned (A not None) they also satisfy h . s = B - A, and with A None only
+    y(b) = B is pinned.  The gradient is exact (chain rule through the Gauss
+    rule, from the spec's partials), the projection is exact (see
+    `_SlopeSet.project`), and steps are nonmonotone Barzilai-Borwein.
 
-    Returns (trajectory, energy, total accepted iterations).
+    Starts: the straight line (flat at B in one-endpoint mode), each of
+    `extra_inits`, and `restarts` seeded smooth perturbations of the first.
+    A start that already satisfies the constraints (exact endpoints,
+    Lipschitz constant <= M) is used as given, so its energy is a candidate
+    unchanged; others are projected.  Every start runs for up to
+    `max_iters` iterations, and the best one is then run on until its
+    projected-gradient residual falls below 1e-8 (or 20 * max_iters more
+    iterations pass).
+
+    Returns (trajectory, energy, info); the energy is that of
+    `energy(spec, trajectory, order)`, bit for bit.
     """
     A, B = boundary
     nodes = mesh.nodes
-    h = mesh.widths
     n = mesh.n_cells
     span = mesh.b - mesh.a
     if bound_M <= 0:
         raise ArgumentError("bound_M must be positive")
-    if A is not None and bound_M <= abs(B - A) / span:
+    m_eff = bound_M * (1.0 - 1e-12)
+    if A is not None and m_eff * span <= abs(B - A):
         raise ArgumentError(
             f"bound_M={bound_M} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
-    m_eff = bound_M * (1.0 - 1e-12)
+    prob = _SlopeProblem(spec, mesh, order, boundary)
+    project = _SlopeSet(prob.h, None if A is None else B - A, m_eff).project
 
-    def project(prop: np.ndarray) -> np.ndarray | None:
-        if A is None:
-            return _project_one(prop, h, B, m_eff)
-        return _project_two(prop, h, A, B, m_eff)
-
-    def obj(yv: np.ndarray) -> float:
-        total = 0.0
-        for c in cell_energies(spec, nodes, yv, order):
-            total += float(c)
-        return total
-
-    free = np.ones(n + 1, dtype=bool)
-    free[-1] = False
-    if A is not None:
-        free[0] = False
-
-    def gradient(yv: np.ndarray) -> np.ndarray:
-        """Central differences per node; each node touches two cells, so the
-        four perturbed contribution arrays are evaluated in batch."""
-        eps = _GRAD_STEP_REL * np.maximum(1.0, np.abs(yv))
-        yl, yr = yv[:-1], yv[1:]
-        el, er = eps[:-1], eps[1:]
-        g = np.zeros(n + 1)
-        g[1:] += cell_energies_lr(spec, nodes, yl, yr + er, order) \
-            - cell_energies_lr(spec, nodes, yl, yr - er, order)
-        g[:-1] += cell_energies_lr(spec, nodes, yl + el, yr, order) \
-            - cell_energies_lr(spec, nodes, yl - el, yr, order)
-        g /= 2.0 * eps
-        g[~free] = 0.0
-        return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
-
-    def descend(y0: np.ndarray) -> tuple[np.ndarray, float, int]:
-        yv = project(y0)
-        if yv is None:
-            return y0, math.inf, 0
-        e = obj(yv)
-        iters = 0
-        step = 0.1 * max(1.0, float(np.max(np.abs(yv))))
-        for _ in range(max_iters):
-            g = gradient(yv)
-            gmax = float(np.max(np.abs(g)))
-            if gmax < 1e-12 * max(1.0, abs(e)):
-                break
-            dirn = g / gmax
-            s = step
-            accepted = False
-            for _ in range(_MAX_HALVINGS):
-                cand = project(yv - s * dirn)
-                if cand is not None:
-                    ec = obj(cand)
-                    if ec < e:
-                        yv, e = cand, ec
-                        accepted = True
-                        step = 2.0 * s
-                        break
-                s /= 2.0
-            if not accepted:
-                break
-            iters += 1
-        return yv, e, iters
+    def start(values: np.ndarray) -> _Iterate:
+        s = np.diff(values) / prob.h
+        pinned = values[-1] == B and (A is None or values[0] == A)
+        if pinned and float(np.abs(s).max()) <= bound_M:
+            return _start(prob, s, np.array(values, dtype=float))
+        s = project(s)
+        return _start(prob, s, prob.values(s))
 
     inits: list[np.ndarray] = []
     if A is None:
@@ -236,7 +359,7 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
     for t in extra_inits:
         if not np.array_equal(t.mesh.nodes, nodes):
             raise ArgumentError("extra_inits must live on the scan mesh")
-        inits.append(t.values.copy())
+        inits.append(t.values)
     rng = np.random.default_rng([seed, n, int(abs(bound_M) * 1e6)])
     base = inits[0]
     amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
@@ -246,13 +369,21 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
         smooth = np.convolve(bumps, np.ones(5) / 5.0, mode="same")
         inits.append(base + amp0 * rng.uniform(0.2, 1.0) * smooth)
 
-    best_y, best_e, total_iters = None, math.inf, 0
+    best: _Iterate | None = None
+    iterations = 0
     for y0 in inits:
-        yv, e, iters = descend(y0)
-        total_iters += iters
-        if e < best_e:
-            best_y, best_e = yv, e
-    return Trajectory(mesh, best_y), best_e, total_iters
+        it = _spg(prob, start(y0), project, max_iters)
+        iterations += it.iterations
+        if best is None or it.e < best.e:
+            best = it
+    if best.stop_reason == "max_iters":
+        done = best.iterations
+        best = _spg(prob, best, project, _POLISH_FACTOR * max_iters)
+        iterations += best.iterations - done
+    info = MinimizeInfo(iterations=iterations, energy_evals=prob.energy_evals,
+                        gradient_evals=prob.gradient_evals,
+                        pg_residual=best.pg_residual, stop_reason=best.stop_reason)
+    return Trajectory(mesh, best.y), best.e, info
 
 
 # -- scans --------------------------------------------------------------------
@@ -260,14 +391,20 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
 
 @dataclass(frozen=True)
 class GapRow:
+    """One (mesh, bound) cell of a scan; `stop_reason` and `pg_residual`
+    come from `MinimizeInfo` and say whether the row is a stationary point."""
+
     mesh_n: int
     slope_bound: float
     best_energy: float
     iterations: int
+    stop_reason: str
+    pg_residual: float
 
     def to_json_dict(self) -> dict:
         return {"mesh_n": self.mesh_n, "slope_bound": self.slope_bound,
-                "best_energy": self.best_energy, "iterations": self.iterations}
+                "best_energy": self.best_energy, "iterations": self.iterations,
+                "stop_reason": self.stop_reason, "pg_residual": self.pg_residual}
 
 
 @dataclass(frozen=True)
@@ -314,11 +451,13 @@ def _scan_mesh_group(args: tuple) -> list[GapRow]:
     warm: list[Trajectory] = []
     rows = []
     for M in sorted(float(m) for m in M_grid):
-        traj, e, iters = minimize_bounded(
+        traj, e, info = minimize_bounded(
             spec, mesh, M, (0.0, 1.0), restarts=restarts, seed=seed,
             order=order, extra_inits=warm)
-        rows.append(GapRow(mesh_n=int(n), slope_bound=M,
-                           best_energy=e, iterations=iters))
+        rows.append(GapRow(mesh_n=int(n), slope_bound=M, best_energy=e,
+                           iterations=info.iterations,
+                           stop_reason=info.stop_reason,
+                           pg_residual=info.pg_residual))
         warm = [traj]
     return rows
 
@@ -330,10 +469,12 @@ def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
     """Bounded-slope minimization of Mania's problem with both endpoints.
 
     For each mesh size the bound grid is scanned in ascending order, warm-
-    starting from the best trajectory at the previous bound, which makes the
-    best energy non-increasing in the bound by construction.  Mesh sizes are
-    independent jobs; with jobs > 1 they run in a process pool, and the
-    report is assembled in grid order either way.
+    starting from the best trajectory at the previous bound.  That trajectory
+    is feasible at the larger bound, so it is a candidate unchanged and the
+    best energy is non-increasing in the bound by construction.  Each row
+    carries the optimizer's stop reason and projected-gradient residual.
+    Mesh sizes are independent jobs; with jobs > 1 they run in a process
+    pool, and the report is assembled in grid order either way.
     """
     if not n_grid or not M_grid:
         raise ArgumentError("grids must be non-empty")

@@ -201,7 +201,8 @@ def _mania() -> LagrangianSpec:
 
     def lv(t, y, v):
         c = y * y * y - t
-        return 6.0 * c * c * v ** 5
+        v2 = v * v
+        return 6.0 * c * c * v2 * v2 * v
 
     return LagrangianSpec(
         id="mania", eval=ev, partials=(lt, ly, lv),

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedLagrangianError
+from .errors import (ArgumentError, SingularPointError,
+                     UnsupportedLagrangianError)
 from .lagrangian import LagrangianSpec
 from .trajectory import Trajectory
 
@@ -58,10 +59,12 @@ def _partial_arrays(spec: LagrangianSpec, t, y, v):
 
 
 def _fd_partial(spec, t, y, v):
+    """Scalar partials at one point; NaN (a skipped sample) only where the
+    integrand is singular, so a bug in a user integrand still raises."""
     from .lagrangian import partials as scalar_partials
     try:
         return np.array(scalar_partials(spec, t, y, v))
-    except Exception:
+    except SingularPointError:
         return np.array([np.nan, np.nan, np.nan])
 
 

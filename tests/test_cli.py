@@ -92,6 +92,12 @@ class TestMainInProcess:
         assert main(["catalog", "--seed", "5", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 77
 
+    def test_gap_scan_problem_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-scan", "--problem", "mania", "--n", "30", "--M", "4"])
+        assert exc.value.code == 2
+        assert "--problem" in capsys.readouterr().err
+
     def test_config_round_trip_is_canonical(self, monkeypatch):
         monkeypatch.delenv("LAVLAB_SEED", raising=False)
         parser = _build_parser()

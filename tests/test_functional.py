@@ -7,9 +7,40 @@ from lavlab import (Trajectory, catalog, energy, energy_converged,
                     graded_mesh, plateau_tent, polynomial_lagrangian, sample,
                     sawtooth, sqrt_ramp, uniform_mesh)
 
+from lavlab.functional import _gauss, _total
+
 from conftest import oracle_energy, random_trajectory
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
+
+
+class TestGaussTable:
+    def test_low_orders_match_closed_forms(self):
+        ulp = 4 * np.finfo(float).eps
+        for order, nodes, weights in (
+                (1, [0.0], [2.0]),
+                (2, [-1 / math.sqrt(3), 1 / math.sqrt(3)], [1.0, 1.0]),
+                (3, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], [5 / 9, 8 / 9, 5 / 9])):
+            x, w = _gauss(order)
+            assert x == pytest.approx(nodes, abs=ulp)
+            assert w == pytest.approx(weights, abs=ulp)
+
+    def test_symmetric_with_exact_weight_sum(self):
+        for order in range(1, 9):
+            x, w = _gauss(order)
+            assert np.array_equal(x, -x[::-1])
+            assert np.array_equal(w, w[::-1])
+            assert math.fsum(w) == 2.0
+
+    def test_total_is_the_left_to_right_sum(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 7, 500, 4096):
+            per_cell = rng.uniform(0, 1, n) * rng.choice([1e-9, 1.0, 1e6], n)
+            total = 0.0
+            for c in per_cell:
+                total += float(c)
+            assert _total(per_cell) == total
+        assert _total(np.array([1.0, np.inf, 2.0])) == math.inf
 
 
 class TestEnergy:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lavlab import (ArgumentError, UnsupportedLagrangianError, catalog,
+from lavlab import (ArgumentError, LagrangianSpec, Trajectory,
+                    UnsupportedLagrangianError, catalog,
                     catenary, dbr_residual, el_residual, fit_catenary,
                     minimal_surface, plateau_tent, polynomial_lagrangian,
                     sample, sawtooth, uniform_mesh)
@@ -76,6 +77,25 @@ class TestEulerLagrangeResidual:
         rep = el_residual(spec, Trajectory(y_mesh, vals))
         assert len(rep.skipped) > 0
         assert all(math.isfinite(r) for _, r in rep.samples)
+
+    def test_finite_difference_partials_skip_singular_nodes(self):
+        exact = catalog("half_inverse")
+        spec = LagrangianSpec(id="half_inverse_fd", eval=exact.eval,
+                              partials=None, autonomous=True,
+                              convex_in_v=True, extended=True)
+        vals = np.array([1.0, 0.5, 0.0, 0.5, 1.0])
+        rep = el_residual(spec, Trajectory(uniform_mesh(0, 1, 4), vals))
+        assert len(rep.skipped) > 0
+        assert all(math.isfinite(r) for _, r in rep.samples)
+
+    def test_integrand_bug_propagates(self):
+        def broken(t, y, v):
+            raise TypeError("bug in a user integrand")
+
+        spec = LagrangianSpec(id="broken", eval=broken, partials=None,
+                              autonomous=True, convex_in_v=True)
+        with pytest.raises(TypeError):
+            el_residual(spec, sample(lambda t: t, uniform_mesh(0, 1, 4)))
 
 
 class TestDuBoisReymondResidual:
