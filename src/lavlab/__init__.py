@@ -22,7 +22,7 @@ from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
                          polynomial_lagrangian)
 from .necessary import (ResidualReport, catenary, dbr_residual, el_residual,
                         fit_catenary)
-from .repar import (FindKReport, ReparPlan, ReparResult, TangentCurve,
+from .repar import (FindKReport, KRow, ReparPlan, ReparResult, TangentCurve,
                     build_map, choose_lambda, classify, find_K, lemma_P,
                     reparametrize, select_A)
 from .trajectory import (Mesh, MonotoneMap, Trajectory, graded_mesh,

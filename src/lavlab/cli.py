@@ -26,8 +26,8 @@ from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      InfeasibleError, LavlabError)
 from .functional import DEFAULT_ORDER, energy, energy_converged
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
-from .repar import find_K, reparametrize
-from .trajectory import Mesh, Trajectory, graded_mesh, sample
+from .repar import FindKReport, KRow, reparametrize
+from .trajectory import Trajectory, graded_family, graded_mesh, sample
 
 SUBCOMMANDS = ("catalog", "energy", "repar", "necessary-check", "gap-scan", "demo")
 
@@ -56,9 +56,6 @@ class RunConfig:
     n: int = 256
     power: float = 1.0
     order: int = DEFAULT_ORDER
-    boundary_A: float | None = 0.0
-    boundary_B: float = 1.0
-    endpoint_mode: str = "two"      # "one" pins only y(b)
     k_grid: tuple[float, ...] = ()
     M_grid: tuple[float, ...] = ()
     n_grid: tuple[int, ...] = ()
@@ -78,8 +75,6 @@ class RunConfig:
             "trajectory": self.trajectory_path,
             "a": self.a, "b": self.b, "n": self.n, "power": self.power,
             "order": self.order,
-            "boundary_A": self.boundary_A, "boundary_B": self.boundary_B,
-            "endpoint_mode": self.endpoint_mode,
             "k_grid": list(self.k_grid), "M_grid": list(self.M_grid),
             "n_grid": list(self.n_grid),
             "restarts": self.restarts, "seed": self.seed, "tol": self.tol,
@@ -106,8 +101,6 @@ class RunConfig:
             issues.append(
                 f"unknown exact curve {self.exact!r}; valid: "
                 + ", ".join(sorted(EXACT_CURVES)))
-        if self.endpoint_mode not in ("one", "two"):
-            issues.append("endpoint mode must be 'one' or 'two'")
         if self.fmt not in ("json", "csv"):
             issues.append("format must be 'json' or 'csv'")
         if self.jobs < 1:
@@ -176,16 +169,6 @@ def _write_outputs(config: RunConfig, payload: dict,
             csv_writer(f)
 
 
-def _mesh_family(config: RunConfig) -> list[Mesh]:
-    family = []
-    n = 64
-    while n < config.n:
-        family.append(graded_mesh(config.a, config.b, n, config.power))
-        n *= 2
-    family.append(graded_mesh(config.a, config.b, config.n, config.power))
-    return family
-
-
 # -- subcommand runners -------------------------------------------------------
 
 
@@ -206,7 +189,8 @@ def _run_energy(config: RunConfig) -> dict:
     payload: dict[str, Any] = {"config": config.canonical_dict(), "lagrangian": spec.id}
     if config.exact is not None:
         f, df = EXACT_CURVES[config.exact]
-        res = energy_converged(spec, f, _mesh_family(config),
+        family = graded_family(config.a, config.b, config.n, config.power)
+        res = energy_converged(spec, f, family,
                                order=config.order, tol=config.tol, dy_exact=df)
         payload["energy"] = res.to_json_dict()
         value = res.value
@@ -234,7 +218,7 @@ def _run_repar(config: RunConfig) -> dict:
         y = _load_trajectory(config.trajectory_path)
     else:
         raise ConfigError("repar needs --exact or --trajectory")
-    rows = []
+    rows, k_rows = [], []
     for k in sorted(config.k_grid):
         res = reparametrize(spec, y, k, config.order)
         rows.append({
@@ -246,8 +230,8 @@ def _run_repar(config: RunConfig) -> dict:
             "energy_after": res.energy_after,
             "gap": res.gap,
         })
-    report = find_K(spec, y, config.k_grid, config.order) \
-        if spec.convex_in_v and spec.autonomous else None
+        k_rows.append(KRow.of(res))
+        del res  # one capped trajectory alive at a time
     header = f"{'k':>8} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>12} " \
              f"{'F(y)':>14} {'F(y_k)':>14} {'gap':>12}"
     lines = [header]
@@ -259,7 +243,8 @@ def _run_repar(config: RunConfig) -> dict:
     return {
         "config": config.canonical_dict(),
         "rows": rows,
-        "K": None if report is None else report.K,
+        # reparametrize has already refused non-autonomous integrands
+        "K": FindKReport.of(k_rows).K if spec.convex_in_v else None,
     }
 
 
@@ -386,8 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = {
     "lagrangian", "exact", "trajectory", "a", "b", "n", "power", "order",
-    "boundary_A", "boundary_B", "endpoint_mode", "k_grid", "M_grid", "n_grid",
-    "restarts", "seed", "tol", "jobs", "format",
+    "k_grid", "M_grid", "n_grid", "restarts", "seed", "tol", "jobs", "format",
 }
 
 

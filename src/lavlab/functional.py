@@ -108,7 +108,7 @@ def cell_energies(spec: LagrangianSpec, nodes: np.ndarray, values: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
-    """Energy of a trajectory with per-cell contributions.
+    """Energy of a trajectory with per-cell contributions (a read-only array).
 
     `refinement_error_estimate` is computed lazily on first access as the
     absolute difference against the energy of the same function on the
@@ -116,7 +116,7 @@ class EnergyReport:
     """
 
     value: float
-    per_cell: tuple[float, ...]
+    per_cell: np.ndarray
     quadrature_order: int
     _refine: Callable[[], float] = field(repr=False)
 
@@ -131,7 +131,7 @@ class EnergyReport:
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
-            "per_cell": list(self.per_cell),
+            "per_cell": self.per_cell.tolist(),
             "error_estimate": self.refinement_error_estimate,
             "order": self.quadrature_order,
         }
@@ -157,6 +157,7 @@ def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> E
     nodes are strictly interior to cells.
     """
     per_cell = cell_energies(spec, y.mesh.nodes, y.values, order)
+    per_cell.flags.writeable = False
     value = _total(per_cell)
 
     def refine() -> float:
@@ -164,7 +165,7 @@ def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> E
         fine_val = _total(cell_energies(spec, fine.mesh.nodes, fine.values, order))
         return _extended_diff(value, fine_val)
 
-    return EnergyReport(value=value, per_cell=tuple(float(c) for c in per_cell),
+    return EnergyReport(value=value, per_cell=per_cell,
                         quadrature_order=order, _refine=refine)
 
 

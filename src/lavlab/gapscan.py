@@ -20,7 +20,8 @@ from .functional import (DEFAULT_ORDER, _eval_spec, _total, cell_sums,
                          energy, energy_converged, quadrature_points)
 from .lagrangian import _FD_STEP, LagrangianSpec, catalog
 from .repar import reparametrize
-from .trajectory import Mesh, Trajectory, graded_mesh, sample, uniform_mesh
+from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
+                         uniform_mesh)
 
 DEFAULT_SEED = 0x4C41565245
 
@@ -430,16 +431,10 @@ class GapReport:
             f.write(f"{r.mesh_n},{r.slope_bound!r},{r.best_energy!r},{r.iterations}\n")
 
 
-def mania_reference_energy(order: int = DEFAULT_ORDER, tol: float = 1e-6,
-                           max_cells: int = 2 ** 14) -> float:
+def mania_reference_energy(order: int = DEFAULT_ORDER, tol: float = 1e-6) -> float:
     """Energy of the true minimizer t**(1/3), by refinement on graded meshes."""
-    family = []
-    n = 64
-    while n <= max_cells:
-        family.append(graded_mesh(0.0, 1.0, n, 3.0))
-        n *= 2
-    res = energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=tol)
-    return res.value
+    family = graded_family(0.0, 1.0, 2 ** 14, 3.0)
+    return energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=tol).value
 
 
 def _scan_mesh_group(args: tuple) -> list[GapRow]:

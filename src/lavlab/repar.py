@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
                      UnsupportedLagrangianError)
-from .functional import DEFAULT_ORDER, energy
+from .functional import DEFAULT_ORDER, _total, energy
 from .lagrangian import LagrangianSpec, partials
 from .trajectory import (ENDPOINT_RTOL, MonotoneMap, Trajectory,
                          push_through_inverse)
@@ -34,46 +34,49 @@ class ReparPlan:
     """Classification of mesh cells driving the time change.
 
     All indices refer to `trajectory`, which is the input refined by at most
-    one node (the compensation-set split).  `a_fractions` records the covered
-    fraction of each compensation cell; after the split these are all 1.0 and
-    the inserted node is reported in `split_node`.
+    one node (the compensation-set split, reported in `split_node`), so every
+    compensation cell is covered whole.  The cell sets are read-only intp
+    arrays in mesh order.
     """
 
     trajectory: Trajectory
     k: float
     lam: float
-    s_cells: tuple[int, ...]
-    omega_cells: tuple[int, ...]
-    a_cells: tuple[int, ...]
-    a_fractions: tuple[float, ...]
+    s_cells: np.ndarray
+    omega_cells: np.ndarray
+    a_cells: np.ndarray
     measure_s: float
     measure_omega: float
     deficit: float
     complete: bool
     split_node: float | None = None
 
+    def __post_init__(self):
+        for name in ("s_cells", "omega_cells", "a_cells"):
+            cells = np.asarray(getattr(self, name), dtype=np.intp)
+            cells.flags.writeable = False
+            object.__setattr__(self, name, cells)
+
     @property
     def measure_a(self) -> float:
-        widths = self.trajectory.mesh.widths
-        return float(sum(widths[i] * f for i, f in zip(self.a_cells, self.a_fractions)))
+        widths = self.trajectory.mesh.widths[self.a_cells]
+        return _total(widths) if widths.size else 0.0
 
     def speeds(self) -> np.ndarray:
         """Per-cell speeds: |d|/k on the fast set, 1/2 on the compensation
         set, 1 elsewhere (before the endpoint closure correction)."""
         d = self.trajectory.cell_derivatives()
         v = np.ones(self.trajectory.mesh.n_cells)
-        for i in self.s_cells:
-            v[i] = abs(d[i]) / self.k
-        for i in self.a_cells:
-            v[i] = 0.5
+        v[self.s_cells] = np.abs(d[self.s_cells]) / self.k
+        v[self.a_cells] = 0.5
         return v
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "lambda": self.lam,
-            "s_cells": list(self.s_cells),
-            "a_cells": list(self.a_cells),
+            "s_cells": self.s_cells.tolist(),
+            "a_cells": self.a_cells.tolist(),
             "measure_s": self.measure_s,
             "measure_a": self.measure_a,
             "measure_omega": self.measure_omega,
@@ -140,9 +143,7 @@ def classify(y: Trajectory, k: float, lam: float) -> ReparPlan:
     deficit = float(np.sum(widths[s_idx] * (absd[s_idx] / k - 1.0)))
     return ReparPlan(
         trajectory=y, k=float(k), lam=float(lam),
-        s_cells=tuple(int(i) for i in s_idx),
-        omega_cells=tuple(int(i) for i in omega_idx),
-        a_cells=(), a_fractions=(),
+        s_cells=s_idx, omega_cells=omega_idx, a_cells=(),
         measure_s=float(widths[s_idx].sum()),
         measure_omega=float(widths[omega_idx].sum()),
         deficit=deficit, complete=False)
@@ -175,53 +176,39 @@ def select_A(plan: ReparPlan) -> ReparPlan:
     y = plan.trajectory
     span = y.mesh.b - y.mesh.a
     if target == 0.0:
-        return replace(plan, a_cells=(), a_fractions=(), complete=True)
+        return replace(plan, a_cells=(), complete=True)
     if not plan.measure_omega > target:
         hint = _feasible_k_hint(y, plan.k, plan.lam)
         raise InfeasibleError(
             f"slow set too small: |Omega|={plan.measure_omega:.6g} <= "
             f"2*deficit={target:.6g}; retry with k >= {hint}", k_hint=hint)
 
-    widths = y.mesh.widths
-    chosen: list[int] = []
-    remaining = target
-    split_node = None
-    split_cell = None
-    for idx in plan.omega_cells:
-        w = float(widths[idx])
-        if remaining >= w:
-            chosen.append(idx)
-            remaining -= w
-            if remaining <= SPLIT_GUARD_REL * span:
-                remaining = 0.0
-                break
-        else:
-            if remaining > SPLIT_GUARD_REL * span:
-                split_node = float(y.mesh.nodes[idx]) + remaining
-                split_cell = idx
-            remaining = 0.0
-            break
-    if remaining > 0.0:
+    # remaining[j]: measure still to cover when slow cell j is reached; the
+    # cumsum is sequential, so these are the bits of cell-by-cell subtraction
+    cells = plan.omega_cells
+    widths = y.mesh.widths[cells]
+    remaining = np.cumsum(np.concatenate(([target], -widths)))
+    guard = SPLIT_GUARD_REL * span
+    whole = remaining[:-1] >= widths
+    # stop at the first cell that does not fit whole or leaves at most guard
+    stops = ~whole | (remaining[1:] <= guard)
+    j = int(np.argmax(stops))
+    if not stops[j]:
         raise ConsistencyError("compensation selection exhausted the slow set")
+    if whole[j]:
+        return replace(plan, a_cells=cells[:j + 1], complete=True)
+    if not remaining[j] > guard:  # shortfall below the guard: no split
+        return replace(plan, a_cells=cells[:j], complete=True)
 
-    if split_node is None:
-        return replace(plan, a_cells=tuple(chosen),
-                       a_fractions=(1.0,) * len(chosen), complete=True)
-
-    refined = y.with_node(split_node)
-    shift = lambda i: i if i < split_cell else i + 1
-    s_cells = tuple(shift(i) for i in plan.s_cells)
-    omega_cells = []
-    for i in plan.omega_cells:
-        if i == split_cell:
-            omega_cells.extend([i, i + 1])  # both halves stay slow
-        else:
-            omega_cells.append(shift(i))
-    a_cells = tuple(shift(i) for i in chosen) + (split_cell,)
+    # split slow cell j at the exact measure; later indices shift by one
+    split_cell = int(cells[j])
+    split_node = float(y.mesh.nodes[split_cell]) + float(remaining[j])
+    shift = lambda idx: idx + (idx >= split_cell)
     return ReparPlan(
-        trajectory=refined, k=plan.k, lam=plan.lam,
-        s_cells=s_cells, omega_cells=tuple(omega_cells),
-        a_cells=a_cells, a_fractions=(1.0,) * len(a_cells),
+        trajectory=y.with_node(split_node), k=plan.k, lam=plan.lam,
+        s_cells=shift(plan.s_cells),
+        omega_cells=np.insert(shift(cells), j, split_cell),  # both halves stay slow
+        a_cells=np.append(cells[:j], split_cell),
         measure_s=plan.measure_s, measure_omega=plan.measure_omega,
         deficit=plan.deficit, complete=True, split_node=split_node)
 
@@ -301,6 +288,16 @@ class KRow:
     energy_after: float | None
     gap: float | None
 
+    @classmethod
+    def of(cls, res: ReparResult) -> "KRow":
+        """Judge one reparametrization by the bound gap <= 1/k, allowing a
+        relative slack of 1e-12 on the energy."""
+        k = res.plan.k
+        slack = 1e-12 * max(1.0, abs(res.energy_before))
+        ok = res.energy_after <= res.energy_before + 1.0 / k + slack
+        return cls(k, "ok" if ok else "above_bound", res.lip_after,
+                   res.energy_before, res.energy_after, res.gap)
+
     def to_json_dict(self) -> dict:
         return {"k": self.k, "status": self.status, "lip_after": self.lip_after,
                 "energy_before": self.energy_before,
@@ -317,6 +314,16 @@ class FindKReport:
 
     K: float | None
     rows: tuple[KRow, ...]
+
+    @classmethod
+    def of(cls, rows: Sequence[KRow]) -> "FindKReport":
+        """Report over rows in ascending k: K starts the trailing "ok" run."""
+        K = None
+        for row in reversed(rows):
+            if row.status != "ok":
+                break
+            K = row.k
+        return cls(K=K, rows=tuple(rows))
 
     @property
     def found(self) -> bool:
@@ -340,22 +347,10 @@ def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
             rows.append(KRow(k, "skipped_lambda", None, None, None, None))
             continue
         try:
-            res = reparametrize(spec, y, k, order)
+            rows.append(KRow.of(reparametrize(spec, y, k, order)))
         except InfeasibleError:
             rows.append(KRow(k, "infeasible", None, None, None, None))
-            continue
-        bound = res.energy_before + 1.0 / k
-        slack = 1e-12 * max(1.0, abs(res.energy_before))
-        ok = res.energy_after <= bound + slack
-        rows.append(KRow(k, "ok" if ok else "above_bound", res.lip_after,
-                         res.energy_before, res.energy_after, res.gap))
-    K = None
-    for row in reversed(rows):
-        if row.status == "ok":
-            K = row.k
-        else:
-            break
-    return FindKReport(K=K, rows=tuple(rows))
+    return FindKReport.of(rows)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -113,6 +113,16 @@ def graded_mesh(a: float, b: float, n: int, power: float = 1.0) -> Mesh:
     nodes[0] = a
     nodes[-1] = b
     return Mesh(nodes)
+
+
+def graded_family(a: float, b: float, n: int, power: float = 1.0) -> Iterator[Mesh]:
+    """Graded meshes of 64, 128, ... cells below n, then of n cells; built
+    lazily, so a refinement sweep that stops early builds no more."""
+    m = 64
+    while m < n:
+        yield graded_mesh(a, b, m, power)
+        m *= 2
+    yield graded_mesh(a, b, n, power)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,47 @@ class TestMainInProcess:
         assert exc.value.code == 2
         assert "--problem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["boundary_A", "boundary_B", "endpoint_mode"])
+    def test_removed_config_keys_are_unknown(self, key, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "two" if key == "endpoint_mode" else 0.0}))
+        assert main(["catalog", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err
+        assert key in err
+
+    def test_repar_runs_each_k_once_and_reports_find_K(self, tmp_path, capsys,
+                                                       monkeypatch):
+        import lavlab.cli
+        import lavlab.repar
+        from lavlab import catalog, find_K, reparametrize
+        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+        ks = []
+
+        def counted(spec, y, k, order):
+            ks.append(k)
+            return reparametrize(spec, y, k, order)
+
+        # find_K's own calls would be counted too
+        monkeypatch.setattr(lavlab.cli, "reparametrize", counted)
+        monkeypatch.setattr(lavlab.repar, "reparametrize", counted)
+        out = tmp_path / "repar.json"
+        grid = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0]
+        assert main(["repar", "--lagrangian", "half_inverse", "--exact", "cuberoot",
+                     "--n", "64", "--power", "2",
+                     "--k", ",".join(str(k) for k in reversed(grid)),
+                     "--out", str(out)]) == 0
+        assert ks == grid
+        monkeypatch.undo()
+        y = sample(np.cbrt, graded_mesh(0, 1, 64, 2.0))
+        expected = find_K(catalog("half_inverse"), y, grid)
+        assert [r.status for r in expected.rows][:2] == ["above_bound"] * 2
+        payload = json.loads(out.read_text())
+        assert payload["K"] == expected.K == 16.0
+        assert [r["gap"] for r in payload["rows"]] == [r.gap for r in expected.rows]
+
     def test_config_round_trip_is_canonical(self, monkeypatch):
         monkeypatch.delenv("LAVLAB_SEED", raising=False)
         parser = _build_parser()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from lavlab import (Trajectory, catalog, energy, energy_converged,
                     graded_mesh, plateau_tent, polynomial_lagrangian, sample,
                     sawtooth, sqrt_ramp, uniform_mesh)
 
-from lavlab.functional import _gauss, _total
+from lavlab.functional import _gauss, _total, cell_energies
 
 from conftest import oracle_energy, random_trajectory
 
@@ -131,6 +132,23 @@ class TestEnergy:
         d = rep.to_json_dict()
         assert set(d) == {"value", "per_cell", "error_estimate", "order"}
         assert d["order"] == 5
+
+
+    def test_per_cell_is_the_kernel_array_read_only(self):
+        spec = catalog("half_inverse")
+        y = Trajectory(uniform_mesh(0, 1, 3), np.array([1e-200, 1e-200, 0.5, 1.0]))
+        rep = energy(spec, y)
+        cells = cell_energies(spec, y.mesh.nodes, y.values)
+        assert math.isinf(cells[0])
+        assert isinstance(rep.per_cell, np.ndarray)
+        assert np.array_equal(rep.per_cell, cells)
+        with pytest.raises(ValueError):
+            rep.per_cell[1] = 0.0
+        # the same JSON as the former tuple of Python floats
+        d = rep.to_json_dict()
+        assert all(type(c) is float for c in d["per_cell"])
+        old = dict(d, per_cell=list(tuple(float(c) for c in cells)))
+        assert json.dumps(d, sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 class TestEnergyConverged:

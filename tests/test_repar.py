@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lavlab import (ArgumentError, InfeasibleError, Mesh, Trajectory,
-                    UnsupportedLagrangianError, build_map, catalog,
-                    choose_lambda, classify, energy, find_K, graded_mesh,
+from lavlab import (ArgumentError, ConsistencyError, InfeasibleError, Mesh,
+                    Trajectory, UnsupportedLagrangianError, build_map,
+                    catalog, choose_lambda, classify, energy, find_K, graded_mesh,
                     lemma_P, minimal_surface, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
+
+from lavlab.repar import SPLIT_GUARD_REL
 
 from conftest import random_trajectory
 
@@ -47,7 +49,7 @@ class TestClassify:
     def test_all_slow_cells(self):
         y = two_cell([0.5, -0.25])
         plan = classify(y, 2.0, 1.0)
-        assert plan.s_cells == ()
+        assert plan.s_cells.size == 0
         assert plan.deficit == 0.0
 
     def test_hand_example_deficit(self):
@@ -71,7 +73,7 @@ class TestSelectA:
     def test_zero_deficit_keeps_empty_set(self):
         plan = select_A(classify(two_cell([0.5, 0.5]), 2.0, 1.0))
         assert plan.complete
-        assert plan.a_cells == ()
+        assert plan.a_cells.size == 0
         assert plan.measure_a == 0.0
 
     def test_split_measures_exactly_twice_deficit(self):
@@ -106,6 +108,87 @@ class TestSelectA:
                 continue
             assert set(plan.a_cells).isdisjoint(plan.s_cells)
             assert set(plan.a_cells) <= set(plan.omega_cells)
+
+
+def reference_select_A(plan):
+    """select_A's greedy rule cell by cell, as a plain Python loop over the
+    classified plan: (s_cells, omega_cells, a_cells, split_node, measure_a),
+    or None when the slow set runs out."""
+    y = plan.trajectory
+    widths = y.mesh.widths
+    guard = SPLIT_GUARD_REL * (y.mesh.b - y.mesh.a)
+    chosen = []
+    remaining = 2.0 * plan.deficit
+    split_node = split_cell = None
+    for idx in plan.omega_cells.tolist():
+        w = float(widths[idx])
+        if remaining >= w:
+            chosen.append(idx)
+            remaining -= w
+            if remaining <= guard:
+                remaining = 0.0
+                break
+        else:
+            if remaining > guard:
+                split_node = float(y.mesh.nodes[idx]) + remaining
+                split_cell = idx
+            remaining = 0.0
+            break
+    if remaining > 0.0:
+        return None
+    s_cells, omega_cells, a_cells = plan.s_cells.tolist(), plan.omega_cells.tolist(), chosen
+    if split_node is not None:
+        shift = lambda i: i if i < split_cell else i + 1
+        s_cells = [shift(i) for i in s_cells]
+        omega_cells = []
+        for i in plan.omega_cells.tolist():
+            omega_cells.extend([i, i + 1] if i == split_cell else [shift(i)])
+        a_cells = [shift(i) for i in chosen] + [split_cell]
+        widths = y.with_node(split_node).mesh.widths
+    measure_a = float(sum(widths[i] * 1.0 for i in a_cells))
+    return s_cells, omega_cells, a_cells, split_node, measure_a
+
+
+class TestSelectAReference:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["split", "whole", "tiny"]),
+           st.sampled_from([24, 400]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cell_by_cell_loop_bitwise(self, seed, mode, max_cells):
+        """"split" keeps the classified deficit; "whole" sets the target to
+        the measure of the first slow cells, so no cell is split; "tiny"
+        sets it below the split guard.  Meshes of up to 400 cells give long
+        slow and compensation sets."""
+        rng = np.random.default_rng(seed)
+        y = random_trajectory(rng, lo=-4, hi=4, max_cells=max_cells)
+        lam = choose_lambda(y)
+        plan = classify(y, lam + float(rng.uniform(0.25, 6.0)), lam)
+        widths = y.mesh.widths[plan.omega_cells]
+        if mode == "split" or widths.size < 2:
+            mode = "split"
+        elif mode == "whole":
+            m = int(rng.integers(1, widths.size))
+            object.__setattr__(plan, "deficit", sum(widths[:m].tolist()) / 2.0)
+        else:
+            object.__setattr__(plan, "deficit", SPLIT_GUARD_REL / 4.0)
+        expected = reference_select_A(plan)
+        try:
+            done = select_A(plan)
+        except InfeasibleError:
+            assert not plan.measure_omega > 2.0 * plan.deficit
+            return
+        except ConsistencyError:
+            assert expected is None
+            return
+        s_cells, omega_cells, a_cells, split_node, measure_a = expected
+        for cells in (done.s_cells, done.omega_cells, done.a_cells):
+            assert cells.dtype == np.intp and not cells.flags.writeable
+        assert done.s_cells.tolist() == s_cells
+        assert done.omega_cells.tolist() == omega_cells
+        assert done.a_cells.tolist() == a_cells
+        assert done.split_node == split_node
+        assert done.measure_a == measure_a
+        if mode != "split":
+            assert split_node is None
 
 
 class TestBuildMap:

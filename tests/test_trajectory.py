@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lavlab import (ArgumentError, ContractError, DomainError, Mesh,
                     MonotoneMap, SamplingError, Trajectory, graded_mesh,
                     push_through_inverse, sample, uniform_mesh)
+from lavlab.trajectory import graded_family
 
 from conftest import random_trajectory
 
@@ -25,6 +26,14 @@ class TestMesh:
         assert np.array_equal(graded_mesh(0, 1, 2, 1.0).nodes, [0.0, 0.5, 1.0])
         assert np.allclose(graded_mesh(0, 1, 4, 2.0).nodes,
                            [0.0, 1 / 16, 1 / 4, 9 / 16, 1.0], rtol=0, atol=1e-15)
+
+    def test_graded_family_doubles_from_64_then_ends_at_n(self):
+        sizes = lambda n: [m.n_cells for m in graded_family(0, 1, n, 2.0)]
+        assert sizes(300) == [64, 128, 256, 300]
+        assert sizes(256) == [64, 128, 256]
+        assert sizes(10) == [10]
+        last = list(graded_family(0.5, 2.0, 300, 3.0))[-1]
+        assert np.array_equal(last.nodes, graded_mesh(0.5, 2.0, 300, 3.0).nodes)
 
     def test_graded_mesh_resolves_left_endpoint(self):
         mesh = graded_mesh(0, 1, 10, 3.0)
