@@ -6,7 +6,8 @@ the LAVLAB_SEED environment variable overrides both for the seed).  Output
 JSON uses sorted keys and shortest-round-trip float formatting, so the same
 config always produces byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible experiment.
+Exit codes: 0 success, 2 configuration error (including an integrand the
+subcommand does not support), 3 infeasible experiment, 1 internal error.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import gapscan, necessary
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
-                     InfeasibleError, LavlabError)
+                     InfeasibleError, LavlabError, UnsupportedLagrangianError)
 from .functional import DEFAULT_ORDER, energy, energy_converged
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
-from .repar import FindKReport, KRow, reparametrize
+from .repar import FindKReport, KRow, ReparInput
 from .trajectory import Trajectory, graded_family, graded_mesh, sample
 
 SUBCOMMANDS = ("catalog", "energy", "repar", "necessary-check", "gap-scan", "demo")
@@ -218,9 +219,10 @@ def _run_repar(config: RunConfig) -> dict:
         y = _load_trajectory(config.trajectory_path)
     else:
         raise ConfigError("repar needs --exact or --trajectory")
+    prepared = ReparInput.of(spec, y, config.order)
     rows, k_rows = [], []
     for k in sorted(config.k_grid):
-        res = reparametrize(spec, y, k, config.order)
+        res = prepared.cap(k)
         rows.append({
             "k": k,
             "measure_s": res.plan.measure_s,
@@ -243,7 +245,7 @@ def _run_repar(config: RunConfig) -> dict:
     return {
         "config": config.canonical_dict(),
         "rows": rows,
-        # reparametrize has already refused non-autonomous integrands
+        # ReparInput.of has already refused non-autonomous integrands
         "K": FindKReport.of(k_rows).K if spec.convex_in_v else None,
     }
 
@@ -421,7 +423,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except (ConfigError, CatalogKeyError, ArgumentError) as exc:
+    except (ConfigError, CatalogKeyError, ArgumentError,
+            UnsupportedLagrangianError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except InfeasibleError as exc:

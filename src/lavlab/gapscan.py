@@ -19,7 +19,7 @@ from .errors import ArgumentError, DomainError
 from .functional import (DEFAULT_ORDER, _eval_spec, _total, cell_sums,
                          energy, energy_converged, quadrature_points)
 from .lagrangian import _FD_STEP, LagrangianSpec, catalog
-from .repar import reparametrize
+from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
                          uniform_mesh)
 
@@ -530,29 +530,9 @@ def halfinverse_lower_bound(y: Trajectory, interval: tuple[float, float],
 # -- avoidance table -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AvoidanceRow:
-    k: float
-    lip_after: float
-    energy_before: float
-    energy_after: float
-    gap: float
-
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "lip_after": self.lip_after,
-                "energy_before": self.energy_before,
-                "energy_after": self.energy_after, "gap": self.gap}
-
-
 def avoidance_demo(spec: LagrangianSpec, y_exact: Callable, mesh: Mesh,
                    k_grid: Sequence[float], order: int = DEFAULT_ORDER
-                   ) -> tuple[AvoidanceRow, ...]:
-    """Slope-capping sweep on a sampled profile: (k, Lip, energies, gap)."""
-    y = sample(y_exact, mesh)
-    rows = []
-    for k in sorted(float(k) for k in k_grid):
-        res = reparametrize(spec, y, k, order)
-        rows.append(AvoidanceRow(k=k, lip_after=res.lip_after,
-                                 energy_before=res.energy_before,
-                                 energy_after=res.energy_after, gap=res.gap))
-    return tuple(rows)
+                   ) -> tuple[KRow, ...]:
+    """Slope-capping sweep on a sampled profile, one judged row per k."""
+    prepared = ReparInput.of(spec, sample(y_exact, mesh), order)
+    return tuple(KRow.of(prepared.cap(k)) for k in sorted(float(k) for k in k_grid))

@@ -58,14 +58,16 @@ class LagrangianSpec:
 # -- catalog builders -----------------------------------------------------
 
 
+def _zero(t, y, v):
+    """The partial of a variable the integrand does not depend on."""
+    return np.zeros_like(np.asarray(t, dtype=float) + y + v)
+
+
 def minimal_surface(weight: float = TWO_PI) -> LagrangianSpec:
     """Rotation-surface area integrand weight * y * sqrt(1 + v^2), y >= 0."""
 
     def ev(t, y, v):
         return weight * y * np.sqrt(1.0 + v * v)
-
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
 
     def ly(t, y, v):
         return weight * np.sqrt(1.0 + v * v) + 0.0 * y
@@ -75,7 +77,7 @@ def minimal_surface(weight: float = TWO_PI) -> LagrangianSpec:
 
     ident = "surface_of_revolution" if weight == TWO_PI else f"surface_of_revolution@{weight!r}"
     return LagrangianSpec(
-        id=ident, eval=ev, partials=(lt, ly, lv),
+        id=ident, eval=ev, partials=(_zero, ly, lv),
         autonomous=True, convex_in_v=True,
         sample_box=((0.0, 1.0), (0.0, 3.0), (-3.0, 3.0)))
 
@@ -87,9 +89,6 @@ def _sqrt_chain() -> LagrangianSpec:
         r = 2.0 * y * v - 1.0
         return r * r
 
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
     def ly(t, y, v):
         return 4.0 * v * (2.0 * y * v - 1.0)
 
@@ -97,7 +96,7 @@ def _sqrt_chain() -> LagrangianSpec:
         return 4.0 * y * (2.0 * y * v - 1.0)
 
     return LagrangianSpec(
-        id="sqrt_chain", eval=ev, partials=(lt, ly, lv),
+        id="sqrt_chain", eval=ev, partials=(_zero, ly, lv),
         autonomous=True, convex_in_v=True)
 
 
@@ -116,9 +115,6 @@ def brachistochrone_problem(height: float = 1.0) -> LagrangianSpec:
         out = np.where(y < height, raw, np.inf)
         return out if out.ndim else float(out)
 
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
     def ly(t, y, v):
         y_arr = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -134,7 +130,7 @@ def brachistochrone_problem(height: float = 1.0) -> LagrangianSpec:
         return _guard(y, raw)
 
     return LagrangianSpec(
-        id="brachistochrone", eval=ev, partials=(lt, ly, lv),
+        id="brachistochrone", eval=ev, partials=(_zero, ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
         sample_box=((0.0, 1.0), (height - 2.0, height - 0.05), (-3.0, 3.0)))
 
@@ -146,17 +142,11 @@ def _quartic() -> LagrangianSpec:
         r = v * v - 1.0
         return r * r + 0.0 * y
 
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
-    def ly(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
     def lv(t, y, v):
         return 4.0 * v * (v * v - 1.0) + 0.0 * y
 
     return LagrangianSpec(
-        id="quartic", eval=ev, partials=(lt, ly, lv),
+        id="quartic", eval=ev, partials=(_zero, _zero, lv),
         autonomous=True, convex_in_v=False)
 
 
@@ -167,9 +157,6 @@ def _quartic_plus_square() -> LagrangianSpec:
         r = v * v - 1.0
         return r * r + y * y
 
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
     def ly(t, y, v):
         return 2.0 * y + 0.0 * v
 
@@ -177,7 +164,7 @@ def _quartic_plus_square() -> LagrangianSpec:
         return 4.0 * v * (v * v - 1.0) + 0.0 * y
 
     return LagrangianSpec(
-        id="quartic_plus_square", eval=ev, partials=(lt, ly, lv),
+        id="quartic_plus_square", eval=ev, partials=(_zero, ly, lv),
         autonomous=True, convex_in_v=False)
 
 
@@ -220,9 +207,6 @@ def _half_inverse() -> LagrangianSpec:
             val = np.where(y_arr != 0.0, r * r, np.inf)
         return val if val.ndim else float(val)
 
-    def lt(t, y, v):
-        return np.zeros_like(np.asarray(t, dtype=float) + y + v)
-
     def ly(t, y, v):
         y_arr = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -238,7 +222,7 @@ def _half_inverse() -> LagrangianSpec:
         return val if val.ndim else float(val)
 
     return LagrangianSpec(
-        id="half_inverse", eval=ev, partials=(lt, ly, lv),
+        id="half_inverse", eval=ev, partials=(_zero, ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
         sample_box=((0.0, 1.0), (0.15, 2.0), (-3.0, 3.0)))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -238,45 +239,65 @@ def build_map(plan: ReparPlan) -> MonotoneMap:
     return phi
 
 
+@dataclass(frozen=True, eq=False)
+class ReparInput:
+    """A trajectory prepared for slope capping at any number of thresholds.
+
+    What depends on y alone is computed once: the autonomy check, lambda
+    and Lip(y) by `of`, and F(y) by the first `cap(k)` with k > lambda (so a
+    grid at or below lambda never evaluates it).  Each `cap(k)` then runs
+    only the per-k phases.
+    """
+
+    spec: LagrangianSpec
+    y: Trajectory
+    order: int
+    lam: float
+    lip: float
+
+    @classmethod
+    def of(cls, spec: LagrangianSpec, y: Trajectory,
+           order: int = DEFAULT_ORDER) -> "ReparInput":
+        if not spec.autonomous:
+            raise UnsupportedLagrangianError(
+                f"{spec.id}: reparametrization requires an autonomous integrand")
+        return cls(spec, y, order, choose_lambda(y), y.lipschitz_constant)
+
+    @cached_property
+    def energy_before(self) -> float:
+        before = energy(self.spec, self.y, self.order).value
+        if not math.isfinite(before):
+            raise ArgumentError("reparametrize requires finite energy(y)")
+        return before
+
+    def cap(self, k: float) -> ReparResult:
+        """Cap the slopes of y at 2k by a time change; see `reparametrize`."""
+        if not k > self.lam:
+            raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
+        lip, before = self.lip, self.energy_before
+        plan = select_A(classify(self.y, k, self.lam))
+        if np.all(plan.speeds() == 1.0):  # Lip(y) < k or |d| == k ties: no time change
+            return ReparResult(y_k=plan.trajectory, plan=plan, lip_before=lip,
+                               lip_after=lip, energy_before=before,
+                               energy_after=before)
+        y_k = push_through_inverse(plan.trajectory, build_map(plan))
+        return ReparResult(y_k=y_k, plan=plan, lip_before=lip,
+                           lip_after=y_k.lipschitz_constant, energy_before=before,
+                           energy_after=energy(self.spec, y_k, self.order).value)
+
+
 def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,
                   order: int = DEFAULT_ORDER) -> ReparResult:
     """Cap the slopes of y at 2k by a time change, preserving the boundary.
 
-    Requires an autonomous integrand (the energy bookkeeping below uses that
-    L sees only (y, v)) with finite energy on y, and k above choose_lambda(y).
+    Requires an autonomous integrand (the energy bookkeeping uses that L
+    sees only (y, v)) with finite energy on y, and k above choose_lambda(y).
     If max |y'| < k the input is returned unchanged, bitwise.  For convex
     integrands the guarantee energy_after <= energy_before + 1/k is
-    asymptotic in k; use find_K to locate the onset.
+    asymptotic in k; use find_K to locate the onset.  A sweep over many k
+    should build one `ReparInput` and cap each k from it.
     """
-    if not spec.autonomous:
-        raise UnsupportedLagrangianError(
-            f"{spec.id}: reparametrization requires an autonomous integrand")
-    lam = choose_lambda(y)
-    if not k > lam:
-        raise ArgumentError(f"need k > choose_lambda(y) = {lam} (got k={k})")
-    before = energy(spec, y, order)
-    if not math.isfinite(before.value):
-        raise ArgumentError("reparametrize requires finite energy(y)")
-    lip = y.lipschitz_constant
-
-    plan = classify(y, k, lam)
-    if lip < k:
-        plan = replace(plan, complete=True)
-        return ReparResult(y_k=y, plan=plan, lip_before=lip, lip_after=lip,
-                           energy_before=before.value, energy_after=before.value)
-
-    plan = select_A(plan)
-    speeds = plan.speeds()
-    if np.all(speeds == 1.0):  # |d| == k ties only: the map is the identity
-        return ReparResult(y_k=plan.trajectory, plan=plan, lip_before=lip,
-                           lip_after=lip, energy_before=before.value,
-                           energy_after=before.value)
-    phi = build_map(plan)
-    y_k = push_through_inverse(plan.trajectory, phi)
-    after = energy(spec, y_k, order)
-    return ReparResult(y_k=y_k, plan=plan, lip_before=lip,
-                       lip_after=y_k.lipschitz_constant,
-                       energy_before=before.value, energy_after=after.value)
+    return ReparInput.of(spec, y, order).cap(k)
 
 
 @dataclass(frozen=True)
@@ -336,18 +357,16 @@ class FindKReport:
 def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
            order: int = DEFAULT_ORDER) -> FindKReport:
     """Locate the onset of energy_after <= energy_before + 1/k on a grid."""
-    if not spec.autonomous:
-        raise UnsupportedLagrangianError(f"{spec.id}: find_K requires an autonomous integrand")
+    prepared = ReparInput.of(spec, y, order)
     if not spec.convex_in_v:
         raise ArgumentError(f"{spec.id}: find_K requires convex_in_v")
-    lam = choose_lambda(y)
     rows: list[KRow] = []
     for k in sorted(float(k) for k in k_grid):
-        if not k > lam:
+        if not k > prepared.lam:
             rows.append(KRow(k, "skipped_lambda", None, None, None, None))
             continue
         try:
-            rows.append(KRow.of(reparametrize(spec, y, k, order)))
+            rows.append(KRow.of(prepared.cap(k)))
         except InfeasibleError:
             rows.append(KRow(k, "infeasible", None, None, None, None))
     return FindKReport.of(rows)

@@ -111,19 +111,25 @@ class TestMainInProcess:
 
     def test_repar_runs_each_k_once_and_reports_find_K(self, tmp_path, capsys,
                                                        monkeypatch):
-        import lavlab.cli
         import lavlab.repar
-        from lavlab import catalog, find_K, reparametrize
+        from lavlab import ReparInput, catalog, find_K
         monkeypatch.delenv("LAVLAB_SEED", raising=False)
-        ks = []
+        ks, energies, lambdas = [], [], []
 
-        def counted(spec, y, k, order):
-            ks.append(k)
-            return reparametrize(spec, y, k, order)
+        def counting(fn, calls, key=lambda *args: None):
+            def counted(*args):
+                calls.append(key(*args))
+                return fn(*args)
+            return counted
 
-        # find_K's own calls would be counted too
-        monkeypatch.setattr(lavlab.cli, "reparametrize", counted)
-        monkeypatch.setattr(lavlab.repar, "reparametrize", counted)
+        # classify runs once per capped k; energy and choose_lambda are counted
+        # wherever repar calls them
+        monkeypatch.setattr(lavlab.repar, "classify",
+                            counting(lavlab.repar.classify, ks, lambda y, k, lam: k))
+        monkeypatch.setattr(lavlab.repar, "energy",
+                            counting(lavlab.repar.energy, energies))
+        monkeypatch.setattr(lavlab.repar, "choose_lambda",
+                            counting(lavlab.repar.choose_lambda, lambdas))
         out = tmp_path / "repar.json"
         grid = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0]
         assert main(["repar", "--lagrangian", "half_inverse", "--exact", "cuberoot",
@@ -131,13 +137,23 @@ class TestMainInProcess:
                      "--k", ",".join(str(k) for k in reversed(grid)),
                      "--out", str(out)]) == 0
         assert ks == grid
+        assert len(lambdas) == 1
         monkeypatch.undo()
         y = sample(np.cbrt, graded_mesh(0, 1, 64, 2.0))
+        prepared = ReparInput.of(catalog("half_inverse"), y)
+        capped = sum(prepared.cap(k).y_k is not y for k in grid)
+        assert len(energies) == 1 + capped
         expected = find_K(catalog("half_inverse"), y, grid)
         assert [r.status for r in expected.rows][:2] == ["above_bound"] * 2
         payload = json.loads(out.read_text())
         assert payload["K"] == expected.K == 16.0
         assert [r["gap"] for r in payload["rows"]] == [r.gap for r in expected.rows]
+
+    def test_repar_non_autonomous_exits_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+        assert main(["repar", "--lagrangian", "mania", "--exact", "cuberoot",
+                     "--n", "64", "--power", "3", "--k", "4"]) == 2
+        assert "autonomous integrand" in capsys.readouterr().err
 
     def test_config_round_trip_is_canonical(self, monkeypatch):
         monkeypatch.delenv("LAVLAB_SEED", raising=False)

@@ -147,6 +147,7 @@ class TestAvoidanceDemo:
         gaps = [r.gap for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert all(r.gap <= 1.0 / r.k for r in rows)
+        assert [r.status for r in rows] == ["ok"] * 4  # the rows are KRows
 
     def test_half_inverse_capped_energies_finite(self):
         rows = avoidance_demo(catalog("half_inverse"), np.sqrt,

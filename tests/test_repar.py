@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lavlab.repar
 from lavlab import (ArgumentError, ConsistencyError, InfeasibleError, Mesh,
-                    Trajectory, UnsupportedLagrangianError, build_map,
+                    ReparInput, Trajectory, UnsupportedLagrangianError, build_map,
                     catalog, choose_lambda, classify, energy, find_K, graded_mesh,
                     lemma_P, minimal_surface, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
@@ -304,6 +306,74 @@ class TestReparametrize:
         assert res.y_k.values[-1] == y.values[-1]
 
 
+def tie_trajectory(rng, k0):
+    """Slopes in {0, k0, -k0} on a uniform mesh of 2^m cells, at least one
+    cell at k0 and at least half at 0 (so lambda = 1).  Nodes and values are
+    dyadic, so every slope is exactly 0 or +/-k0 and capping at k0 is the
+    identity map; values stay in [1, 9], where half_inverse is finite."""
+    n = 2 ** int(rng.integers(1, 6))
+    slopes = np.zeros(n)
+    fast = rng.permutation(n)[:max(1, n // 2)]
+    slopes[fast] = rng.choice([k0, -k0], size=fast.size)
+    slopes[fast[0]] = k0
+    mesh = uniform_mesh(0.0, 1.0, n)
+    return Trajectory(mesh, 5.0 + np.concatenate([[0.0], np.cumsum(slopes / n)]))
+
+
+def _capped_bits(run, k):
+    try:
+        res = run(k)
+    except InfeasibleError as exc:
+        return "infeasible", str(exc)
+    return (json.dumps(res.to_json_dict(), sort_keys=True),
+            res.y_k.mesh.nodes.tobytes(), res.y_k.values.tobytes())
+
+
+class TestReparInput:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),
+           st.sampled_from(["random", "ties"]))
+    @settings(max_examples=100, deadline=None)
+    def test_cap_matches_reparametrize_bitwise(self, seed, ident, mode):
+        """One prepared input capped along a whole grid gives the bits of a
+        fresh reparametrize per k, including k above Lip(y) (input returned
+        as is) and exact |y'| == k ties (the identity map)."""
+        spec = catalog(ident)
+        rng = np.random.default_rng(seed)
+        if mode == "ties":
+            k0 = float(rng.integers(2, 5))
+            y = tie_trajectory(rng, k0)
+            grid = [k0, 2.0 * k0 + 1.0]
+        else:
+            y = random_trajectory(rng, lo=0.2, hi=3.0, max_cells=64)
+            lam, lip = choose_lambda(y), y.lipschitz_constant
+            # mostly feasible thresholds between lambda and Lip(y), then one above
+            grid = sorted(lam + 1e-3 + rng.uniform(0.0, 1.0, size=4) * max(lip - lam, 1.0))
+            grid.append(lip + 1.0)
+        prepared = ReparInput.of(spec, y)
+        assert prepared.lam == choose_lambda(y)
+        for k in grid:
+            expected = _capped_bits(lambda k: reparametrize(spec, y, k), k)
+            assert _capped_bits(prepared.cap, k) == expected
+        if mode == "ties":
+            tie = prepared.cap(grid[0])
+            assert tie.y_k is y and np.all(tie.plan.speeds() == 1.0)
+        assert prepared.cap(grid[-1]).y_k is y  # Lip(y) < k
+
+    def test_same_errors_as_reparametrize(self):
+        y = sample(lambda t: 3 * t, uniform_mesh(0, 1, 8))  # lambda = 3
+        with pytest.raises(ArgumentError, match=r"need k > choose_lambda\(y\) = 3.0"):
+            ReparInput.of(SQRT_CHAIN, y).cap(3.0)
+        with pytest.raises(UnsupportedLagrangianError, match="autonomous integrand"):
+            ReparInput.of(catalog("mania"), y)
+        inf = ReparInput.of(catalog("half_inverse"), Trajectory(
+            uniform_mesh(0, 1, 2), np.array([1e-200, 1e-200, 1.0])))  # lambda = 1
+        with pytest.raises(ArgumentError, match="finite energy"):
+            inf.cap(3.0)
+        # the threshold is checked first, as in reparametrize
+        with pytest.raises(ArgumentError, match="need k > choose_lambda"):
+            inf.cap(1.0)
+
+
 class TestLimitLaw:
     def test_fast_set_and_deficit_vanish_as_k_doubles(self):
         y = sample(np.sqrt, graded_mesh(0, 1, 2048, 2.0))
@@ -353,6 +423,32 @@ class TestFindK:
         assert statuses[2.0] == "skipped_lambda"
         assert statuses[8.0] == "ok"
         assert rep.K == 8.0
+
+    def test_infeasible_row_and_input_energy_once(self, monkeypatch):
+        energies = []
+
+        def counted(spec, y, order):
+            energies.append(y)
+            return energy(spec, y, order)
+
+        monkeypatch.setattr(lavlab.repar, "energy", counted)
+        # slopes (4, 0), lambda 1: at k=2 twice the deficit (1) exceeds the
+        # slow set (1/2); at k=8 the input is already below the cap
+        y = Trajectory(uniform_mesh(0, 1, 2), [0, 2, 2])
+        rep = find_K(SQRT_CHAIN, y, [2, 8])
+        assert [r.status for r in rep.rows] == ["infeasible", "ok"]
+        assert rep.K == 8.0
+        assert len(energies) == 1 and energies[0] is y
+
+    def test_grid_at_or_below_lambda_never_evaluates_energy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("F(y) evaluated")
+
+        monkeypatch.setattr(lavlab.repar, "energy", refuse)
+        y = sample(lambda t: 3 * t, uniform_mesh(0, 1, 8))  # lambda = 3
+        rep = find_K(SQRT_CHAIN, y, [1.0, 3.0, 2.0])
+        assert [r.status for r in rep.rows] == ["skipped_lambda"] * 3
+        assert rep.K is None
 
 
 class TestLemmaP:
