@@ -7,7 +7,8 @@ JSON uses sorted keys and shortest-round-trip float formatting, so the same
 config always produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (including an integrand the
-subcommand does not support), 3 infeasible experiment, 1 internal error.
+subcommand does not support and a malformed trajectory file), 3 infeasible
+experiment, 1 internal error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .errors import (ArgumentError, CatalogKeyError, ConfigError,
 from .functional import DEFAULT_ORDER, energy, energy_converged
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
 from .repar import FindKReport, KRow, ReparInput
-from .trajectory import Trajectory, graded_family, graded_mesh, sample
+from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
+                         sample)
 
 SUBCOMMANDS = ("catalog", "energy", "repar", "necessary-check", "gap-scan", "demo")
 
@@ -137,15 +140,79 @@ def _load_trajectory(path: str) -> Trajectory:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"trajectory file not found: {path}")
-    if p.suffix.lower() == ".csv":
-        with open(p, newline="") as f:
-            return Trajectory.from_csv(f)
-    with open(p) as f:
-        return Trajectory.from_json_dict(json.load(f))
+    try:
+        if p.suffix.lower() == ".csv":
+            with open(p, newline="") as f:
+                return Trajectory.from_csv(f)
+        with open(p) as f:
+            return Trajectory.from_json_dict(json.load(f))
+    except (ArgumentError, json.JSONDecodeError) as exc:
+        raise ArgumentError(f"trajectory file {path}: {exc}") from None
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_floats(a) -> Iterator[str]:
+    """float_texts(a), with json's spelling of the non-finite values."""
+    texts = float_texts(a)
+    if np.isfinite(a).all():
+        return texts
+    return (_JSON_NONFINITE.get(t, t) for t in texts)
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, byte for byte,
+    with a non-empty 1-D or 2-D float array written by one join over its
+    entries instead of one encoder call per element.  Dict keys are str."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj: Any, nl: str, out: list[str]) -> None:
+    """Append obj's JSON to out; nl is a newline and the indent of obj's line."""
+    inner = nl + "  "
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.extend(_json_floats(obj))
+    elif (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+          and obj.ndim in (1, 2) and obj.size):
+        texts = _json_floats(obj)
+        if obj.ndim == 2:  # rows of shape[1] entries, laid out as nested lists
+            row = inner + "  "
+            texts = map(("," + row).join, zip(*[texts] * obj.shape[1]))
+            out += ("[", inner, "[", row, f"{inner}],{inner}[{row}".join(texts),
+                    inner, "]", nl, "]")
+        else:
+            out += ("[", inner, ("," + inner).join(texts), nl, "]")
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), nl, out)
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)):
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out += (nl, "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_outputs(config: RunConfig, payload: dict,

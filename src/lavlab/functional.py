@@ -131,7 +131,7 @@ class EnergyReport:
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
-            "per_cell": self.per_cell.tolist(),
+            "per_cell": self.per_cell,
             "error_estimate": self.refinement_error_estimate,
             "order": self.quadrature_order,
         }

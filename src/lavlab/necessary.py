@@ -16,37 +16,42 @@ import numpy as np
 from .errors import (ArgumentError, SingularPointError,
                      UnsupportedLagrangianError)
 from .lagrangian import LagrangianSpec
-from .trajectory import Trajectory
+from .trajectory import Trajectory, csv_text
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise residuals with their maximum magnitude.
 
-    `skipped` lists sample times where the integrand's partials were
-    singular; `erdmann_constant` is the recovered constant for the
+    `samples` is a read-only (n, 2) array of (t, residual) rows; `skipped`
+    is a read-only array of the sample times where the integrand's partials
+    were singular; `erdmann_constant` is the recovered constant for the
     constancy check (None for the Euler-Lagrange residual).
     """
 
-    samples: tuple[tuple[float, float], ...]
+    samples: np.ndarray
     max_abs: float
     mesh_resolution: int
-    skipped: tuple[float, ...] = ()
+    skipped: np.ndarray = ()
     erdmann_constant: float | None = None
+
+    def __post_init__(self):
+        for name, shape in (("samples", (-1, 2)), ("skipped", -1)):
+            arr = np.array(getattr(self, name), dtype=float).reshape(shape)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def to_json_dict(self) -> dict:
         return {
-            "samples": [list(s) for s in self.samples],
+            "samples": self.samples,
             "max_abs": self.max_abs,
             "mesh_resolution": self.mesh_resolution,
-            "skipped": list(self.skipped),
+            "skipped": self.skipped,
             "erdmann_constant": self.erdmann_constant,
         }
 
     def samples_to_csv(self, f) -> None:
-        f.write("t,residual\n")
-        for t, r in self.samples:
-            f.write(f"{float(t)!r},{float(r)!r}\n")
+        f.write(csv_text("t,residual", *self.samples.T))
 
 
 def _partial_arrays(spec: LagrangianSpec, t, y, v):
@@ -93,11 +98,10 @@ def el_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
     with np.errstate(invalid="ignore"):
         res = ly_node - (lv_mid[1:] - lv_mid[:-1]) / delta
     good = np.isfinite(res)
-    samples = tuple((float(t), float(r)) for t, r in zip(t_int[good], res[good]))
-    skipped = tuple(float(t) for t in t_int[~good])
-    max_abs = float(np.max(np.abs(res[good]))) if samples else math.nan
-    return ResidualReport(samples=samples, max_abs=max_abs,
-                          mesh_resolution=y.mesh.n_cells, skipped=skipped)
+    max_abs = float(np.max(np.abs(res[good]))) if good.any() else math.nan
+    return ResidualReport(samples=np.column_stack((t_int[good], res[good])),
+                          max_abs=max_abs, mesh_resolution=y.mesh.n_cells,
+                          skipped=t_int[~good])
 
 
 def dbr_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
@@ -124,11 +128,9 @@ def dbr_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
         raise ArgumentError("all midpoint evaluations were singular")
     const = float(np.mean(e[good]))
     res = e - const
-    samples = tuple((float(t), float(r)) for t, r in zip(mids[good], res[good]))
-    skipped = tuple(float(t) for t in mids[~good])
-    return ResidualReport(samples=samples,
+    return ResidualReport(samples=np.column_stack((mids[good], res[good])),
                           max_abs=float(np.max(np.abs(res[good]))),
-                          mesh_resolution=y.mesh.n_cells, skipped=skipped,
+                          mesh_resolution=y.mesh.n_cells, skipped=mids[~good],
                           erdmann_constant=const)
 
 

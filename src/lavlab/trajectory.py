@@ -190,29 +190,66 @@ class Trajectory:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Trajectory":
-        return cls(Mesh(np.asarray(obj["nodes"], dtype=float)),
-                   np.asarray(obj["values"], dtype=float))
+        try:
+            nodes, values = (np.asarray(obj[key], dtype=float)
+                             for key in ("nodes", "values"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArgumentError("trajectory JSON needs numeric 'nodes' and "
+                                f"'values' lists ({exc!r})") from None
+        return cls(Mesh(nodes), values)
 
     def to_csv(self, f) -> None:
         """Write rows t,y with shortest round-trip formatting (>= 15 digits)."""
-        f.write("t,y\n")
-        for t, y in zip(self.mesh.nodes, self.values):
-            f.write(f"{float(t)!r},{float(y)!r}\n")
+        f.write(self.to_csv_text())
 
     @classmethod
     def from_csv(cls, f) -> "Trajectory":
-        reader = csv.reader(f)
-        header = next(reader)
+        """Read a 't,y' header and rows t,y; a malformed file raises
+        ArgumentError naming the first bad line."""
+        header = next(csv.reader([f.readline()]), [])
         if [h.strip() for h in header] != ["t", "y"]:
             raise ArgumentError("trajectory CSV must have header 't,y'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        nodes, values = zip(*rows)
-        return cls(Mesh(np.asarray(nodes)), np.asarray(values))
+        body = f.read()
+        if not body or body.isspace():
+            raise ArgumentError("trajectory CSV has no rows after its header")
+        try:  # correctly rounded, so the same bits as float()
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                              ndmin=2, usecols=(0, 1))
+        except ValueError:
+            rows = _parse_rows(body)
+        return cls(Mesh(rows[:, 0]), rows[:, 1])
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        return csv_text("t,y", self.mesh.nodes, self.values)
+
+
+def _parse_rows(body: str) -> np.ndarray:
+    """The rows of a trajectory CSV body one at a time with float(): reads
+    what np.loadtxt refuses but float() takes, and names a bad line."""
+    rows = []
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for r in reader:
+        if r:
+            try:
+                rows.append((float(r[0]), float(r[1])))
+            except (IndexError, ValueError):
+                raise ArgumentError(
+                    f"line {reader.line_num + 1}: expected t,y numbers, "
+                    f"got {','.join(r)!r}") from None
+    return np.array(rows).reshape(-1, 2)
+
+
+def float_texts(a) -> Iterator[str]:
+    """float.__repr__ of each entry of `a`, row-major: the shortest text
+    that reads back to the same bits, and the one float format of every
+    lavlab report (CSV keeps 'nan'/'inf'; the JSON writer respells them)."""
+    return map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist())
+
+
+def csv_text(header: str, *columns) -> str:
+    """The header line, then one comma-separated line per row of the
+    equal-length float columns."""
+    return "\n".join([header, *map(",".join, zip(*map(float_texts, columns))), ""])
 
 
 def sample(f: Callable[[float], float], mesh: Mesh) -> Trajectory:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lavlab import graded_mesh, sample
+from lavlab import cli, graded_mesh, sample
 from lavlab.cli import RunConfig, _config_from_args, _build_parser, main
 
 
@@ -154,6 +154,44 @@ class TestMainInProcess:
         assert main(["repar", "--lagrangian", "mania", "--exact", "cuberoot",
                      "--n", "64", "--power", "3", "--k", "4"]) == 2
         assert "autonomous integrand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, detail", [
+        ("header_only.csv", "t,y\n", "no rows"),
+        ("word.csv", "t,y\n0,1\n0.5,abc\n1,2\n", "line 3"),
+        ("short_row.csv", "t,y\n0,1\n0.5\n1,2\n", "line 3"),
+        ("no_values.json", '{"nodes": [0, 1]}', "KeyError('values')"),
+        ("string_value.json", '{"nodes": [0, 1], "values": [0, "one"]}', "'one'"),
+        ("empty.csv", "", "header 't,y'"),
+        ("other_header.csv", "x,y\n0,1\n1,2\n", "header 't,y'"),
+        ("blank_rows_only.csv", "t,y\n\r\n", "no rows"),
+        ("short_after_blank.csv", "t,y\n0,1\n\n0.5\n", "line 4"),
+        ("not_an_object.json", "[0, 1]", "TypeError"),
+        ("ragged.json", '{"nodes": [[0], [1, 2]], "values": [0, 1]}', "ValueError"),
+        ("bad_syntax.json", '{"nodes": [0, 1],', "Expecting"),
+    ])
+    def test_malformed_trajectory_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               name, text, detail):
+        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["energy", "--lagrangian", "sqrt_chain",
+                     "--trajectory", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and detail in err
+
+    @pytest.mark.parametrize("text", [
+        "t,y\r\n0,1\r\n0.5,2\r\n1,3\r\n",          # CRLF line endings
+        "t,y\n\n0,1\n\n0.5,2\n1,3\n\n",             # blank lines
+        " t , y \n0,1\n0.5,2\n1,3\n",                 # spaces around the header
+        "t,y\r0,1\r0.5,2\r1,3\r",                     # CR line endings
+        't,y\n"0","1"\n0.5,2\n1,3,extra\n',           # quoted cells, a third column
+    ])
+    def test_trajectory_csv_layouts_read_as_before(self, tmp_path, text):
+        path = tmp_path / "y.csv"
+        path.write_bytes(text.encode())
+        y = cli._load_trajectory(str(path))
+        assert y.mesh.nodes.tolist() == [0.0, 0.5, 1.0]
+        assert y.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_config_round_trip_is_canonical(self, monkeypatch):
         monkeypatch.delenv("LAVLAB_SEED", raising=False)

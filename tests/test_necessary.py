@@ -1,9 +1,13 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lavlab import (ArgumentError, LagrangianSpec, Trajectory,
+from lavlab import (ArgumentError, LagrangianSpec, ResidualReport, Trajectory,
                     UnsupportedLagrangianError, catalog,
                     catenary, dbr_residual, el_residual, fit_catenary,
                     minimal_surface, plateau_tent, polynomial_lagrangian,
@@ -141,3 +145,30 @@ class TestDuBoisReymondResidual:
         c = 1.0 / alpha
         assert np.allclose(y ** 2, c ** 2 * (1 + dy ** 2), rtol=1e-12)
         assert not np.allclose(y ** 2 * (1 + dy ** 2), c ** 2, rtol=0.5)
+
+
+class TestResidualReport:
+    def test_samples_and_skipped_are_read_only_arrays(self):
+        vals = np.array([1.0, 0.5, 0.0, 0.5, 1.0])
+        y = Trajectory(uniform_mesh(0, 1, 4), vals)
+        for rep in (el_residual(catalog("half_inverse"), y),
+                    dbr_residual(UNIT_SURFACE, sample(np.cosh, uniform_mesh(-1, 1, 8)))):
+            assert rep.samples.ndim == 2 and rep.samples.shape[1] == 2
+            assert rep.skipped.ndim == 1
+            for arr in (rep.samples, rep.skipped):
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+        assert len(ResidualReport((), math.nan, 3).samples) == 0
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)),
+                      elements=st.floats()))
+    @settings(max_examples=100, deadline=None)
+    def test_samples_csv_matches_the_former_row_loop(self, samples):
+        rep = ResidualReport(samples, math.nan, 3)
+        buf = io.StringIO()
+        rep.samples_to_csv(buf)
+        former = io.StringIO()
+        former.write("t,residual\n")
+        for t, r in tuple(tuple(float(v) for v in row) for row in samples):
+            former.write(f"{float(t)!r},{float(r)!r}\n")
+        assert buf.getvalue() == former.getvalue()

@@ -212,6 +212,19 @@ class TestPushThroughInverse:
         assert out.lipschitz_constant <= 2.0 * y.lipschitz_constant * (1 + 1e-12)
 
 
+# Float texts that read back to exactly the float they were made from.
+EXACT_FORMATS = [repr, "{:.17g}".format, "{:.16E}".format, "{:+.17e}".format]
+# Any float text that float() reads, exact or not.
+NUMBER_TEXTS = (
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from(EXACT_FORMATS).map(lambda f: f(x)))
+    | st.floats(-1e300, 1e300).flatmap(  # rounded text, still finite
+        lambda x: st.sampled_from(["{:.3e}".format, "{:f}".format]).map(lambda f: f(x)))
+    | st.sampled_from(["1e+16", "1E-5", "-0.0", "5e-324", "4.9406564584124654e-324",
+                       "2.2250738585072009e-308", "1.7976931348623157e308", "-7",
+                       " 3.5 ", "0.1000000000000000055511151231257827"]))
+
+
 class TestSerialization:
     def test_csv_round_trip(self):
         y = sample(np.sqrt, graded_mesh(0, 1, 7, 2.0))
@@ -228,6 +241,31 @@ class TestSerialization:
         assert lines[0] == "t,y"
         assert lines[1].split(",")[0] == "0.0"
         assert float(lines[2].split(",")[1]) == 2.0 / 3.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=12, unique=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_csv_parses_like_float(self, ts, data):
+        t_texts = [data.draw(st.sampled_from(EXACT_FORMATS))(t) for t in sorted(ts)]
+        y_texts = data.draw(st.lists(NUMBER_TEXTS, min_size=len(ts), max_size=len(ts)))
+        body = "".join(f"{t},{y}\n" for t, y in zip(t_texts, y_texts))
+        back = Trajectory.from_csv(io.StringIO("t,y\n" + body))
+        for got, texts in ((back.mesh.nodes, t_texts), (back.values, y_texts)):
+            want = np.array([float(x) for x in texts])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=12, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_to_csv_matches_the_former_row_loop(self, ts, data):
+        ys = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=len(ts), max_size=len(ts)))
+        y = Trajectory(Mesh(np.array(sorted(ts))), np.array(ys))
+        buf = io.StringIO()
+        buf.write("t,y\n")
+        for t, v in zip(y.mesh.nodes, y.values):
+            buf.write(f"{float(t)!r},{float(v)!r}\n")
+        assert y.to_csv_text() == buf.getvalue()
 
     def test_json_round_trip(self):
         y = sample(np.cbrt, graded_mesh(0, 1, 5, 3.0))
