@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -154,25 +154,28 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_floats(a) -> Iterator[str]:
-    """float_texts(a), with json's spelling of the non-finite values."""
-    texts = float_texts(a)
+def _json_floats(a, texts: Callable) -> Iterable[str]:
+    """texts(a), the float texts of a, with json's spelling of the
+    non-finite values."""
+    out = texts(a)
     if np.isfinite(a).all():
-        return texts
-    return (_JSON_NONFINITE.get(t, t) for t in texts)
+        return out
+    return (_JSON_NONFINITE.get(t, t) for t in out)
 
 
-def _dumps(obj: Any) -> str:
+def _dumps(obj: Any, texts: Callable | None = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, byte for byte,
     with a non-empty 1-D or 2-D float array written by one join over its
-    entries instead of one encoder call per element.  Dict keys are str."""
+    entries instead of one encoder call per element.  Dict keys are str.
+    `texts` gives an array's float texts (default `float_texts`), so a run
+    that also writes the array to a CSV can format it once."""
     out: list[str] = []
-    _encode(obj, "\n", out)
+    _encode(obj, "\n", out, texts or float_texts)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(obj: Any, nl: str, out: list[str]) -> None:
+def _encode(obj: Any, nl: str, out: list[str], texts: Callable) -> None:
     """Append obj's JSON to out; nl is a newline and the indent of obj's line."""
     inner = nl + "  "
     if isinstance(obj, str):
@@ -182,33 +185,33 @@ def _encode(obj: Any, nl: str, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        out.extend(_json_floats(obj))
+        out.extend(_json_floats(obj, texts))
     elif (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
           and obj.ndim in (1, 2) and obj.size):
-        texts = _json_floats(obj)
+        items = _json_floats(obj, texts)
         if obj.ndim == 2:  # rows of shape[1] entries, laid out as nested lists
             row = inner + "  "
-            texts = map(("," + row).join, zip(*[texts] * obj.shape[1]))
-            out += ("[", inner, "[", row, f"{inner}],{inner}[{row}".join(texts),
+            items = map(("," + row).join, zip(*[iter(items)] * obj.shape[1]))
+            out += ("[", inner, "[", row, f"{inner}],{inner}[{row}".join(items),
                     inner, "]", nl, "]")
         else:
-            out += ("[", inner, ("," + inner).join(texts), nl, "]")
+            out += ("[", inner, ("," + inner).join(items), nl, "]")
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), nl, out)
+        _encode(obj.tolist(), nl, out, texts)
     elif isinstance(obj, (list, tuple, dict)) and not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             out += (sep, encode_basestring_ascii(key), ": ")
-            _encode(value, inner, out)
+            _encode(value, inner, out, texts)
             sep = "," + inner
         out += (nl, "}")
     elif isinstance(obj, (list, tuple)):
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            _encode(value, inner, out)
+            _encode(value, inner, out, texts)
             sep = "," + inner
         out += (nl, "]")
     else:
@@ -216,7 +219,8 @@ def _encode(obj: Any, nl: str, out: list[str]) -> None:
 
 
 def _write_outputs(config: RunConfig, payload: dict,
-                   csv_writer: Callable | None = None) -> None:
+                   csv_writer: Callable | None = None,
+                   texts: Callable | None = None) -> None:
     if config.fmt == "csv":
         if csv_writer is None:
             raise ConfigError(
@@ -227,7 +231,7 @@ def _write_outputs(config: RunConfig, payload: dict,
         else:
             csv_writer(sys.stdout)
     else:
-        text = _dumps(payload)
+        text = _dumps(payload, texts)
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")
         else:
@@ -317,7 +321,9 @@ def _run_repar(config: RunConfig) -> dict:
     }
 
 
-def _run_necessary(config: RunConfig) -> tuple[dict, Callable | None]:
+def _run_necessary(config: RunConfig) -> tuple[dict, Callable, Callable]:
+    """(payload, CSV writer of the EL samples, float texts for the JSON
+    writer): the EL samples are formatted once for both outputs."""
     spec = _resolve_spec(config)
     if config.trajectory_path is None:
         raise ConfigError("necessary-check needs --trajectory")
@@ -331,7 +337,11 @@ def _run_necessary(config: RunConfig) -> tuple[dict, Callable | None]:
         payload["dbr"] = necessary.dbr_residual(spec, y).to_json_dict()
     else:
         payload["dbr"] = None
-    return payload, el.samples_to_csv
+
+    def texts(a) -> Iterable[str]:
+        return el.sample_texts if a is el.samples else float_texts(a)
+
+    return payload, el.samples_to_csv, texts
 
 
 def _run_gap_scan(config: RunConfig) -> tuple[dict, Callable]:
@@ -359,7 +369,7 @@ def _run_demo(config: RunConfig) -> dict:
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     config.validate()
-    csv_writer = None
+    csv_writer = texts = None
     if config.subcommand == "catalog":
         payload = _run_catalog(config)
     elif config.subcommand == "energy":
@@ -367,12 +377,12 @@ def run(config: RunConfig) -> int:
     elif config.subcommand == "repar":
         payload = _run_repar(config)
     elif config.subcommand == "necessary-check":
-        payload, csv_writer = _run_necessary(config)
+        payload, csv_writer, texts = _run_necessary(config)
     elif config.subcommand == "gap-scan":
         payload, csv_writer = _run_gap_scan(config)
     else:
         payload = _run_demo(config)
-    _write_outputs(config, payload, csv_writer)
+    _write_outputs(config, payload, csv_writer, texts)
     return 0
 
 

@@ -5,6 +5,10 @@ integrable endpoint singularity of the integrand yields large-but-finite
 samples; genuine divergence shows up as blow-up under refinement rather
 than as an evaluation error.  Results are extended reals: any sample above
 1e300 (or non-finite) makes the owning cell, and hence the total, +inf.
+
+Every energy goes through one kernel, `cell_sums`, which walks the cells in
+blocks and sums each cell's weighted samples left to right, so a cell's
+bits depend neither on the BLAS build nor on the block it falls in.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .trajectory import Mesh, Trajectory, sample
 
 INF_THRESHOLD = 1e300
 
+# Cells per kernel block: a block's (order, BLOCK) sample arrays stay in cache.
+BLOCK = 2 ** 13
+
 DEFAULT_ORDER = 5  # exact for the catalog's polynomial integrands per cell
 
 # Relative step for differentiating an exactly-known profile at quadrature
@@ -34,22 +41,23 @@ _EXACT_FD_REL = 1e-5
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], owned by lavlab.
 
-    numpy's table is symmetrized (nodes odd, weights even) and the weights
-    are rescaled so their exactly rounded sum is 2, so constants integrate
-    to the same bits whatever numpy version built the table.
+    numpy's table is symmetrized (nodes odd, weights even), and the middle
+    weight (or pair) is moved by the fewest ulps, at most 16, that make the
+    left-to-right sum of the weights 2, and the exactly rounded sum too
+    where both can hold (every order from 1 to 8).  So the kernel's
+    fixed-order contraction integrates a constant 1 to exactly each cell's
+    width.  An order with no such move keeps the symmetrized table.
     """
     if order < 1:
         raise ArgumentError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
     x = (x - x[::-1]) / 2.0
     w = (w + w[::-1]) / 2.0
-    w = w * (2.0 / math.fsum(w))
-    middle = slice((order - 1) // 2, order // 2 + 1)  # one weight or a pair
-    for _ in range(4):
-        defect = 2.0 - math.fsum(w)
-        if defect == 0.0:
-            break
-        w[middle] += defect / w[middle].size
+    middle = np.zeros(order, dtype=bool)
+    middle[(order - 1) // 2:order // 2 + 1] = True  # one weight or a pair
+    moves = (w + k * np.spacing(w) * middle for k in sorted(range(-16, 17), key=abs))
+    fits = [fit for fit in moves if _total(fit) == 2.0]
+    w = next((fit for fit in fits if math.fsum(fit) == 2.0), fits[0] if fits else w)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -70,34 +78,60 @@ def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
                      y_left: np.ndarray, y_right: np.ndarray,
                      order: int = DEFAULT_ORDER) -> np.ndarray:
     """Per-cell quadrature contributions from per-cell endpoint values."""
-    h, tq, w = quadrature_points(nodes, order)
-    d = (y_right - y_left) / h
-    yq = y_left[:, None] + d[:, None] * (tq - nodes[:-1, None])
-    vq = np.broadcast_to(d[:, None], tq.shape)
-    return cell_sums(spec, h, tq, yq, vq, w)
-
-
-def quadrature_points(nodes: np.ndarray, order: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, tq, w): cell widths, the Gauss points of each cell (one row per
-    cell), and the weights."""
     x, w = _gauss(order)
     h = np.diff(nodes)
-    mid = (nodes[:-1] + nodes[1:]) / 2.0
-    tq = mid[:, None] + (h[:, None] / 2.0) * x[None, :]
-    return h, tq, w
+    d = (y_right - y_left) / h
+
+    def samples(b: slice):
+        tq = gauss_points(nodes, h, x, b)
+        return (tq, y_left[b] + d[b] * (tq - nodes[:-1][b]),
+                np.broadcast_to(d[b], tq.shape))
+
+    return cell_sums(spec, h, w, samples)
 
 
-def cell_sums(spec: LagrangianSpec, h: np.ndarray, tq: np.ndarray,
-              yq: np.ndarray, vq: np.ndarray, w: np.ndarray) -> np.ndarray:
+def gauss_points(nodes: np.ndarray, h: np.ndarray, x: np.ndarray,
+                 b: slice = slice(None)) -> np.ndarray:
+    """The Gauss points of the cells in slice b: one row per rule node x on
+    [-1, 1], one column per cell (h is np.diff(nodes))."""
+    return (nodes[:-1][b] + nodes[1:][b]) / 2.0 + (h[b] / 2.0) * x[:, None]
+
+
+def gauss_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w[k] * a[k] over the rows of a, accumulated left to right in k,
+    so each column's bits depend neither on the BLAS build nor on how many
+    columns there are."""
+    acc = a[0] * w[0]
+    for k in range(1, w.size):
+        acc += a[k] * w[k]
+    return acc
+
+
+def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
+              samples: Callable[[slice], tuple]) -> np.ndarray:
     """(h/2) * sum_k w_k L(tq, yq, vq) per cell; +inf for a cell with any
-    sample that is non-finite or above INF_THRESHOLD."""
+    sample that is non-finite or above INF_THRESHOLD.
+
+    The one quadrature kernel.  It walks the cells in blocks of BLOCK, and
+    `samples(b)` returns the (tq, yq, vq) of the cells in slice b, one row
+    per Gauss point, so no sample array larger than a block is needed.  The
+    contraction is `gauss_sum`.  A block whose samples are all finite and
+    below the threshold (the usual case) skips the mask; either way a cell's
+    bits depend on its own samples only, never on the block it falls in.
+    """
+    out = np.empty(h.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        lq = _eval_spec(spec, tq, yq, vq)
-        bad = ~np.isfinite(lq) | (np.abs(lq) > INF_THRESHOLD)
-        contrib = (h / 2.0) * (np.where(bad, 0.0, lq) @ w)
-    contrib[bad.any(axis=1)] = np.inf
-    return contrib
+        for lo in range(0, h.size, BLOCK):
+            b = slice(lo, lo + BLOCK)
+            lq = _eval_spec(spec, *samples(b))
+            if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
+                out[b] = (h[b] / 2.0) * gauss_sum(lq, w)
+                continue
+            bad = ~(np.abs(lq) <= INF_THRESHOLD)
+            contrib = (h[b] / 2.0) * gauss_sum(np.where(bad, 0.0, lq), w)
+            contrib[bad.any(axis=0)] = np.inf
+            out[b] = contrib
+    return out
 
 
 def cell_energies(spec: LagrangianSpec, nodes: np.ndarray, values: np.ndarray,
@@ -181,15 +215,20 @@ def exact_profile_energy(spec: LagrangianSpec, f: Callable, mesh: Mesh,
     1e-5 * min(t - a, b - t), which never crosses the endpoints where the
     profiles of interest are singular.
     """
-    h, tq, w = quadrature_points(mesh.nodes, order)
-    yq = np.asarray(f(tq), dtype=float)
-    if df is not None:
-        vq = np.asarray(df(tq), dtype=float)
-    else:
+    x, w = _gauss(order)
+    nodes = mesh.nodes
+    h = np.diff(nodes)
+
+    def samples(b: slice):
+        tq = gauss_points(nodes, h, x, b)
+        yq = np.asarray(f(tq), dtype=float)
+        if df is not None:
+            return tq, yq, np.asarray(df(tq), dtype=float)
         delta = _EXACT_FD_REL * np.minimum(tq - mesh.a, mesh.b - tq)
-        vq = (np.asarray(f(tq + delta), dtype=float)
-              - np.asarray(f(tq - delta), dtype=float)) / (2.0 * delta)
-    return _total(cell_sums(spec, h, tq, yq, vq, w))
+        return tq, yq, (np.asarray(f(tq + delta), dtype=float)
+                        - np.asarray(f(tq - delta), dtype=float)) / (2.0 * delta)
+
+    return _total(cell_sums(spec, h, w, samples))
 
 
 @dataclass(frozen=True)

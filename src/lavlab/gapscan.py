@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, _eval_spec, _total, cell_sums,
-                         energy, energy_converged, quadrature_points)
+from .functional import (DEFAULT_ORDER, _eval_spec, _gauss, _total, cell_sums,
+                         energy, energy_converged, gauss_points, gauss_sum)
 from .lagrangian import _FD_STEP, LagrangianSpec, catalog
 from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
@@ -168,8 +168,10 @@ class _SlopeProblem:
                  boundary: tuple[float | None, float]):
         self.spec = spec
         self.A, self.B = boundary
-        self.h, self.tq, self.w = quadrature_points(mesh.nodes, order)
-        self.offsets = self.tq - mesh.nodes[:-1, None]  # from each left node
+        x, self.w = _gauss(order)
+        self.h = np.diff(mesh.nodes)
+        self.tq = gauss_points(mesh.nodes, self.h, x)
+        self.offsets = self.tq - mesh.nodes[:-1]  # from each left node
         self.energy_evals = 0
         self.gradient_evals = 0
 
@@ -186,12 +188,15 @@ class _SlopeProblem:
 
     def cells(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(per-cell contributions, yq, vq): the same bits as
-        `cell_energies(spec, nodes, y, order)`, plus the samples behind them."""
+        `cell_energies(spec, nodes, y, order)`, plus the samples behind them
+        (one row per Gauss point; vq is a broadcast view of the slopes)."""
         d = (y[1:] - y[:-1]) / self.h
-        yq = y[:-1, None] + d[:, None] * self.offsets
-        vq = np.empty_like(yq)
-        vq[:] = d[:, None]
-        return cell_sums(self.spec, self.h, self.tq, yq, vq, self.w), yq, vq
+        yq = y[:-1] + d * self.offsets
+        vq = np.broadcast_to(d, yq.shape)
+        tq = self.tq
+        contrib = cell_sums(self.spec, self.h, self.w,
+                            lambda b: (tq[:, b], yq[:, b], vq[:, b]))
+        return contrib, yq, vq
 
     def energy(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(total energy, yq, vq); the total is summed as `energy` does."""
@@ -225,8 +230,8 @@ class _SlopeProblem:
         """
         self.gradient_evals += 1
         ly, lv = self._point_partials(yq, vq)
-        rigid = (self.h / 2.0) * (ly @ self.w)
-        g = ((ly * self.offsets + lv) @ self.w) / 2.0
+        rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
+        g = gauss_sum(ly * self.offsets + lv, self.w) / 2.0
         if self.A is None:
             g -= np.cumsum(rigid)
         else:

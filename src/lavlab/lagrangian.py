@@ -9,7 +9,7 @@ the scalar `partials` wrapper turns that into a SingularPointError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -308,9 +308,7 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
         for t in np.linspace(t0, t1, 3)
         for y in np.linspace(y0, y1, 5)
     )
-    return LagrangianSpec(
-        id=spec.id, eval=ev, partials=spec.partials,
-        autonomous=autonomous, convex_in_v=probe)
+    return replace(spec, convex_in_v=probe)
 
 
 # -- generic operations -----------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import (ArgumentError, SingularPointError,
                      UnsupportedLagrangianError)
 from .lagrangian import LagrangianSpec
-from .trajectory import Trajectory, csv_text
+from .trajectory import Trajectory, float_texts
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,15 @@ class ResidualReport:
             "erdmann_constant": self.erdmann_constant,
         }
 
+    @cached_property
+    def sample_texts(self) -> list[str]:
+        """float_texts of `samples`, row-major, formatted on first use and
+        kept, so the JSON report and the CSV share them."""
+        return list(float_texts(self.samples))
+
     def samples_to_csv(self, f) -> None:
-        f.write(csv_text("t,residual", *self.samples.T))
+        rows = iter(self.sample_texts)
+        f.write("\n".join(["t,residual", *map(",".join, zip(rows, rows)), ""]))
 
 
 def _partial_arrays(spec: LagrangianSpec, t, y, v):

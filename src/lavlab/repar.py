@@ -226,7 +226,7 @@ def build_map(plan: ReparPlan) -> MonotoneMap:
     mesh = plan.trajectory.mesh
     speeds = plan.speeds()
     widths = mesh.widths
-    defect = (mesh.b - mesh.a) - float(np.dot(speeds, widths))
+    defect = (mesh.b - mesh.a) - _total(speeds * widths)
     if defect != 0.0:
         neutral = np.flatnonzero(speeds == 1.0)
         j = int(neutral[-1]) if neutral.size else mesh.n_cells - 1

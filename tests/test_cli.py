@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from lavlab import cli, graded_mesh, sample
+from lavlab import cli, graded_mesh, necessary, sample
 from lavlab.cli import RunConfig, _config_from_args, _build_parser, main
+from lavlab.trajectory import float_texts
 
 
 def run_cli(argv, tmp_path=None, env_extra=None):
@@ -207,6 +208,36 @@ class TestMainInProcess:
             "k_grid": tuple(first["k_grid"]), "seed": first["seed"],
         })
         assert rebuilt.canonical_dict() == first
+
+    def test_necessary_check_formats_each_sample_once(self, tmp_path, monkeypatch):
+        """--csv-out reuses the JSON report's float text of the EL samples:
+        it formats no float, and both files keep their bytes."""
+        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+        traj = tmp_path / "cat.csv"
+        with open(traj, "w", newline="") as f:
+            sample(np.cosh, graded_mesh(-1, 1, 64, 1.0)).to_csv(f)
+        formatted = []
+
+        def counting(a):
+            texts = list(float_texts(a))
+            formatted.append(len(texts))
+            return iter(texts)
+
+        monkeypatch.setattr(cli, "float_texts", counting)
+        monkeypatch.setattr(necessary, "float_texts", counting)
+        argv = ["necessary-check", "--lagrangian", "surface_of_revolution",
+                "--trajectory", str(traj), "--out"]
+        assert main([*argv, str(tmp_path / "a.json")]) == 0
+        json_only = sum(formatted)
+        formatted.clear()
+        assert main([*argv, str(tmp_path / "b.json"),
+                     "--csv-out", str(tmp_path / "b.csv")]) == 0
+        assert sum(formatted) == json_only
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        samples = json.loads((tmp_path / "b.json").read_text())["el"]["samples"]
+        assert len(samples) == 63
+        assert (tmp_path / "b.csv").read_text() == "t,residual\n" + "".join(
+            f"{t!r},{r!r}\n" for t, r in samples)
 
 
 class TestSubprocessReproducibility:

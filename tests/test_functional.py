@@ -9,7 +9,9 @@ from lavlab import (Trajectory, catalog, energy, energy_converged,
                     sawtooth, sqrt_ramp, uniform_mesh)
 
 from lavlab import cli
-from lavlab.functional import _gauss, _total, cell_energies
+from lavlab.functional import (BLOCK, _gauss, _total, cell_energies,
+                               cell_energies_lr)
+from lavlab.lagrangian import LagrangianSpec
 
 from conftest import oracle_energy, random_trajectory
 
@@ -33,6 +35,15 @@ class TestGaussTable:
             assert np.array_equal(x, -x[::-1])
             assert np.array_equal(w, w[::-1])
             assert math.fsum(w) == 2.0
+            assert _total(w) == 2.0  # the kernel's contraction order
+
+    def test_every_order_builds_a_symmetric_rule(self):
+        # beyond order 8 a left-to-right sum of exactly 2 is not always one
+        # middle move away; the table is still built
+        for order in range(1, 41):
+            x, w = _gauss(order)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert abs(_total(w) - 2.0) <= 8 * np.finfo(float).eps
 
     def test_total_is_the_left_to_right_sum(self):
         rng = np.random.default_rng(8)
@@ -45,10 +56,70 @@ class TestGaussTable:
         assert _total(np.array([1.0, np.inf, 2.0])) == math.inf
 
 
+# y^2 (1 + t v^2) + v^2 from products and sums only, so numpy arrays and
+# Python floats give it the same bits
+PLAIN = LagrangianSpec(id="plain", eval=lambda t, y, v: y * y * (1.0 + t * v * v) + v * v,
+                       partials=None, autonomous=False, convex_in_v=True)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_per_cell_bits_match_a_python_left_to_right_sum(self, order):
+        rng = np.random.default_rng(order)
+        n = 300
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n))])
+        values = rng.normal(0.0, 2.0, n + 1)
+        cells = cell_energies(PLAIN, nodes, values, order)
+        x, w = (v.tolist() for v in _gauss(order))
+        for j in range(n):
+            a, b = float(nodes[j]), float(nodes[j + 1])
+            ya, yb = float(values[j]), float(values[j + 1])
+            h = b - a
+            d = (yb - ya) / h
+            terms = []
+            for xk, wk in zip(x, w):
+                t = (a + b) / 2.0 + (h / 2.0) * xk
+                terms.append(PLAIN.eval(t, ya + d * (t - a), d) * wk)
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = acc + term
+            assert cells[j] == (h / 2.0) * acc
+            assert cells[j] == pytest.approx((h / 2.0) * math.fsum(terms),
+                                             rel=order * np.finfo(float).eps)
+
+    def test_a_cell_has_the_same_bits_in_any_block(self):
+        rng = np.random.default_rng(21)
+        n = 2 * BLOCK + 3
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.0, n))]) / n
+        values = np.sin(8.0 * nodes) + rng.normal(0.0, 1e-3, n + 1)
+        spec = catalog("quartic_plus_square")
+        cells = cell_energies(spec, nodes, values)
+        alone = [cell_energies(spec, nodes[j:j + 2], values[j:j + 2])[0]
+                 for j in range(n)]
+        assert np.array_equal(cells, alone)
+
+    @pytest.mark.parametrize("poison", [math.nan, math.inf, 1e151])
+    @pytest.mark.parametrize("cell", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK + 2])
+    def test_a_bad_sample_makes_only_its_cell_infinite(self, poison, cell):
+        # 1e151 gives samples near 1e302: finite, but above INF_THRESHOLD
+        rng = np.random.default_rng(4)
+        n = 2 * BLOCK + 3
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        y_left = rng.normal(0.0, 1.0, n)
+        y_right = rng.normal(0.0, 1.0, n)
+        clean = cell_energies_lr(PLAIN, nodes, y_left, y_right)
+        y_left[cell] = y_right[cell] = poison
+        with np.errstate(invalid="ignore"):  # the slope inf - inf
+            cells = cell_energies_lr(PLAIN, nodes, y_left, y_right)
+        assert cells[cell] == math.inf
+        others = np.arange(n) != cell
+        assert np.array_equal(cells[others], clean[others])
+
+
 class TestEnergy:
     def test_constant_integrand_exact_at_any_order(self):
         y = sample(lambda t: t, uniform_mesh(0, 1, 3))
-        for order in (1, 2, 5):
+        for order in range(1, 9):
             assert energy(V_SQUARED, y, order).value == 1.0
 
     def test_sawtooth_energy_closed_form(self):

@@ -231,6 +231,31 @@ class TestBuildMap:
         phi = build_map(plan)
         assert phi.endpoint_defect <= 1e-12 * span
 
+    def test_closure_defect_is_a_left_to_right_sum(self):
+        """The endpoint defect absorbed by build_map is summed cell by cell
+        from the left (no BLAS dot), so the corrected speeds have fixed bits."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = 400
+            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n))])
+            nodes /= nodes[-1]
+            fast = np.where(rng.uniform(size=n) < 0.1, 8.0, 1.0)
+            slopes = rng.uniform(-1.0, 1.0, n) * fast
+            values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(nodes))])
+            y = Trajectory(Mesh(nodes), values)
+            lam = choose_lambda(y)
+            plan = select_A(classify(y, lam + 2.0, lam))
+            speeds = plan.speeds()
+            widths = plan.trajectory.mesh.widths
+            total = 0.0
+            for v, h in zip(speeds.tolist(), widths.tolist()):
+                total += v * h
+            defect = 1.0 - total
+            if defect != 0.0:
+                j = int(np.flatnonzero(speeds == 1.0)[-1])
+                speeds[j] += defect / float(widths[j])
+            assert np.array_equal(build_map(plan).speeds, speeds)
+
 
 class TestReparametrize:
     def test_identity_law_bitwise(self):
