@@ -18,8 +18,8 @@ from .gapscan import (DEFAULT_SEED, GapReport, GapRow, avoidance_demo,
                       mania_two_endpoint_scan, minimize_bounded, plateau_tent,
                       sawtooth, sqrt_ramp)
 from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
-                         catalog, convexity_probe, minimal_surface, partials,
-                         polynomial_lagrangian)
+                         catalog, convexity_probe, minimal_surface,
+                         partial_array, partials, polynomial_lagrangian)
 from .necessary import (ResidualReport, catenary, dbr_residual, el_residual,
                         fit_catenary)
 from .repar import (FindKReport, KRow, ReparInput, ReparPlan, ReparResult,

@@ -63,17 +63,6 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _eval_spec(spec: LagrangianSpec, tq, yq, vq) -> np.ndarray:
-    if spec.vectorized:
-        return np.asarray(spec.eval(tq, yq, vq), dtype=float)
-    out = np.empty(tq.shape)
-    it = np.nditer(tq, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        out[idx] = float(spec.eval(tq[idx], yq[idx], vq[idx]))
-    return out
-
-
 def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
                      y_left: np.ndarray, y_right: np.ndarray,
                      order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -123,7 +112,7 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, h.size, BLOCK):
             b = slice(lo, lo + BLOCK)
-            lq = _eval_spec(spec, *samples(b))
+            lq = np.asarray(spec.eval(*samples(b)), dtype=float)
             if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
                 out[b] = (h[b] / 2.0) * gauss_sum(lq, w)
                 continue

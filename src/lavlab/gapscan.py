@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, _eval_spec, _gauss, _total, cell_sums,
-                         energy, energy_converged, gauss_points, gauss_sum)
-from .lagrangian import _FD_STEP, LagrangianSpec, catalog
+from .functional import (DEFAULT_ORDER, _gauss, _total, cell_sums, energy,
+                         energy_converged, gauss_points, gauss_sum)
+from .lagrangian import LagrangianSpec, catalog, partial_array
 from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
                          uniform_mesh)
@@ -204,22 +204,6 @@ class _SlopeProblem:
         contrib, yq, vq = self.cells(y)
         return _total(contrib), yq, vq
 
-    def _point_partials(self, yq, vq) -> tuple[np.ndarray, np.ndarray]:
-        """(L_y, L_v) at the quadrature samples: exact partials when the
-        spec has them, central differences of its integrand otherwise."""
-        spec, tq = self.spec, self.tq
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if spec.partials is not None:
-                _, ly, lv = spec.partials
-                return (np.asarray(ly(tq, yq, vq), dtype=float),
-                        np.asarray(lv(tq, yq, vq), dtype=float))
-            hy = _FD_STEP * np.maximum(1.0, np.abs(yq))
-            hv = _FD_STEP * np.maximum(1.0, np.abs(vq))
-            return ((_eval_spec(spec, tq, yq + hy, vq)
-                     - _eval_spec(spec, tq, yq - hy, vq)) / (2.0 * hy),
-                    (_eval_spec(spec, tq, yq, vq + hv)
-                     - _eval_spec(spec, tq, yq, vq - hv)) / (2.0 * hv))
-
     def gradient(self, yq: np.ndarray, vq: np.ndarray) -> np.ndarray:
         """dE/ds_j divided by h_j, i.e. the gradient in the h-weighted metric.
 
@@ -229,7 +213,8 @@ class _SlopeProblem:
         integrals collects.
         """
         self.gradient_evals += 1
-        ly, lv = self._point_partials(yq, vq)
+        ly = partial_array(self.spec, 1, self.tq, yq, vq)
+        lv = partial_array(self.spec, 2, self.tq, yq, vq)
         rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
         g = gauss_sum(ly * self.offsets + lv, self.w) / 2.0
         if self.A is None:
@@ -321,7 +306,7 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
     The unknowns are the cell slopes s in [-M, M]^n; with both endpoints
     pinned (A not None) they also satisfy h . s = B - A, and with A None only
     y(b) = B is pinned.  The gradient is exact (chain rule through the Gauss
-    rule, from the spec's partials), the projection is exact (see
+    rule, through `partial_array`), the projection is exact (see
     `_SlopeSet.project`), and steps are nonmonotone Barzilai-Borwein.
 
     Starts: the straight line (flat at B in one-endpoint mode), each of

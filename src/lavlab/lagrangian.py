@@ -1,9 +1,11 @@
 """Catalog of integrands L(t, y, v) with exact partials and structural flags.
 
-Evaluators are numpy-vectorized and extended-real: a singular point yields
-+inf (never NaN), and infinities propagate through sums.  Exact partial
-derivatives likewise return +/-inf at singular points when called on arrays;
-the scalar `partials` wrapper turns that into a SingularPointError.
+Evaluators must accept numpy arrays, and are extended-real: a singular
+point yields +inf (never NaN), and infinities propagate through sums.  Exact
+partial derivatives likewise return +/-inf at singular points.  Every
+partial goes through `partial_array`, which falls back on central
+differences for a spec without exact partials; the scalar `partials`
+wrapper turns a non-finite partial into a SingularPointError.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class LagrangianSpec:
 
     Attributes:
         id: stable name used by the CLI and catalogs.
-        eval: (t, y, v) -> value >= 0 (or +inf when `extended`); array-safe.
+        eval: (t, y, v) -> value >= 0 (or +inf when `extended`); must accept
+            numpy arrays.
         partials: optional (L_t, L_y, L_v) evaluators, array-safe, returning
             +/-inf at singular points.
         autonomous: independent of t.
@@ -48,7 +51,6 @@ class LagrangianSpec:
     autonomous: bool
     convex_in_v: bool
     extended: bool = False
-    vectorized: bool = True
     sample_box: Box = ((0.0, 1.0), (-2.0, 2.0), (-3.0, 3.0))
 
     def __call__(self, t, y, v):
@@ -314,47 +316,45 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
 # -- generic operations -----------------------------------------------------
 
 
-def partials(spec: LagrangianSpec, t: float, y: float, v: float) -> tuple[float, float, float]:
-    """(L_t, L_y, L_v) at a point; exact closed forms where the catalog has
-    them, central finite differences with step eps**(1/3)*max(1,|coord|)
-    otherwise.  Raises SingularPointError at extended points.
-    """
-    if spec.partials is not None:
-        out = tuple(float(p(t, y, v)) for p in spec.partials)
-        if not all(math.isfinite(x) for x in out):
-            raise SingularPointError(
-                f"{spec.id}: partials singular at (t={t}, y={y}, v={v})")
-        return out
+def partial_array(spec: LagrangianSpec, axis: int, t, y, v) -> np.ndarray:
+    """One partial of L (axis 0, 1, 2: L_t, L_y, L_v) at broadcast points.
 
-    center = float(spec.eval(t, y, v))
-    if not math.isfinite(center):
-        raise SingularPointError(f"{spec.id}: extended at (t={t}, y={y}, v={v})")
-    out = []
-    for axis, c in enumerate((t, y, v)):
-        h = _FD_STEP * max(1.0, abs(c))
-        args_p = [t, y, v]
-        args_m = [t, y, v]
-        args_p[axis] = c + h
-        args_m[axis] = c - h
-        fp = float(spec.eval(*args_p))
-        fm = float(spec.eval(*args_m))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise SingularPointError(
-                f"{spec.id}: finite-difference stencil hits an extended point")
-        out.append((fp - fm) / (2.0 * h))
-    return tuple(out)
+    Exact closed forms where the spec has them; otherwise a central
+    difference on that axis with step eps**(1/3) * max(1, |coord|), which is
+    NaN wherever the centre sample or either stencil sample is non-finite.
+    Singular points come back non-finite either way.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.partials is not None:
+            return np.asarray(spec.partials[axis](t, y, v), dtype=float)
+        args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, y, v)))
+        c = args[axis]
+        h = _FD_STEP * np.maximum(1.0, np.abs(c))
+
+        def at(x):
+            return np.asarray(spec.eval(*args[:axis], x, *args[axis + 1:]), dtype=float)
+
+        centre, d = at(c), (at(c + h) - at(c - h)) / (2.0 * h)
+        return np.where(np.isfinite(centre) & np.isfinite(d), d, np.nan)
+
+
+def partials(spec: LagrangianSpec, t: float, y: float, v: float) -> tuple[float, float, float]:
+    """(L_t, L_y, L_v) at a point, from `partial_array`.  Raises
+    SingularPointError where any of them is non-finite."""
+    out = tuple(float(partial_array(spec, axis, t, y, v)) for axis in range(3))
+    if not all(math.isfinite(x) for x in out):
+        raise SingularPointError(f"{spec.id}: partials singular at (t={t}, y={y}, v={v})")
+    return out
 
 
 def convexity_probe(spec: LagrangianSpec, y: float, v_grid, t: float = 0.0) -> bool:
     """Chord test on all consecutive triples of the grid, tolerance 1e-12*scale."""
     grid = np.sort(np.asarray(v_grid, dtype=float))
-    vals = np.asarray([float(spec.eval(t, y, v)) for v in grid])
+    t_grid, y_grid = np.full_like(grid, t), np.full_like(grid, y)
+    vals = np.asarray(spec.eval(t_grid, y_grid, grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ArgumentError("convexity probe requires finite evaluations on the grid")
-    for (v1, v2, v3), (f1, f2, f3) in zip(
-            zip(grid, grid[1:], grid[2:]), zip(vals, vals[1:], vals[2:])):
-        chord = (f1 * (v3 - v2) + f3 * (v2 - v1)) / (v3 - v1)
-        scale = max(1.0, abs(f1), abs(f2), abs(f3))
-        if f2 > chord + 1e-12 * scale:
-            return False
-    return True
+    (v1, v2, v3), (f1, f2, f3) = ((a[:-2], a[1:-1], a[2:]) for a in (grid, vals))
+    chord = (f1 * (v3 - v2) + f3 * (v2 - v1)) / (v3 - v1)
+    scale = np.maximum(np.maximum(1.0, np.abs(f1)), np.maximum(np.abs(f2), np.abs(f3)))
+    return not np.any(f2 > chord + 1e-12 * scale)

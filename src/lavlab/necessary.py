@@ -14,9 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ArgumentError, SingularPointError,
-                     UnsupportedLagrangianError)
-from .lagrangian import LagrangianSpec
+from .errors import ArgumentError, UnsupportedLagrangianError
+from .lagrangian import LagrangianSpec, partial_array
 from .trajectory import Trajectory, float_texts
 
 
@@ -62,25 +61,6 @@ class ResidualReport:
         f.write("\n".join(["t,residual", *map(",".join, zip(rows, rows)), ""]))
 
 
-def _partial_arrays(spec: LagrangianSpec, t, y, v):
-    """Vector-evaluate exact partials; singulars come back non-finite."""
-    if spec.partials is None:
-        lt = np.array([_fd_partial(spec, ti, yi, vi) for ti, yi, vi in zip(t, y, v)])
-        return lt[:, 0], lt[:, 1], lt[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return tuple(np.asarray(p(t, y, v), dtype=float) for p in spec.partials)
-
-
-def _fd_partial(spec, t, y, v):
-    """Scalar partials at one point; NaN (a skipped sample) only where the
-    integrand is singular, so a bug in a user integrand still raises."""
-    from .lagrangian import partials as scalar_partials
-    try:
-        return np.array(scalar_partials(spec, t, y, v))
-    except SingularPointError:
-        return np.array([np.nan, np.nan, np.nan])
-
-
 def el_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
     """Euler-Lagrange residual L_y - d/dt L_v at the interior nodes.
 
@@ -96,11 +76,11 @@ def el_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
     d = y.cell_derivatives()
     mids = (nodes[:-1] + nodes[1:]) / 2.0
     ybar = (vals[:-1] + vals[1:]) / 2.0
-    _, _, lv_mid = _partial_arrays(spec, mids, ybar, d)
+    lv_mid = partial_array(spec, 2, mids, ybar, d)
 
     t_int = nodes[1:-1]
     dbar = (d[:-1] + d[1:]) / 2.0
-    _, ly_node, _ = _partial_arrays(spec, t_int, vals[1:-1], dbar)
+    ly_node = partial_array(spec, 1, t_int, vals[1:-1], dbar)
 
     delta = (h[:-1] + h[1:]) / 2.0
     with np.errstate(invalid="ignore"):
@@ -129,7 +109,7 @@ def dbr_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:
     ybar = (vals[:-1] + vals[1:]) / 2.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l_mid = np.asarray(spec.eval(mids, ybar, d), dtype=float)
-    _, _, lv_mid = _partial_arrays(spec, mids, ybar, d)
+    lv_mid = partial_array(spec, 2, mids, ybar, d)
     e = l_mid - d * lv_mid
     good = np.isfinite(e)
     if not np.any(good):

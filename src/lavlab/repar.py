@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
-                     UnsupportedLagrangianError)
+                     SingularPointError, UnsupportedLagrangianError)
 from .functional import DEFAULT_ORDER, _total, energy
-from .lagrangian import LagrangianSpec, partials
+from .lagrangian import LagrangianSpec, partial_array
 from .trajectory import (ENDPOINT_RTOL, MonotoneMap, Trajectory,
                          push_through_inverse)
 
@@ -391,12 +391,11 @@ class TangentCurve:
 def lemma_P(spec: LagrangianSpec, y: float, w_grid, t: float = 0.0) -> TangentCurve:
     """Tangent-intercept values of v -> L(t, y, v) on a grid (t frozen)."""
     grid = np.sort(np.asarray(w_grid, dtype=float))
-    vals = []
-    for w in grid:
-        lw = float(spec.eval(t, y, w))
-        _, _, lv = partials(spec, t, y, w)
-        vals.append(lw - w * lv)
-    vals = np.asarray(vals)
+    t_grid, y_grid = np.full_like(grid, t), np.full_like(grid, y)
+    lv = partial_array(spec, 2, t_grid, y_grid, grid)
+    if not np.all(np.isfinite(lv)):
+        raise SingularPointError(f"{spec.id}: L_v singular on the grid at (t={t}, y={y})")
+    vals = np.asarray(spec.eval(t_grid, y_grid, grid), dtype=float) - grid * lv
     scale = max(1.0, float(np.max(np.abs(vals))))
     tol = 1e-10 * scale
     neg = grid < 0

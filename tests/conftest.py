@@ -3,12 +3,19 @@ adaptive-quadrature oracle (scipy), and the acceptance summary hook."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.integrate import quad
 
 from lavlab import Mesh, Trajectory
 
 ACCEPTANCE_LINES: list[str] = []
+
+# Subprocesses (`python -m lavlab`, the demos) import this checkout's package too.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter):

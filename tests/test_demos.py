@@ -1,6 +1,5 @@
 """Each narrative script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +16,7 @@ def test_all_six_demos_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         text=True, env=env, timeout=300)
+                         text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError,
                     SingularPointError, catalog, convexity_probe,
-                    minimal_surface, partials, polynomial_lagrangian)
+                    minimal_surface, partial_array, partials,
+                    polynomial_lagrangian)
 
 RNG = np.random.default_rng(20260811)
 
@@ -120,8 +122,7 @@ class TestPartials:
             return math.inf if y <= 0 else 1.0 / y
 
         spec = LagrangianSpec(id="edge", eval=ev, partials=None,
-                              autonomous=True, convex_in_v=False,
-                              vectorized=False)
+                              autonomous=True, convex_in_v=False)
         with pytest.raises(SingularPointError):
             partials(spec, 0.0, 1e-9, 0.0)  # stencil crosses the barrier
 
@@ -143,6 +144,40 @@ class TestPartials:
                 fd = (hi - lo) / (2 * h)
                 assert exact[axis] == pytest.approx(
                     fd, rel=1e-6, abs=1e-6 * max(1.0, abs(exact[axis])))
+        # the same comparison in one array call per axis, through the
+        # finite-difference fallback of partial_array
+        t, y, v = np.array(list(sample_points(spec, 100))).T
+        no_partials = dataclasses.replace(spec, partials=None)
+        for axis in range(3):
+            exact = partial_array(spec, axis, t, y, v)
+            fd = partial_array(no_partials, axis, t, y, v)
+            assert fd.shape == exact.shape == t.shape
+            assert np.all(np.isfinite(fd))
+            tol = np.maximum(1e-6 * np.abs(fd), 1e-6 * np.maximum(1.0, np.abs(exact)))
+            assert np.all(np.abs(exact - fd) <= tol)
+
+    def test_finite_difference_array_nan_exactly_at_singular_points(self):
+        spec = dataclasses.replace(catalog("half_inverse"), partials=None)
+        y = np.array([-1.0, 0.0, 0.5, 1e-3, 0.0, 2.0])
+        for axis in range(3):
+            d = partial_array(spec, axis, 0.3, y, 1.0)
+            assert np.array_equal(np.isnan(d), y == 0.0)
+            assert np.all(np.isfinite(d[y != 0.0]))
+
+    def test_finite_difference_array_nan_where_stencil_crosses_barrier(self):
+        """A finite centre with an infinite stencil sample is NaN, not inf."""
+        from lavlab import LagrangianSpec
+
+        def ev(t, y, v):
+            y = np.asarray(y, dtype=float)
+            with np.errstate(divide="ignore"):
+                return np.where(y > 0, 1.0 / y, np.inf)
+
+        spec = LagrangianSpec(id="edge", eval=ev, partials=None,
+                              autonomous=True, convex_in_v=False)
+        d = partial_array(spec, 1, 0.0, np.array([1e-12, 1.0]), 0.0)
+        assert math.isnan(d[0])
+        assert d[1] == pytest.approx(-1.0, rel=1e-9)
 
 
 class TestConvexityProbe:
@@ -180,6 +215,26 @@ class TestConvexityProbe:
     def test_non_finite_grid_rejected(self):
         with pytest.raises(ArgumentError):
             convexity_probe(catalog("half_inverse"), 0.0, [-1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [polynomial_lagrangian([[1, 0, 0, 1]])],
+                             ids=lambda s: s.id)
+    def test_matches_pointwise_chord_loop(self, spec):
+        """The whole-grid chord test decides as a triple-by-triple loop on
+        scalar evaluations does, on uneven grids (a linear L sits on the
+        tolerance)."""
+        def reference(y, grid, t):
+            f = [float(spec.eval(t, y, v)) for v in grid]
+            for i in range(len(grid) - 2):
+                (v1, v2, v3), (f1, f2, f3) = grid[i:i + 3], f[i:i + 3]
+                chord = (f1 * (v3 - v2) + f3 * (v2 - v1)) / (v3 - v1)
+                if f2 > chord + 1e-12 * max(1.0, abs(f1), abs(f2), abs(f3)):
+                    return False
+            return True
+
+        _, _, (v0, v1) = spec.sample_box
+        for t, y, _ in sample_points(spec, 6):
+            grid = np.sort(RNG.uniform(v0, v1, 30))
+            assert convexity_probe(spec, y, grid, t=t) == reference(y, grid, t)
 
 
 class TestPolynomialLagrangian:

@@ -172,3 +172,24 @@ class TestResidualReport:
         for t, r in tuple(tuple(float(v) for v in row) for row in samples):
             former.write(f"{float(t)!r},{float(r)!r}\n")
         assert buf.getvalue() == former.getvalue()
+
+
+@pytest.mark.parametrize("check", [el_residual, dbr_residual])
+def test_finite_difference_calls_do_not_grow_with_the_mesh(check):
+    """Without exact partials, the integrand is called on whole arrays:
+    the call count does not depend on the number of cells."""
+    calls = []
+
+    def counted(t, y, v):
+        calls.append(1)
+        return UNIT_SURFACE.eval(t, y, v)
+
+    spec = LagrangianSpec(id="surface_fd", eval=counted, partials=None,
+                          autonomous=True, convex_in_v=True)
+    counts = []
+    for cells in (8, 800):
+        y = sample(np.cosh, uniform_mesh(-1.0, 1.0, cells))
+        calls.clear()
+        check(spec, y)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

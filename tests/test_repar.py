@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lavlab.repar
-from lavlab import (ArgumentError, ConsistencyError, InfeasibleError, Mesh,
-                    ReparInput, Trajectory, UnsupportedLagrangianError, build_map,
-                    catalog, choose_lambda, classify, energy, find_K, graded_mesh,
-                    lemma_P, minimal_surface, polynomial_lagrangian,
+from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
+                    InfeasibleError, Mesh, ReparInput, SingularPointError,
+                    Trajectory, UnsupportedLagrangianError, build_map, catalog,
+                    choose_lambda, classify, energy, find_K, graded_mesh,
+                    lemma_P, minimal_surface, partials, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
 
 from lavlab.repar import SPLIT_GUARD_REL
@@ -502,6 +503,21 @@ class TestLemmaP:
         curve = lemma_P(catalog("mania"), 0.8, np.linspace(-2, 2, 21), t=0.3)
         assert curve.nondecreasing_on_negative
         assert curve.nonincreasing_on_positive
+
+    @pytest.mark.parametrize("ident", CATALOG_IDS)
+    def test_grid_matches_pointwise_intercepts(self, ident):
+        """The whole-grid evaluation gives the bits of L - w L_v taken point
+        by point through the scalar `partials`."""
+        spec = catalog(ident)
+        (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
+        t, y = (t0 + t1) / 2.0, (y0 + y1) / 2.0
+        curve = lemma_P(spec, y, np.linspace(v0, v1, 17), t=t)
+        for w, p in zip(curve.w_grid, curve.values):
+            assert p == float(spec.eval(t, y, w)) - w * partials(spec, t, y, w)[2]
+
+    def test_singular_grid_point_raises(self):
+        with pytest.raises(SingularPointError):
+            lemma_P(catalog("half_inverse"), 0.0, [-1.0, 1.0])
 
 
 class TestTangentInequality:
