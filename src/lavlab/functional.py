@@ -46,7 +46,8 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     left-to-right sum of the weights 2, and the exactly rounded sum too
     where both can hold (every order from 1 to 8).  So the kernel's
     fixed-order contraction integrates a constant 1 to exactly each cell's
-    width.  An order with no such move keeps the symmetrized table.
+    width at orders 1 to 8.  Beyond 8 some orders have no such move and keep
+    the symmetrized table, whose sum is then only within 6 eps of 2.
     """
     if order < 1:
         raise ArgumentError("quadrature order must be >= 1")
@@ -106,20 +107,23 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
     per Gauss point, so no sample array larger than a block is needed.  The
     contraction is `gauss_sum`.  A block whose samples are all finite and
     below the threshold (the usual case) skips the mask; either way a cell's
-    bits depend on its own samples only, never on the block it falls in.
+    bits depend on its own samples only, never on the block it falls in,
+    nor on the other rows when samples are laid out (order, rows, cells).
     """
     out = np.empty(h.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, h.size, BLOCK):
             b = slice(lo, lo + BLOCK)
             lq = np.asarray(spec.eval(*samples(b)), dtype=float)
+            if out.ndim + 1 < lq.ndim:  # rows of cells
+                out = np.empty(lq.shape[1:-1] + h.shape)
             if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
-                out[b] = (h[b] / 2.0) * gauss_sum(lq, w)
+                out[..., b] = (h[b] / 2.0) * gauss_sum(lq, w)
                 continue
             bad = ~(np.abs(lq) <= INF_THRESHOLD)
             contrib = (h[b] / 2.0) * gauss_sum(np.where(bad, 0.0, lq), w)
             contrib[bad.any(axis=0)] = np.inf
-            out[b] = contrib
+            out[..., b] = contrib
     return out
 
 
@@ -166,11 +170,12 @@ def _extended_diff(a: float, b: float) -> float:
     return abs(a - b)
 
 
-def _total(per_cell: np.ndarray) -> float:
-    """Left-to-right sum, for bit-stable reports.  np.cumsum accumulates
-    sequentially (unlike np.sum, which is pairwise), so its last entry is
-    the same bits as the plain Python loop."""
-    return float(np.cumsum(per_cell)[-1])
+def _total(per_cell: np.ndarray):
+    """Left-to-right sum along the last axis (a float for 1-D input), for
+    bit-stable reports.  np.cumsum accumulates sequentially (unlike np.sum,
+    which is pairwise), so each row's last entry is the plain loop's bits."""
+    total = np.cumsum(per_cell, axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
 def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> EnergyReport:

@@ -10,7 +10,7 @@ only the final endpoint pinned have energies at quadrature-noise level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +98,7 @@ _SPG_MEMORY = 10
 _SPG_GAMMA = 1e-4
 _SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
 _SPG_SIGMA = (0.1, 0.9)
+_BATCH = 2 ** 13  # samples per batched call: 64 KiB temporaries, under malloc's mmap cut
 
 
 class _SlopeSet:
@@ -106,34 +107,39 @@ class _SlopeSet:
 
     def __init__(self, h: np.ndarray, c: float | None, m: float):
         self.h, self.c, self.m = h, c, m
-        self.width = float(h.sum())
+        self.width = _total(h)
         self.signed_h = np.concatenate((h, -h))
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """argmin of sum h (s - u)^2 over the set.
+        """argmin of sum h (s - u)^2 over the set, for each row of u.
 
         The answer is clip(u - mu, -m, m), where mu is the root of the
         non-increasing piecewise-linear phi(mu) = h . clip(u - mu, -m, m).
-        phi is evaluated at all 2n breakpoints u -+ m at once by a sort and
-        a cumsum (the continuous quadratic knapsack, Kiwiel 2008).
+        Where a plain shift leaves some |s| > m, phi is evaluated at all 2n
+        breakpoints u -+ m by a sort and a cumsum along the row (the
+        continuous quadratic knapsack, Kiwiel 2008).
         """
         m, c, width = self.m, self.c, self.width
         if c is None:
             return np.clip(u, -m, m)
-        mu = (float(self.h @ u) - c) / width
-        if np.abs(u - mu).max() <= m:  # no bound active: a plain shift
-            return u - mu
-        bp = np.concatenate((u - m, u + m))
-        by = bp.argsort()
-        bp = bp[by]
-        # width of the unclipped cells between consecutive breakpoints
-        free = self.signed_h[by].cumsum()
-        np.maximum(free, 0.0, out=free)
-        phi = m * width - (free[:-1] * np.diff(bp)).cumsum()  # phi(bp[1:])
-        k = int(np.count_nonzero(phi >= c))  # bp[k] is the last with phi >= c
-        phi_k = phi[k - 1] if k else m * width
-        mu = bp[k] + (phi_k - c) / free[k] if free[k] > 0.0 else bp[k]
-        return np.clip(u - mu, -m, m)
+        rows = u.reshape(-1, u.shape[-1])
+        out = rows - ((_total(self.h * rows) - c) / width)[:, None]
+        hit = np.abs(out).max(axis=-1) > m  # False where no bound is active
+        if hit.any():
+            v = rows[hit]
+            bp = np.concatenate((v - m, v + m), axis=-1)
+            by = bp.argsort(axis=-1)
+            # width of the unclipped cells between consecutive breakpoints
+            free = self.signed_h[by].cumsum(axis=-1)
+            bp = bp.take(by + np.arange(0, bp.size, bp.shape[-1])[:, None])  # sorted rows
+            np.maximum(free, 0.0, out=free)
+            phi = m * width - (free[:, :-1] * np.diff(bp)).cumsum(axis=-1)  # phi(bp[1:])
+            k = np.count_nonzero(phi >= c, axis=-1)  # bp[k] is the last with phi >= c
+            r = np.arange(k.size)
+            phi_k, free_k, bp_k = np.where(k > 0, phi[r, k - 1], m * width), free[r, k], bp[r, k]
+            mu = bp_k + np.divide(phi_k - c, free_k, out=np.zeros(k.size), where=free_k > 0.0)
+            out[hit] = np.clip(v - mu[:, None], -m, m)
+        return out.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,8 @@ class _SlopeProblem:
     endpoints), or y_i = B - sum_{j>=i} h_j s_j (final endpoint only).  The
     quadrature geometry is built once and shared by the energy and the
     gradient, and the energy is computed from y exactly as
-    `cell_energies(spec, nodes, y, order)` does.
+    `cell_energies(spec, nodes, y, order)` does.  Rows of stacked slopes or
+    values (samples (order, rows, cells)) keep their bits and count one each.
     """
 
     def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
@@ -172,35 +179,43 @@ class _SlopeProblem:
         self.h = np.diff(mesh.nodes)
         self.tq = gauss_points(mesh.nodes, self.h, x)
         self.offsets = self.tq - mesh.nodes[:-1]  # from each left node
-        self.energy_evals = 0
-        self.gradient_evals = 0
+        self.energy_evals = self.gradient_evals = 0
+        self.rows = max(1, _BATCH // self.tq.size)  # starts per batched call
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """Nodal values of the slopes s, with the pinned endpoints exact."""
-        y = np.empty(s.size + 1)
+        y = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
         if self.A is None:
-            y[:-1] = self.B - np.cumsum((self.h * s)[::-1])[::-1]
+            y[..., :-1] = self.B - np.cumsum((self.h * s)[..., ::-1], axis=-1)[..., ::-1]
         else:
-            y[0] = self.A
-            y[1:] = self.A + np.cumsum(self.h * s)
-        y[-1] = self.B
+            y[..., 0] = self.A
+            y[..., 1:] = self.A + np.cumsum(self.h * s, axis=-1)
+        y[..., -1] = self.B
         return y
+
+    @staticmethod
+    def _lift(a: np.ndarray, ndim: int) -> np.ndarray:  # view with ndim - 2 row axes
+        return a[(slice(None),) + (None,) * (ndim - 2)]
+
+    def samples(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(yq, vq) at the Gauss points; vq is a broadcast view of the slopes."""
+        d = (y[..., 1:] - y[..., :-1]) / self.h
+        yq = d * self._lift(self.offsets, y.ndim + 1)
+        yq += y[..., :-1]
+        return yq, np.broadcast_to(d, yq.shape)
 
     def cells(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(per-cell contributions, yq, vq): the same bits as
-        `cell_energies(spec, nodes, y, order)`, plus the samples behind them
-        (one row per Gauss point; vq is a broadcast view of the slopes)."""
-        d = (y[1:] - y[:-1]) / self.h
-        yq = y[:-1] + d * self.offsets
-        vq = np.broadcast_to(d, yq.shape)
-        tq = self.tq
+        `cell_energies(spec, nodes, y, order)`, plus the samples behind them."""
+        yq, vq = self.samples(y)
+        tq = np.broadcast_to(self._lift(self.tq, yq.ndim), yq.shape)
         contrib = cell_sums(self.spec, self.h, self.w,
-                            lambda b: (tq[:, b], yq[:, b], vq[:, b]))
+                            lambda b: (tq[..., b], yq[..., b], vq[..., b]))
         return contrib, yq, vq
 
-    def energy(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def energy(self, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
         """(total energy, yq, vq); the total is summed as `energy` does."""
-        self.energy_evals += 1
+        self.energy_evals += y.size // y.shape[-1]
         contrib, yq, vq = self.cells(y)
         return _total(contrib), yq, vq
 
@@ -212,87 +227,100 @@ class _SlopeProblem:
         moves rigidly by -+h_j, which a cumsum of the per-cell L_y
         integrals collects.
         """
-        self.gradient_evals += 1
-        ly = partial_array(self.spec, 1, self.tq, yq, vq)
-        lv = partial_array(self.spec, 2, self.tq, yq, vq)
+        self.gradient_evals += yq[0].size // yq.shape[-1]
+        tq = self._lift(self.tq, yq.ndim)
+        ly = partial_array(self.spec, 1, tq, yq, vq)
         rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
-        g = gauss_sum(ly * self.offsets + lv, self.w) / 2.0
+        ly = ly * self._lift(self.offsets, yq.ndim)
+        ly += partial_array(self.spec, 2, tq, yq, vq)
+        g = gauss_sum(ly, self.w) / 2.0
         if self.A is None:
-            g -= np.cumsum(rigid)
+            g -= np.cumsum(rigid, axis=-1)
         else:
-            g[:-1] += np.cumsum(rigid[::-1])[::-1][1:]
+            g[..., :-1] += np.cumsum(rigid[..., ::-1], axis=-1)[..., ::-1][..., 1:]
         return g
 
+    def energies(self, y: np.ndarray) -> np.ndarray:
+        """Energies of the rows of y, evaluated `rows` rows at a time."""
+        return np.concatenate([self.energy(y[r:r + self.rows])[0]
+                               for r in range(0, len(y), self.rows)])
 
-@dataclass
-class _Iterate:
-    """One SPG run: the current point and what the next step needs."""
-
-    s: np.ndarray
-    y: np.ndarray
-    e: float
-    g: np.ndarray
-    history: list[float]
-    step: float | None = None
-    iterations: int = 0
-    pg_residual: float = math.inf
-    stop_reason: str = "max_iters"
+    def gradients(self, y: np.ndarray) -> np.ndarray:
+        """Gradients at the rows of y, evaluated `rows` rows at a time."""
+        return np.concatenate([self.gradient(*self.samples(y[r:r + self.rows]))
+                               for r in range(0, len(y), self.rows)])
 
 
-def _start(prob: _SlopeProblem, s: np.ndarray, y: np.ndarray) -> _Iterate:
-    e, yq, vq = prob.energy(y)
-    return _Iterate(s=s, y=y, e=e, g=prob.gradient(yq, vq), history=[e])
+def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
+         budget: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Nonmonotone spectral projected gradient on a stack of starts, each
+    for at most `budget` more iterations (Birgin, Martinez & Raydan 2000).
 
-
-def _spg(prob: _SlopeProblem, it: _Iterate, project: Callable,
-         budget: int) -> _Iterate:
-    """Nonmonotone spectral projected gradient on the slopes, for at most
-    `budget` more iterations (Birgin, Martinez & Raydan 2000, SPG2).
-
-    Steps are Barzilai-Borwein; the backtracking accepts a point whose
-    energy is below the maximum of the last few plus a sufficient decrease,
-    so an accepted energy never exceeds the start's.
+    `state` has one row per start: slopes, nodal values, energy, gradient,
+    Barzilai-Borwein step (NaN before the first), the last _SPG_MEMORY
+    accepted energies (-inf where unused; the backtracking reference is
+    their maximum) and iterations so far.  The rows advance in lockstep and
+    leave as they converge, stall or spend the budget; no sum mixes rows, so
+    a row ends with the bits of its start run alone.  Returns (state,
+    pg_residual, stop_reason) as each row stopped.
     """
-    h = prob.h
-    while True:
-        if not (math.isfinite(it.e) and np.all(np.isfinite(it.g))):
-            it.stop_reason = "stalled"
-            return it
-        it.pg_residual = float(np.abs(project(it.s - it.g) - it.s).max())
-        if it.pg_residual <= _PG_TOL:
-            it.stop_reason = "converged"
-            return it
-        if budget == 0:
-            it.stop_reason = "max_iters"
-            return it
-        budget -= 1
-        if it.step is None:
-            it.step = min(max(1.0 / it.pg_residual, _SPG_STEP_MIN), _SPG_STEP_MAX)
-        d = project(it.s - it.step * it.g) - it.s
-        slope = float(np.dot(h * it.g, d))
-        ref = max(it.history[-_SPG_MEMORY:])
-        alpha = 1.0
-        scale = max(1.0, float(np.abs(it.s).max()))
-        while True:
-            s_new = it.s + alpha * d
-            y_new = prob.values(s_new)
-            e_new, yq, vq = prob.energy(y_new)
-            if e_new <= ref + _SPG_GAMMA * alpha * slope:
-                break
-            if alpha * float(np.abs(d).max()) <= 1e-16 * scale:
-                it.stop_reason = "stalled"
-                return it
-            trial = -0.5 * alpha * alpha * slope / (e_new - it.e - alpha * slope)
-            lo, hi = _SPG_SIGMA
-            alpha = trial if lo * alpha <= trial <= hi * alpha else alpha / 2.0
-        g_new = prob.gradient(yq, vq)
-        ds, dg = s_new - it.s, g_new - it.g
-        curvature = float(np.dot(h * ds, dg))
-        it.step = (min(max(float(np.dot(h * ds, ds)) / curvature, _SPG_STEP_MIN),
-                       _SPG_STEP_MAX) if curvature > 0.0 else _SPG_STEP_MAX)
-        it.s, it.y, it.e, it.g = s_new, y_new, e_new, g_new
-        it.history.append(e_new)
-        it.iterations += 1
+    h, k = prob.h, len(state[2])
+    final, residual, reason = [np.empty_like(a) for a in state], np.empty(k), np.empty(k, "<U9")
+    st = [np.arange(k), *(a.copy() for a in state), state[6] + budget]
+
+    def settle(stop: np.ndarray, why, res: np.ndarray) -> np.ndarray:  # rows leave
+        gone = st[0][stop]
+        for out, a in zip(final, st[1:]):
+            out[gone] = a[stop]
+        reason[gone], residual[gone] = why, res[stop]
+        st[:] = [a[~stop] for a in st]
+        return ~stop
+
+    while st[0].size:
+        _, s, y, e, g, step, memory, iters, limit = st
+        bad = ~(np.isfinite(e) & np.isfinite(g).all(axis=-1))
+        pg = np.abs(project(np.where(bad[:, None], s, s - g)) - s).max(axis=-1)
+        pg[bad] = np.inf
+        stop = bad | (pg <= _PG_TOL) | (iters == limit)
+        if stop.any():  # the others redo this projection
+            why = np.select([bad, pg <= _PG_TOL], ["stalled", "converged"], "max_iters")
+            settle(stop, why[stop], pg)
+            continue
+        st[5] = step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
+        d = project(s - step[:, None] * g) - s
+        slope, ref = _total(h * g * d), memory.max(axis=-1)
+        reach, floor = np.abs(d).max(axis=-1), 1e-16 * np.maximum(1.0, np.abs(s).max(axis=-1))
+        alpha, stalled = np.ones(pg.size), np.zeros(pg.size, dtype=bool)
+        s_new, y_new, e_new = s + d, np.empty_like(y), np.empty(pg.size)
+        todo = np.arange(pg.size)  # rows whose trial step is to be judged
+        while todo.size:
+            y_new[todo] = prob.values(s_new[todo])
+            e_new[todo] = prob.energies(y_new[todo])
+            a = alpha[todo]
+            fail = ~(e_new[todo] <= ref[todo] + _SPG_GAMMA * a * slope[todo])
+            tiny = a * reach[todo] <= floor[todo]
+            stalled[todo[fail & tiny]] = True
+            todo = todo[fail & ~tiny]
+            a, sl = alpha[todo], slope[todo]
+            trial = -0.5 * a * a * sl / (e_new[todo] - e[todo] - a * sl)
+            alpha[todo] = np.where((_SPG_SIGMA[0] * a <= trial) & (trial <= _SPG_SIGMA[1] * a),
+                                   trial, a / 2.0)
+            s_new[todo] = s[todo] + alpha[todo, None] * d[todo]
+        if stalled.any():
+            keep = settle(stalled, "stalled", pg)
+            if not keep.any():
+                continue
+            s_new, y_new, e_new = s_new[keep], y_new[keep], e_new[keep]
+            _, s, y, e, g, step, memory, iters, limit = st
+        g_new = prob.gradients(y_new)
+        ds, dg = s_new - s, g_new - g
+        curvature = _total(h * ds * dg)
+        quotient = np.divide(_total(h * ds * ds), curvature, where=curvature > 0.0,
+                             out=np.full(curvature.size, _SPG_STEP_MAX))
+        memory[np.arange(iters.size), (iters + 1) % _SPG_MEMORY] = e_new
+        st[1:8] = (s_new, y_new, e_new, g_new,
+                   np.clip(quotient, _SPG_STEP_MIN, _SPG_STEP_MAX), memory, iters + 1)
+    return final, residual, reason
 
 
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
@@ -313,10 +341,10 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
     `extra_inits`, and `restarts` seeded smooth perturbations of the first.
     A start that already satisfies the constraints (exact endpoints,
     Lipschitz constant <= M) is used as given, so its energy is a candidate
-    unchanged; others are projected.  Every start runs for up to
-    `max_iters` iterations, and the best one is then run on until its
-    projected-gradient residual falls below 1e-8 (or 20 * max_iters more
-    iterations pass).
+    unchanged; others are projected.  The starts run as one lockstep stack
+    for up to `max_iters` iterations, and the best (the first of equals)
+    then runs on, if capped, until its projected-gradient residual falls
+    below 1e-8 (or 20 * max_iters more iterations pass).
 
     Returns (trajectory, energy, info); the energy is that of
     `energy(spec, trajectory, order)`, bit for bit.
@@ -333,14 +361,6 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
             f"bound_M={bound_M} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
     prob = _SlopeProblem(spec, mesh, order, boundary)
     project = _SlopeSet(prob.h, None if A is None else B - A, m_eff).project
-
-    def start(values: np.ndarray) -> _Iterate:
-        s = np.diff(values) / prob.h
-        pinned = values[-1] == B and (A is None or values[0] == A)
-        if pinned and float(np.abs(s).max()) <= bound_M:
-            return _start(prob, s, np.array(values, dtype=float))
-        s = project(s)
-        return _start(prob, s, prob.values(s))
 
     inits: list[np.ndarray] = []
     if A is None:
@@ -360,21 +380,28 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
         smooth = np.convolve(bumps, np.ones(5) / 5.0, mode="same")
         inits.append(base + amp0 * rng.uniform(0.2, 1.0) * smooth)
 
-    best: _Iterate | None = None
-    iterations = 0
-    for y0 in inits:
-        it = _spg(prob, start(y0), project, max_iters)
-        iterations += it.iterations
-        if best is None or it.e < best.e:
-            best = it
-    if best.stop_reason == "max_iters":
-        done = best.iterations
-        best = _spg(prob, best, project, _POLISH_FACTOR * max_iters)
-        iterations += best.iterations - done
-    info = MinimizeInfo(iterations=iterations, energy_evals=prob.energy_evals,
+    y = np.array(inits, dtype=float)
+    s = np.diff(y) / prob.h
+    pinned = (y[:, -1] == B) & ((y[:, 0] == A) if A is not None else True)
+    moved = ~(pinned & (np.abs(s).max(axis=-1) <= bound_M))
+    s[moved] = project(s[moved])
+    y[moved] = prob.values(s[moved])
+    e = prob.energies(y)
+    memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
+    state = (s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
+             np.zeros(e.size, dtype=int))
+    state, pg, why = _spg(prob, project, state, max_iters)
+    best = int(np.argmin(state[2]))
+    others = sum(state[6].tolist()) - int(state[6][best])
+    if why[best] == "max_iters":
+        state, pg, why = _spg(prob, project, [a[best:best + 1] for a in state],
+                              _POLISH_FACTOR * max_iters)
+        best = 0
+    info = MinimizeInfo(iterations=others + int(state[6][best]),
+                        energy_evals=prob.energy_evals,
                         gradient_evals=prob.gradient_evals,
-                        pg_residual=best.pg_residual, stop_reason=best.stop_reason)
-    return Trajectory(mesh, best.y), best.e, info
+                        pg_residual=float(pg[best]), stop_reason=str(why[best]))
+    return Trajectory(mesh, state[1][best]), float(state[2][best]), info
 
 
 # -- scans --------------------------------------------------------------------
@@ -382,8 +409,8 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
 
 @dataclass(frozen=True)
 class GapRow:
-    """One (mesh, bound) cell of a scan; `stop_reason` and `pg_residual`
-    come from `MinimizeInfo` and say whether the row is a stationary point."""
+    """One (mesh, bound) cell of a scan and its `MinimizeInfo`: whether the row
+    is a stationary point, and iteration and evaluation totals over starts."""
 
     mesh_n: int
     slope_bound: float
@@ -391,11 +418,11 @@ class GapRow:
     iterations: int
     stop_reason: str
     pg_residual: float
+    energy_evals: int
+    gradient_evals: int
 
     def to_json_dict(self) -> dict:
-        return {"mesh_n": self.mesh_n, "slope_bound": self.slope_bound,
-                "best_energy": self.best_energy, "iterations": self.iterations,
-                "stop_reason": self.stop_reason, "pg_residual": self.pg_residual}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -439,10 +466,7 @@ def _scan_mesh_group(args: tuple) -> list[GapRow]:
         traj, e, info = minimize_bounded(
             spec, mesh, M, (0.0, 1.0), restarts=restarts, seed=seed,
             order=order, extra_inits=warm)
-        rows.append(GapRow(mesh_n=int(n), slope_bound=M, best_energy=e,
-                           iterations=info.iterations,
-                           stop_reason=info.stop_reason,
-                           pg_residual=info.pg_residual))
+        rows.append(GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info)))
         warm = [traj]
     return rows
 

@@ -10,7 +10,7 @@ from lavlab import (Trajectory, catalog, energy, energy_converged,
 
 from lavlab import cli
 from lavlab.functional import (BLOCK, _gauss, _total, cell_energies,
-                               cell_energies_lr)
+                               cell_energies_lr, cell_sums, gauss_points)
 from lavlab.lagrangian import LagrangianSpec
 
 from conftest import oracle_energy, random_trajectory
@@ -45,6 +45,11 @@ class TestGaussTable:
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             assert abs(_total(w) - 2.0) <= 8 * np.finfo(float).eps
 
+    def test_orders_beyond_8_sum_within_6_eps(self):
+        # no middle move makes the sum exactly 2 at some of these orders
+        for order in range(9, 65):
+            assert abs(_total(_gauss(order)[1]) - 2.0) <= 6 * np.finfo(float).eps
+
     def test_total_is_the_left_to_right_sum(self):
         rng = np.random.default_rng(8)
         for n in (1, 7, 500, 4096):
@@ -54,6 +59,12 @@ class TestGaussTable:
                 total += float(c)
             assert _total(per_cell) == total
         assert _total(np.array([1.0, np.inf, 2.0])) == math.inf
+
+    def test_total_of_rows_is_each_rows_total(self):
+        rows = np.random.default_rng(9).uniform(0, 1, (5, 300)) * 10.0 ** np.arange(-2, 3)[:, None]
+        totals = _total(rows)
+        assert totals.shape == (5,)
+        assert totals.tolist() == [_total(row) for row in rows]
 
 
 # y^2 (1 + t v^2) + v^2 from products and sums only, so numpy arrays and
@@ -114,6 +125,25 @@ class TestKernel:
         assert cells[cell] == math.inf
         others = np.arange(n) != cell
         assert np.array_equal(cells[others], clean[others])
+
+    def test_rows_of_samples_have_the_bits_of_each_row_alone(self):
+        # samples laid out (order, rows, cells), across a block boundary,
+        # with a poisoned sample in one row
+        rng = np.random.default_rng(12)
+        n, order = BLOCK + 5, 3
+        x, w = _gauss(order)
+        nodes = np.linspace(0.0, 1.0, n + 1)
+        h = np.diff(nodes)
+        tq = gauss_points(nodes, h, x)
+        yq = rng.normal(0.0, 1.0, (order, 4, n))
+        vq = rng.normal(0.0, 2.0, (order, 4, n))
+        yq[1, 2, BLOCK + 1] = math.inf
+        rows = cell_sums(PLAIN, h, w, lambda b: (tq[:, None, b], yq[..., b], vq[..., b]))
+        assert rows.shape == (4, n)
+        for i in range(4):
+            alone = cell_sums(PLAIN, h, w, lambda b: (tq[:, b], yq[:, i, b], vq[:, i, b]))
+            assert np.array_equal(rows[i], alone)
+        assert np.isinf(rows[2]).tolist() == (np.arange(n) == BLOCK + 1).tolist()
 
 
 class TestEnergy:

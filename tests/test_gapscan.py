@@ -10,7 +10,7 @@ from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
 from lavlab.functional import cell_energies
-from lavlab.gapscan import _SlopeProblem, _SlopeSet
+from lavlab.gapscan import _SPG_MEMORY, _SlopeProblem, _SlopeSet, _spg
 
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -218,6 +218,23 @@ def _bisection_projection(u, h, c, m):
     return np.clip(u - 0.5 * (lo + hi), -m, m)
 
 
+def _assert_projection(s, u, h, c, m):
+    """s is feasible, satisfies KKT and matches the bisection reference."""
+    assert np.all(np.abs(s) <= m)
+    assert abs(h @ s - c) <= 1e-12 * m * h.sum()
+    # KKT: one multiplier mu with s = u - mu off the bounds, and
+    # u - mu beyond the bound where s sits on it
+    free = np.abs(s) < m
+    lo = np.max(u[s == -m] + m, initial=-np.inf)
+    hi = np.min(u[s == m] - m, initial=np.inf)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(u))))
+    assert lo <= hi + tol
+    for mu in u[free] - s[free]:
+        assert lo - tol <= mu <= hi + tol
+        assert mu == pytest.approx(u[free][0] - s[free][0], abs=tol)
+    assert np.allclose(s, _bisection_projection(u, h, c, m), atol=1e-9 * m)
+
+
 class TestSlopeProjection:
     def test_feasible_kkt_and_matches_bisection(self):
         rng = np.random.default_rng(17)
@@ -227,20 +244,31 @@ class TestSlopeProjection:
             m = float(rng.uniform(0.1, 5.0))
             u = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])) * m, n)
             c = float(rng.uniform(-1.0, 1.0)) * m * h.sum() * (1.0 - 1e-9)
-            s = _SlopeSet(h, c, m).project(u)
-            assert np.all(np.abs(s) <= m)
-            assert abs(h @ s - c) <= 1e-12 * m * h.sum()
-            # KKT: one multiplier mu with s = u - mu off the bounds, and
-            # u - mu beyond the bound where s sits on it
-            free = np.abs(s) < m
-            lo = np.max(u[s == -m] + m, initial=-np.inf)
-            hi = np.min(u[s == m] - m, initial=np.inf)
-            tol = 1e-9 * max(1.0, float(np.max(np.abs(u))))
-            assert lo <= hi + tol
-            for mu in u[free] - s[free]:
-                assert lo - tol <= mu <= hi + tol
-                assert mu == pytest.approx(u[free][0] - s[free][0], abs=tol)
-            assert np.allclose(s, _bisection_projection(u, h, c, m), atol=1e-9 * m)
+            _assert_projection(_SlopeSet(h, c, m).project(u), u, h, c, m)
+
+    def test_stacked_rows_are_projected_as_alone(self):
+        # rows with a small spread need only the shift (|c| <= m h.sum() / 2
+        # and a spread below m / 2); wide rows take the breakpoint search
+        rng = np.random.default_rng(19)
+        mixed = 0
+        for trial in range(300):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+            h = rng.uniform(0.01, 1.0, n)
+            m = float(rng.uniform(0.1, 5.0))
+            c = float(rng.uniform(-0.5, 0.5)) * m * h.sum()
+            spread = rng.choice([0.04, 1.0, 10.0], k) * m
+            u = rng.uniform(-1.0, 1.0, (k, n)) * spread[:, None] + rng.normal(0.0, m, (k, 1))
+            project = _SlopeSet(h, c, m).project
+            stack = project(u)
+            assert stack.shape == (k, n)
+            for i in range(k):
+                assert np.array_equal(stack[i], project(u[i:i + 1])[0])
+                assert np.array_equal(stack[i], project(u[i]))
+                _assert_projection(stack[i], u[i], h, c, m)
+            shifted = [np.abs(stack[i] - u[i] + u[i][0] - stack[i][0]).max() <= 1e-12 * m
+                       for i in range(k)]
+            mixed += any(shifted) and not all(shifted)
+        assert mixed >= 30
 
     def test_one_endpoint_set_is_the_box(self):
         u = np.array([-3.0, -0.5, 0.0, 2.5])
@@ -305,7 +333,47 @@ def test_c7_rows_are_stationary():
     for row in report.rows:
         assert row.stop_reason == "converged", row
         assert row.pg_residual <= 1e-6, row
-        assert {"stop_reason", "pg_residual"} <= set(row.to_json_dict())
+        assert {"stop_reason", "pg_residual", "energy_evals",
+                "gradient_evals"} <= set(row.to_json_dict())
+        assert 0 < row.gradient_evals <= row.energy_evals, row
     for n in (100, 200, 500):
         energies = [r.best_energy for r in report.rows if r.mesh_n == n]
         assert energies == sorted(energies, reverse=True)
+
+
+def _spg_state(prob, s):
+    """The SPG state of the starts s (one row each) before any iteration,
+    built as `minimize_bounded` builds it."""
+    y = prob.values(s)
+    e = prob.energies(y)
+    memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
+    return (s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
+            np.zeros(e.size, dtype=int))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("spec, boundary, M, k", [
+        (catalog("mania"), (0.0, 1.0), 5.0, 7),
+        (V_SQUARED, (None, 1.0), 2.0, 4)], ids=["mania_two_endpoint", "v_squared_one_endpoint"])
+    def test_each_start_ends_as_when_run_alone(self, spec, boundary, M, k):
+        # no row sum may mix rows or go through BLAS, so a start's slopes,
+        # energy, iteration count and stop reason do not depend on its stack
+        mesh = uniform_mesh(0.0, 1.0, 200)
+        rng = np.random.default_rng(23)
+        project = _SlopeSet(mesh.widths, None if boundary[0] is None else 1.0,
+                            M * (1.0 - 1e-12)).project
+        s = project(1.0 + np.cumsum(rng.normal(0.0, 0.3, (k, 200)), axis=-1))
+        together = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
+        state, pg, why = _spg(together, project, _spg_state(together, s), 60)
+        energy_evals = gradient_evals = 0
+        for i in range(k):
+            prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
+            one, pg_one, why_one = _spg(prob, project, _spg_state(prob, s[i:i + 1]), 60)
+            for a, b in zip(state, one):
+                assert np.array_equal(a[i], b[0])  # slopes, values, energy, ...
+            assert (pg[i], why[i]) == (pg_one[0], why_one[0])
+            energy_evals += prob.energy_evals
+            gradient_evals += prob.gradient_evals
+        assert (together.energy_evals, together.gradient_evals) == (energy_evals, gradient_evals)
+        if spec is not V_SQUARED:  # whose starts all converge in 2 iterations
+            assert set(why.tolist()) == {"converged", "max_iters"}
