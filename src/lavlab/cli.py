@@ -1,10 +1,15 @@
 """Command-line front door.
 
-Subcommands: catalog, energy, repar, necessary-check, gap-scan, demo.
-Configuration may come from flags or a JSON file (flags override the file;
-the LAVLAB_SEED environment variable overrides both for the seed).  Output
-JSON uses sorted keys and shortest-round-trip float formatting, so the same
-config always produces byte-identical files.
+Subcommands: catalog, energy, repar, necessary-check, gap-scan, demo.  Each
+subcommand declares the settings its runner reads (`COMMANDS`), and each
+setting is declared once, with its flag, its config-file key, its type, its
+default and its range check.  That declaration makes the subcommand's flags,
+the keys its `--config` JSON file may hold (any other key is an error), and
+the report's `config` echo, which lists exactly those settings with the
+values that ran.  Flags override the file and the file overrides the
+defaults, so feeding a report's `config` back through `--config` reproduces
+the report.  Output JSON uses sorted keys and shortest-round-trip float
+formatting, so the same config always produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (including an integrand the
 subcommand does not support and a malformed trajectory file), 3 infeasible
@@ -15,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Sequence
@@ -33,10 +37,6 @@ from .repar import FindKReport, KRow, ReparInput
 from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
                          sample)
 
-SUBCOMMANDS = ("catalog", "energy", "repar", "necessary-check", "gap-scan", "demo")
-
-DEFAULT_SEED = gapscan.DEFAULT_SEED
-
 # Named exact profiles accepted by --exact, with exact derivatives.
 EXACT_CURVES: dict[str, tuple[Callable, Callable]] = {
     "identity": (lambda t: np.asarray(t, dtype=float),
@@ -47,91 +47,122 @@ EXACT_CURVES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated run description; `canonical_dict` is its stable JSON form."""
+@dataclass(frozen=True)
+class Setting:
+    """One value a subcommand reads.
 
-    subcommand: str
-    lagrangian: Any = None          # catalog id or {"polynomial": [...]}
-    exact: str | None = None
-    trajectory_path: str | None = None
-    a: float = 0.0
-    b: float = 1.0
-    n: int = 256
-    power: float = 1.0
-    order: int = DEFAULT_ORDER
-    k_grid: tuple[float, ...] = ()
-    M_grid: tuple[float, ...] = ()
-    n_grid: tuple[int, ...] = ()
-    restarts: int = 8
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-6
-    jobs: int = 1
-    out: str | None = None
-    csv_out: str | None = None
-    fmt: str = "json"
+    `key` names it in a config file and in the report's `config` echo, and
+    `flag` sets it on the command line.  `cast` is its type; a grid is a
+    list of such values, comma-separated on the flag.  A setting whose
+    default is None must be given.  `check(value)` says what is wrong with a
+    value, or returns None.
+    """
 
-    def canonical_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "lagrangian": self.lagrangian,
-            "exact": self.exact,
-            "trajectory": self.trajectory_path,
-            "a": self.a, "b": self.b, "n": self.n, "power": self.power,
-            "order": self.order,
-            "k_grid": list(self.k_grid), "M_grid": list(self.M_grid),
-            "n_grid": list(self.n_grid),
-            "restarts": self.restarts, "seed": self.seed, "tol": self.tol,
-            "jobs": self.jobs, "format": self.fmt,
-        }
+    key: str
+    flag: str
+    cast: Callable[[Any], Any]
+    default: Any = None
+    grid: bool = False
+    check: Callable[[Any], str | None] | None = None
+    help: str | None = None
 
-    def validate(self) -> None:
-        issues = []
-        if self.subcommand not in SUBCOMMANDS:
-            issues.append(f"unknown subcommand {self.subcommand!r}")
-        if isinstance(self.lagrangian, str) and self.lagrangian not in CATALOG_IDS:
-            issues.append(
-                f"unknown lagrangian id {self.lagrangian!r}; valid ids: "
-                + ", ".join(CATALOG_IDS))
-        if not self.b > self.a:
-            issues.append(f"need a < b (got a={self.a}, b={self.b})")
-        if self.n < 1:
-            issues.append("n must be >= 1")
-        if self.power < 1:
-            issues.append("power must be >= 1")
-        if self.order < 1:
-            issues.append("order must be >= 1")
-        if self.exact is not None and self.exact not in EXACT_CURVES:
-            issues.append(
-                f"unknown exact curve {self.exact!r}; valid: "
-                + ", ".join(sorted(EXACT_CURVES)))
-        if self.fmt not in ("json", "csv"):
-            issues.append("format must be 'json' or 'csv'")
-        if self.jobs < 1:
-            issues.append("jobs must be >= 1")
-        if self.subcommand == "repar" and not self.k_grid:
-            issues.append("repar needs a non-empty --k grid")
-        if self.subcommand == "gap-scan" and (not self.n_grid or not self.M_grid):
-            issues.append("gap-scan needs non-empty --n and --M grids")
-        if issues:
-            raise ConfigError("; ".join(issues))
+    def parse(self, text: str) -> Any:
+        """The value a flag's text gives."""
+        try:
+            if self.grid:
+                return tuple(self.cast(x) for x in text.split(",") if x.strip())
+            return self.cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+
+    def load(self, value: Any) -> Any:
+        """A given value (a config-file entry, or a parsed flag) as the
+        setting's type; the value must already be of that type."""
+        is_list = isinstance(value, (list, tuple))
+        items = value if self.grid and is_list else [value]
+        try:
+            ok = is_list == self.grid and all(
+                type(x) is not bool and self.cast(x) == x for x in items)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{self.key} has the wrong type: {value!r}")
+        return tuple(map(self.cast, items)) if self.grid else self.cast(value)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _lagrangian(value: Any) -> str | dict:
+    """A catalog id, or (in a config file) {"polynomial": [[c, i, j, k], ...]}."""
+    if not isinstance(value, (str, dict)):
+        raise TypeError(value)
+    return value
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _at_least(low: int) -> Callable[[Any], str | None]:
+    return lambda value: None if value >= low else f"must be >= {low}"
 
 
-def _resolve_spec(config: RunConfig):
-    lag = config.lagrangian
-    if lag is None:
-        raise ConfigError("a lagrangian is required")
+def _one_of(names: Sequence[str]) -> Callable[[Any], str | None]:
+    return lambda value: None if value in names else "must be one of " + ", ".join(names)
+
+
+LAGRANGIAN = Setting("lagrangian", "--lagrangian", _lagrangian,
+                     help="catalog id: " + ", ".join(CATALOG_IDS))
+EXACT = Setting("exact", "--exact", str, check=_one_of(sorted(EXACT_CURVES)),
+                help="named exact profile: " + ", ".join(sorted(EXACT_CURVES)))
+TRAJECTORY = Setting("trajectory", "--trajectory", str,
+                     help="CSV or JSON trajectory file")
+A = Setting("a", "--a", float, 0.0, help="left end of the mesh")
+B = Setting("b", "--b", float, 1.0, help="right end of the mesh")
+N = Setting("n", "--n", int, 256, check=_at_least(1), help="number of mesh cells")
+POWER = Setting("power", "--power", float, 1.0, check=_at_least(1),
+                help="mesh grading power (>= 1)")
+ORDER = Setting("order", "--order", int, DEFAULT_ORDER, check=_at_least(1),
+                help="Gauss points per cell; the weights sum to exactly 2 at "
+                     "orders 1-8, within 6 eps beyond")
+TOL = Setting("tol", "--tol", float, 1e-6, help="refinement tolerance for --exact")
+K_GRID = Setting("k_grid", "--k", float, grid=True, help="comma-separated k grid")
+N_GRID = Setting("n_grid", "--n", int, grid=True, help="comma-separated mesh sizes")
+M_GRID = Setting("M_grid", "--M", float, grid=True, help="comma-separated slope bounds")
+RESTARTS = Setting("restarts", "--restarts", int, 8, check=_at_least(0),
+                   help="seeded restarts per row of the scan")
+SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_at_least(0),
+               help="64-bit seed of the restarts")
+JOBS = Setting("jobs", "--jobs", int, 1, check=_at_least(1),
+               help="parallel mesh-size groups")
+FORMAT = Setting("format", "--format", str, "json", check=_one_of(("json", "csv")),
+                 help="write the JSON report (json) or the CSV rows (csv) to --out")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner and the settings the runner reads.
+
+    `inputs` are alternative groups of settings.  A run gives the first
+    setting of exactly one group, and reads the other settings of that group
+    only.  A command with the `format` setting has a CSV row form: it takes
+    --csv-out, and its runner returns (report, CSV writer, float texts for
+    the JSON writer or None) instead of the report alone.
+    """
+
+    name: str
+    help: str
+    run: Callable[[dict], Any]
+    settings: tuple[Setting, ...] = ()
+    inputs: tuple[tuple[Setting, ...], ...] = ()
+
+    @property
+    def every_setting(self) -> tuple[Setting, ...]:
+        return self.settings + sum(self.inputs, ())
+
+    @property
+    def rows(self) -> bool:
+        return FORMAT in self.settings
+
+
+def _resolve_spec(lag: str | dict):
     if isinstance(lag, str):
         return catalog(lag)
-    if isinstance(lag, dict) and "polynomial" in lag:
+    if "polynomial" in lag:
         return polynomial_lagrangian(lag["polynomial"])
     raise ConfigError(f"unrecognized lagrangian config {lag!r}")
 
@@ -218,33 +249,14 @@ def _encode(obj: Any, nl: str, out: list[str], texts: Callable) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_outputs(config: RunConfig, payload: dict,
-                   csv_writer: Callable | None = None,
-                   texts: Callable | None = None) -> None:
-    if config.fmt == "csv":
-        if csv_writer is None:
-            raise ConfigError(
-                f"{config.subcommand} has no CSV form; use the default json format")
-        if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="") as f:
-                csv_writer(f)
-        else:
-            csv_writer(sys.stdout)
-    else:
-        text = _dumps(payload, texts)
-        if config.out:
-            Path(config.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    if config.csv_out and csv_writer is not None:
-        with open(config.csv_out, "w", encoding="utf-8", newline="") as f:
-            csv_writer(f)
 
 
 # -- subcommand runners -------------------------------------------------------
+# Each runner takes the resolved config (`resolve`) and reads every setting
+# in it; `run` adds the config itself to the report.
 
 
-def _run_catalog(config: RunConfig) -> dict:
+def _run_catalog(config: dict) -> dict:
     entries = {}
     for ident in CATALOG_IDS:
         spec = catalog(ident)
@@ -253,24 +265,22 @@ def _run_catalog(config: RunConfig) -> dict:
             "convex_in_v": spec.convex_in_v,
             "extended": spec.extended,
         }
-    return {"config": config.canonical_dict(), "catalog": entries}
+    return {"catalog": entries}
 
 
-def _run_energy(config: RunConfig) -> dict:
-    spec = _resolve_spec(config)
-    payload: dict[str, Any] = {"config": config.canonical_dict(), "lagrangian": spec.id}
-    if config.exact is not None:
-        f, df = EXACT_CURVES[config.exact]
-        family = graded_family(config.a, config.b, config.n, config.power)
+def _run_energy(config: dict) -> dict:
+    spec = _resolve_spec(config["lagrangian"])
+    payload: dict[str, Any] = {"lagrangian": spec.id}
+    if "exact" in config:
+        f, df = EXACT_CURVES[config["exact"]]
+        family = graded_family(config["a"], config["b"], config["n"], config["power"])
         res = energy_converged(spec, f, family,
-                               order=config.order, tol=config.tol, dy_exact=df)
+                               order=config["order"], tol=config["tol"], dy_exact=df)
         payload["energy"] = res.to_json_dict()
         value = res.value
     else:
-        if config.trajectory_path is None:
-            raise ConfigError("energy needs --exact or --trajectory")
-        traj = _load_trajectory(config.trajectory_path)
-        report = energy(spec, traj, config.order)
+        traj = _load_trajectory(config["trajectory"])
+        report = energy(spec, traj, config["order"])
         payload["energy"] = report.to_json_dict()
         value = report.value
     if spec.id == "surface_of_revolution":
@@ -281,18 +291,16 @@ def _run_energy(config: RunConfig) -> dict:
     return payload
 
 
-def _run_repar(config: RunConfig) -> dict:
-    spec = _resolve_spec(config)
-    if config.exact is not None:
-        f, _ = EXACT_CURVES[config.exact]
-        y = sample(f, graded_mesh(config.a, config.b, config.n, config.power))
-    elif config.trajectory_path is not None:
-        y = _load_trajectory(config.trajectory_path)
+def _run_repar(config: dict) -> dict:
+    spec = _resolve_spec(config["lagrangian"])
+    if "exact" in config:
+        f, _ = EXACT_CURVES[config["exact"]]
+        y = sample(f, graded_mesh(config["a"], config["b"], config["n"], config["power"]))
     else:
-        raise ConfigError("repar needs --exact or --trajectory")
-    prepared = ReparInput.of(spec, y, config.order)
+        y = _load_trajectory(config["trajectory"])
+    prepared = ReparInput.of(spec, y, config["order"])
     rows, k_rows = [], []
-    for k in sorted(config.k_grid):
+    for k in sorted(config["k_grid"]):
         res = prepared.cap(k)
         rows.append({
             "k": k,
@@ -314,25 +322,19 @@ def _run_repar(config: RunConfig) -> dict:
                      f"{r['energy_after']:14.8g} {r['gap']:12.5g}")
     sys.stderr.write("\n".join(lines) + "\n")
     return {
-        "config": config.canonical_dict(),
         "rows": rows,
         # ReparInput.of has already refused non-autonomous integrands
         "K": FindKReport.of(k_rows).K if spec.convex_in_v else None,
     }
 
 
-def _run_necessary(config: RunConfig) -> tuple[dict, Callable, Callable]:
+def _run_necessary(config: dict) -> tuple[dict, Callable, Callable]:
     """(payload, CSV writer of the EL samples, float texts for the JSON
     writer): the EL samples are formatted once for both outputs."""
-    spec = _resolve_spec(config)
-    if config.trajectory_path is None:
-        raise ConfigError("necessary-check needs --trajectory")
-    y = _load_trajectory(config.trajectory_path)
+    spec = _resolve_spec(config["lagrangian"])
+    y = _load_trajectory(config["trajectory"])
     el = necessary.el_residual(spec, y)
-    payload: dict[str, Any] = {
-        "config": config.canonical_dict(),
-        "el": el.to_json_dict(),
-    }
+    payload: dict[str, Any] = {"el": el.to_json_dict()}
     if spec.autonomous:
         payload["dbr"] = necessary.dbr_residual(spec, y).to_json_dict()
     else:
@@ -344,45 +346,101 @@ def _run_necessary(config: RunConfig) -> tuple[dict, Callable, Callable]:
     return payload, el.samples_to_csv, texts
 
 
-def _run_gap_scan(config: RunConfig) -> tuple[dict, Callable]:
+def _run_gap_scan(config: dict) -> tuple[dict, Callable, None]:
     report = gapscan.mania_two_endpoint_scan(
-        config.n_grid, config.M_grid, restarts=config.restarts,
-        seed=config.seed, order=config.order, jobs=config.jobs)
-    payload = {"config": config.canonical_dict(), "report": report.to_json_dict()}
-    return payload, report.rows_to_csv
+        config["n_grid"], config["M_grid"], restarts=config["restarts"],
+        seed=config["seed"], order=config["order"], jobs=config["jobs"])
+    return {"report": report.to_json_dict()}, report.rows_to_csv, None
 
 
-def _run_demo(config: RunConfig) -> dict:
+def _run_demo(config: dict) -> dict:
     spec = catalog("sqrt_chain")
-    mesh = graded_mesh(0.0, 1.0, config.n, max(config.power, 2.0))
-    k_grid = config.k_grid or (2, 4, 8, 16, 32, 64)
-    rows = gapscan.avoidance_demo(spec, np.sqrt, mesh, k_grid, config.order)
+    mesh = graded_mesh(0.0, 1.0, config["n"], config["power"])
+    rows = gapscan.avoidance_demo(spec, np.sqrt, mesh, config["k_grid"], config["order"])
     lines = [f"{'k':>6} {'Lip(y_k)':>12} {'F(y)':>14} {'F(y_k)':>14} {'gap':>12} {'1/k':>10}"]
     for r in rows:
         lines.append(f"{r.k:6g} {r.lip_after:12.5g} {r.energy_before:14.8g} "
                      f"{r.energy_after:14.8g} {r.gap:12.5g} {1.0 / r.k:10.5g}")
     sys.stderr.write("\n".join(lines) + "\n")
-    return {"config": config.canonical_dict(),
-            "rows": [r.to_json_dict() for r in rows]}
+    return {"rows": [r.to_json_dict() for r in rows]}
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
-    config.validate()
-    csv_writer = texts = None
-    if config.subcommand == "catalog":
-        payload = _run_catalog(config)
-    elif config.subcommand == "energy":
-        payload = _run_energy(config)
-    elif config.subcommand == "repar":
-        payload = _run_repar(config)
-    elif config.subcommand == "necessary-check":
-        payload, csv_writer, texts = _run_necessary(config)
-    elif config.subcommand == "gap-scan":
-        payload, csv_writer = _run_gap_scan(config)
+COMMANDS: dict[str, Command] = {c.name: c for c in (
+    Command("catalog", "list catalog ids and flags", _run_catalog),
+    Command("energy", "energy of a trajectory or exact profile", _run_energy,
+            (LAGRANGIAN, ORDER), ((EXACT, A, B, N, POWER, TOL), (TRAJECTORY,))),
+    Command("repar", "slope-capping sweep over a k grid", _run_repar,
+            (LAGRANGIAN, ORDER, K_GRID), ((EXACT, A, B, N, POWER), (TRAJECTORY,))),
+    Command("necessary-check", "Euler-Lagrange and constancy residuals",
+            _run_necessary, (LAGRANGIAN, TRAJECTORY, FORMAT)),
+    Command("gap-scan", "bounded-slope scan of Mania's problem", _run_gap_scan,
+            (N_GRID, M_GRID, RESTARTS, SEED, ORDER, JOBS, FORMAT)),
+    Command("demo", "avoidance sweep for sqrt_chain on sqrt(t)", _run_demo,
+            (N, replace(POWER, default=2.0), ORDER,
+             replace(K_GRID, default=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0)))),
+)}
+
+
+def resolve(name: str, given: dict[str, Any]) -> dict[str, Any]:
+    """The config of a run of subcommand `name`: the settings its runner
+    reads, from the values `given` (by flag or config-file key) over their
+    defaults.  This is also the report's `config` echo.  Raises ConfigError
+    for an unknown key, a value of the wrong type, a missing or out-of-range
+    value, and a setting of an input the run does not use."""
+    command = COMMANDS[name]
+    settings = {s.key: s for s in command.every_setting}
+    unknown = sorted(set(given) - set(settings))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {name}: {', '.join(unknown)}")
+    given = {key: settings[key].load(value) for key, value in given.items()}
+    chosen = [group for group in command.inputs if group[0].key in given]
+    if command.inputs and len(chosen) != 1:
+        flags = " or ".join(group[0].flag for group in command.inputs)
+        raise ConfigError(f"{name} needs {flags}" if not chosen
+                          else f"{name} takes {flags}, not both")
+    issues = []
+    for group in command.inputs:
+        unread = [s.key for s in group if s.key in given]
+        if group not in chosen and unread:
+            issues.append(f"{name} reads {', '.join(unread)} only with {group[0].flag}")
+    config = {"subcommand": name}
+    for s in command.settings + sum(chosen, ()):
+        value = config[s.key] = given.get(s.key, s.default)
+        if value is None:
+            issues.append(f"{name} needs {s.flag}")
+        elif s.grid and not value:
+            issues.append(f"{name} needs a non-empty {s.flag} grid")
+        elif s.check and (problem := s.check(value)):
+            issues.append(f"{s.key} {problem}")
+    if issues:
+        raise ConfigError("; ".join(issues))
+    return config
+
+
+def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int:
+    """Run a resolved config, write the report (with the config) to `out`,
+    stdout when None, and the CSV rows to `csv_out`; returns the exit status."""
+    command = COMMANDS[config["subcommand"]]
+    if command.rows:
+        body, csv_writer, texts = command.run(config)
+        fmt = config["format"]
     else:
-        payload = _run_demo(config)
-    _write_outputs(config, payload, csv_writer, texts)
+        body, csv_writer, texts, fmt = command.run(config), None, None, "json"
+    if fmt == "csv":
+        if out:
+            with open(out, "w", encoding="utf-8", newline="") as f:
+                csv_writer(f)
+        else:
+            csv_writer(sys.stdout)
+    else:
+        text = _dumps({"config": config, **body}, texts)
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    if csv_out:
+        with open(csv_out, "w", encoding="utf-8", newline="") as f:
+            csv_writer(f)
     return 0
 
 
@@ -394,105 +452,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lavlab",
         description="Laboratory for one-dimensional variational energies")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for command in COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--csv-out", dest="csv_out", help="write the CSV rows here")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"])
-        p.add_argument("--order", type=int, help="Gauss points per cell; the weights "
-                       "sum to exactly 2 at orders 1-8, within 6 eps beyond")
-        p.add_argument("--seed", type=int, help="64-bit experiment seed")
-
-    def mesh_args(p):
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--n", type=int, help="number of mesh cells")
-        p.add_argument("--power", type=float, help="mesh grading power (>= 1)")
-
-    p = sub.add_parser("catalog", help="list catalog ids and flags")
-    common(p)
-
-    p = sub.add_parser("energy", help="energy of a trajectory or exact profile")
-    common(p)
-    mesh_args(p)
-    p.add_argument("--lagrangian")
-    p.add_argument("--exact", help="named exact profile: " + ", ".join(sorted(EXACT_CURVES)))
-    p.add_argument("--trajectory", dest="trajectory_path", help="CSV or JSON trajectory file")
-    p.add_argument("--tol", type=float, help="refinement tolerance for --exact")
-
-    p = sub.add_parser("repar", help="slope-capping sweep over a k grid")
-    common(p)
-    mesh_args(p)
-    p.add_argument("--lagrangian")
-    p.add_argument("--exact")
-    p.add_argument("--trajectory", dest="trajectory_path")
-    p.add_argument("--k", dest="k_grid", type=_parse_floats, help="comma-separated k grid")
-
-    p = sub.add_parser("necessary-check", help="Euler-Lagrange and constancy residuals")
-    common(p)
-    p.add_argument("--lagrangian")
-    p.add_argument("--trajectory", dest="trajectory_path", required=False)
-
-    p = sub.add_parser("gap-scan", help="bounded-slope scan of Mania's problem")
-    common(p)
-    p.add_argument("--n", dest="n_grid", type=_parse_ints, help="comma-separated mesh sizes")
-    p.add_argument("--M", dest="M_grid", type=_parse_floats, help="comma-separated slope bounds")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--jobs", type=int, help="parallel mesh-size groups (default 1)")
-
-    p = sub.add_parser("demo", help="avoidance sweep for sqrt_chain on sqrt(t)")
-    common(p)
-    mesh_args(p)
-    p.add_argument("--k", dest="k_grid", type=_parse_floats)
-
+        p.add_argument("--out", help="write the report here")
+        if command.rows:
+            p.add_argument("--csv-out", dest="csv_out", help="write the CSV rows here")
+        for s in command.every_setting:
+            p.add_argument(s.flag, dest=s.key, type=s.parse, help=s.help)
     return parser
 
 
-_CONFIG_KEYS = {
-    "lagrangian", "exact", "trajectory", "a", "b", "n", "power", "order",
-    "k_grid", "M_grid", "n_grid", "restarts", "seed", "tol", "jobs", "format",
-}
+def _read_config_file(path: str, name: str) -> dict[str, Any]:
+    """The settings a config file gives; its `subcommand` key, if any, must be `name`."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object")
+    named = raw.pop("subcommand", name)
+    if named != name:
+        raise ConfigError(f"config file {path} is for subcommand {named!r}, not {name!r}")
+    return raw
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        raw = json.loads(path.read_text())
-        unknown = set(raw) - _CONFIG_KEYS - {"subcommand"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        file_values = raw
-
-    config = RunConfig(subcommand=args.subcommand)
-    renames = {"trajectory": "trajectory_path", "format": "fmt"}
-    for key, value in file_values.items():
-        if key == "subcommand":
-            continue
-        attr = renames.get(key, key)
-        if attr in ("k_grid", "M_grid"):
-            value = tuple(float(x) for x in value)
-        if attr == "n_grid":
-            value = tuple(int(x) for x in value)
-        setattr(config, attr, value)
-
-    for attr in ("lagrangian", "exact", "trajectory_path", "a", "b", "n",
-                 "power", "order", "k_grid", "M_grid", "n_grid", "restarts",
-                 "seed", "tol", "jobs", "out", "csv_out", "fmt"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, attr, value)
-
-    env_seed = os.environ.get("LAVLAB_SEED")
-    if env_seed is not None:
-        try:
-            config.seed = int(env_seed, 0)
-        except ValueError:
-            raise ConfigError(f"LAVLAB_SEED must be an integer, got {env_seed!r}")
-    return config
+def _config_from_args(args: argparse.Namespace) -> dict[str, Any]:
+    """The resolved config of a parsed command line: flags over the --config file."""
+    given = _read_config_file(args.config, args.subcommand) if args.config else {}
+    for s in COMMANDS[args.subcommand].every_setting:
+        if getattr(args, s.key) is not None:
+            given[s.key] = getattr(args, s.key)
+    return resolve(args.subcommand, given)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -500,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return run(config)
+        return run(config, args.out, getattr(args, "csv_out", None))
     except (ConfigError, CatalogKeyError, ArgumentError,
             UnsupportedLagrangianError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -233,15 +233,12 @@ def test_c8_necessary_condition_residuals():
 
 def test_c9_cli_reproducibility(tmp_path):
     """Identical config and seed produce byte-identical JSON artifacts."""
-    import os
-    env = dict(os.environ)
-    env.pop("LAVLAB_SEED", None)
     argv = [sys.executable, "-m", "lavlab", "gap-scan", "--n", "50,80",
             "--M", "4,6", "--restarts", "2", "--seed", "99", "--order", "3"]
     blobs = []
     for name in ("first.json", "second.json"):
         out = tmp_path / name
-        res = subprocess.run(argv + ["--out", str(out)], env=env,
+        res = subprocess.run(argv + ["--out", str(out)],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         blobs.append(out.read_bytes())

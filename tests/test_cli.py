@@ -1,43 +1,37 @@
+import argparse
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lavlab import cli, graded_mesh, necessary, sample
-from lavlab.cli import RunConfig, _config_from_args, _build_parser, main
+from lavlab.cli import _config_from_args, _build_parser, main
 from lavlab.trajectory import float_texts
 
 
-def run_cli(argv, tmp_path=None, env_extra=None):
-    import os
-    env = dict(os.environ)
-    env.pop("LAVLAB_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "lavlab", *argv],
-        capture_output=True, text=True, env=env)
+def run_cli(argv):
+    return subprocess.run([sys.executable, "-m", "lavlab", *argv],
+                          capture_output=True, text=True)
 
 
 class TestMainInProcess:
-    def test_catalog_lists_ids(self, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_catalog_lists_ids(self, capsys):
         assert main(["catalog"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert "mania" in out["catalog"]
         assert out["catalog"]["half_inverse"]["extended"] is True
 
-    def test_unknown_lagrangian_exits_2_and_lists_ids(self, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_unknown_lagrangian_exits_2_and_lists_ids(self, capsys):
         assert main(["energy", "--lagrangian", "nope", "--exact", "sqrt"]) == 2
         err = capsys.readouterr().err
         assert "valid ids" in err
         assert "sqrt_chain" in err
 
-    def test_energy_exact_cuberoot(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_energy_exact_cuberoot(self, tmp_path, capsys):
         out = tmp_path / "energy.json"
         code = main(["energy", "--lagrangian", "mania", "--exact", "cuberoot",
                      "--n", "1024", "--power", "3", "--out", str(out)])
@@ -46,9 +40,7 @@ class TestMainInProcess:
         assert payload["energy"]["value"] <= 1e-3
         assert payload["energy"]["converged"] is True
 
-    def test_energy_trajectory_file_with_two_pi_report(self, tmp_path, capsys,
-                                                       monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_energy_trajectory_file_with_two_pi_report(self, tmp_path, capsys):
         traj = sample(np.cosh, graded_mesh(-1, 1, 64, 1.0))
         path = tmp_path / "catenary.csv"
         with open(path, "w") as f:
@@ -61,12 +53,10 @@ class TestMainInProcess:
         assert payload["value_over_two_pi"] == pytest.approx(
             payload["energy"]["value"] / (2 * np.pi))
 
-    def test_energy_requires_input(self, monkeypatch, capsys):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_energy_requires_input(self, capsys):
         assert main(["energy", "--lagrangian", "mania"]) == 2
 
-    def test_polynomial_config_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_polynomial_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "lagrangian": {"polynomial": [[1, 0, 0, 2]]},
@@ -77,8 +67,7 @@ class TestMainInProcess:
         payload = json.loads(out.read_text())
         assert payload["energy"]["value"] == pytest.approx(1.0)
 
-    def test_flags_override_config_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lagrangian": "mania", "exact": "cuberoot",
                                    "n": 64, "power": 3}))
@@ -87,12 +76,6 @@ class TestMainInProcess:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["n"] == 128
 
-    def test_env_seed_overrides_flag(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LAVLAB_SEED", "77")
-        out = tmp_path / "c.json"
-        assert main(["catalog", "--seed", "5", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 77
-
     def test_gap_scan_problem_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gap-scan", "--problem", "mania", "--n", "30", "--M", "4"])
@@ -100,9 +83,7 @@ class TestMainInProcess:
         assert "--problem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["boundary_A", "boundary_B", "endpoint_mode"])
-    def test_removed_config_keys_are_unknown(self, key, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_removed_config_keys_are_unknown(self, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: "two" if key == "endpoint_mode" else 0.0}))
         assert main(["catalog", "--config", str(cfg)]) == 2
@@ -114,7 +95,6 @@ class TestMainInProcess:
                                                        monkeypatch):
         import lavlab.repar
         from lavlab import ReparInput, catalog, find_K
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
         ks, energies, lambdas = [], [], []
 
         def counting(fn, calls, key=lambda *args: None):
@@ -150,8 +130,7 @@ class TestMainInProcess:
         assert payload["K"] == expected.K == 16.0
         assert [r["gap"] for r in payload["rows"]] == [r.gap for r in expected.rows]
 
-    def test_repar_non_autonomous_exits_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_repar_non_autonomous_exits_2(self, capsys):
         assert main(["repar", "--lagrangian", "mania", "--exact", "cuberoot",
                      "--n", "64", "--power", "3", "--k", "4"]) == 2
         assert "autonomous integrand" in capsys.readouterr().err
@@ -170,9 +149,8 @@ class TestMainInProcess:
         ("ragged.json", '{"nodes": [[0], [1, 2]], "values": [0, 1]}', "ValueError"),
         ("bad_syntax.json", '{"nodes": [0, 1],', "Expecting"),
     ])
-    def test_malformed_trajectory_file_exits_2(self, tmp_path, capsys, monkeypatch,
+    def test_malformed_trajectory_file_exits_2(self, tmp_path, capsys,
                                                name, text, detail):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
         path = tmp_path / name
         path.write_text(text)
         assert main(["energy", "--lagrangian", "sqrt_chain",
@@ -194,25 +172,18 @@ class TestMainInProcess:
         assert y.mesh.nodes.tolist() == [0.0, 0.5, 1.0]
         assert y.values.tolist() == [1.0, 2.0, 3.0]
 
-    def test_config_round_trip_is_canonical(self, monkeypatch):
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
+    def test_config_round_trip_is_canonical(self):
         parser = _build_parser()
         args = parser.parse_args(["repar", "--lagrangian", "sqrt_chain",
                                   "--exact", "sqrt", "--k", "2,4"])
-        config = _config_from_args(args)
-        first = config.canonical_dict()
-        rebuilt = RunConfig(subcommand="repar", **{
-            "lagrangian": first["lagrangian"], "exact": first["exact"],
-            "a": first["a"], "b": first["b"], "n": first["n"],
-            "power": first["power"], "order": first["order"],
-            "k_grid": tuple(first["k_grid"]), "seed": first["seed"],
-        })
-        assert rebuilt.canonical_dict() == first
+        first = _config_from_args(args)
+        echoed = json.loads(json.dumps(first))
+        assert echoed.pop("subcommand") == "repar"
+        assert cli.resolve("repar", echoed) == first
 
     def test_necessary_check_formats_each_sample_once(self, tmp_path, monkeypatch):
         """--csv-out reuses the JSON report's float text of the EL samples:
         it formats no float, and both files keep their bytes."""
-        monkeypatch.delenv("LAVLAB_SEED", raising=False)
         traj = tmp_path / "cat.csv"
         with open(traj, "w", newline="") as f:
             sample(np.cosh, graded_mesh(-1, 1, 64, 1.0)).to_csv(f)
@@ -238,6 +209,156 @@ class TestMainInProcess:
         assert len(samples) == 63
         assert (tmp_path / "b.csv").read_text() == "t,residual\n" + "".join(
             f"{t!r},{r!r}\n" for t, r in samples)
+
+
+def _write_trajectory(path, f, mesh):
+    with open(path, "w", newline="") as fh:
+        sample(f, mesh).to_csv(fh)
+    return str(path)
+
+
+def setting_cases(tmp_path):
+    """Small runs of every subcommand, one for each input it can take."""
+    cat = _write_trajectory(tmp_path / "cat.csv", np.cosh, graded_mesh(-1, 1, 40, 1.0))
+    root = _write_trajectory(tmp_path / "sqrt.csv", np.sqrt, graded_mesh(0, 1, 64, 2.0))
+    exact = ["--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "64", "--power", "2"]
+    return {
+        "catalog": [[]],
+        "energy": [exact, ["--lagrangian", "surface_of_revolution", "--trajectory", cat]],
+        "repar": [[*exact, "--k", "2,4"],
+                  ["--lagrangian", "sqrt_chain", "--trajectory", root, "--k", "4"]],
+        "necessary-check": [["--lagrangian", "surface_of_revolution", "--trajectory", cat]],
+        "gap-scan": [["--n", "20", "--M", "4", "--restarts", "1", "--order", "3"]],
+        "demo": [["--n", "64"]],
+    }
+
+
+class RecordingConfig(dict):
+    """A resolved config that records which settings are read from it."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestSettings:
+    """A subcommand's flags, its config-file keys, its report's `config` echo
+    and the settings its runner reads are one set."""
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_echo_reruns_byte_identical_and_is_what_ran(self, name, tmp_path, capsys):
+        echoed = set()
+        for i, argv in enumerate(setting_cases(tmp_path)[name]):
+            first, second, cfg = (tmp_path / f"{i}{x}" for x in ("a.json", "b.json", "c.json"))
+            assert main([name, *argv, "--out", str(first)]) == 0
+            config = json.loads(first.read_text())["config"]
+            cfg.write_text(json.dumps(config))
+            assert main([name, "--config", str(cfg), "--out", str(second)]) == 0
+            assert second.read_bytes() == first.read_bytes()
+            args = _build_parser().parse_args([name, "--config", str(cfg)])
+            recording = RecordingConfig(_config_from_args(args))
+            assert cli.run(recording, str(second)) == 0
+            assert recording.read == set(config)
+            echoed |= set(config)
+        capsys.readouterr()
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[name]
+        flags = {a.dest for a in sub._actions} - {"help", "config", "out", "csv_out"}
+        assert flags == echoed - {"subcommand"}
+
+    def test_demo_echoes_the_grid_and_power_it_ran(self, tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        assert main(["demo", "--n", "64", "--out", str(out)]) == 0
+        default = json.loads(out.read_text())
+        assert default["config"]["k_grid"] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert default["config"]["power"] == 2.0
+        assert main(["demo", "--n", "64", "--power", "1.5", "--out", str(out)]) == 0
+        graded = json.loads(out.read_text())
+        assert graded["config"]["power"] == 1.5
+        assert graded["rows"] != default["rows"]
+
+    @pytest.mark.parametrize("name, flag, key, value", [
+        ("catalog", "--seed", "restarts", 3),
+        ("energy", "--seed", "seed", 1),
+        ("repar", "--tol", "tol", 1e-3),
+        ("necessary-check", "--order", "order", 3),
+        ("gap-scan", "--lagrangian", "lagrangian", "mania"),
+        ("demo", "--a", "a", 5.0),
+    ])
+    def test_setting_of_another_subcommand_exits_2(self, name, flag, key, value,
+                                                   tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, str(value)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([name, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
+
+    @pytest.mark.parametrize("name, extra, message", [
+        ("energy", ["--exact", "sqrt"], "not both"),
+        ("repar", ["--exact", "sqrt"], "not both"),
+        ("energy", ["--a", "0"], "reads a only with --exact"),
+        ("energy", ["--b", "2"], "reads b only with --exact"),
+        ("energy", ["--n", "64"], "reads n only with --exact"),
+        ("energy", ["--power", "2"], "reads power only with --exact"),
+        ("energy", ["--tol", "1e-3"], "reads tol only with --exact"),
+        ("energy", {"tol": 1e-3}, "reads tol only with --exact"),
+        ("repar", ["--n", "64"], "reads n only with --exact"),
+        ("repar", {"power": 2.0}, "reads power only with --exact"),
+    ])
+    def test_one_input_and_only_its_settings(self, name, extra, message, tmp_path,
+                                             capsys):
+        traj = _write_trajectory(tmp_path / "y.csv", np.sqrt, graded_mesh(0, 1, 16, 2.0))
+        argv = [name, "--lagrangian", "sqrt_chain", "--trajectory", traj]
+        if name == "repar":
+            argv += ["--k", "4"]
+        if isinstance(extra, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra))
+            extra = ["--config", str(cfg)]
+        assert main([*argv, *extra]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gap-scan", "--n", "20", "--M", "4", "--seed", "-1"], "seed must be >= 0"),
+        (["gap-scan", "--n", "20", "--M", "4", "--restarts", "-1"], "restarts must be >= 0"),
+        (["gap-scan", "--n", "20", "--M", "4", "--jobs", "0"], "jobs must be >= 1"),
+        (["demo", "--power", "0.5"], "power must be >= 1"),
+        (["energy", "--lagrangian", "mania", "--exact", "sqrt", "--n", "0"], "n must be >= 1"),
+        (["repar", "--lagrangian", "mania", "--exact", "sqrt", "--k", ""], "non-empty --k"),
+    ])
+    def test_out_of_range_setting_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_file_names_the_subcommand_it_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "catalog"}))
+        assert main(["catalog", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["demo", "--config", str(cfg)]) == 2
+        assert "'catalog'" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every `lavlab ...` line of the README's Command line block names
+    only flags that exist; the lines are parsed, not run."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("lavlab ")]
+    assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+    parser = _build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
 
 
 class TestSubprocessReproducibility:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lavlab import cli
-from lavlab.cli import RunConfig
 
 
 def as_lists(obj):
@@ -74,26 +73,22 @@ def small_payloads(tmp_path, capsys):
     inf_traj = tmp_path / "inf.csv"
     inf_traj.write_text("t,y\n0.0,1e-200\n0.5,1e-200\n0.75,0.5\n1.0,1.0\n")
 
-    def config(sub, **kw):
-        cfg = RunConfig(subcommand=sub, **kw)
-        cfg.validate()
-        return cfg
+    def report(name, **kw):
+        """The report `lavlab name` writes: its config echo and its runner's body."""
+        config = cli.resolve(name, kw)
+        body = cli.COMMANDS[name].run(config)
+        return {"config": config, **(body[0] if isinstance(body, tuple) else body)}
 
-    yield cli._run_energy(config("energy", lagrangian="surface_of_revolution",
-                                 trajectory_path=str(traj)))
-    yield cli._run_energy(config("energy", lagrangian="half_inverse",
-                                 trajectory_path=str(inf_traj)))
-    yield cli._run_energy(config("energy", lagrangian="mania", exact="cuberoot",
-                                 n=128, power=3.0))
-    yield cli._run_necessary(config("necessary-check", lagrangian="surface_of_revolution",
-                                    trajectory_path=str(traj)))[0]
-    yield cli._run_necessary(config("necessary-check", lagrangian="half_inverse",
-                                    trajectory_path=str(inf_traj)))[0]
-    yield cli._run_repar(config("repar", lagrangian="sqrt_chain", exact="sqrt",
-                                n=64, power=2.0, k_grid=(2.0, 8.0, 64.0)))
-    yield cli._run_gap_scan(config("gap-scan", n_grid=(20,), M_grid=(4.0, 8.0),
-                                   restarts=0, order=3))[0]
-    yield cli._run_demo(config("demo", n=64, k_grid=(2.0, 4.0)))
+    yield report("energy", lagrangian="surface_of_revolution", trajectory=str(traj))
+    yield report("energy", lagrangian="half_inverse", trajectory=str(inf_traj))
+    yield report("energy", lagrangian="mania", exact="cuberoot", n=128, power=3.0)
+    yield report("necessary-check", lagrangian="surface_of_revolution",
+                 trajectory=str(traj))
+    yield report("necessary-check", lagrangian="half_inverse", trajectory=str(inf_traj))
+    yield report("repar", lagrangian="sqrt_chain", exact="sqrt", n=64, power=2.0,
+                 k_grid=(2.0, 8.0, 64.0))
+    yield report("gap-scan", n_grid=(20,), M_grid=(4.0, 8.0), restarts=0, order=3)
+    yield report("demo", n=64, k_grid=(2.0, 4.0))
     capsys.readouterr()
 
 
