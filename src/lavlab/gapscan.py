@@ -105,52 +105,60 @@ class _SlopeSet:
     """The feasible slopes {|s| <= m, h.s = c}, or the box alone when c is
     None, with the exact projection onto them in the h-weighted metric."""
 
-    def __init__(self, h: np.ndarray, c: float | None, m: float):
-        self.h, self.c, self.m = h, c, m
+    def __init__(self, h: np.ndarray, c: float | None):
+        self.h, self.c = h, c
         self.width = _total(h)
         self.signed_h = np.concatenate((h, -h))
 
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """argmin of sum h (s - u)^2 over the set, for each row of u.
+    def project(self, u: np.ndarray, m: float | np.ndarray) -> np.ndarray:
+        """argmin of sum h (s - u)^2 over the set, for each row of u and its
+        own bound m (one per row, or one for all).
 
         The answer is clip(u - mu, -m, m), where mu is the root of the
         non-increasing piecewise-linear phi(mu) = h . clip(u - mu, -m, m).
         Where a plain shift leaves some |s| > m, phi is evaluated at all 2n
         breakpoints u -+ m by a sort and a cumsum along the row (the
-        continuous quadratic knapsack, Kiwiel 2008).
+        continuous quadratic knapsack, Kiwiel 2008), _BATCH // (2n) rows at a
+        time so the sort's temporaries stay small.
         """
-        m, c, width = self.m, self.c, self.width
-        if c is None:
-            return np.clip(u, -m, m)
         rows = u.reshape(-1, u.shape[-1])
-        out = rows - ((_total(self.h * rows) - c) / width)[:, None]
-        hit = np.abs(out).max(axis=-1) > m  # False where no bound is active
-        if hit.any():
-            v = rows[hit]
-            bp = np.concatenate((v - m, v + m), axis=-1)
-            by = bp.argsort(axis=-1)
-            # width of the unclipped cells between consecutive breakpoints
-            free = self.signed_h[by].cumsum(axis=-1)
-            bp = bp.take(by + np.arange(0, bp.size, bp.shape[-1])[:, None])  # sorted rows
-            np.maximum(free, 0.0, out=free)
-            phi = m * width - (free[:, :-1] * np.diff(bp)).cumsum(axis=-1)  # phi(bp[1:])
-            k = np.count_nonzero(phi >= c, axis=-1)  # bp[k] is the last with phi >= c
-            r = np.arange(k.size)
-            phi_k, free_k, bp_k = np.where(k > 0, phi[r, k - 1], m * width), free[r, k], bp[r, k]
-            mu = bp_k + np.divide(phi_k - c, free_k, out=np.zeros(k.size), where=free_k > 0.0)
-            out[hit] = np.clip(v - mu[:, None], -m, m)
+        m = np.broadcast_to(m, rows.shape[:1])[:, None]  # each row's bound, as a column
+        if self.c is None:
+            return np.clip(rows, -m, m).reshape(u.shape)
+        out = rows - ((_total(self.h * rows) - self.c) / self.width)[:, None]
+        hit = np.flatnonzero(np.abs(out).max(axis=-1) > m[:, 0])  # rows with an active bound
+        chunk = max(1, _BATCH // (2 * rows.shape[-1]))
+        for r in (hit[i:i + chunk] for i in range(0, hit.size, chunk)):
+            out[r] = self._search(rows[r], m[r])
         return out.reshape(u.shape)
+
+    def _search(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The projection of rows v with bounds m (a column) by the breakpoint search."""
+        c, mw = self.c, m * self.width
+        bp = np.concatenate((v - m, v + m), axis=-1)
+        by = bp.argsort(axis=-1)
+        # width of the unclipped cells between consecutive breakpoints
+        free = self.signed_h[by].cumsum(axis=-1)
+        bp = bp.take(by + np.arange(0, bp.size, bp.shape[-1])[:, None])  # sorted rows
+        np.maximum(free, 0.0, out=free)
+        phi = mw - (free[:, :-1] * np.diff(bp)).cumsum(axis=-1)  # phi(bp[1:])
+        k = np.count_nonzero(phi >= c, axis=-1)  # bp[k] is the last with phi >= c
+        r = np.arange(k.size)
+        phi_k, free_k, bp_k = np.where(k > 0, phi[r, k - 1], mw[:, 0]), free[r, k], bp[r, k]
+        mu = bp_k + np.divide(phi_k - c, free_k, out=np.zeros(k.size), where=free_k > 0.0)
+        return np.clip(v - mu[:, None], -m, m)
 
 
 @dataclass(frozen=True)
 class MinimizeInfo:
-    """How `minimize_bounded` obtained its answer.
+    """How `minimize_bounded` obtained its answer at one slope bound.
 
-    `iterations`, `energy_evals` and `gradient_evals` are totals over all
-    starts; `pg_residual` and `stop_reason` belong to the returned
-    trajectory: "converged" (residual <= tolerance), "max_iters" (iteration
-    cap) or "stalled" (the line search could not decrease the energy, or
-    the gradient is not finite).
+    `iterations`, `energy_evals` and `gradient_evals` are totals over that
+    bound's starts, the warm start and any polish included; `pg_residual`
+    and `stop_reason` belong to the returned trajectory: "converged"
+    (residual <= tolerance), "max_iters" (iteration cap) or "stalled" (the
+    line search could not decrease the energy, or the gradient is not
+    finite).
     """
 
     iterations: int
@@ -168,7 +176,7 @@ class _SlopeProblem:
     quadrature geometry is built once and shared by the energy and the
     gradient, and the energy is computed from y exactly as
     `cell_energies(spec, nodes, y, order)` does.  Rows of stacked slopes or
-    values (samples (order, rows, cells)) keep their bits and count one each.
+    values (samples (order, rows, cells)) keep their bits.
     """
 
     def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
@@ -179,7 +187,6 @@ class _SlopeProblem:
         self.h = np.diff(mesh.nodes)
         self.tq = gauss_points(mesh.nodes, self.h, x)
         self.offsets = self.tq - mesh.nodes[:-1]  # from each left node
-        self.energy_evals = self.gradient_evals = 0
         self.rows = max(1, _BATCH // self.tq.size)  # starts per batched call
 
     def values(self, s: np.ndarray) -> np.ndarray:
@@ -215,7 +222,6 @@ class _SlopeProblem:
 
     def energy(self, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
         """(total energy, yq, vq); the total is summed as `energy` does."""
-        self.energy_evals += y.size // y.shape[-1]
         contrib, yq, vq = self.cells(y)
         return _total(contrib), yq, vq
 
@@ -227,7 +233,6 @@ class _SlopeProblem:
         moves rigidly by -+h_j, which a cumsum of the per-cell L_y
         integrals collects.
         """
-        self.gradient_evals += yq[0].size // yq.shape[-1]
         tq = self._lift(self.tq, yq.ndim)
         ly = partial_array(self.spec, 1, tq, yq, vq)
         rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
@@ -251,18 +256,45 @@ class _SlopeProblem:
                                for r in range(0, len(y), self.rows)])
 
 
+def _starts(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
+            M: np.ndarray) -> list[np.ndarray]:
+    """The SPG state of starts given by their nodal values, one per row of
+    `inits`, each under its own slope bound M.
+
+    A start that already satisfies the constraints (exact endpoints,
+    Lipschitz constant <= M) is used as given; others are projected onto
+    |s| <= M (1 - 1e-12).  Each start's energy and gradient count one
+    evaluation.
+    """
+    y = np.array(inits, dtype=float)
+    m = M * (1.0 - 1e-12)
+    s = np.diff(y) / prob.h
+    pinned = (y[:, -1] == prob.B) & ((y[:, 0] == prob.A) if prob.A is not None else True)
+    moved = ~(pinned & (np.abs(s).max(axis=-1) <= M))
+    s[moved] = project(s[moved], m[moved])
+    y[moved] = prob.values(s[moved])
+    e = prob.energies(y)
+    memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
+    once = np.ones(e.size, dtype=int)
+    return [s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
+            np.zeros(e.size, dtype=int), m, once, once.copy()]
+
+
 def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
-         budget: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+         budget: int) -> list[np.ndarray]:
     """Nonmonotone spectral projected gradient on a stack of starts, each
     for at most `budget` more iterations (Birgin, Martinez & Raydan 2000).
 
-    `state` has one row per start: slopes, nodal values, energy, gradient,
-    Barzilai-Borwein step (NaN before the first), the last _SPG_MEMORY
-    accepted energies (-inf where unused; the backtracking reference is
-    their maximum) and iterations so far.  The rows advance in lockstep and
-    leave as they converge, stall or spend the budget; no sum mixes rows, so
-    a row ends with the bits of its start run alone.  Returns (state,
-    pg_residual, stop_reason) as each row stopped.
+    `state` (see `_starts`) has one row per start: slopes, nodal values,
+    energy, gradient, Barzilai-Borwein step (NaN before the first), the last
+    _SPG_MEMORY accepted energies (-inf where unused; the backtracking
+    reference is their maximum), iterations so far, the slope bound the row
+    is projected onto, and energy and gradient evaluations so far.  The rows
+    advance in lockstep and leave as they converge, stall or spend the
+    budget; no sum mixes rows, so a row ends with the bits and counts of its
+    start run alone, whatever its stack.  Returns the state as each row
+    stopped, with two more columns: the projected-gradient residual and the
+    stop reason.
     """
     h, k = prob.h, len(state[2])
     final, residual, reason = [np.empty_like(a) for a in state], np.empty(k), np.empty(k, "<U9")
@@ -277,17 +309,19 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
         return ~stop
 
     while st[0].size:
-        _, s, y, e, g, step, memory, iters, limit = st
+        _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
         bad = ~(np.isfinite(e) & np.isfinite(g).all(axis=-1))
-        pg = np.abs(project(np.where(bad[:, None], s, s - g)) - s).max(axis=-1)
+        pg = np.abs(project(np.where(bad[:, None], s, s - g), m) - s).max(axis=-1)
         pg[bad] = np.inf
         stop = bad | (pg <= _PG_TOL) | (iters == limit)
-        if stop.any():  # the others redo this projection
+        if stop.any():
             why = np.select([bad, pg <= _PG_TOL], ["stalled", "converged"], "max_iters")
-            settle(stop, why[stop], pg)
-            continue
+            pg = pg[settle(stop, why[stop], pg)]
+            if not pg.size:
+                break
+            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
         st[5] = step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
-        d = project(s - step[:, None] * g) - s
+        d = project(s - step[:, None] * g, m) - s
         slope, ref = _total(h * g * d), memory.max(axis=-1)
         reach, floor = np.abs(d).max(axis=-1), 1e-16 * np.maximum(1.0, np.abs(s).max(axis=-1))
         alpha, stalled = np.ones(pg.size), np.zeros(pg.size, dtype=bool)
@@ -296,6 +330,7 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
         while todo.size:
             y_new[todo] = prob.values(s_new[todo])
             e_new[todo] = prob.energies(y_new[todo])
+            e_evals[todo] += 1
             a = alpha[todo]
             fail = ~(e_new[todo] <= ref[todo] + _SPG_GAMMA * a * slope[todo])
             tiny = a * reach[todo] <= floor[todo]
@@ -311,8 +346,9 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
             if not keep.any():
                 continue
             s_new, y_new, e_new = s_new[keep], y_new[keep], e_new[keep]
-            _, s, y, e, g, step, memory, iters, limit = st
+            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
         g_new = prob.gradients(y_new)
+        g_evals += 1
         ds, dg = s_new - s, g_new - g
         curvature = _total(h * ds * dg)
         quotient = np.divide(_total(h * ds * ds), curvature, where=curvature > 0.0,
@@ -320,16 +356,18 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
         memory[np.arange(iters.size), (iters + 1) % _SPG_MEMORY] = e_new
         st[1:8] = (s_new, y_new, e_new, g_new,
                    np.clip(quotient, _SPG_STEP_MIN, _SPG_STEP_MAX), memory, iters + 1)
-    return final, residual, reason
+    return [*final, residual, reason]
 
 
-def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
+def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
                      boundary: tuple[float | None, float], restarts: int = 8,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
                      max_iters: int = 150,
                      extra_inits: Sequence[Trajectory] = ()
-                     ) -> tuple[Trajectory, float, MinimizeInfo]:
-    """Best slope-bounded trajectory by spectral projected gradient.
+                     ) -> list[tuple[Trajectory, float, MinimizeInfo]]:
+    """Best slope-bounded trajectory at each bound M of a grid, by spectral
+    projected gradient; returns one (trajectory, energy, info) per bound, in
+    ascending order of M.
 
     The unknowns are the cell slopes s in [-M, M]^n; with both endpoints
     pinned (A not None) they also satisfy h . s = B - A, and with A None only
@@ -337,71 +375,76 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bound_M: float,
     rule, through `partial_array`), the projection is exact (see
     `_SlopeSet.project`), and steps are nonmonotone Barzilai-Borwein.
 
-    Starts: the straight line (flat at B in one-endpoint mode), each of
-    `extra_inits`, and `restarts` seeded smooth perturbations of the first.
-    A start that already satisfies the constraints (exact endpoints,
-    Lipschitz constant <= M) is used as given, so its energy is a candidate
-    unchanged; others are projected.  The starts run as one lockstep stack
-    for up to `max_iters` iterations, and the best (the first of equals)
-    then runs on, if capped, until its projected-gradient residual falls
-    below 1e-8 (or 20 * max_iters more iterations pass).
+    Starts at each bound: the straight line (flat at B in one-endpoint mode),
+    each of `extra_inits`, the warm start (the previous bound's answer; none
+    at the first bound), and `restarts` smooth perturbations of the first,
+    seeded by (seed, n, int(M * 1e6)).  A start that already satisfies the
+    constraints (exact endpoints, Lipschitz constant <= M) is used as given,
+    so its energy is a candidate unchanged; others are projected.  Every
+    start runs for up to `max_iters` iterations, and each bound's best (the
+    first of equals, in the order above) then runs on, if capped, until its
+    projected-gradient residual falls below 1e-8 (or 20 * max_iters more
+    iterations pass).  The starts known in advance, those of every bound, run
+    as one lockstep stack; each warm start and each polish runs alone once
+    the previous bound is decided.  A start's result does not depend on its
+    stack, so each bound's answer is that of a one-bound call given the
+    previous answer as its last `extra_inits`.
 
-    Returns (trajectory, energy, info); the energy is that of
-    `energy(spec, trajectory, order)`, bit for bit.
+    Each energy is that of `energy(spec, trajectory, order)`, bit for bit.
     """
     A, B = boundary
-    nodes = mesh.nodes
-    n = mesh.n_cells
-    span = mesh.b - mesh.a
-    if bound_M <= 0:
-        raise ArgumentError("bound_M must be positive")
-    m_eff = bound_M * (1.0 - 1e-12)
-    if A is not None and m_eff * span <= abs(B - A):
+    nodes, n, span = mesh.nodes, mesh.n_cells, mesh.b - mesh.a
+    if not all(math.isfinite(M) for M in bounds):
+        raise ArgumentError(f"slope bounds must be finite, got {list(bounds)}")
+    bounds = sorted(float(M) for M in bounds)
+    if not bounds:
+        raise ArgumentError("need at least one slope bound")
+    if bounds[0] <= 0:
+        raise ArgumentError("slope bounds must be positive")
+    if A is not None and bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
         raise ArgumentError(
-            f"bound_M={bound_M} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
-    prob = _SlopeProblem(spec, mesh, order, boundary)
-    project = _SlopeSet(prob.h, None if A is None else B - A, m_eff).project
-
-    inits: list[np.ndarray] = []
-    if A is None:
-        inits.append(np.full(n + 1, B))
-    else:
-        inits.append(A + (B - A) * (nodes - mesh.a) / span)
+            f"bound M={bounds[0]} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
     for t in extra_inits:
         if not np.array_equal(t.mesh.nodes, nodes):
             raise ArgumentError("extra_inits must live on the scan mesh")
-        inits.append(t.values)
-    rng = np.random.default_rng([seed, n, int(abs(bound_M) * 1e6)])
-    base = inits[0]
-    amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
-    for _ in range(restarts):
-        bumps = rng.standard_normal(n + 1)
-        bumps[0] = bumps[-1] = 0.0
-        smooth = np.convolve(bumps, np.ones(5) / 5.0, mode="same")
-        inits.append(base + amp0 * rng.uniform(0.2, 1.0) * smooth)
+    prob = _SlopeProblem(spec, mesh, order, boundary)
+    project = _SlopeSet(prob.h, None if A is None else B - A).project
 
-    y = np.array(inits, dtype=float)
-    s = np.diff(y) / prob.h
-    pinned = (y[:, -1] == B) & ((y[:, 0] == A) if A is not None else True)
-    moved = ~(pinned & (np.abs(s).max(axis=-1) <= bound_M))
-    s[moved] = project(s[moved])
-    y[moved] = prob.values(s[moved])
-    e = prob.energies(y)
-    memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
-    state = (s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
-             np.zeros(e.size, dtype=int))
-    state, pg, why = _spg(prob, project, state, max_iters)
-    best = int(np.argmin(state[2]))
-    others = sum(state[6].tolist()) - int(state[6][best])
-    if why[best] == "max_iters":
-        state, pg, why = _spg(prob, project, [a[best:best + 1] for a in state],
-                              _POLISH_FACTOR * max_iters)
-        best = 0
-    info = MinimizeInfo(iterations=others + int(state[6][best]),
-                        energy_evals=prob.energy_evals,
-                        gradient_evals=prob.gradient_evals,
-                        pg_residual=float(pg[best]), stop_reason=str(why[best]))
-    return Trajectory(mesh, state[1][best]), float(state[2][best]), info
+    base = np.full(n + 1, B) if A is None else A + (B - A) * (nodes - mesh.a) / span
+    known = [base, *(t.values for t in extra_inits)]
+    amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
+    inits: list[np.ndarray] = []
+    for M in bounds:
+        rng = np.random.default_rng([seed, n, int(M * 1e6)])
+        inits += known
+        for _ in range(restarts):
+            bumps = rng.standard_normal(n + 1)
+            bumps[0] = bumps[-1] = 0.0
+            smooth = np.convolve(bumps, np.ones(5) / 5.0, mode="same")
+            inits.append(base + amp0 * rng.uniform(0.2, 1.0) * smooth)
+    per = len(known) + restarts
+    stack = _spg(prob, project, _starts(prob, project, inits, np.repeat(bounds, per)), max_iters)
+
+    out: list[tuple[Trajectory, float, MinimizeInfo]] = []
+    for j, M in enumerate(bounds):
+        rows = [a[j * per:(j + 1) * per] for a in stack]
+        if out:  # the warm start goes after the known starts
+            warm = _spg(prob, project, _starts(prob, project, [out[-1][0].values],
+                                               np.array([M])), max_iters)
+            rows = [np.concatenate((a[:len(known)], b, a[len(known):]))
+                    for a, b in zip(rows, warm)]
+        best = int(np.argmin(rows[2]))
+        if rows[-1][best] == "max_iters":
+            polished = _spg(prob, project, [a[best:best + 1] for a in rows[:-2]],
+                            _POLISH_FACTOR * max_iters)
+            for a, b in zip(rows, polished):
+                a[best] = b[0]
+        _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = rows
+        info = MinimizeInfo(iterations=int(iters.sum()), energy_evals=int(e_evals.sum()),
+                            gradient_evals=int(g_evals.sum()),
+                            pg_residual=float(pg[best]), stop_reason=str(why[best]))
+        out.append((Trajectory(mesh, y[best]), float(e[best]), info))
+    return out
 
 
 # -- scans --------------------------------------------------------------------
@@ -458,17 +501,10 @@ def _scan_mesh_group(args: tuple) -> list[GapRow]:
     """One mesh size, all bounds ascending with warm starts.  Module-level so
     process pools can pickle it."""
     n, M_grid, restarts, seed, order = args
-    spec = catalog("mania")
-    mesh = uniform_mesh(0.0, 1.0, int(n))
-    warm: list[Trajectory] = []
-    rows = []
-    for M in sorted(float(m) for m in M_grid):
-        traj, e, info = minimize_bounded(
-            spec, mesh, M, (0.0, 1.0), restarts=restarts, seed=seed,
-            order=order, extra_inits=warm)
-        rows.append(GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info)))
-        warm = [traj]
-    return rows
+    found = minimize_bounded(catalog("mania"), uniform_mesh(0.0, 1.0, int(n)), M_grid,
+                             (0.0, 1.0), restarts=restarts, seed=seed, order=order)
+    return [GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info))
+            for M, (_, e, info) in zip(sorted(float(m) for m in M_grid), found)]
 
 
 def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
@@ -477,11 +513,12 @@ def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
                             jobs: int = 1) -> GapReport:
     """Bounded-slope minimization of Mania's problem with both endpoints.
 
-    For each mesh size the bound grid is scanned in ascending order, warm-
-    starting from the best trajectory at the previous bound.  That trajectory
-    is feasible at the larger bound, so it is a candidate unchanged and the
-    best energy is non-increasing in the bound by construction.  Each row
-    carries the optimizer's stop reason and projected-gradient residual.
+    For each mesh size one `minimize_bounded` call scans the bound grid in
+    ascending order, warm-starting each bound from the best trajectory at the
+    previous bound.  That trajectory is feasible at the larger bound, so it
+    is a candidate unchanged and the best energy is non-increasing in the
+    bound by construction.  Each row carries the optimizer's stop reason and
+    projected-gradient residual.
     Mesh sizes are independent jobs; with jobs > 1 they run in a process
     pool, and the report is assembled in grid order either way.
     """

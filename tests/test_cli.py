@@ -334,6 +334,7 @@ class TestSettings:
         (["demo", "--power", "0.5"], "power must be >= 1"),
         (["energy", "--lagrangian", "mania", "--exact", "sqrt", "--n", "0"], "n must be >= 1"),
         (["repar", "--lagrangian", "mania", "--exact", "sqrt", "--k", ""], "non-empty --k"),
+        (["gap-scan", "--n", "10", "--M", "inf"], "slope bounds must be finite"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2

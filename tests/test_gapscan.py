@@ -10,7 +10,7 @@ from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
 from lavlab.functional import cell_energies
-from lavlab.gapscan import _SPG_MEMORY, _SlopeProblem, _SlopeSet, _spg
+from lavlab.gapscan import _BATCH, _SlopeProblem, _SlopeSet, _spg, _starts
 
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -18,20 +18,26 @@ V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
 
 class TestMinimizeBounded:
     def test_convex_problem_finds_straight_line(self):
-        traj, e, _ = minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 16), 2.0,
-                                      (0.0, 1.0), restarts=2, seed=1)
+        traj, e, _ = minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 16), [2.0],
+                                      (0.0, 1.0), restarts=2, seed=1)[0]
         assert e == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(traj.values, traj.mesh.nodes, atol=1e-4)
 
     def test_infeasible_bound_rejected(self):
         with pytest.raises(ArgumentError):
-            minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 8), 0.5, (0.0, 1.0))
+            minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 8), [0.5], (0.0, 1.0))
+
+    @pytest.mark.parametrize("bounds, message", [
+        ([2.0, math.inf], "finite"), ([math.nan], "finite"), ([], "at least one")])
+    def test_non_finite_or_empty_bound_grid_rejected(self, bounds, message):
+        with pytest.raises(ArgumentError, match=message):
+            minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 8), bounds, (0.0, 1.0))
 
     def test_slope_bound_respected_exactly(self):
         spec = catalog("quartic_plus_square")
         for M in (1.0, 2.0):
-            traj, _, _ = minimize_bounded(spec, uniform_mesh(0, 1, 48), M,
-                                          (0.0, 0.0), restarts=4, seed=3)
+            traj, _, _ = minimize_bounded(spec, uniform_mesh(0, 1, 48), [M],
+                                          (0.0, 0.0), restarts=4, seed=3)[0]
             assert traj.lipschitz_constant <= M
 
     def test_sawtooth_witness_bounds_the_minimum(self):
@@ -41,15 +47,15 @@ class TestMinimizeBounded:
         mesh = Mesh(sawtooth(8).mesh.nodes)  # 16 cells aligned with the teeth
         witness = energy(spec, sawtooth(8)).value
         assert witness == pytest.approx(1.0 / 768.0, rel=1e-12)
-        _, e, _ = minimize_bounded(spec, mesh, 1.0, (0.0, 0.0),
+        _, e, _ = minimize_bounded(spec, mesh, [1.0], (0.0, 0.0),
                                    restarts=4, seed=5,
-                                   extra_inits=[sawtooth(8)])
+                                   extra_inits=[sawtooth(8)])[0]
         assert e <= witness + 1e-12
 
     def test_one_endpoint_mode_leaves_start_free(self):
         # pin only y(1) = 1; the flat profile y = 1 has zero kinetic energy
-        traj, e, _ = minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 16), 2.0,
-                                      (None, 1.0), restarts=2, seed=7)
+        traj, e, _ = minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 16), [2.0],
+                                      (None, 1.0), restarts=2, seed=7)[0]
         assert e == pytest.approx(0.0, abs=1e-10)
         assert traj.values[-1] == 1.0
 
@@ -59,9 +65,9 @@ class TestMinimizeBounded:
         best = math.inf
         warm = []
         for M in (3.0, 5.0, 9.0):
-            traj, e, _ = minimize_bounded(spec, mesh, M, (0.0, 1.0),
+            traj, e, _ = minimize_bounded(spec, mesh, [M], (0.0, 1.0),
                                           restarts=3, seed=11,
-                                          extra_inits=warm)
+                                          extra_inits=warm)[0]
             assert e <= best + 1e-10
             best = e
             warm = [traj]
@@ -69,8 +75,8 @@ class TestMinimizeBounded:
     def test_mania_two_endpoint_energy_floor(self):
         # any slope-bounded trajectory pinned at 0 and 1 keeps positive energy
         spec = catalog("mania")
-        _, e, _ = minimize_bounded(spec, uniform_mesh(0, 1, 100), 20.0,
-                                   (0.0, 1.0), restarts=4, seed=13)
+        _, e, _ = minimize_bounded(spec, uniform_mesh(0, 1, 100), [20.0],
+                                   (0.0, 1.0), restarts=4, seed=13)[0]
         assert e > 1e-4
 
 
@@ -229,9 +235,9 @@ def _assert_projection(s, u, h, c, m):
     hi = np.min(u[s == m] - m, initial=np.inf)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(u))))
     assert lo <= hi + tol
-    for mu in u[free] - s[free]:
-        assert lo - tol <= mu <= hi + tol
-        assert mu == pytest.approx(u[free][0] - s[free][0], abs=tol)
+    mu = u[free] - s[free]
+    assert np.all((lo - tol <= mu) & (mu <= hi + tol))
+    assert np.all(np.abs(mu - mu[:1]) <= tol)
     assert np.allclose(s, _bisection_projection(u, h, c, m), atol=1e-9 * m)
 
 
@@ -244,40 +250,49 @@ class TestSlopeProjection:
             m = float(rng.uniform(0.1, 5.0))
             u = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])) * m, n)
             c = float(rng.uniform(-1.0, 1.0)) * m * h.sum() * (1.0 - 1e-9)
-            _assert_projection(_SlopeSet(h, c, m).project(u), u, h, c, m)
+            _assert_projection(_SlopeSet(h, c).project(u, m), u, h, c, m)
 
     def test_stacked_rows_are_projected_as_alone(self):
-        # rows with a small spread need only the shift (|c| <= m h.sum() / 2
-        # and a spread below m / 2); wide rows take the breakpoint search
+        # each row has its own bound m; rows with a small spread need only the
+        # shift (|c| <= m h.sum() / 2 and a spread below m / 2), wide rows
+        # take the breakpoint search, and every fifth stack is taller than
+        # one chunk of that search
         rng = np.random.default_rng(19)
-        mixed = 0
+        mixed = tall = 0
         for trial in range(300):
-            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+            if trial % 5:
+                n, k = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+            else:
+                n = int(rng.integers(600, 1400))
+                chunk = _BATCH // (2 * n)
+                k = int(rng.integers(chunk + 1, 2 * chunk + 2))
             h = rng.uniform(0.01, 1.0, n)
-            m = float(rng.uniform(0.1, 5.0))
-            c = float(rng.uniform(-0.5, 0.5)) * m * h.sum()
+            m = rng.uniform(0.1, 5.0, k)
+            c = float(rng.uniform(-0.5, 0.5)) * m.min() * h.sum()
             spread = rng.choice([0.04, 1.0, 10.0], k) * m
-            u = rng.uniform(-1.0, 1.0, (k, n)) * spread[:, None] + rng.normal(0.0, m, (k, 1))
-            project = _SlopeSet(h, c, m).project
-            stack = project(u)
+            u = rng.uniform(-1.0, 1.0, (k, n)) * spread[:, None] + rng.normal(0.0, m[:, None])
+            project = _SlopeSet(h, c).project
+            stack = project(u, m)
             assert stack.shape == (k, n)
             for i in range(k):
-                assert np.array_equal(stack[i], project(u[i:i + 1])[0])
-                assert np.array_equal(stack[i], project(u[i]))
-                _assert_projection(stack[i], u[i], h, c, m)
-            shifted = [np.abs(stack[i] - u[i] + u[i][0] - stack[i][0]).max() <= 1e-12 * m
+                assert np.array_equal(stack[i], project(u[i:i + 1], m[i:i + 1])[0])
+                assert np.array_equal(stack[i], project(u[i], m[i]))
+                _assert_projection(stack[i], u[i], h, c, m[i])
+            shifted = [np.abs(stack[i] - u[i] + u[i][0] - stack[i][0]).max() <= 1e-12 * m[i]
                        for i in range(k)]
             mixed += any(shifted) and not all(shifted)
+            tall += k - sum(shifted) > _BATCH // (2 * n)
         assert mixed >= 30
+        assert tall >= 20
 
     def test_one_endpoint_set_is_the_box(self):
         u = np.array([-3.0, -0.5, 0.0, 2.5])
-        s = _SlopeSet(np.ones(4), None, 1.0).project(u)
+        s = _SlopeSet(np.ones(4), None).project(u, 1.0)
         assert s.tolist() == [-1.0, -0.5, 0.0, 1.0]
 
     def test_unclipped_shift(self):
         h = np.array([0.25, 0.25, 0.5])
-        s = _SlopeSet(h, 1.0, 10.0).project(np.array([1.0, 2.0, 3.0]))
+        s = _SlopeSet(h, 1.0).project(np.array([1.0, 2.0, 3.0]), 10.0)
         assert h @ s == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(np.diff(s), [1.0, 1.0])
 
@@ -286,7 +301,7 @@ class TestSPGDiagnostics:
     def test_energy_is_cell_energies_bit_for_bit(self):
         spec = catalog("mania")
         mesh = _random_mesh(np.random.default_rng(3), 40)
-        traj, e, _ = minimize_bounded(spec, mesh, 6.0, (0.0, 1.0), restarts=1)
+        traj, e, _ = minimize_bounded(spec, mesh, [6.0], (0.0, 1.0), restarts=1)[0]
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
         contrib, _, _ = prob.cells(traj.values)
         assert np.array_equal(contrib, cell_energies(spec, mesh.nodes, traj.values))
@@ -294,7 +309,7 @@ class TestSPGDiagnostics:
 
     def test_info_reports_stationarity(self):
         traj, e, info = minimize_bounded(catalog("mania"), uniform_mesh(0, 1, 50),
-                                         5.0, (0.0, 1.0), restarts=2, seed=1)
+                                         [5.0], (0.0, 1.0), restarts=2, seed=1)[0]
         assert info.stop_reason == "converged"
         assert info.pg_residual <= 1e-6
         assert info.gradient_evals <= info.energy_evals
@@ -305,8 +320,8 @@ class TestSPGDiagnostics:
     def test_feasible_warm_start_is_a_candidate_as_given(self):
         spec = catalog("mania")
         mesh = _random_mesh(np.random.default_rng(3), 60)
-        found, _, _ = minimize_bounded(spec, mesh, 4.0, (0.0, 1.0),
-                                       restarts=0, max_iters=5)
+        found, _, _ = minimize_bounded(spec, mesh, [4.0], (0.0, 1.0),
+                                       restarts=0, max_iters=5)[0]
         # feasible, but not a point the optimizer itself would construct
         values = 0.9 * found.values + 0.1 * np.sin(np.pi * mesh.nodes / 2)
         values[-1] = 1.0
@@ -314,16 +329,16 @@ class TestSPGDiagnostics:
         assert warm.lipschitz_constant <= 4.0
         e_warm = energy(spec, warm).value
         for M in (4.0, 4.5):
-            _, e, _ = minimize_bounded(spec, mesh, M, (0.0, 1.0), restarts=0,
-                                       max_iters=0, extra_inits=[warm])
+            _, e, _ = minimize_bounded(spec, mesh, [M], (0.0, 1.0), restarts=0,
+                                       max_iters=0, extra_inits=[warm])[0]
             assert e == e_warm
 
     def test_partials_fallback_reaches_the_same_minimum(self):
         mesh = uniform_mesh(0, 1, 40)
-        _, exact, _ = minimize_bounded(catalog("mania"), mesh, 5.0, (0.0, 1.0),
-                                       restarts=0)
-        _, approx, _ = minimize_bounded(NO_PARTIALS_MANIA, mesh, 5.0,
-                                        (0.0, 1.0), restarts=0)
+        _, exact, _ = minimize_bounded(catalog("mania"), mesh, [5.0], (0.0, 1.0),
+                                       restarts=0)[0]
+        _, approx, _ = minimize_bounded(NO_PARTIALS_MANIA, mesh, [5.0],
+                                        (0.0, 1.0), restarts=0)[0]
         assert approx == pytest.approx(exact, rel=1e-6)
 
 
@@ -341,39 +356,49 @@ def test_c7_rows_are_stationary():
         assert energies == sorted(energies, reverse=True)
 
 
-def _spg_state(prob, s):
-    """The SPG state of the starts s (one row each) before any iteration,
-    built as `minimize_bounded` builds it."""
-    y = prob.values(s)
-    e = prob.energies(y)
-    memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
-    return (s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
-            np.zeros(e.size, dtype=int))
-
-
 class TestLockstep:
     @pytest.mark.parametrize("spec, boundary, M, k", [
         (catalog("mania"), (0.0, 1.0), 5.0, 7),
         (V_SQUARED, (None, 1.0), 2.0, 4)], ids=["mania_two_endpoint", "v_squared_one_endpoint"])
     def test_each_start_ends_as_when_run_alone(self, spec, boundary, M, k):
         # no row sum may mix rows or go through BLAS, so a start's slopes,
-        # energy, iteration count and stop reason do not depend on its stack
+        # energy, iteration and evaluation counts and stop reason do not
+        # depend on its stack, nor on the bounds of the other rows
         mesh = uniform_mesh(0.0, 1.0, 200)
         rng = np.random.default_rng(23)
-        project = _SlopeSet(mesh.widths, None if boundary[0] is None else 1.0,
-                            M * (1.0 - 1e-12)).project
-        s = project(1.0 + np.cumsum(rng.normal(0.0, 0.3, (k, 200)), axis=-1))
-        together = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
-        state, pg, why = _spg(together, project, _spg_state(together, s), 60)
-        energy_evals = gradient_evals = 0
+        project = _SlopeSet(mesh.widths, None if boundary[0] is None else 1.0).project
+        prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
+        inits = prob.values(1.0 + np.cumsum(rng.normal(0.0, 0.3, (k, 200)), axis=-1))
+        bounds = M * rng.choice([1.0, 1.5, 2.0], k)
+        done = _spg(prob, project, _starts(prob, project, inits, bounds), 60)
         for i in range(k):
-            prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
-            one, pg_one, why_one = _spg(prob, project, _spg_state(prob, s[i:i + 1]), 60)
-            for a, b in zip(state, one):
-                assert np.array_equal(a[i], b[0])  # slopes, values, energy, ...
-            assert (pg[i], why[i]) == (pg_one[0], why_one[0])
-            energy_evals += prob.energy_evals
-            gradient_evals += prob.gradient_evals
-        assert (together.energy_evals, together.gradient_evals) == (energy_evals, gradient_evals)
+            one = _spg(prob, project, _starts(prob, project, inits[i:i + 1], bounds[i:i + 1]), 60)
+            for a, b in zip(done, one, strict=True):
+                # slopes, ..., bound, evaluation counts, residual, stop reason
+                assert np.array_equal(a[i], b[0])
         if spec is not V_SQUARED:  # whose starts all converge in 2 iterations
-            assert set(why.tolist()) == {"converged", "max_iters"}
+            assert set(done[-1].tolist()) == {"converged", "max_iters"}
+            assert len(set(bounds.tolist())) > 1
+
+    def test_bound_grid_equals_a_chain_of_one_bound_calls(self):
+        # each bound's answer is that of a one-bound call whose last extra
+        # start is the previous bound's answer: values, energy and every
+        # MinimizeInfo field, bit for bit
+        spec, mesh = catalog("mania"), uniform_mesh(0, 1, 60)
+        max_iters, restarts = 8, 3
+        grid = minimize_bounded(spec, mesh, [9.0, 3.0, 5.0], (0.0, 1.0), restarts=restarts,
+                                seed=11, max_iters=max_iters)
+        assert all(traj.lipschitz_constant <= M for M, (traj, _, _) in zip((3, 5, 9), grid))
+        warm, polished = [], 0
+        for M, (traj, e, info) in zip((3.0, 5.0, 9.0), grid):
+            [(one, e_one, info_one)] = minimize_bounded(
+                spec, mesh, [M], (0.0, 1.0), restarts=restarts, seed=11,
+                max_iters=max_iters, extra_inits=warm)
+            assert np.array_equal(traj.values, one.values)
+            assert (e, info) == (e_one, info_one)
+            # more iterations than the starts' budgets: the winner was polished
+            polished += info.iterations > (1 + len(warm) + restarts) * max_iters
+            warm = [traj]
+        assert polished
+
+
