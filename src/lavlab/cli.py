@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,6 +81,8 @@ class Setting:
         setting's type; the value must already be of that type."""
         is_list = isinstance(value, (list, tuple))
         items = value if self.grid and is_list else [value]
+        if any(isinstance(x, float) and math.isnan(x) for x in items):
+            raise ConfigError(f"{self.key} must not be NaN: {value!r}")
         try:
             ok = is_list == self.grid and all(
                 type(x) is not bool and self.cast(x) == x for x in items)
@@ -124,9 +127,11 @@ K_GRID = Setting("k_grid", "--k", float, grid=True, help="comma-separated k grid
 N_GRID = Setting("n_grid", "--n", int, grid=True, help="comma-separated mesh sizes")
 M_GRID = Setting("M_grid", "--M", float, grid=True, help="comma-separated slope bounds")
 RESTARTS = Setting("restarts", "--restarts", int, 8, check=_at_least(0),
-                   help="seeded restarts per row of the scan")
+                   help="seeded restarts per slope bound: the straight line plus a "
+                        "random 8-mode sine series, the same function on every mesh")
 SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_at_least(0),
-               help="64-bit seed of the restarts")
+               help="64-bit seed of the restarts; with the bound M it keys "
+                    "their sine coefficients")
 JOBS = Setting("jobs", "--jobs", int, 1, check=_at_least(1),
                help="parallel mesh-size groups")
 FORMAT = Setting("format", "--format", str, "json", check=_one_of(("json", "csv")),

@@ -99,6 +99,7 @@ _SPG_GAMMA = 1e-4
 _SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
 _SPG_SIGMA = (0.1, 0.9)
 _BATCH = 2 ** 13  # samples per batched call: 64 KiB temporaries, under malloc's mmap cut
+_MODES = 8  # sine modes of a restart's perturbation
 
 
 class _SlopeSet:
@@ -359,6 +360,31 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
     return [*final, residual, reason]
 
 
+def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
+    """`count` smooth perturbations at the nodes, one per row, for the
+    restarts at slope bound M.
+
+    Each is sum_k c_k sin(k pi x) over the first _MODES modes, with
+    x = (t - a)/(b - a), c_k ~ N(0, 1)/k and a scale ~ U(0.2, 1), and is 0
+    exactly at both ends.  The draws are keyed by (seed, int(M * 1e6)) and
+    not by the mesh, so the j-th perturbation at M is one function sampled
+    on every mesh, and its slopes stay bounded as the mesh is refined.  The
+    modes are summed left to right, with no BLAS call.
+    """
+    k = np.arange(1, _MODES + 1)
+    x = (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
+    modes = np.sin(np.pi * k[:, None] * x)
+    rng = np.random.default_rng([seed, int(M * 1e6)])
+    out = np.zeros((count, x.size))
+    for row in out:
+        coef = rng.standard_normal(_MODES) / k
+        for c, mode in zip(coef, modes):
+            row += c * mode
+        row *= rng.uniform(0.2, 1.0)
+    out[:, [0, -1]] = 0.0
+    return out
+
+
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
                      boundary: tuple[float | None, float], restarts: int = 8,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
@@ -377,10 +403,12 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
 
     Starts at each bound: the straight line (flat at B in one-endpoint mode),
     each of `extra_inits`, the warm start (the previous bound's answer; none
-    at the first bound), and `restarts` smooth perturbations of the first,
-    seeded by (seed, n, int(M * 1e6)).  A start that already satisfies the
-    constraints (exact endpoints, Lipschitz constant <= M) is used as given,
-    so its energy is a candidate unchanged; others are projected.  Every
+    at the first bound), and `restarts` perturbations of the first by
+    low-frequency sine series that vanish at both ends (`_perturbations`),
+    seeded by (seed, int(M * 1e6)), so that they are the same functions on
+    every mesh.  A start that already satisfies the constraints (exact
+    endpoints, Lipschitz constant <= M) is used as given, so its energy is
+    a candidate unchanged; others are projected.  Every
     start runs for up to `max_iters` iterations, and each bound's best (the
     first of equals, in the order above) then runs on, if capped, until its
     projected-gradient residual falls below 1e-8 (or 20 * max_iters more
@@ -415,13 +443,8 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
     amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
     inits: list[np.ndarray] = []
     for M in bounds:
-        rng = np.random.default_rng([seed, n, int(M * 1e6)])
         inits += known
-        for _ in range(restarts):
-            bumps = rng.standard_normal(n + 1)
-            bumps[0] = bumps[-1] = 0.0
-            smooth = np.convolve(bumps, np.ones(5) / 5.0, mode="same")
-            inits.append(base + amp0 * rng.uniform(0.2, 1.0) * smooth)
+        inits += list(base + amp0 * _perturbations(mesh, M, restarts, seed))
     per = len(known) + restarts
     stack = _spg(prob, project, _starts(prob, project, inits, np.repeat(bounds, per)), max_iters)
 

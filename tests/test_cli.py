@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -335,10 +336,25 @@ class TestSettings:
         (["energy", "--lagrangian", "mania", "--exact", "sqrt", "--n", "0"], "n must be >= 1"),
         (["repar", "--lagrangian", "mania", "--exact", "sqrt", "--k", ""], "non-empty --k"),
         (["gap-scan", "--n", "10", "--M", "inf"], "slope bounds must be finite"),
+        (["gap-scan", "--n", "10", "--M", "nan"], "M_grid must not be NaN: (nan,)"),
+        (["gap-scan", "--n", "10", "--M", "4,nan"], "M_grid must not be NaN: (4.0, nan)"),
+        (["energy", "--lagrangian", "mania", "--exact", "cuberoot", "--tol", "nan"],
+         "tol must not be NaN: nan"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, argv, key, value", [
+        ("gap-scan", ["--n", "10"], "M_grid", [4.0, math.nan]),
+        ("energy", ["--lagrangian", "mania", "--exact", "cuberoot"], "tol", math.nan),
+        ("energy", ["--lagrangian", "mania", "--exact", "cuberoot"], "n", math.nan)])
+    def test_config_file_nan_exits_2(self, name, argv, key, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))  # json writes NaN
+        assert "NaN" in cfg.read_text()
+        assert main([name, *argv, "--config", str(cfg)]) == 2
+        assert f"{key} must not be NaN" in capsys.readouterr().err
 
     def test_config_file_names_the_subcommand_it_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,12 +5,13 @@ import pytest
 
 from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     LagrangianSpec, Mesh, Trajectory, avoidance_demo, catalog,
-                    cuberoot_truncation, energy, graded_mesh,
+                    cuberoot_truncation, energy, gapscan, graded_mesh,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
 from lavlab.functional import cell_energies
-from lavlab.gapscan import _BATCH, _SlopeProblem, _SlopeSet, _spg, _starts
+from lavlab.gapscan import (_BATCH, _SlopeProblem, _SlopeSet, _perturbations,
+                            _spg, _starts)
 
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -342,9 +343,20 @@ class TestSPGDiagnostics:
         assert approx == pytest.approx(exact, rel=1e-6)
 
 
-def test_c7_rows_are_stationary():
+def test_c7_rows_are_stationary(monkeypatch):
+    # every start of every stack converges, not only each row's winner
+    stops = []
+
+    def spg(*args):
+        done = _spg(*args)
+        stops.extend(done[-1].tolist())
+        return done
+
+    monkeypatch.setattr(gapscan, "_spg", spg)
     report = mania_two_endpoint_scan([100, 200, 500], [5, 10, 20],
                                      restarts=8, seed=DEFAULT_SEED)
+    # 3 meshes x 3 bounds x (straight line + 8 restarts), then 2 warm starts per mesh
+    assert stops == ["converged"] * (81 + 6)
     for row in report.rows:
         assert row.stop_reason == "converged", row
         assert row.pg_residual <= 1e-6, row
@@ -354,6 +366,27 @@ def test_c7_rows_are_stationary():
     for n in (100, 200, 500):
         energies = [r.best_energy for r in report.rows if r.mesh_n == n]
         assert energies == sorted(energies, reverse=True)
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("mesh", [uniform_mesh(0, 1, 100), graded_mesh(-0.3, 2.1, 37, 2.0)],
+                             ids=["uniform", "graded"])
+    def test_restarts_keep_both_endpoints_exactly(self, mesh):
+        for M in (5.0, 20.0):
+            wave = _perturbations(mesh, M, 8, DEFAULT_SEED)
+            assert wave.shape == (8, mesh.n_cells + 1)
+            assert np.all(wave[:, [0, -1]] == 0.0)
+            assert np.all(np.abs(wave[:, 1:-1]).max(axis=-1) > 0.0)
+
+    def test_restart_is_one_function_on_every_mesh(self):
+        coarse, fine = uniform_mesh(0, 1, 100), uniform_mesh(0, 1, 500)
+        assert np.array_equal(coarse.nodes, fine.nodes[::5])
+        for M in (5.0, 10.0, 20.0):
+            a = _perturbations(coarse, M, 8, DEFAULT_SEED)
+            b = _perturbations(fine, M, 8, DEFAULT_SEED)
+            assert np.max(np.abs(a - b[:, ::5])) <= 1e-12
+        assert not np.array_equal(_perturbations(coarse, 5.0, 1, DEFAULT_SEED),
+                                  _perturbations(coarse, 10.0, 1, DEFAULT_SEED))
 
 
 class TestLockstep:
