@@ -122,7 +122,8 @@ POWER = Setting("power", "--power", float, 1.0, check=_at_least(1),
 ORDER = Setting("order", "--order", int, DEFAULT_ORDER, check=_at_least(1),
                 help="Gauss points per cell; the weights sum to exactly 2 at "
                      "orders 1-8, within 6 eps beyond")
-TOL = Setting("tol", "--tol", float, 1e-6, help="refinement tolerance for --exact")
+TOL = Setting("tol", "--tol", float, 1e-6, check=_at_least(0),
+              help="refinement tolerance for --exact")
 K_GRID = Setting("k_grid", "--k", float, grid=True, help="comma-separated k grid")
 N_GRID = Setting("n_grid", "--n", int, grid=True, help="comma-separated mesh sizes")
 M_GRID = Setting("M_grid", "--M", float, grid=True, help="comma-separated slope bounds")
@@ -132,8 +133,6 @@ RESTARTS = Setting("restarts", "--restarts", int, 8, check=_at_least(0),
 SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_at_least(0),
                help="64-bit seed of the restarts; with the bound M it keys "
                     "their sine coefficients")
-JOBS = Setting("jobs", "--jobs", int, 1, check=_at_least(1),
-               help="parallel mesh-size groups")
 FORMAT = Setting("format", "--format", str, "json", check=_one_of(("json", "csv")),
                  help="write the JSON report (json) or the CSV rows (csv) to --out")
 
@@ -354,7 +353,7 @@ def _run_necessary(config: dict) -> tuple[dict, Callable, Callable]:
 def _run_gap_scan(config: dict) -> tuple[dict, Callable, None]:
     report = gapscan.mania_two_endpoint_scan(
         config["n_grid"], config["M_grid"], restarts=config["restarts"],
-        seed=config["seed"], order=config["order"], jobs=config["jobs"])
+        seed=config["seed"], order=config["order"])
     return {"report": report.to_json_dict()}, report.rows_to_csv, None
 
 
@@ -379,7 +378,7 @@ COMMANDS: dict[str, Command] = {c.name: c for c in (
     Command("necessary-check", "Euler-Lagrange and constancy residuals",
             _run_necessary, (LAGRANGIAN, TRAJECTORY, FORMAT)),
     Command("gap-scan", "bounded-slope scan of Mania's problem", _run_gap_scan,
-            (N_GRID, M_GRID, RESTARTS, SEED, ORDER, JOBS, FORMAT)),
+            (N_GRID, M_GRID, RESTARTS, SEED, ORDER, FORMAT)),
     Command("demo", "avoidance sweep for sqrt_chain on sqrt(t)", _run_demo,
             (N, replace(POWER, default=2.0), ORDER,
              replace(K_GRID, default=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0)))),

@@ -89,8 +89,6 @@ def cuberoot_truncation(n: int, tail_power: float = 3.0) -> Trajectory:
 
 # Stop once the projected-gradient residual (in slope units) is this small.
 _PG_TOL = 1e-8
-# The winning start may run this many times max_iters on to stationarity.
-_POLISH_FACTOR = 20
 # Nonmonotone SPG (Birgin, Martinez & Raydan 2000): reference window,
 # sufficient-decrease constant, spectral step safeguards, and the
 # interpolation bracket of the backtracking.
@@ -155,11 +153,10 @@ class MinimizeInfo:
     """How `minimize_bounded` obtained its answer at one slope bound.
 
     `iterations`, `energy_evals` and `gradient_evals` are totals over that
-    bound's starts, the warm start and any polish included; `pg_residual`
-    and `stop_reason` belong to the returned trajectory: "converged"
-    (residual <= tolerance), "max_iters" (iteration cap) or "stalled" (the
-    line search could not decrease the energy, or the gradient is not
-    finite).
+    bound's starts, the warm start included; `pg_residual` and `stop_reason`
+    belong to the returned trajectory: "converged" (residual <= tolerance),
+    "max_iters" (iteration cap) or "stalled" (the line search could not
+    decrease the energy, or the gradient is not finite).
     """
 
     iterations: int
@@ -257,15 +254,24 @@ class _SlopeProblem:
                                for r in range(0, len(y), self.rows)])
 
 
-def _starts(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
-            M: np.ndarray) -> list[np.ndarray]:
-    """The SPG state of starts given by their nodal values, one per row of
-    `inits`, each under its own slope bound M.
+def _spg(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
+         M: np.ndarray, budget: int) -> list[np.ndarray]:
+    """Nonmonotone spectral projected gradient (Birgin, Martinez & Raydan
+    2000) on a stack of starts given by their nodal values, one per row of
+    `inits`, each under its own slope bound M and for at most `budget`
+    iterations.
 
     A start that already satisfies the constraints (exact endpoints,
     Lipschitz constant <= M) is used as given; others are projected onto
     |s| <= M (1 - 1e-12).  Each start's energy and gradient count one
-    evaluation.
+    evaluation.  The rows advance in lockstep and leave as they converge,
+    stall or spend the budget; no sum mixes rows, so a row ends with the
+    bits and counts of its start run alone, whatever its stack.  Returns
+    each row's state as it stopped: slopes, nodal values, energy, gradient,
+    Barzilai-Borwein step, the last _SPG_MEMORY accepted energies (-inf
+    where unused; the backtracking reference is their maximum), iterations,
+    the slope bound it was projected onto, energy and gradient evaluations,
+    projected-gradient residual and stop reason.
     """
     y = np.array(inits, dtype=float)
     m = M * (1.0 - 1e-12)
@@ -275,31 +281,12 @@ def _starts(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
     s[moved] = project(s[moved], m[moved])
     y[moved] = prob.values(s[moved])
     e = prob.energies(y)
+    h, k = prob.h, e.size
     memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
-    once = np.ones(e.size, dtype=int)
-    return [s, y, e, prob.gradients(y), np.full(e.size, np.nan), memory,
-            np.zeros(e.size, dtype=int), m, once, once.copy()]
-
-
-def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
-         budget: int) -> list[np.ndarray]:
-    """Nonmonotone spectral projected gradient on a stack of starts, each
-    for at most `budget` more iterations (Birgin, Martinez & Raydan 2000).
-
-    `state` (see `_starts`) has one row per start: slopes, nodal values,
-    energy, gradient, Barzilai-Borwein step (NaN before the first), the last
-    _SPG_MEMORY accepted energies (-inf where unused; the backtracking
-    reference is their maximum), iterations so far, the slope bound the row
-    is projected onto, and energy and gradient evaluations so far.  The rows
-    advance in lockstep and leave as they converge, stall or spend the
-    budget; no sum mixes rows, so a row ends with the bits and counts of its
-    start run alone, whatever its stack.  Returns the state as each row
-    stopped, with two more columns: the projected-gradient residual and the
-    stop reason.
-    """
-    h, k = prob.h, len(state[2])
-    final, residual, reason = [np.empty_like(a) for a in state], np.empty(k), np.empty(k, "<U9")
-    st = [np.arange(k), *(a.copy() for a in state), state[6] + budget]
+    once = np.ones(k, dtype=int)
+    st = [np.arange(k), s, y, e, prob.gradients(y), np.full(k, np.nan), memory,
+          np.zeros(k, dtype=int), m, once, once.copy()]
+    final, residual, reason = [np.empty_like(a) for a in st[1:]], np.empty(k), np.empty(k, "<U9")
 
     def settle(stop: np.ndarray, why, res: np.ndarray) -> np.ndarray:  # rows leave
         gone = st[0][stop]
@@ -310,17 +297,17 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
         return ~stop
 
     while st[0].size:
-        _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
+        _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
         bad = ~(np.isfinite(e) & np.isfinite(g).all(axis=-1))
         pg = np.abs(project(np.where(bad[:, None], s, s - g), m) - s).max(axis=-1)
         pg[bad] = np.inf
-        stop = bad | (pg <= _PG_TOL) | (iters == limit)
+        stop = bad | (pg <= _PG_TOL) | (iters == budget)
         if stop.any():
             why = np.select([bad, pg <= _PG_TOL], ["stalled", "converged"], "max_iters")
             pg = pg[settle(stop, why[stop], pg)]
             if not pg.size:
                 break
-            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
+            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
         st[5] = step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
         d = project(s - step[:, None] * g, m) - s
         slope, ref = _total(h * g * d), memory.max(axis=-1)
@@ -347,7 +334,7 @@ def _spg(prob: _SlopeProblem, project: Callable, state: Sequence[np.ndarray],
             if not keep.any():
                 continue
             s_new, y_new, e_new = s_new[keep], y_new[keep], e_new[keep]
-            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals, limit = st
+            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
         g_new = prob.gradients(y_new)
         g_evals += 1
         ds, dg = s_new - s, g_new - g
@@ -388,7 +375,7 @@ def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
                      boundary: tuple[float | None, float], restarts: int = 8,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
-                     max_iters: int = 150,
+                     max_iters: int = 3150,
                      extra_inits: Sequence[Trajectory] = ()
                      ) -> list[tuple[Trajectory, float, MinimizeInfo]]:
     """Best slope-bounded trajectory at each bound M of a grid, by spectral
@@ -408,15 +395,14 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
     seeded by (seed, int(M * 1e6)), so that they are the same functions on
     every mesh.  A start that already satisfies the constraints (exact
     endpoints, Lipschitz constant <= M) is used as given, so its energy is
-    a candidate unchanged; others are projected.  Every
-    start runs for up to `max_iters` iterations, and each bound's best (the
-    first of equals, in the order above) then runs on, if capped, until its
-    projected-gradient residual falls below 1e-8 (or 20 * max_iters more
-    iterations pass).  The starts known in advance, those of every bound, run
-    as one lockstep stack; each warm start and each polish runs alone once
-    the previous bound is decided.  A start's result does not depend on its
-    stack, so each bound's answer is that of a one-bound call given the
-    previous answer as its last `extra_inits`.
+    a candidate unchanged; others are projected.  Every start runs once,
+    until its projected-gradient residual falls below 1e-8 or for
+    `max_iters` iterations, and each bound's answer is its best start (the
+    first of equals, in the order above).  The starts known in advance,
+    those of every bound, run as one lockstep stack; each warm start runs
+    alone once the previous bound is decided.  A start's result does not
+    depend on its stack, so each bound's answer is that of a one-bound call
+    given the previous answer as its last `extra_inits`.
 
     Each energy is that of `energy(spec, trajectory, order)`, bit for bit.
     """
@@ -429,6 +415,8 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         raise ArgumentError("need at least one slope bound")
     if bounds[0] <= 0:
         raise ArgumentError("slope bounds must be positive")
+    if max_iters < 0:
+        raise ArgumentError(f"max_iters must be >= 0, got {max_iters}")
     if A is not None and bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
         raise ArgumentError(
             f"bound M={bounds[0]} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
@@ -446,23 +434,17 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         inits += known
         inits += list(base + amp0 * _perturbations(mesh, M, restarts, seed))
     per = len(known) + restarts
-    stack = _spg(prob, project, _starts(prob, project, inits, np.repeat(bounds, per)), max_iters)
+    stack = _spg(prob, project, inits, np.repeat(bounds, per), max_iters)
 
     out: list[tuple[Trajectory, float, MinimizeInfo]] = []
     for j, M in enumerate(bounds):
         rows = [a[j * per:(j + 1) * per] for a in stack]
         if out:  # the warm start goes after the known starts
-            warm = _spg(prob, project, _starts(prob, project, [out[-1][0].values],
-                                               np.array([M])), max_iters)
+            warm = _spg(prob, project, [out[-1][0].values], np.array([M]), max_iters)
             rows = [np.concatenate((a[:len(known)], b, a[len(known):]))
                     for a, b in zip(rows, warm)]
-        best = int(np.argmin(rows[2]))
-        if rows[-1][best] == "max_iters":
-            polished = _spg(prob, project, [a[best:best + 1] for a in rows[:-2]],
-                            _POLISH_FACTOR * max_iters)
-            for a, b in zip(rows, polished):
-                a[best] = b[0]
         _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = rows
+        best = int(np.argmin(e))
         info = MinimizeInfo(iterations=int(iters.sum()), energy_evals=int(e_evals.sum()),
                             gradient_evals=int(g_evals.sum()),
                             pg_residual=float(pg[best]), stop_reason=str(why[best]))
@@ -520,20 +502,9 @@ def mania_reference_energy(order: int = DEFAULT_ORDER, tol: float = 1e-6) -> flo
     return energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=tol).value
 
 
-def _scan_mesh_group(args: tuple) -> list[GapRow]:
-    """One mesh size, all bounds ascending with warm starts.  Module-level so
-    process pools can pickle it."""
-    n, M_grid, restarts, seed, order = args
-    found = minimize_bounded(catalog("mania"), uniform_mesh(0.0, 1.0, int(n)), M_grid,
-                             (0.0, 1.0), restarts=restarts, seed=seed, order=order)
-    return [GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info))
-            for M, (_, e, info) in zip(sorted(float(m) for m in M_grid), found)]
-
-
 def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
                             restarts: int = 8, seed: int = DEFAULT_SEED,
-                            order: int = DEFAULT_ORDER,
-                            jobs: int = 1) -> GapReport:
+                            order: int = DEFAULT_ORDER) -> GapReport:
     """Bounded-slope minimization of Mania's problem with both endpoints.
 
     For each mesh size one `minimize_bounded` call scans the bound grid in
@@ -542,19 +513,15 @@ def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
     is a candidate unchanged and the best energy is non-increasing in the
     bound by construction.  Each row carries the optimizer's stop reason and
     projected-gradient residual.
-    Mesh sizes are independent jobs; with jobs > 1 they run in a process
-    pool, and the report is assembled in grid order either way.
     """
     if not n_grid or not M_grid:
         raise ArgumentError("grids must be non-empty")
-    groups = [(int(n), tuple(M_grid), restarts, seed, order) for n in n_grid]
-    if jobs > 1 and len(groups) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            per_group = list(pool.map(_scan_mesh_group, groups))
-    else:
-        per_group = [_scan_mesh_group(g) for g in groups]
-    rows = [row for group in per_group for row in group]
+    bounds, rows = sorted(float(M) for M in M_grid), []
+    for n in n_grid:
+        found = minimize_bounded(catalog("mania"), uniform_mesh(0.0, 1.0, int(n)), bounds,
+                                 (0.0, 1.0), restarts=restarts, seed=seed, order=order)
+        rows += [GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info))
+                 for M, (_, e, info) in zip(bounds, found)]
     reference = mania_reference_energy(order=order)
     floor = min(r.best_energy for r in rows)
     return GapReport(rows=tuple(rows), floor_estimate=floor,

@@ -10,8 +10,7 @@ from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
 from lavlab.functional import cell_energies
-from lavlab.gapscan import (_BATCH, _SlopeProblem, _SlopeSet, _perturbations,
-                            _spg, _starts)
+from lavlab.gapscan import _BATCH, _SlopeProblem, _SlopeSet, _perturbations, _spg
 
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -33,6 +32,12 @@ class TestMinimizeBounded:
     def test_non_finite_or_empty_bound_grid_rejected(self, bounds, message):
         with pytest.raises(ArgumentError, match=message):
             minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 8), bounds, (0.0, 1.0))
+
+    def test_negative_iteration_cap_rejected(self):
+        # a negative cap would never be reached and so would lift the cap
+        with pytest.raises(ArgumentError, match="max_iters must be >= 0"):
+            minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 8), [2.0], (0.0, 1.0),
+                             max_iters=-1)
 
     def test_slope_bound_respected_exactly(self):
         spec = catalog("quartic_plus_square")
@@ -403,9 +408,9 @@ class TestLockstep:
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
         inits = prob.values(1.0 + np.cumsum(rng.normal(0.0, 0.3, (k, 200)), axis=-1))
         bounds = M * rng.choice([1.0, 1.5, 2.0], k)
-        done = _spg(prob, project, _starts(prob, project, inits, bounds), 60)
+        done = _spg(prob, project, inits, bounds, 60)
         for i in range(k):
-            one = _spg(prob, project, _starts(prob, project, inits[i:i + 1], bounds[i:i + 1]), 60)
+            one = _spg(prob, project, inits[i:i + 1], bounds[i:i + 1], 60)
             for a, b in zip(done, one, strict=True):
                 # slopes, ..., bound, evaluation counts, residual, stop reason
                 assert np.array_equal(a[i], b[0])
@@ -422,16 +427,15 @@ class TestLockstep:
         grid = minimize_bounded(spec, mesh, [9.0, 3.0, 5.0], (0.0, 1.0), restarts=restarts,
                                 seed=11, max_iters=max_iters)
         assert all(traj.lipschitz_constant <= M for M, (traj, _, _) in zip((3, 5, 9), grid))
-        warm, polished = [], 0
+        warm = []
         for M, (traj, e, info) in zip((3.0, 5.0, 9.0), grid):
             [(one, e_one, info_one)] = minimize_bounded(
                 spec, mesh, [M], (0.0, 1.0), restarts=restarts, seed=11,
                 max_iters=max_iters, extra_inits=warm)
             assert np.array_equal(traj.values, one.values)
             assert (e, info) == (e_one, info_one)
-            # more iterations than the starts' budgets: the winner was polished
-            polished += info.iterations > (1 + len(warm) + restarts) * max_iters
+            # one run per start, none past the iteration cap
+            assert info.iterations <= (1 + len(warm) + restarts) * max_iters
             warm = [traj]
-        assert polished
 
 
