@@ -177,11 +177,11 @@ def _load_trajectory(path: str) -> Trajectory:
         raise ConfigError(f"trajectory file not found: {path}")
     try:
         if p.suffix.lower() == ".csv":
-            with open(p, newline="") as f:
+            with open(p, newline="", encoding="utf-8") as f:
                 return Trajectory.from_csv(f)
-        with open(p) as f:
+        with open(p, encoding="utf-8") as f:
             return Trajectory.from_json_dict(json.load(f))
-    except (ArgumentError, json.JSONDecodeError) as exc:
+    except (ArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"trajectory file {path}: {exc}") from None
 
 
@@ -473,8 +473,8 @@ def _read_config_file(path: str, name: str) -> dict[str, Any]:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")

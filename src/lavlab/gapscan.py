@@ -101,10 +101,10 @@ _MODES = 8  # sine modes of a restart's perturbation
 
 
 class _SlopeSet:
-    """The feasible slopes {|s| <= m, h.s = c}, or the box alone when c is
-    None, with the exact projection onto them in the h-weighted metric."""
+    """The feasible slopes {|s| <= m, h.s = c}, with the exact projection
+    onto them in the h-weighted metric."""
 
-    def __init__(self, h: np.ndarray, c: float | None):
+    def __init__(self, h: np.ndarray, c: float):
         self.h, self.c = h, c
         self.width = _total(h)
         self.signed_h = np.concatenate((h, -h))
@@ -122,8 +122,6 @@ class _SlopeSet:
         """
         rows = u.reshape(-1, u.shape[-1])
         m = np.broadcast_to(m, rows.shape[:1])[:, None]  # each row's bound, as a column
-        if self.c is None:
-            return np.clip(rows, -m, m).reshape(u.shape)
         out = rows - ((_total(self.h * rows) - self.c) / self.width)[:, None]
         hit = np.flatnonzero(np.abs(out).max(axis=-1) > m[:, 0])  # rows with an active bound
         chunk = max(1, _BATCH // (2 * rows.shape[-1]))
@@ -167,86 +165,67 @@ class MinimizeInfo:
 
 
 class _SlopeProblem:
-    """Quadrature energy as a function of the cell slopes s.
+    """Quadrature energy as a function of the cell slopes s, with both
+    endpoints pinned: nodal values y_i = A + sum_{j<i} h_j s_j, and y_n = B.
 
-    Nodal values are y_i = A + sum_{j<i} h_j s_j with y_n pinned to B (two
-    endpoints), or y_i = B - sum_{j>=i} h_j s_j (final endpoint only).  The
-    quadrature geometry is built once and shared by the energy and the
-    gradient, and the energy is computed from y exactly as
-    `cell_energies(spec, nodes, y, order)` does.  Rows of stacked slopes or
-    values (samples (order, rows, cells)) keep their bits.
+    Slopes and values come as stacks (rows, cells) and (rows, nodes), one
+    start per row, and their samples as (order, rows, cells).  Each row's
+    energy has the bits of `cell_energies(spec, nodes, y, order)` summed as
+    `energy` sums them, whatever its stack.  `project` is the exact
+    projection onto the feasible slopes, `_SlopeSet(h, B - A).project`.
     """
 
     def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
-                 boundary: tuple[float | None, float]):
+                 boundary: tuple[float, float]):
         self.spec = spec
         self.A, self.B = boundary
         x, self.w = _gauss(order)
         self.h = np.diff(mesh.nodes)
-        self.tq = gauss_points(mesh.nodes, self.h, x)
-        self.offsets = self.tq - mesh.nodes[:-1]  # from each left node
-        self.rows = max(1, _BATCH // self.tq.size)  # starts per batched call
+        tq = gauss_points(mesh.nodes, self.h, x)
+        self.tq = tq[:, None]  # (order, 1, cells), broadcast over the rows
+        self.offsets = (tq - mesh.nodes[:-1])[:, None]  # from each left node
+        self.rows = max(1, _BATCH // tq.size)  # starts per batched call
+        self.project = _SlopeSet(self.h, self.B - self.A).project
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """Nodal values of the slopes s, with the pinned endpoints exact."""
-        y = np.empty(s.shape[:-1] + (s.shape[-1] + 1,))
-        if self.A is None:
-            y[..., :-1] = self.B - np.cumsum((self.h * s)[..., ::-1], axis=-1)[..., ::-1]
-        else:
-            y[..., 0] = self.A
-            y[..., 1:] = self.A + np.cumsum(self.h * s, axis=-1)
-        y[..., -1] = self.B
+        y = np.empty((len(s), s.shape[-1] + 1))
+        y[:, 0] = self.A
+        y[:, 1:] = self.A + np.cumsum(self.h * s, axis=-1)
+        y[:, -1] = self.B
         return y
-
-    @staticmethod
-    def _lift(a: np.ndarray, ndim: int) -> np.ndarray:  # view with ndim - 2 row axes
-        return a[(slice(None),) + (None,) * (ndim - 2)]
 
     def samples(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(yq, vq) at the Gauss points; vq is a broadcast view of the slopes."""
-        d = (y[..., 1:] - y[..., :-1]) / self.h
-        yq = d * self._lift(self.offsets, y.ndim + 1)
-        yq += y[..., :-1]
+        d = (y[:, 1:] - y[:, :-1]) / self.h
+        yq = d * self.offsets
+        yq += y[:, :-1]
         return yq, np.broadcast_to(d, yq.shape)
-
-    def cells(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-cell contributions, yq, vq): the same bits as
-        `cell_energies(spec, nodes, y, order)`, plus the samples behind them."""
-        yq, vq = self.samples(y)
-        tq = np.broadcast_to(self._lift(self.tq, yq.ndim), yq.shape)
-        contrib = cell_sums(self.spec, self.h, self.w,
-                            lambda b: (tq[..., b], yq[..., b], vq[..., b]))
-        return contrib, yq, vq
-
-    def energy(self, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-        """(total energy, yq, vq); the total is summed as `energy` does."""
-        contrib, yq, vq = self.cells(y)
-        return _total(contrib), yq, vq
 
     def gradient(self, yq: np.ndarray, vq: np.ndarray) -> np.ndarray:
         """dE/ds_j divided by h_j, i.e. the gradient in the h-weighted metric.
 
         Cell j's own samples move with s_j through y' and the offset from its
-        left node; every later cell (earlier ones in one-endpoint mode)
-        moves rigidly by -+h_j, which a cumsum of the per-cell L_y
-        integrals collects.
+        left node; every later cell moves rigidly by h_j, which a reversed
+        cumsum of the per-cell L_y integrals collects.
         """
-        tq = self._lift(self.tq, yq.ndim)
-        ly = partial_array(self.spec, 1, tq, yq, vq)
+        ly = partial_array(self.spec, 1, self.tq, yq, vq)
         rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
-        ly = ly * self._lift(self.offsets, yq.ndim)
-        ly += partial_array(self.spec, 2, tq, yq, vq)
+        ly = ly * self.offsets
+        ly += partial_array(self.spec, 2, self.tq, yq, vq)
         g = gauss_sum(ly, self.w) / 2.0
-        if self.A is None:
-            g -= np.cumsum(rigid, axis=-1)
-        else:
-            g[..., :-1] += np.cumsum(rigid[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+        g[:, :-1] += np.cumsum(rigid[:, ::-1], axis=-1)[:, ::-1][:, 1:]
         return g
 
     def energies(self, y: np.ndarray) -> np.ndarray:
         """Energies of the rows of y, evaluated `rows` rows at a time."""
-        return np.concatenate([self.energy(y[r:r + self.rows])[0]
-                               for r in range(0, len(y), self.rows)])
+        out = []
+        for r in range(0, len(y), self.rows):
+            yq, vq = self.samples(y[r:r + self.rows])
+            tq = np.broadcast_to(self.tq, yq.shape)
+            out.append(_total(cell_sums(self.spec, self.h, self.w,
+                                        lambda b: (tq[..., b], yq[..., b], vq[..., b]))))
+        return np.concatenate(out)
 
     def gradients(self, y: np.ndarray) -> np.ndarray:
         """Gradients at the rows of y, evaluated `rows` rows at a time."""
@@ -254,31 +233,31 @@ class _SlopeProblem:
                                for r in range(0, len(y), self.rows)])
 
 
-def _spg(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
-         M: np.ndarray, budget: int) -> list[np.ndarray]:
+def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
+         budget: int) -> list[np.ndarray]:
     """Nonmonotone spectral projected gradient (Birgin, Martinez & Raydan
     2000) on a stack of starts given by their nodal values, one per row of
     `inits`, each under its own slope bound M and for at most `budget`
     iterations.
 
     A start that already satisfies the constraints (exact endpoints,
-    Lipschitz constant <= M) is used as given; others are projected onto
-    |s| <= M (1 - 1e-12).  Each start's energy and gradient count one
-    evaluation.  The rows advance in lockstep and leave as they converge,
-    stall or spend the budget; no sum mixes rows, so a row ends with the
-    bits and counts of its start run alone, whatever its stack.  Returns
-    each row's state as it stopped: slopes, nodal values, energy, gradient,
-    Barzilai-Borwein step, the last _SPG_MEMORY accepted energies (-inf
-    where unused; the backtracking reference is their maximum), iterations,
-    the slope bound it was projected onto, energy and gradient evaluations,
-    projected-gradient residual and stop reason.
+    Lipschitz constant <= M) is used as given; others are projected by
+    `prob.project` onto |s| <= M (1 - 1e-12).  Each start's energy and
+    gradient count one evaluation.  The rows advance in lockstep and leave
+    as they converge, stall or spend the budget; no sum mixes rows, so a row
+    ends with the bits and counts of its start run alone, whatever its
+    stack.  Returns each row's state as it stopped: slopes, nodal values,
+    energy, gradient, Barzilai-Borwein step, the last _SPG_MEMORY accepted
+    energies (-inf where unused; the backtracking reference is their
+    maximum), iterations, the slope bound it was projected onto, energy and
+    gradient evaluations, projected-gradient residual and stop reason.
     """
     y = np.array(inits, dtype=float)
     m = M * (1.0 - 1e-12)
     s = np.diff(y) / prob.h
-    pinned = (y[:, -1] == prob.B) & ((y[:, 0] == prob.A) if prob.A is not None else True)
+    pinned = (y[:, 0] == prob.A) & (y[:, -1] == prob.B)
     moved = ~(pinned & (np.abs(s).max(axis=-1) <= M))
-    s[moved] = project(s[moved], m[moved])
+    s[moved] = prob.project(s[moved], m[moved])
     y[moved] = prob.values(s[moved])
     e = prob.energies(y)
     h, k = prob.h, e.size
@@ -299,7 +278,7 @@ def _spg(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
     while st[0].size:
         _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
         bad = ~(np.isfinite(e) & np.isfinite(g).all(axis=-1))
-        pg = np.abs(project(np.where(bad[:, None], s, s - g), m) - s).max(axis=-1)
+        pg = np.abs(prob.project(np.where(bad[:, None], s, s - g), m) - s).max(axis=-1)
         pg[bad] = np.inf
         stop = bad | (pg <= _PG_TOL) | (iters == budget)
         if stop.any():
@@ -309,7 +288,7 @@ def _spg(prob: _SlopeProblem, project: Callable, inits: Sequence[np.ndarray],
                 break
             _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
         st[5] = step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
-        d = project(s - step[:, None] * g, m) - s
+        d = prob.project(s - step[:, None] * g, m) - s
         slope, ref = _total(h * g * d), memory.max(axis=-1)
         reach, floor = np.abs(d).max(axis=-1), 1e-16 * np.maximum(1.0, np.abs(s).max(axis=-1))
         alpha, stalled = np.ones(pg.size), np.zeros(pg.size, dtype=bool)
@@ -373,7 +352,7 @@ def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
 
 
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
-                     boundary: tuple[float | None, float], restarts: int = 8,
+                     boundary: tuple[float, float], restarts: int = 8,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
                      max_iters: int = 3150,
                      extra_inits: Sequence[Trajectory] = ()
@@ -382,16 +361,16 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
     projected gradient; returns one (trajectory, energy, info) per bound, in
     ascending order of M.
 
-    The unknowns are the cell slopes s in [-M, M]^n; with both endpoints
-    pinned (A not None) they also satisfy h . s = B - A, and with A None only
-    y(b) = B is pinned.  The gradient is exact (chain rule through the Gauss
-    rule, through `partial_array`), the projection is exact (see
-    `_SlopeSet.project`), and steps are nonmonotone Barzilai-Borwein.
+    Both endpoints are pinned, y(a) = A and y(b) = B, so the unknowns are
+    the cell slopes s in [-M, M]^n with h . s = B - A.  The gradient is
+    exact (chain rule through the Gauss rule, through `partial_array`), the
+    projection is exact (see `_SlopeSet.project`), and steps are nonmonotone
+    Barzilai-Borwein.
 
-    Starts at each bound: the straight line (flat at B in one-endpoint mode),
-    each of `extra_inits`, the warm start (the previous bound's answer; none
-    at the first bound), and `restarts` perturbations of the first by
-    low-frequency sine series that vanish at both ends (`_perturbations`),
+    Starts at each bound: the straight line, each of `extra_inits`, the warm
+    start (the previous bound's answer; none at the first bound), and
+    `restarts` perturbations of the first by low-frequency sine series that
+    vanish at both ends (`_perturbations`),
     seeded by (seed, int(M * 1e6)), so that they are the same functions on
     every mesh.  A start that already satisfies the constraints (exact
     endpoints, Lipschitz constant <= M) is used as given, so its energy is
@@ -417,16 +396,15 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         raise ArgumentError("slope bounds must be positive")
     if max_iters < 0:
         raise ArgumentError(f"max_iters must be >= 0, got {max_iters}")
-    if A is not None and bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
+    if bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
         raise ArgumentError(
             f"bound M={bounds[0]} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
     for t in extra_inits:
         if not np.array_equal(t.mesh.nodes, nodes):
             raise ArgumentError("extra_inits must live on the scan mesh")
     prob = _SlopeProblem(spec, mesh, order, boundary)
-    project = _SlopeSet(prob.h, None if A is None else B - A).project
 
-    base = np.full(n + 1, B) if A is None else A + (B - A) * (nodes - mesh.a) / span
+    base = A + (B - A) * (nodes - mesh.a) / span
     known = [base, *(t.values for t in extra_inits)]
     amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
     inits: list[np.ndarray] = []
@@ -434,13 +412,13 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         inits += known
         inits += list(base + amp0 * _perturbations(mesh, M, restarts, seed))
     per = len(known) + restarts
-    stack = _spg(prob, project, inits, np.repeat(bounds, per), max_iters)
+    stack = _spg(prob, inits, np.repeat(bounds, per), max_iters)
 
     out: list[tuple[Trajectory, float, MinimizeInfo]] = []
     for j, M in enumerate(bounds):
         rows = [a[j * per:(j + 1) * per] for a in stack]
         if out:  # the warm start goes after the known starts
-            warm = _spg(prob, project, [out[-1][0].values], np.array([M]), max_iters)
+            warm = _spg(prob, [out[-1][0].values], np.array([M]), max_iters)
             rows = [np.concatenate((a[:len(known)], b, a[len(known):]))
                     for a, b in zip(rows, warm)]
         _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = rows

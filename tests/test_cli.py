@@ -149,11 +149,12 @@ class TestMainInProcess:
         ("not_an_object.json", "[0, 1]", "TypeError"),
         ("ragged.json", '{"nodes": [[0], [1, 2]], "values": [0, 1]}', "ValueError"),
         ("bad_syntax.json", '{"nodes": [0, 1],', "Expecting"),
+        ("not_utf8.csv", b"t,y\n0,0\n0.5,\xff\xfe\n1,1\n", "can't decode byte 0xff"),
     ])
     def test_malformed_trajectory_file_exits_2(self, tmp_path, capsys,
                                                name, text, detail):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["energy", "--lagrangian", "sqrt_chain",
                      "--trajectory", str(path)]) == 2
         err = capsys.readouterr().err
@@ -357,6 +358,20 @@ class TestSettings:
         assert "NaN" in cfg.read_text()
         assert main([name, *argv, "--config", str(cfg)]) == 2
         assert f"{key} must not be NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, detail", [
+        (None, "not found"),
+        (b'{"n": 3', "Expecting"),
+        (b'[{"n": 3}]', "expected a JSON object"),
+        (b'\xff{"n": 3}', "can't decode byte 0xff")],
+        ids=["missing", "bad_syntax", "list", "not_utf8"])
+    def test_malformed_config_file_exits_2(self, content, detail, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["demo", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and str(cfg) in err and detail in err
 
     def test_config_file_names_the_subcommand_it_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
-from lavlab.functional import cell_energies
+from lavlab.functional import _total, cell_energies
 from lavlab.gapscan import _BATCH, _SlopeProblem, _SlopeSet, _perturbations, _spg
 
 
@@ -57,13 +57,6 @@ class TestMinimizeBounded:
                                    restarts=4, seed=5,
                                    extra_inits=[sawtooth(8)])[0]
         assert e <= witness + 1e-12
-
-    def test_one_endpoint_mode_leaves_start_free(self):
-        # pin only y(1) = 1; the flat profile y = 1 has zero kinetic energy
-        traj, e, _ = minimize_bounded(V_SQUARED, uniform_mesh(0, 1, 16), [2.0],
-                                      (None, 1.0), restarts=2, seed=7)[0]
-        assert e == pytest.approx(0.0, abs=1e-10)
-        assert traj.values[-1] == 1.0
 
     def test_bound_monotonicity_with_warm_starts(self):
         spec = catalog("mania")
@@ -181,10 +174,8 @@ def _random_mesh(rng, n):
 
 
 def _unpinned_values(boundary, h, s):
-    """Nodal values of the slopes s, built from the pinned end only."""
-    A, B = boundary
-    if A is None:
-        return np.append(B - np.cumsum((h * s)[::-1])[::-1], B)
+    """Nodal values of the slopes s, built from y(a) = A only."""
+    A, _ = boundary
     return np.concatenate([[A], A + np.cumsum(h * s)])
 
 
@@ -193,16 +184,16 @@ class TestSlopeGradient:
                                       catalog("quartic_plus_square"),
                                       V_SQUARED, NO_PARTIALS_MANIA],
                              ids=lambda s: s.id)
-    @pytest.mark.parametrize("boundary", [(0.0, 1.0), (None, 1.0)],
-                             ids=["two_endpoint", "one_endpoint"])
+    @pytest.mark.parametrize("boundary", [(0.0, 1.0), (-0.5, 0.25)],
+                             ids=["two_endpoint", "two_endpoint_shifted"])
     def test_matches_central_differences(self, spec, boundary):
         rng = np.random.default_rng(5)
         mesh = _random_mesh(rng, 12)
         h = mesh.widths
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
         s = rng.uniform(-2.0, 2.0, h.size)
-        _, yq, vq = prob.energy(_unpinned_values(boundary, h, s))
-        grad = prob.gradient(yq, vq) * h  # the h-metric gradient times h is dE/ds
+        y = _unpinned_values(boundary, h, s)
+        grad = prob.gradients(y[None])[0] * h  # the h-metric gradient times h is dE/ds
 
         def objective(slopes):
             y = _unpinned_values(boundary, h, slopes)
@@ -291,11 +282,6 @@ class TestSlopeProjection:
         assert mixed >= 30
         assert tall >= 20
 
-    def test_one_endpoint_set_is_the_box(self):
-        u = np.array([-3.0, -0.5, 0.0, 2.5])
-        s = _SlopeSet(np.ones(4), None).project(u, 1.0)
-        assert s.tolist() == [-1.0, -0.5, 0.0, 1.0]
-
     def test_unclipped_shift(self):
         h = np.array([0.25, 0.25, 0.5])
         s = _SlopeSet(h, 1.0).project(np.array([1.0, 2.0, 3.0]), 10.0)
@@ -305,13 +291,21 @@ class TestSlopeProjection:
 
 class TestSPGDiagnostics:
     def test_energy_is_cell_energies_bit_for_bit(self):
+        # a stack taller than one batch: the found trajectory, the straight
+        # line and noisy rows each get the energy of `cell_energies` summed
+        # as `energy` sums it
         spec = catalog("mania")
-        mesh = _random_mesh(np.random.default_rng(3), 40)
+        rng = np.random.default_rng(3)
+        mesh = _random_mesh(rng, 40)
         traj, e, _ = minimize_bounded(spec, mesh, [6.0], (0.0, 1.0), restarts=1)[0]
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
-        contrib, _, _ = prob.cells(traj.values)
-        assert np.array_equal(contrib, cell_energies(spec, mesh.nodes, traj.values))
-        assert e == energy(spec, traj).value
+        noise = rng.normal(0.0, 0.2, (prob.rows + 3, mesh.nodes.size))
+        stack = np.vstack([traj.values, mesh.nodes, traj.values + noise])
+        got = prob.energies(stack)
+        assert got.shape == (len(stack),)
+        for row, e_row in zip(stack, got):
+            assert e_row == _total(cell_energies(spec, mesh.nodes, row))
+        assert got[0] == e == energy(spec, traj).value
 
     def test_info_reports_stationarity(self):
         traj, e, info = minimize_bounded(catalog("mania"), uniform_mesh(0, 1, 50),
@@ -395,22 +389,20 @@ class TestRestarts:
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("spec, boundary, M, k", [
-        (catalog("mania"), (0.0, 1.0), 5.0, 7),
-        (V_SQUARED, (None, 1.0), 2.0, 4)], ids=["mania_two_endpoint", "v_squared_one_endpoint"])
-    def test_each_start_ends_as_when_run_alone(self, spec, boundary, M, k):
+    @pytest.mark.parametrize("spec, M, k", [(catalog("mania"), 5.0, 7), (V_SQUARED, 2.0, 4)],
+                             ids=["mania_two_endpoint", "v_squared_two_endpoint"])
+    def test_each_start_ends_as_when_run_alone(self, spec, M, k):
         # no row sum may mix rows or go through BLAS, so a start's slopes,
         # energy, iteration and evaluation counts and stop reason do not
         # depend on its stack, nor on the bounds of the other rows
         mesh = uniform_mesh(0.0, 1.0, 200)
         rng = np.random.default_rng(23)
-        project = _SlopeSet(mesh.widths, None if boundary[0] is None else 1.0).project
-        prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
+        prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
         inits = prob.values(1.0 + np.cumsum(rng.normal(0.0, 0.3, (k, 200)), axis=-1))
         bounds = M * rng.choice([1.0, 1.5, 2.0], k)
-        done = _spg(prob, project, inits, bounds, 60)
+        done = _spg(prob, inits, bounds, 60)
         for i in range(k):
-            one = _spg(prob, project, inits[i:i + 1], bounds[i:i + 1], 60)
+            one = _spg(prob, inits[i:i + 1], bounds[i:i + 1], 60)
             for a, b in zip(done, one, strict=True):
                 # slopes, ..., bound, evaluation counts, residual, stop reason
                 assert np.array_equal(a[i], b[0])
