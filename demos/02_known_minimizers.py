@@ -11,20 +11,15 @@ pinned at both endpoints can approach the minimizer's zero energy.
 
 import numpy as np
 
-from lavlab import catalog, energy, energy_converged, graded_mesh, sample
-
-
-def family(power, n_max=2 ** 12):
-    n = 64
-    while n <= n_max:
-        yield graded_mesh(0.0, 1.0, n, power)
-        n *= 2
+from lavlab import (catalog, energy, energy_converged, graded_family, graded_mesh,
+                    sample)
 
 
 for ident, profile, power in (("mania", np.cbrt, 3.0),
                               ("half_inverse", np.sqrt, 3.0),
                               ("sqrt_chain", np.sqrt, 2.0)):
-    res = energy_converged(catalog(ident), profile, family(power), tol=1e-9)
+    family = graded_family(0.0, 1.0, 2 ** 12, power)  # 64, 128, ..., 4096 cells
+    res = energy_converged(catalog(ident), profile, family, tol=1e-9)
     print(f"{ident:14s} minimizer energy = {res.value:.3e}  "
           f"(converged={res.converged}, cells={res.n_cells})")
 

@@ -25,7 +25,7 @@ from .necessary import (ResidualReport, catenary, dbr_residual, el_residual,
 from .repar import (FindKReport, KRow, ReparInput, ReparPlan, ReparResult,
                     TangentCurve, build_map, choose_lambda, classify, find_K,
                     lemma_P, reparametrize, select_A)
-from .trajectory import (Mesh, MonotoneMap, Trajectory, graded_mesh,
-                         push_through_inverse, sample, uniform_mesh)
+from .trajectory import (Mesh, MonotoneMap, Trajectory, graded_family,
+                         graded_mesh, push_through_inverse, sample, uniform_mesh)
 
 __version__ = "0.1.0"

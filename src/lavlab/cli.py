@@ -9,11 +9,14 @@ the report's `config` echo, which lists exactly those settings with the
 values that ran.  Flags override the file and the file overrides the
 defaults, so feeding a report's `config` back through `--config` reproduces
 the report.  Output JSON uses sorted keys and shortest-round-trip float
-formatting, so the same config always produces byte-identical files.
+formatting, so the same config always produces byte-identical files.  A
+report dataclass is written as the dict of its fields, so its JSON keys are
+its field names.  The JSON report goes to `--out` (stdout when not given);
+the subcommands with CSV rows write them to `--csv-out`.
 
 Exit codes: 0 success, 2 configuration error (including an integrand the
-subcommand does not support and a malformed trajectory file), 3 infeasible
-experiment, 1 internal error.
+subcommand does not support, a malformed trajectory file, and a named file
+that cannot be opened), 3 infeasible experiment, 1 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Sequence
@@ -133,8 +136,6 @@ RESTARTS = Setting("restarts", "--restarts", int, 8, check=_at_least(0),
 SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_at_least(0),
                help="64-bit seed of the restarts; with the bound M it keys "
                     "their sine coefficients")
-FORMAT = Setting("format", "--format", str, "json", check=_one_of(("json", "csv")),
-                 help="write the JSON report (json) or the CSV rows (csv) to --out")
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,9 @@ class Command:
 
     `inputs` are alternative groups of settings.  A run gives the first
     setting of exactly one group, and reads the other settings of that group
-    only.  A command with the `format` setting has a CSV row form: it takes
-    --csv-out, and its runner returns (report, CSV writer, float texts for
-    the JSON writer or None) instead of the report alone.
+    only.  A command with `rows` also writes CSV rows: it takes --csv-out,
+    and its runner returns (report, CSV writer, float texts for the JSON
+    writer or None) instead of the report alone.
     """
 
     name: str
@@ -153,14 +154,11 @@ class Command:
     run: Callable[[dict], Any]
     settings: tuple[Setting, ...] = ()
     inputs: tuple[tuple[Setting, ...], ...] = ()
+    rows: bool = False
 
     @property
     def every_setting(self) -> tuple[Setting, ...]:
         return self.settings + sum(self.inputs, ())
-
-    @property
-    def rows(self) -> bool:
-        return FORMAT in self.settings
 
 
 def _resolve_spec(lag: str | dict):
@@ -171,18 +169,25 @@ def _resolve_spec(lag: str | dict):
     raise ConfigError(f"unrecognized lagrangian config {lag!r}")
 
 
-def _load_trajectory(path: str) -> Trajectory:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"trajectory file not found: {path}")
+def _open(path: str, what: str, mode: str = "r", newline: str | None = None):
+    """The user-named file `path` opened as UTF-8 text.  One that cannot be
+    opened (missing, in a missing directory, a directory, not permitted)
+    is a ConfigError naming it as `what`."""
     try:
-        if p.suffix.lower() == ".csv":
-            with open(p, newline="", encoding="utf-8") as f:
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: {exc.strerror}") from None
+
+
+def _load_trajectory(path: str) -> Trajectory:
+    is_csv = Path(path).suffix.lower() == ".csv"
+    with _open(path, "trajectory file", newline="" if is_csv else None) as f:
+        try:
+            if is_csv:
                 return Trajectory.from_csv(f)
-        with open(p, encoding="utf-8") as f:
             return Trajectory.from_json_dict(json.load(f))
-    except (ArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArgumentError(f"trajectory file {path}: {exc}") from None
+        except (ArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ArgumentError(f"trajectory file {path}: {exc}") from None
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -249,10 +254,10 @@ def _encode(obj: Any, nl: str, out: list[str], texts: Callable) -> None:
             _encode(value, inner, out, texts)
             sep = "," + inner
         out += (nl, "]")
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, nl, out, texts)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 
 
 # -- subcommand runners -------------------------------------------------------
@@ -280,7 +285,7 @@ def _run_energy(config: dict) -> dict:
         family = graded_family(config["a"], config["b"], config["n"], config["power"])
         res = energy_converged(spec, f, family,
                                order=config["order"], tol=config["tol"], dy_exact=df)
-        payload["energy"] = res.to_json_dict()
+        payload["energy"] = res
         value = res.value
     else:
         traj = _load_trajectory(config["trajectory"])
@@ -338,23 +343,19 @@ def _run_necessary(config: dict) -> tuple[dict, Callable, Callable]:
     spec = _resolve_spec(config["lagrangian"])
     y = _load_trajectory(config["trajectory"])
     el = necessary.el_residual(spec, y)
-    payload: dict[str, Any] = {"el": el.to_json_dict()}
-    if spec.autonomous:
-        payload["dbr"] = necessary.dbr_residual(spec, y).to_json_dict()
-    else:
-        payload["dbr"] = None
+    dbr = necessary.dbr_residual(spec, y) if spec.autonomous else None
 
     def texts(a) -> Iterable[str]:
         return el.sample_texts if a is el.samples else float_texts(a)
 
-    return payload, el.samples_to_csv, texts
+    return {"el": el, "dbr": dbr}, el.samples_to_csv, texts
 
 
 def _run_gap_scan(config: dict) -> tuple[dict, Callable, None]:
     report = gapscan.mania_two_endpoint_scan(
         config["n_grid"], config["M_grid"], restarts=config["restarts"],
         seed=config["seed"], order=config["order"])
-    return {"report": report.to_json_dict()}, report.rows_to_csv, None
+    return {"report": report}, report.rows_to_csv, None
 
 
 def _run_demo(config: dict) -> dict:
@@ -366,7 +367,7 @@ def _run_demo(config: dict) -> dict:
         lines.append(f"{r.k:6g} {r.lip_after:12.5g} {r.energy_before:14.8g} "
                      f"{r.energy_after:14.8g} {r.gap:12.5g} {1.0 / r.k:10.5g}")
     sys.stderr.write("\n".join(lines) + "\n")
-    return {"rows": [r.to_json_dict() for r in rows]}
+    return {"rows": rows}
 
 
 COMMANDS: dict[str, Command] = {c.name: c for c in (
@@ -376,9 +377,9 @@ COMMANDS: dict[str, Command] = {c.name: c for c in (
     Command("repar", "slope-capping sweep over a k grid", _run_repar,
             (LAGRANGIAN, ORDER, K_GRID), ((EXACT, A, B, N, POWER), (TRAJECTORY,))),
     Command("necessary-check", "Euler-Lagrange and constancy residuals",
-            _run_necessary, (LAGRANGIAN, TRAJECTORY, FORMAT)),
+            _run_necessary, (LAGRANGIAN, TRAJECTORY), rows=True),
     Command("gap-scan", "bounded-slope scan of Mania's problem", _run_gap_scan,
-            (N_GRID, M_GRID, RESTARTS, SEED, ORDER, FORMAT)),
+            (N_GRID, M_GRID, RESTARTS, SEED, ORDER), rows=True),
     Command("demo", "avoidance sweep for sqrt_chain on sqrt(t)", _run_demo,
             (N, replace(POWER, default=2.0), ORDER,
              replace(K_GRID, default=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0)))),
@@ -425,25 +426,16 @@ def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int
     """Run a resolved config, write the report (with the config) to `out`,
     stdout when None, and the CSV rows to `csv_out`; returns the exit status."""
     command = COMMANDS[config["subcommand"]]
-    if command.rows:
-        body, csv_writer, texts = command.run(config)
-        fmt = config["format"]
+    result = command.run(config)
+    body, csv_writer, texts = result if command.rows else (result, None, None)
+    text = _dumps({"config": config, **body}, texts)
+    if out:
+        with _open(out, "report file", "w") as f:
+            f.write(text)
     else:
-        body, csv_writer, texts, fmt = command.run(config), None, None, "json"
-    if fmt == "csv":
-        if out:
-            with open(out, "w", encoding="utf-8", newline="") as f:
-                csv_writer(f)
-        else:
-            csv_writer(sys.stdout)
-    else:
-        text = _dumps({"config": config, **body}, texts)
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(text)
     if csv_out:
-        with open(csv_out, "w", encoding="utf-8", newline="") as f:
+        with _open(csv_out, "CSV file", "w", newline="") as f:
             csv_writer(f)
     return 0
 
@@ -469,13 +461,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str, name: str) -> dict[str, Any]:
     """The settings a config file gives; its `subcommand` key, if any, must be `name`."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
+    with _open(path, "config file") as f:
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
     named = raw.pop("subcommand", name)

@@ -235,15 +235,6 @@ class ConvergenceResult:
     n_cells: int
     history: tuple[tuple[int, float, float], ...]  # (cells, value, estimate)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "converged": self.converged,
-            "error_estimate": self.error_estimate,
-            "n_cells": self.n_cells,
-            "history": [list(row) for row in self.history],
-        }
-
 
 def energy_converged(spec: LagrangianSpec, y_exact: Callable,
                      mesh_family: Iterable[Mesh], order: int = DEFAULT_ORDER,

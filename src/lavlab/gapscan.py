@@ -447,9 +447,6 @@ class GapRow:
     energy_evals: int
     gradient_evals: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -459,14 +456,6 @@ class GapReport:
     floor_estimate: float
     reference_energy: float
     gap_estimate: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [r.to_json_dict() for r in self.rows],
-            "floor_estimate": self.floor_estimate,
-            "reference_energy": self.reference_energy,
-            "gap_estimate": self.gap_estimate,
-        }
 
     def rows_to_csv(self, f) -> None:
         f.write("mesh_n,slope_bound,best_energy,iterations\n")

@@ -41,15 +41,6 @@ class ResidualReport:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_abs": self.max_abs,
-            "mesh_resolution": self.mesh_resolution,
-            "skipped": self.skipped,
-            "erdmann_constant": self.erdmann_constant,
-        }
-
     @cached_property
     def sample_texts(self) -> list[str]:
         """float_texts of `samples`, row-major, formatted on first use and

@@ -72,19 +72,6 @@ class ReparPlan:
         v[self.a_cells] = 0.5
         return v
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda": self.lam,
-            "s_cells": self.s_cells.tolist(),
-            "a_cells": self.a_cells.tolist(),
-            "measure_s": self.measure_s,
-            "measure_a": self.measure_a,
-            "measure_omega": self.measure_omega,
-            "deficit": self.deficit,
-            "split_node": self.split_node,
-        }
-
 
 @dataclass(frozen=True)
 class ReparResult:
@@ -100,16 +87,6 @@ class ReparResult:
     @property
     def gap(self) -> float:
         return self.energy_after - self.energy_before
-
-    def to_json_dict(self) -> dict:
-        return {
-            "plan": self.plan.to_json_dict(),
-            "lip_before": self.lip_before,
-            "lip_after": self.lip_after,
-            "energy_before": self.energy_before,
-            "energy_after": self.energy_after,
-            "gap": self.gap,
-        }
 
 
 def choose_lambda(y: Trajectory) -> float:
@@ -319,11 +296,6 @@ class KRow:
         return cls(k, "ok" if ok else "above_bound", res.lip_after,
                    res.energy_before, res.energy_after, res.gap)
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "status": self.status, "lip_after": self.lip_after,
-                "energy_before": self.energy_before,
-                "energy_after": self.energy_after, "gap": self.gap}
-
 
 @dataclass(frozen=True)
 class FindKReport:
@@ -349,9 +321,6 @@ class FindKReport:
     @property
     def found(self) -> bool:
         return self.K is not None
-
-    def to_json_dict(self) -> dict:
-        return {"K": self.K, "rows": [r.to_json_dict() for r in self.rows]}
 
 
 def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],

@@ -292,6 +292,8 @@ class TestSettings:
         ("gap-scan", "--lagrangian", "lagrangian", "mania"),
         ("demo", "--a", "a", 5.0),
         ("gap-scan", "--jobs", "jobs", 2),  # removed: mesh sizes run serially
+        ("gap-scan", "--format", "format", "csv"),  # removed: CSV rows go to --csv-out
+        ("necessary-check", "--format", "format", "json"),
     ])
     def test_setting_of_another_subcommand_exits_2(self, name, flag, key, value,
                                                    tmp_path, capsys):
@@ -360,7 +362,7 @@ class TestSettings:
         assert f"{key} must not be NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, detail", [
-        (None, "not found"),
+        (None, "No such file or directory"),
         (b'{"n": 3', "Expecting"),
         (b'[{"n": 3}]', "expected a JSON object"),
         (b'\xff{"n": 3}', "can't decode byte 0xff")],
@@ -372,6 +374,19 @@ class TestSettings:
         assert main(["demo", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config file ") and str(cfg) in err and detail in err
+
+    @pytest.mark.parametrize("flag", ["--trajectory", "--config", "--out", "--csv-out"])
+    def test_unopenable_file_exits_2(self, flag, tmp_path, capsys):
+        """A named file that cannot be opened (a directory to read, a file to
+        write in a missing directory) is a configuration error, not a traceback."""
+        cat = _write_trajectory(tmp_path / "cat.csv", np.cosh, graded_mesh(-1, 1, 8, 1.0))
+        argv = ["necessary-check", "--lagrangian", "surface_of_revolution",
+                "--trajectory", cat]
+        path = str(tmp_path / "missing" / "x") if flag in ("--out", "--csv-out") \
+            else str(tmp_path)
+        assert main([*argv, flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: " in err
 
     def test_config_file_names_the_subcommand_it_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -445,11 +460,10 @@ class TestSubprocessReproducibility:
         assert res.returncode == 0
         assert "Lip(y_k)" in res.stderr
 
-    def test_csv_format_writes_rows(self, tmp_path):
+    def test_gap_scan_csv_out_writes_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
         res = run_cli(["gap-scan", "--n", "30", "--M", "4", "--restarts", "1",
-                       "--seed", "3", "--order", "3", "--format", "csv",
-                       "--out", str(out)])
+                       "--seed", "3", "--order", "3", "--csv-out", str(out)])
         assert res.returncode == 0, res.stderr
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "mesh_n,slope_bound,best_energy,iterations"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lavlab.repar
+from lavlab import cli
 from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
                     InfeasibleError, Mesh, ReparInput, SingularPointError,
                     Trajectory, UnsupportedLagrangianError, build_map, catalog,
@@ -351,8 +351,7 @@ def _capped_bits(run, k):
         res = run(k)
     except InfeasibleError as exc:
         return "infeasible", str(exc)
-    return (json.dumps(res.to_json_dict(), sort_keys=True),
-            res.y_k.mesh.nodes.tobytes(), res.y_k.values.tobytes())
+    return (cli._dumps(res), res.y_k.mesh.nodes.tobytes(), res.y_k.values.tobytes())
 
 
 class TestReparInput:

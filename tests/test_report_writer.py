@@ -1,7 +1,9 @@
 """The report writer `cli._dumps` against `json.dumps(sort_keys=True, indent=2)`."""
 
+import dataclasses
 import json
 import math
+from typing import Any
 
 import numpy as np
 import pytest
@@ -13,9 +15,12 @@ from lavlab import cli
 
 
 def as_lists(obj):
-    """The payload with every ndarray replaced by its nested lists."""
+    """The payload with every ndarray replaced by its nested lists and every
+    dataclass instance by the dict of its fields."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: as_lists(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: as_lists(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -39,11 +44,35 @@ keys = st.text(max_size=6) | st.sampled_from(['"', 'a"b', "\\", "é", "☃", "\n
 leaves = (st.none() | st.booleans() | st.integers() | floats
           | floats.map(np.float64) | st.text(max_size=6) | float_arrays
           | hnp.arrays(np.int64, st.integers(0, 3)))
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """A report row: scalar, array, tuple and optional fields."""
+
+    n: int
+    value: float
+    samples: np.ndarray
+    history: tuple
+    note: Any = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Report:
+    """A report holding rows and any payload."""
+
+    rows: tuple
+    extra: Any
+
+
+rows = st.builds(Row, st.integers(), floats, float_arrays,
+                 st.lists(floats, max_size=3).map(tuple), st.none() | st.text(max_size=6))
 payloads = st.recursive(
-    leaves,
+    leaves | rows,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(keys, inner, max_size=4)),
+                   | st.dictionaries(keys, inner, max_size=4)
+                   | st.builds(Report, st.lists(rows, max_size=3).map(tuple), inner)),
     max_leaves=24)
 
 
@@ -53,10 +82,11 @@ class TestDumps:
     @example({"a": np.array([1.0, math.nan]), "b": np.zeros((0, 2)), "c": ()})
     @example(np.array([[1.0, -0.0], [5e-324, math.inf]]))
     @example([np.zeros((2, 0)), np.ones((1, 1)), np.empty(0), {}])
+    @example(Report((Row(1, -0.0, np.ones((2, 2)), (1.0, math.inf)),), {"r": Report((), None)}))
     def test_matches_json_dumps(self, payload):
         assert cli._dumps(payload) == reference(payload)
 
-    @pytest.mark.parametrize("bad", [object(), {"x": {1, 2}}, [np.int64(3)]])
+    @pytest.mark.parametrize("bad", [object(), {"x": {1, 2}}, [np.int64(3)], Row])
     def test_unsupported_type_raises_like_json(self, bad):
         with pytest.raises(TypeError):
             json.dumps(bad)
@@ -64,26 +94,31 @@ class TestDumps:
             cli._dumps(bad)
 
 
+def report(name, **kw):
+    """The report `lavlab name` writes: its config echo and its runner's body."""
+    config = cli.resolve(name, kw)
+    body = cli.COMMANDS[name].run(config)
+    return {"config": config, **(body[0] if isinstance(body, tuple) else body)}
+
+
+def catenary_csv(path):
+    from lavlab import graded_mesh, sample
+    with open(path, "w", newline="") as f:
+        sample(np.cosh, graded_mesh(-1, 1, 40, 1.0)).to_csv(f)
+    return str(path)
+
+
 def small_payloads(tmp_path, capsys):
     """The payload of each report-writing subcommand on a small run."""
-    from lavlab import graded_mesh, sample
-    traj = tmp_path / "cat.csv"
-    with open(traj, "w", newline="") as f:
-        sample(np.cosh, graded_mesh(-1, 1, 40, 1.0)).to_csv(f)
+    traj = catenary_csv(tmp_path / "cat.csv")
     inf_traj = tmp_path / "inf.csv"
     inf_traj.write_text("t,y\n0.0,1e-200\n0.5,1e-200\n0.75,0.5\n1.0,1.0\n")
 
-    def report(name, **kw):
-        """The report `lavlab name` writes: its config echo and its runner's body."""
-        config = cli.resolve(name, kw)
-        body = cli.COMMANDS[name].run(config)
-        return {"config": config, **(body[0] if isinstance(body, tuple) else body)}
-
-    yield report("energy", lagrangian="surface_of_revolution", trajectory=str(traj))
+    yield report("energy", lagrangian="surface_of_revolution", trajectory=traj)
     yield report("energy", lagrangian="half_inverse", trajectory=str(inf_traj))
     yield report("energy", lagrangian="mania", exact="cuberoot", n=128, power=3.0)
     yield report("necessary-check", lagrangian="surface_of_revolution",
-                 trajectory=str(traj))
+                 trajectory=traj)
     yield report("necessary-check", lagrangian="half_inverse", trajectory=str(inf_traj))
     yield report("repar", lagrangian="sqrt_chain", exact="sqrt", n=64, power=2.0,
                  k_grid=(2.0, 8.0, 64.0))
@@ -98,3 +133,35 @@ def test_real_payloads_match_json_dumps(tmp_path, capsys):
         assert cli._dumps(payload) == reference(payload)
         seen += 1
     assert seen == 8
+
+
+RESIDUAL_KEYS = {"samples", "max_abs", "mesh_resolution", "skipped", "erdmann_constant"}
+GAP_SCAN = {"n_grid": (20,), "M_grid": (4.0,), "restarts": 0, "order": 3}
+NECESSARY = {"lagrangian": "surface_of_revolution"}
+
+
+@pytest.mark.parametrize("name, settings, path, keys", [
+    ("gap-scan", GAP_SCAN, ["report"],  # GapReport
+     {"rows", "floor_estimate", "reference_energy", "gap_estimate"}),
+    ("gap-scan", GAP_SCAN, ["report", "rows", 0],  # GapRow
+     {"mesh_n", "slope_bound", "best_energy", "iterations", "stop_reason",
+      "pg_residual", "energy_evals", "gradient_evals"}),
+    ("necessary-check", NECESSARY, ["el"], RESIDUAL_KEYS),  # ResidualReport
+    ("necessary-check", NECESSARY, ["dbr"], RESIDUAL_KEYS),
+    ("energy", {"lagrangian": "mania", "exact": "cuberoot", "n": 64}, ["energy"],
+     {"value", "converged", "error_estimate", "n_cells", "history"}),  # ConvergenceResult
+    ("demo", {"n": 64, "k_grid": (2.0,)}, ["rows", 0],  # KRow
+     {"k", "status", "lip_after", "energy_before", "energy_after", "gap"}),
+    ("energy", {"lagrangian": "surface_of_revolution"}, ["energy"],  # EnergyReport
+     {"value", "per_cell", "error_estimate", "order"}),
+], ids=["GapReport", "GapRow", "ResidualReport_el", "ResidualReport_dbr",
+        "ConvergenceResult", "KRow", "EnergyReport"])
+def test_report_object_keys(name, settings, path, keys, tmp_path):
+    """The JSON keys of each report object the CLI writes.  The writer keys a
+    report dataclass by its field names, so renaming a field renames a key."""
+    if name in ("necessary-check", "energy") and "exact" not in settings:
+        settings = {**settings, "trajectory": catenary_csv(tmp_path / "cat.csv")}
+    obj = json.loads(cli._dumps(report(name, **settings)))
+    for step in path:
+        obj = obj[step]
+    assert set(obj) == keys
