@@ -22,8 +22,10 @@ that cannot be opened), 3 infeasible experiment, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -177,6 +179,20 @@ def _open(path: str, what: str, mode: str = "r", newline: str | None = None):
         return open(path, mode, encoding="utf-8", newline=newline)
     except OSError as exc:
         raise ConfigError(f"{what} {path}: {exc.strerror}") from None
+
+
+def _check_output(path: str, what: str) -> None:
+    """Raise now the ConfigError that `_open(path, what, "w")` is sure to
+    raise later: `path` is a directory, or its directory is missing or not a
+    directory.  Opens and truncates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"{what} {path}: {os.strerror(code)}")
 
 
 def _load_trajectory(path: str) -> Trajectory:
@@ -424,8 +440,12 @@ def resolve(name: str, given: dict[str, Any]) -> dict[str, Any]:
 
 def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int:
     """Run a resolved config, write the report (with the config) to `out`,
-    stdout when None, and the CSV rows to `csv_out`; returns the exit status."""
+    stdout when None, and the CSV rows to `csv_out`; returns the exit status.
+    An output path that cannot be written fails before the run."""
     command = COMMANDS[config["subcommand"]]
+    for path, what in ((out, "report file"), (csv_out, "CSV file")):
+        if path:
+            _check_output(path, what)
     result = command.run(config)
     body, csv_writer, texts = result if command.rows else (result, None, None)
     text = _dumps({"config": config, **body}, texts)

@@ -8,7 +8,9 @@ than as an evaluation error.  Results are extended reals: any sample above
 
 Every energy goes through one kernel, `cell_sums`, which walks the cells in
 blocks and sums each cell's weighted samples left to right, so a cell's
-bits depend neither on the BLAS build nor on the block it falls in.
+bits depend neither on the BLAS build nor on the block it falls in.  Its
+reduction step, `cell_integrals`, is shared with the slope optimizer, which
+samples the integrand itself.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
 
     The one quadrature kernel.  It walks the cells in blocks of BLOCK, and
     `samples(b)` returns the (tq, yq, vq) of the cells in slice b, one row
-    per Gauss point, so no sample array larger than a block is needed.  The
-    contraction is `gauss_sum`.  A block whose samples are all finite and
-    below the threshold (the usual case) skips the mask; either way a cell's
+    per Gauss point, so no sample array larger than a block is needed.  Each
+    block's integrand samples are reduced by `cell_integrals`, so a cell's
     bits depend on its own samples only, never on the block it falls in,
     nor on the other rows when samples are laid out (order, rows, cells).
     """
@@ -117,14 +118,24 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
             lq = np.asarray(spec.eval(*samples(b)), dtype=float)
             if out.ndim + 1 < lq.ndim:  # rows of cells
                 out = np.empty(lq.shape[1:-1] + h.shape)
-            if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
-                out[..., b] = (h[b] / 2.0) * gauss_sum(lq, w)
-                continue
-            bad = ~(np.abs(lq) <= INF_THRESHOLD)
-            contrib = (h[b] / 2.0) * gauss_sum(np.where(bad, 0.0, lq), w)
-            contrib[bad.any(axis=0)] = np.inf
-            out[..., b] = contrib
+            out[..., b] = cell_integrals(lq, h[b], w)
     return out
+
+
+def cell_integrals(lq: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(h/2) * gauss_sum(lq, w): the cell integrals of integrand samples lq
+    laid out one row per Gauss point; +inf for a cell with any sample that
+    is non-finite or above INF_THRESHOLD.
+
+    Samples that are all finite and below the threshold (the usual case)
+    skip the mask.  Call it with over and invalid warnings off.
+    """
+    if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
+        return (h / 2.0) * gauss_sum(lq, w)
+    bad = ~(np.abs(lq) <= INF_THRESHOLD)
+    contrib = (h / 2.0) * gauss_sum(np.where(bad, 0.0, lq), w)
+    contrib[bad.any(axis=0)] = np.inf
+    return contrib
 
 
 def cell_energies(spec: LagrangianSpec, nodes: np.ndarray, values: np.ndarray,

@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, _gauss, _total, cell_sums, energy,
+from .functional import (DEFAULT_ORDER, _gauss, _total, cell_integrals, energy,
                          energy_converged, gauss_points, gauss_sum)
-from .lagrangian import LagrangianSpec, catalog, partial_array
+from .lagrangian import LagrangianSpec, catalog, jet
 from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
                          uniform_mesh)
@@ -151,10 +151,14 @@ class MinimizeInfo:
     """How `minimize_bounded` obtained its answer at one slope bound.
 
     `iterations`, `energy_evals` and `gradient_evals` are totals over that
-    bound's starts, the warm start included; `pg_residual` and `stop_reason`
-    belong to the returned trajectory: "converged" (residual <= tolerance),
-    "max_iters" (iteration cap) or "stalled" (the line search could not
-    decrease the energy, or the gradient is not finite).
+    bound's starts, the warm start included.  `energy_evals` counts the
+    integrand jets, one per start and one per trial step; `gradient_evals`
+    counts the gradients the iteration used, one per start and one per
+    accepted step (iterations + starts).  A rejected trial's jet also yields
+    a gradient, which is dropped and not counted.  `pg_residual` and
+    `stop_reason` belong to the returned trajectory: "converged" (residual
+    <= tolerance), "max_iters" (iteration cap) or "stalled" (the line search
+    could not decrease the energy, or the gradient is not finite).
     """
 
     iterations: int
@@ -196,41 +200,39 @@ class _SlopeProblem:
         return y
 
     def samples(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(yq, vq) at the Gauss points; vq is a broadcast view of the slopes."""
+        """(yq, vq) at the Gauss points; vq is the slopes as (1, rows, cells),
+        which broadcasts against yq where it is used."""
         d = (y[:, 1:] - y[:, :-1]) / self.h
         yq = d * self.offsets
         yq += y[:, :-1]
-        return yq, np.broadcast_to(d, yq.shape)
+        return yq, d[None]
 
-    def gradient(self, yq: np.ndarray, vq: np.ndarray) -> np.ndarray:
-        """dE/ds_j divided by h_j, i.e. the gradient in the h-weighted metric.
+    def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Energies of the rows of y and their gradients dE/ds_j divided by
+        h_j (the gradient in the h-weighted metric), from one `jet` of the
+        integrand per `rows` rows.
 
-        Cell j's own samples move with s_j through y' and the offset from its
-        left node; every later cell moves rigidly by h_j, which a reversed
-        cumsum of the per-cell L_y integrals collects.
+        The energies go through `cell_integrals` as `cell_sums` reduces its
+        samples.  For the gradient, cell j's own samples move with s_j
+        through y' and the offset from its left node; every later cell moves
+        rigidly by h_j, which a reversed cumsum of the per-cell L_y integrals
+        collects.
         """
-        ly = partial_array(self.spec, 1, self.tq, yq, vq)
-        rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
-        ly = ly * self.offsets
-        ly += partial_array(self.spec, 2, self.tq, yq, vq)
-        g = gauss_sum(ly, self.w) / 2.0
-        g[:, :-1] += np.cumsum(rigid[:, ::-1], axis=-1)[:, ::-1][:, 1:]
-        return g
-
-    def energies(self, y: np.ndarray) -> np.ndarray:
-        """Energies of the rows of y, evaluated `rows` rows at a time."""
-        out = []
-        for r in range(0, len(y), self.rows):
-            yq, vq = self.samples(y[r:r + self.rows])
-            tq = np.broadcast_to(self.tq, yq.shape)
-            out.append(_total(cell_sums(self.spec, self.h, self.w,
-                                        lambda b: (tq[..., b], yq[..., b], vq[..., b]))))
-        return np.concatenate(out)
-
-    def gradients(self, y: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of y, evaluated `rows` rows at a time."""
-        return np.concatenate([self.gradient(*self.samples(y[r:r + self.rows]))
-                               for r in range(0, len(y), self.rows)])
+        energies, gradients = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(0, len(y), self.rows):
+                yq, vq = self.samples(y[r:r + self.rows])
+                # a value that ignores t and y keeps the (1, rows, cells) of vq
+                lq, ly, lv = (a if a.shape == yq.shape else np.broadcast_to(a, yq.shape)
+                              for a in jet(self.spec, self.tq, yq, vq))
+                energies.append(_total(cell_integrals(lq, self.h, self.w)))
+                rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
+                ly = ly * self.offsets
+                ly += lv
+                g = gauss_sum(ly, self.w) / 2.0
+                g[:, :-1] += np.cumsum(rigid[:, ::-1], axis=-1)[:, ::-1][:, 1:]
+                gradients.append(g)
+        return np.concatenate(energies), np.concatenate(gradients)
 
 
 def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
@@ -242,15 +244,18 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
 
     A start that already satisfies the constraints (exact endpoints,
     Lipschitz constant <= M) is used as given; others are projected by
-    `prob.project` onto |s| <= M (1 - 1e-12).  Each start's energy and
-    gradient count one evaluation.  The rows advance in lockstep and leave
-    as they converge, stall or spend the budget; no sum mixes rows, so a row
-    ends with the bits and counts of its start run alone, whatever its
-    stack.  Returns each row's state as it stopped: slopes, nodal values,
-    energy, gradient, Barzilai-Borwein step, the last _SPG_MEMORY accepted
-    energies (-inf where unused; the backtracking reference is their
-    maximum), iterations, the slope bound it was projected onto, energy and
-    gradient evaluations, projected-gradient residual and stop reason.
+    `prob.project` onto |s| <= M (1 - 1e-12).  Each row of a `prob.evaluate`
+    call, a start's or a trial step's, counts one energy evaluation; a
+    gradient evaluation is counted where the iteration uses one, at the
+    start and at each accepted step, whose gradient came with its energy.
+    The rows advance in lockstep and leave as they converge, stall or spend
+    the budget; no sum mixes rows, so a row ends with the bits and counts of
+    its start run alone, whatever its stack.  Returns each row's state as it
+    stopped: slopes, nodal values, energy, gradient, Barzilai-Borwein step,
+    the last _SPG_MEMORY accepted energies (-inf where unused; the
+    backtracking reference is their maximum), iterations, the slope bound it
+    was projected onto, energy and gradient evaluations, projected-gradient
+    residual and stop reason.
     """
     y = np.array(inits, dtype=float)
     m = M * (1.0 - 1e-12)
@@ -259,11 +264,11 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
     moved = ~(pinned & (np.abs(s).max(axis=-1) <= M))
     s[moved] = prob.project(s[moved], m[moved])
     y[moved] = prob.values(s[moved])
-    e = prob.energies(y)
+    e, g = prob.evaluate(y)
     h, k = prob.h, e.size
     memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
     once = np.ones(k, dtype=int)
-    st = [np.arange(k), s, y, e, prob.gradients(y), np.full(k, np.nan), memory,
+    st = [np.arange(k), s, y, e, g, np.full(k, np.nan), memory,
           np.zeros(k, dtype=int), m, once, once.copy()]
     final, residual, reason = [np.empty_like(a) for a in st[1:]], np.empty(k), np.empty(k, "<U9")
 
@@ -292,11 +297,11 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
         slope, ref = _total(h * g * d), memory.max(axis=-1)
         reach, floor = np.abs(d).max(axis=-1), 1e-16 * np.maximum(1.0, np.abs(s).max(axis=-1))
         alpha, stalled = np.ones(pg.size), np.zeros(pg.size, dtype=bool)
-        s_new, y_new, e_new = s + d, np.empty_like(y), np.empty(pg.size)
+        s_new, y_new, e_new, g_new = s + d, np.empty_like(y), np.empty(pg.size), np.empty_like(g)
         todo = np.arange(pg.size)  # rows whose trial step is to be judged
         while todo.size:
             y_new[todo] = prob.values(s_new[todo])
-            e_new[todo] = prob.energies(y_new[todo])
+            e_new[todo], g_new[todo] = prob.evaluate(y_new[todo])
             e_evals[todo] += 1
             a = alpha[todo]
             fail = ~(e_new[todo] <= ref[todo] + _SPG_GAMMA * a * slope[todo])
@@ -312,9 +317,8 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
             keep = settle(stalled, "stalled", pg)
             if not keep.any():
                 continue
-            s_new, y_new, e_new = s_new[keep], y_new[keep], e_new[keep]
+            s_new, y_new, e_new, g_new = s_new[keep], y_new[keep], e_new[keep], g_new[keep]
             _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
-        g_new = prob.gradients(y_new)
         g_evals += 1
         ds, dg = s_new - s, g_new - g
         curvature = _total(h * ds * dg)
@@ -363,7 +367,7 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
 
     Both endpoints are pinned, y(a) = A and y(b) = B, so the unknowns are
     the cell slopes s in [-M, M]^n with h . s = B - A.  The gradient is
-    exact (chain rule through the Gauss rule, through `partial_array`), the
+    exact (chain rule through the Gauss rule, from the integrand's `jet`), the
     projection is exact (see `_SlopeSet.project`), and steps are nonmonotone
     Barzilai-Borwein.
 

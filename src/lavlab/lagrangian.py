@@ -2,10 +2,12 @@
 
 Evaluators must accept numpy arrays, and are extended-real: a singular
 point yields +inf (never NaN), and infinities propagate through sums.  Exact
-partial derivatives likewise return +/-inf at singular points.  Every
+partial derivatives likewise return +/-inf at singular points.  A single
 partial goes through `partial_array`, which falls back on central
 differences for a spec without exact partials; the scalar `partials`
-wrapper turns a non-finite partial into a SingularPointError.
+wrapper turns a non-finite partial into a SingularPointError.  The slope
+optimizer takes (L, L_y, L_v) together from `jet`: the spec's own jet, which
+shares its subexpressions across the three, or `eval` plus `partial_array`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class LagrangianSpec:
         extended: may take the value +inf.
         sample_box: (t, y, v) ranges where the integrand is finite and all
             structural flags hold; used by randomized checks.
+        jet: optional (t, y, v) -> (L, L_y, L_v) in one pass, equal bit for
+            bit to `eval`, `partials[1]` and `partials[2]`; see `jet`.
     """
 
     id: str
@@ -52,6 +56,7 @@ class LagrangianSpec:
     convex_in_v: bool
     extended: bool = False
     sample_box: Box = ((0.0, 1.0), (-2.0, 2.0), (-3.0, 3.0))
+    jet: Callable | None = None
 
     def __call__(self, t, y, v):
         return self.eval(t, y, v)
@@ -171,32 +176,45 @@ def _quartic_plus_square() -> LagrangianSpec:
 
 
 def _mania() -> LagrangianSpec:
-    """(y^3 - t)^2 v^6: non-autonomous; vanishes along y = t**(1/3)."""
+    """(y^3 - t)^2 v^6: non-autonomous; vanishes along y = t**(1/3).
+
+    Each form takes its power of v before that power meets a power of y, so
+    where v has one value per cell (a piecewise-linear trajectory sampled
+    cell by cell) the powers of v cost a cell-sized pass.  The jet shares
+    y^2, c = y^3 - t and c^2 among the three values and has their bits.
+    """
 
     def ev(t, y, v):
-        c = y * y * y - t
         v2 = v * v
-        return c * c * v2 * v2 * v2
+        c = y * y * y - t
+        return c * c * (v2 * v2 * v2)
 
     def lt(t, y, v):
-        c = y * y * y - t
         v2 = v * v
-        return -2.0 * c * v2 * v2 * v2
+        return (y * y * y - t) * (-2.0 * (v2 * v2 * v2))
 
     def ly(t, y, v):
-        c = y * y * y - t
         v2 = v * v
-        return 6.0 * y * y * c * v2 * v2 * v2
+        y2 = y * y
+        return y2 * (y2 * y - t) * (6.0 * (v2 * v2 * v2))
 
     def lv(t, y, v):
-        c = y * y * y - t
         v2 = v * v
-        return 6.0 * c * c * v2 * v2 * v
+        c = y * y * y - t
+        return c * c * (6.0 * (v2 * v2 * v))
+
+    def jet(t, y, v):
+        v2 = v * v
+        v4 = v2 * v2
+        y2 = y * y
+        c = y2 * y - t
+        c2 = c * c
+        return c2 * (v4 * v2), y2 * c * (6.0 * (v4 * v2)), c2 * (6.0 * (v4 * v))
 
     return LagrangianSpec(
         id="mania", eval=ev, partials=(lt, ly, lv),
         autonomous=False, convex_in_v=True,
-        sample_box=((0.0, 1.0), (-1.5, 1.5), (-3.0, 3.0)))
+        sample_box=((0.0, 1.0), (-1.5, 1.5), (-3.0, 3.0)), jet=jet)
 
 
 def _half_inverse() -> LagrangianSpec:
@@ -336,6 +354,17 @@ def partial_array(spec: LagrangianSpec, axis: int, t, y, v) -> np.ndarray:
 
         centre, d = at(c), (at(c + h) - at(c - h)) / (2.0 * h)
         return np.where(np.isfinite(centre) & np.isfinite(d), d, np.nan)
+
+
+def jet(spec: LagrangianSpec, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, L_y, L_v) at broadcast points: the spec's own `jet` where it has
+    one, otherwise `eval` with `partial_array` axes 1 and 2, so the three
+    have the bits of those calls either way."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.jet is not None:
+            return tuple(np.asarray(a, dtype=float) for a in spec.jet(t, y, v))
+        value = np.asarray(spec.eval(t, y, v), dtype=float)
+    return value, partial_array(spec, 1, t, y, v), partial_array(spec, 2, t, y, v)
 
 
 def partials(spec: LagrangianSpec, t: float, y: float, v: float) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import shlex
@@ -387,6 +388,24 @@ class TestSettings:
         assert main([*argv, flag, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{path}: " in err
+
+    @pytest.mark.parametrize("bad_flag", ["--out", "--csv-out"])
+    @pytest.mark.parametrize("bad", ["missing_directory", "directory"])
+    def test_unwritable_output_exits_2_before_the_run(self, bad_flag, bad, tmp_path,
+                                                      monkeypatch, capsys):
+        """The runner is never called, and the other output is not written."""
+        calls = []
+        monkeypatch.setitem(cli.COMMANDS, "gap-scan", dataclasses.replace(
+            cli.COMMANDS["gap-scan"], run=calls.append))
+        paths = {"--out": tmp_path / "g.json", "--csv-out": tmp_path / "r.csv"}
+        paths[bad_flag] = tmp_path / "missing" / "x" if bad == "missing_directory" else tmp_path
+        argv = ["gap-scan", "--n", "20", "--M", "5", "--restarts", "0"]
+        assert main([*argv, *(a for f, p in paths.items() for a in (f, str(p)))]) == 2
+        assert calls == []
+        assert not (tmp_path / "g.json").exists() and not (tmp_path / "r.csv").exists()
+        what = "report file" if bad_flag == "--out" else "CSV file"
+        detail = "No such file or directory" if bad == "missing_directory" else "Is a directory"
+        assert capsys.readouterr().err == f"error: {what} {paths[bad_flag]}: {detail}\n"
 
     def test_config_file_names_the_subcommand_it_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

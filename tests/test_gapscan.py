@@ -6,7 +6,7 @@ import pytest
 
 from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     LagrangianSpec, Mesh, Trajectory, avoidance_demo, catalog,
-                    cuberoot_truncation, energy, gapscan, graded_mesh,
+                    cuberoot_truncation, energy, gapscan, graded_mesh, lagrangian,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
@@ -23,6 +23,15 @@ class TestMinimizeBounded:
                                       (0.0, 1.0), restarts=2, seed=1)[0]
         assert e == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(traj.values, traj.mesh.nodes, atol=1e-4)
+
+    def test_integrand_of_the_slope_alone(self):
+        # its value keeps the per-cell shape of the slopes it is given
+        spec = LagrangianSpec(id="slope_only", eval=lambda t, y, v: v * v, partials=None,
+                              autonomous=True, convex_in_v=True)
+        traj, e, info = minimize_bounded(spec, uniform_mesh(0, 1, 16), [2.0], (0.0, 1.0),
+                                         restarts=2, seed=1)[0]
+        assert info.stop_reason == "converged"
+        assert e == energy(spec, traj).value == pytest.approx(1.0, abs=1e-6)
 
     def test_infeasible_bound_rejected(self):
         with pytest.raises(ArgumentError):
@@ -194,7 +203,7 @@ class TestSlopeGradient:
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
         s = rng.uniform(-2.0, 2.0, h.size)
         y = _unpinned_values(boundary, h, s)
-        grad = prob.gradients(y[None])[0] * h  # the h-metric gradient times h is dE/ds
+        grad = prob.evaluate(y[None])[1][0] * h  # the h-metric gradient times h is dE/ds
 
         def objective(slopes):
             y = _unpinned_values(boundary, h, slopes)
@@ -302,10 +311,12 @@ class TestSPGDiagnostics:
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
         noise = rng.normal(0.0, 0.2, (prob.rows + 3, mesh.nodes.size))
         stack = np.vstack([traj.values, mesh.nodes, traj.values + noise])
-        got = prob.energies(stack)
+        got, grads = prob.evaluate(stack)
         assert got.shape == (len(stack),)
-        for row, e_row in zip(stack, got):
+        assert grads.shape == (len(stack), mesh.n_cells)
+        for row, e_row, g_row in zip(stack, got, grads):
             assert e_row == _total(cell_energies(spec, mesh.nodes, row))
+            assert np.array_equal(g_row, prob.evaluate(row[None])[1][0])
         assert got[0] == e == energy(spec, traj).value
 
     def test_info_reports_stationarity(self):
@@ -333,6 +344,35 @@ class TestSPGDiagnostics:
             _, e, _ = minimize_bounded(spec, mesh, [M], (0.0, 1.0), restarts=0,
                                        max_iters=0, extra_inits=[warm])[0]
             assert e == e_warm
+
+    def test_one_integrand_pass_per_trial(self, monkeypatch):
+        # each start and each trial step is one row of one jet, which gives
+        # its energy and gradient together; nothing else samples the integrand
+        mania, partial_array, jet_rows, other = catalog("mania"), lagrangian.partial_array, [], []
+
+        def counted_jet(t, y, v):
+            jet_rows.append(y.shape[1])
+            return mania.jet(t, y, v)
+
+        def counted_eval(t, y, v):
+            other.append("eval")
+            return mania.eval(t, y, v)
+
+        def counted_partial_array(*args):
+            other.append("partial_array")
+            return partial_array(*args)
+
+        monkeypatch.setattr(lagrangian, "partial_array", counted_partial_array)
+        spec = dataclasses.replace(mania, eval=counted_eval, jet=counted_jet)
+        mesh = uniform_mesh(0, 1, 100)
+        found = minimize_bounded(spec, mesh, [5.0, 10.0], (0.0, 1.0), restarts=3, seed=2)
+        assert sum(jet_rows) == sum(info.energy_evals for _, _, info in found)
+        assert other == []
+        # straight line and 3 restarts per bound, and the second bound's warm start
+        for (_, _, info), starts in zip(found, (4, 5)):
+            assert info.gradient_evals == info.iterations + starts
+        reference = minimize_bounded(mania, mesh, [5.0, 10.0], (0.0, 1.0), restarts=3, seed=2)
+        assert [(e, info) for _, e, info in found] == [(e, info) for _, e, info in reference]
 
     def test_partials_fallback_reaches_the_same_minimum(self):
         mesh = uniform_mesh(0, 1, 40)

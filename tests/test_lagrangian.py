@@ -8,6 +8,7 @@ from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError,
                     SingularPointError, catalog, convexity_probe,
                     minimal_surface, partial_array, partials,
                     polynomial_lagrangian)
+from lavlab.lagrangian import jet
 
 RNG = np.random.default_rng(20260811)
 
@@ -178,6 +179,58 @@ class TestPartials:
         d = partial_array(spec, 1, 0.0, np.array([1e-12, 1.0]), 0.0)
         assert math.isnan(d[0])
         assert d[1] == pytest.approx(-1.0, rel=1e-9)
+
+
+def optimizer_grid(spec, rng, rows=3, cells=7, order=5):
+    """Points in the spec's sample box laid out as the slope optimizer lays
+    out its samples: t (order, 1, cells), y (order, rows, cells) and one
+    slope per cell, v (1, rows, cells)."""
+    (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
+    return (rng.uniform(t0, t1, (order, 1, cells)), rng.uniform(y0, y1, (order, rows, cells)),
+            rng.uniform(v0, v1, (1, rows, cells)))
+
+
+def eval_and_partials(spec, t, y, v):
+    return (np.asarray(spec.eval(t, y, v), dtype=float),
+            partial_array(spec, 1, t, y, v), partial_array(spec, 2, t, y, v))
+
+
+JET_SPECS = ALL_SPECS + [
+    polynomial_lagrangian([[1, 1, 2, 2], ["3/4", 0, 3, 1], [2, 0, 0, 4]], "polynomial"),
+    dataclasses.replace(catalog("mania"), id="mania_without_partials", partials=None, jet=None)]
+
+
+class TestJet:
+    def test_mania_has_its_own_jet(self):
+        assert catalog("mania").jet is not None
+
+    @pytest.mark.parametrize("spec", JET_SPECS, ids=lambda s: s.id)
+    def test_equals_eval_and_partials_bit_for_bit(self, spec):
+        t, y, v = optimizer_grid(spec, np.random.default_rng(31))
+        got = jet(spec, t, y, v)
+        for a, b in zip(got, eval_and_partials(spec, t, y, v), strict=True):
+            assert a.shape == b.shape == y.shape
+            assert np.all(np.isfinite(a))
+            assert np.array_equal(a, b)
+        point = next(iter(sample_points(spec, 1)))
+        for a, b in zip(jet(spec, *point), eval_and_partials(spec, *point), strict=True):
+            assert a.shape == () and a == b
+
+    @pytest.mark.parametrize("spec", [s for s in JET_SPECS if s.extended] + [
+        dataclasses.replace(catalog(i), id=f"{i}_without_partials", partials=None)
+        for i in ("brachistochrone", "half_inverse")], ids=lambda s: s.id)
+    def test_singular_points_stay_infinite(self, spec):
+        # brachistochrone is singular for y >= 1, half_inverse at y = 0
+        t, y, v = optimizer_grid(spec, np.random.default_rng(37))
+        singular = np.random.default_rng(41).random(y.shape) < 0.3
+        y[singular] = 1.0 if spec.id.startswith("brachistochrone") else 0.0
+        got = jet(spec, t, y, v)
+        assert np.all(got[0][singular] == np.inf)
+        assert np.all(np.isfinite(got[0][~singular]))
+        for a, b in zip(got, eval_and_partials(spec, t, y, v), strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+        if spec.partials is not None:  # central differences are NaN there by design
+            assert not any(np.isnan(a).any() for a in got)
 
 
 class TestConvexityProbe:
