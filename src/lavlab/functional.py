@@ -68,16 +68,26 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
                      y_left: np.ndarray, y_right: np.ndarray,
-                     order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Per-cell quadrature contributions from per-cell endpoint values."""
+                     order: int = DEFAULT_ORDER, *, h: np.ndarray | None = None,
+                     d: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell quadrature contributions from per-cell endpoint values.
+
+    h and d are the cell widths np.diff(nodes) and slopes
+    (y_right - y_left) / h; a caller that has them (a Trajectory keeps
+    both) passes them instead of having them computed again.
+    """
     x, w = _gauss(order)
-    h = np.diff(nodes)
-    d = (y_right - y_left) / h
+    if h is None:
+        h = np.diff(nodes)
+    if d is None:
+        d = (y_right - y_left) / h
 
     def samples(b: slice):
         tq = gauss_points(nodes, h, x, b)
-        return (tq, y_left[b] + d[b] * (tq - nodes[:-1][b]),
-                np.broadcast_to(d[b], tq.shape))
+        yq = tq - nodes[:-1][b]  # y_left + d (tq - t_left), built in place
+        yq *= d[b]
+        yq += y_left[b]
+        return tq, yq, np.broadcast_to(d[b], tq.shape)
 
     return cell_sums(spec, h, w, samples)
 
@@ -86,7 +96,9 @@ def gauss_points(nodes: np.ndarray, h: np.ndarray, x: np.ndarray,
                  b: slice = slice(None)) -> np.ndarray:
     """The Gauss points of the cells in slice b: one row per rule node x on
     [-1, 1], one column per cell (h is np.diff(nodes))."""
-    return (nodes[:-1][b] + nodes[1:][b]) / 2.0 + (h[b] / 2.0) * x[:, None]
+    tq = (h[b] / 2.0) * x[:, None]
+    tq += (nodes[:-1][b] + nodes[1:][b]) / 2.0
+    return tq
 
 
 def gauss_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,7 +142,7 @@ def cell_integrals(lq: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
     Samples that are all finite and below the threshold (the usual case)
     skip the mask.  Call it with over and invalid warnings off.
     """
-    if np.abs(lq).max() <= INF_THRESHOLD:  # False when a sample is NaN
+    if lq.max() <= INF_THRESHOLD and lq.min() >= -INF_THRESHOLD:  # False on NaN
         return (h / 2.0) * gauss_sum(lq, w)
     bad = ~(np.abs(lq) <= INF_THRESHOLD)
     contrib = (h / 2.0) * gauss_sum(np.where(bad, 0.0, lq), w)
@@ -189,19 +201,25 @@ def _total(per_cell: np.ndarray):
     return total if total.ndim else float(total)
 
 
+def _trajectory_cells(spec: LagrangianSpec, y: Trajectory, order: int) -> np.ndarray:
+    """cell_energies(spec, y.mesh.nodes, y.values, order), from the widths
+    and slopes y already keeps."""
+    return cell_energies_lr(spec, y.mesh.nodes, y.values[:-1], y.values[1:], order,
+                            h=y.mesh.widths, d=y.cell_derivatives())
+
+
 def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> EnergyReport:
     """Composite Gauss-Legendre energy of a trajectory.
 
     The derivative entering L is the exact per-cell slope, and quadrature
     nodes are strictly interior to cells.
     """
-    per_cell = cell_energies(spec, y.mesh.nodes, y.values, order)
+    per_cell = _trajectory_cells(spec, y, order)
     per_cell.flags.writeable = False
     value = _total(per_cell)
 
     def refine() -> float:
-        fine = y.bisected()
-        fine_val = _total(cell_energies(spec, fine.mesh.nodes, fine.values, order))
+        fine_val = _total(_trajectory_cells(spec, y.bisected(), order))
         return _extended_diff(value, fine_val)
 
     return EnergyReport(value=value, per_cell=per_cell,

@@ -180,7 +180,12 @@ def select_A(plan: ReparPlan) -> ReparPlan:
 
     # split slow cell j at the exact measure; later indices shift by one
     split_cell = int(cells[j])
-    split_node = float(y.mesh.nodes[split_cell]) + float(remaining[j])
+    left, right = y.mesh.nodes[split_cell:split_cell + 2]
+    split_node = float(left) + float(remaining[j])
+    if not left < split_node < right:
+        # the split rounds onto a node: take the cell whole (or not at all) and
+        # leave the sub-ulp difference to build_map's endpoint closure
+        return replace(plan, a_cells=cells[:j + (split_node >= right)], complete=True)
     shift = lambda idx: idx + (idx >= split_cell)
     return ReparPlan(
         trajectory=y.with_node(split_node), k=plan.k, lam=plan.lam,
@@ -191,22 +196,24 @@ def select_A(plan: ReparPlan) -> ReparPlan:
         deficit=plan.deficit, complete=True, split_node=split_node)
 
 
-def build_map(plan: ReparPlan) -> MonotoneMap:
+def build_map(plan: ReparPlan, speeds: np.ndarray | None = None) -> MonotoneMap:
     """Monotone map with the plan's speeds, closed to hit b exactly.
 
     In exact arithmetic the measure equation makes phi(b) = b; the residual
-    float defect is absorbed into the last unit-speed cell before the map is
-    validated against the endpoint tolerance.
+    float defect is absorbed into the last unit-speed cell (the last cell if
+    there is none) before the map is validated against the endpoint
+    tolerance.  `speeds`, if given, is `plan.speeds()` and is corrected in
+    place.
     """
     if not plan.complete:
         raise ArgumentError("plan is not complete; run select_A first")
     mesh = plan.trajectory.mesh
-    speeds = plan.speeds()
+    if speeds is None:
+        speeds = plan.speeds()
     widths = mesh.widths
     defect = (mesh.b - mesh.a) - _total(speeds * widths)
-    if defect != 0.0:
-        neutral = np.flatnonzero(speeds == 1.0)
-        j = int(neutral[-1]) if neutral.size else mesh.n_cells - 1
+    if defect != 0.0:  # argmax of no hit is 0: the last cell
+        j = mesh.n_cells - 1 - int(np.argmax(speeds[::-1] == 1.0))
         speeds[j] += defect / float(widths[j])
     phi = MonotoneMap(mesh, speeds)
     if not phi.is_endpoint_exact:
@@ -253,11 +260,12 @@ class ReparInput:
             raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
         lip, before = self.lip, self.energy_before
         plan = select_A(classify(self.y, k, self.lam))
-        if np.all(plan.speeds() == 1.0):  # Lip(y) < k or |d| == k ties: no time change
+        speeds = plan.speeds()
+        if np.all(speeds == 1.0):  # Lip(y) < k or |d| == k ties: no time change
             return ReparResult(y_k=plan.trajectory, plan=plan, lip_before=lip,
                                lip_after=lip, energy_before=before,
                                energy_after=before)
-        y_k = push_through_inverse(plan.trajectory, build_map(plan))
+        y_k = push_through_inverse(plan.trajectory, build_map(plan, speeds))
         return ReparResult(y_k=y_k, plan=plan, lip_before=lip,
                            lip_after=y_k.lipschitz_constant, energy_before=before,
                            energy_after=energy(self.spec, y_k, self.order).value)

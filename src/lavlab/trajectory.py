@@ -36,7 +36,8 @@ class Mesh:
     """Strictly increasing nodes t_0 < ... < t_n spanning [a, b].
 
     Nodes are stored as absolute positions (not widths) so refinement and
-    time changes do not accumulate drift.  Instances are immutable.
+    time changes do not accumulate drift.  Instances are immutable; the
+    cell widths np.diff(nodes) that validation computes are kept.
     """
 
     nodes: np.ndarray
@@ -45,10 +46,13 @@ class Mesh:
         arr = _as_float_vector(self.nodes, "nodes").copy()
         if arr.size < 2:
             raise ArgumentError("a mesh needs at least one cell")
-        if not np.all(np.diff(arr) > 0):
+        widths = np.diff(arr)
+        if not np.all(widths > 0):
             raise ArgumentError("mesh nodes must be strictly increasing")
         arr.flags.writeable = False
+        widths.flags.writeable = False
         object.__setattr__(self, "nodes", arr)
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def a(self) -> float:
@@ -62,11 +66,9 @@ class Mesh:
     def n_cells(self) -> int:
         return self.nodes.size - 1
 
-    @cached_property
+    @property
     def widths(self) -> np.ndarray:
-        w = np.diff(self.nodes)
-        w.flags.writeable = False
-        return w
+        return self._widths
 
     def cell_of(self, t: float) -> int:
         """Index of the cell containing t (right-closed at b)."""
@@ -87,9 +89,10 @@ class Mesh:
         """Mesh with one extra node at t (no-op if t is already a node)."""
         if not (self.a < t < self.b):
             raise DomainError(f"new node {t} must lie strictly inside ({self.a}, {self.b})")
-        if t in self.nodes:
+        i = int(np.searchsorted(self.nodes, t))
+        if self.nodes[i] == t:
             return self
-        return Mesh(np.sort(np.append(self.nodes, t)))
+        return Mesh(np.insert(self.nodes, i, t))
 
 
 def uniform_mesh(a: float, b: float, n: int) -> Mesh:
@@ -177,11 +180,14 @@ class Trajectory:
         return Trajectory(self.mesh.bisected(), out)
 
     def with_node(self, t: float) -> "Trajectory":
-        """The same function with one extra node at t."""
+        """The same function with one extra node at t, whose value is the
+        interpolant's there (no-op if t is already a node)."""
         new_mesh = self.mesh.with_node(t)
         if new_mesh is self.mesh:
             return self
-        return Trajectory(new_mesh, self.eval(new_mesh.nodes))
+        i = int(np.searchsorted(self.mesh.nodes, t))  # t lies in cell i - 1
+        value = np.interp(t, self.mesh.nodes[i - 1:i + 1], self.values[i - 1:i + 1])
+        return Trajectory(new_mesh, np.insert(self.values, i, value))
 
     # -- serialization ----------------------------------------------------
 
@@ -322,7 +328,7 @@ def push_through_inverse(y: Trajectory, phi: MonotoneMap) -> Trajectory:
     new cell slopes are d_i / v_i and both boundary values are preserved
     exactly.  Requires phi on the same mesh as y and endpoint-exact.
     """
-    if not np.array_equal(y.mesh.nodes, phi.mesh.nodes):
+    if y.mesh is not phi.mesh and not np.array_equal(y.mesh.nodes, phi.mesh.nodes):
         raise ContractError("trajectory and map must share the same mesh")
     if not phi.is_endpoint_exact:
         raise ContractError(

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from lavlab import (Trajectory, catalog, energy, energy_converged,
+from lavlab import (CATALOG_IDS, Trajectory, catalog, energy, energy_converged,
                     graded_mesh, plateau_tent, polynomial_lagrangian, sample,
                     sawtooth, sqrt_ramp, uniform_mesh)
 
 from lavlab import cli
-from lavlab.functional import (BLOCK, _gauss, _total, cell_energies,
-                               cell_energies_lr, cell_sums, gauss_points)
+from lavlab.functional import (BLOCK, _extended_diff, _gauss, _total,
+                               cell_energies, cell_energies_lr, cell_sums,
+                               gauss_points)
 from lavlab.lagrangian import LagrangianSpec
 
 from conftest import oracle_energy, random_trajectory
@@ -250,6 +251,25 @@ class TestEnergy:
         d = rep.to_json_dict()
         old = dict(d, per_cell=list(tuple(float(c) for c in cells)))
         assert cli._dumps(d) == json.dumps(old, sort_keys=True, indent=2) + "\n"
+
+
+    @pytest.mark.parametrize("ident", CATALOG_IDS)
+    def test_per_cell_has_the_bits_of_cell_energies(self, ident):
+        """energy() reads the widths and slopes the trajectory keeps; they
+        give the bits of the kernel differencing the nodal data itself."""
+        spec = catalog(ident)
+        rng = np.random.default_rng(23)
+        for lo, power in ((0.5, 1.0), (-2.0, 3.0), (1e-3, 2.0)):
+            mesh = graded_mesh(float(rng.uniform(0.1, 1.0)), 2.0, int(rng.integers(1, 300)),
+                               power)
+            y = Trajectory(mesh, rng.uniform(lo, 2.0, mesh.nodes.size))
+            for order in (1, 5, 8):
+                cells = cell_energies(spec, y.mesh.nodes, y.values, order)
+                rep = energy(spec, y, order)
+                assert np.array_equal(rep.per_cell.view(np.int64), cells.view(np.int64))
+                fine = y.bisected()
+                fine_val = _total(cell_energies(spec, fine.mesh.nodes, fine.values, order))
+                assert rep.refinement_error_estimate == _extended_diff(rep.value, fine_val)
 
 
 class TestEnergyConverged:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,10 @@ def reference_select_A(plan):
             if remaining > guard:
                 split_node = float(y.mesh.nodes[idx]) + remaining
                 split_cell = idx
+                if split_node >= y.mesh.nodes[idx + 1]:  # rounds onto the right node
+                    chosen.append(idx)
+                if not y.mesh.nodes[idx] < split_node < y.mesh.nodes[idx + 1]:
+                    split_node = None
             remaining = 0.0
             break
     if remaining > 0.0:
@@ -192,6 +197,35 @@ class TestSelectAReference:
         assert done.measure_a == measure_a
         if mode != "split":
             assert split_node is None
+
+
+class TestSelectASplitOntoANode:
+    @pytest.mark.parametrize("a, target, taken", [
+        (0.0, 2.0 ** -10 - 2.0 ** -62, [2]),  # onto the right node: whole
+        (2.0 ** 20, 2e-11, []),               # below half an ulp of 2^20: none
+    ])
+    def test_a_split_that_rounds_onto_a_node_moves_no_index(self, a, target, taken):
+        """The compensation target 2 * deficit falls short of the one slow
+        cell's width 2^-10 by less than half an ulp of its right node, or is
+        less than half an ulp of its left node, so the split node t_2 +
+        target rounds onto a node: the cell is taken whole or not at all,
+        the trajectory is kept, and no index moves."""
+        eps = 2.0 ** -10
+        y = Trajectory(Mesh(a + np.array([0.0, 0.25, 0.75, 0.75 + eps, 1.0])),
+                       np.array([0.0, 0.3, 1.05, 1.05 + 0.1 * eps, 1.8]))
+        plan = classify(y, 2.0, 1.0)
+        assert plan.s_cells.tolist() == [3] and plan.omega_cells.tolist() == [2]
+        short = dataclasses.replace(plan, deficit=target / 2.0)
+        assert y.mesh.nodes[2] + target == y.mesh.nodes[2 + len(taken)]
+        done = select_A(short)
+        assert done.trajectory is y and done.split_node is None
+        assert done.s_cells.tolist() == [3]
+        assert done.omega_cells.tolist() == [2]
+        assert done.a_cells.tolist() == taken
+        assert done.measure_a == eps * len(taken)
+        speeds = done.speeds()
+        assert speeds[3] == abs(y.cell_derivatives()[3]) / 2.0
+        assert speeds[2] == (0.5 if taken else 1.0)
 
 
 class TestBuildMap:

@@ -50,6 +50,12 @@ class TestMesh:
         assert mesh.a == 0.1
         assert mesh.b == 0.3
 
+    def test_widths_are_the_validation_diff_read_only(self):
+        nodes = np.array([0.0, 0.1, 0.30000000000000004, 0.7, 1.0])
+        widths = Mesh(nodes).widths
+        assert np.array_equal(widths.view(np.int64), np.diff(nodes).view(np.int64))
+        assert not widths.flags.writeable
+
     def test_bisected_interleaves_midpoints(self):
         mesh = Mesh(np.array([0.0, 1.0, 4.0]))
         assert np.array_equal(mesh.bisected().nodes, [0.0, 0.5, 1.0, 2.5, 4.0])
@@ -97,6 +103,63 @@ class TestCellDerivatives:
         assert d[0] == pytest.approx(np.sqrt(n), rel=1e-14)
         assert d[1] == pytest.approx((1 - n ** -0.5) / (1 - 1 / n), rel=1e-14)
         assert y.lipschitz_constant == pytest.approx(10.0)
+
+
+def former_with_node(y: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of y.with_node(t) as first written: sort the
+    appended node, then interpolate y at every node."""
+    nodes = np.sort(np.append(y.mesh.nodes, t))
+    return nodes, np.interp(nodes, y.mesh.nodes, y.values)
+
+
+def graded_jittered_mesh(rng: np.random.Generator, n: int, jitter: bool) -> Mesh:
+    """A graded mesh of [a, b], each interior node optionally moved by up
+    to a quarter of its smaller adjacent cell."""
+    a = float(rng.uniform(-2.0, 1.0))
+    b = a + float(rng.uniform(0.5, 3.0))
+    nodes = graded_mesh(a, b, n, float(rng.uniform(1.0, 4.0))).nodes.copy()
+    if jitter and n > 1:
+        h = np.diff(nodes)
+        nodes[1:-1] += rng.uniform(-1.0, 1.0, n - 1) * 0.25 * np.minimum(h[:-1], h[1:])
+    return Mesh(nodes)
+
+
+class TestWithNode:
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.sampled_from(["inside", "ulp_below", "ulp_above"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_sorting_and_interpolating_every_node(self, seed, jitter, where):
+        rng = np.random.default_rng(seed)
+        mesh = graded_jittered_mesh(rng, int(rng.integers(1, 300)), jitter)
+        y = Trajectory(mesh, rng.normal(size=mesh.nodes.size) * 10.0 ** rng.uniform(-3, 3))
+        if where == "inside":
+            i = int(rng.integers(0, mesh.n_cells))
+            t = float(mesh.nodes[i] + rng.uniform() * mesh.widths[i])
+        else:  # an ulp beside an interior node, or beside a or b
+            i = int(rng.integers(0, mesh.nodes.size))
+            t = float(np.nextafter(mesh.nodes[i], -np.inf if where == "ulp_below" else np.inf))
+        if not mesh.a < t < mesh.b or t in mesh.nodes:
+            return
+        out = y.with_node(t)
+        nodes, values = former_with_node(y, t)
+        assert np.array_equal(out.mesh.nodes.view(np.int64), nodes.view(np.int64))
+        assert np.array_equal(out.values.view(np.int64), values.view(np.int64))
+        assert np.array_equal(out.mesh.with_node(t).nodes, nodes)
+
+    def test_existing_node_returns_the_same_objects(self):
+        y = sample(np.sqrt, graded_mesh(0, 1, 8, 2.0))
+        for t in y.mesh.nodes[1:-1]:
+            assert y.with_node(float(t)) is y
+            assert y.mesh.with_node(float(t)) is y.mesh
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -0.5, 1.5, np.nextafter(0.0, -1.0),
+                                   np.nextafter(1.0, 2.0), np.nan])
+    def test_node_outside_the_open_interval_raises(self, t):
+        y = sample(np.sqrt, graded_mesh(0, 1, 8, 2.0))
+        with pytest.raises(DomainError):
+            y.with_node(t)
+        with pytest.raises(DomainError):
+            y.mesh.with_node(t)
 
 
 class TestSample:
