@@ -41,7 +41,7 @@ from .functional import DEFAULT_ORDER, energy, energy_converged
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
 from .repar import FindKReport, KRow, ReparInput
 from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
-                         sample)
+                         row_pieces, sample)
 
 # Named exact profiles accepted by --exact, with exact derivatives.
 EXACT_CURVES: dict[str, tuple[Callable, Callable]] = {
@@ -210,70 +210,78 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_floats(a, texts: Callable) -> Iterable[str]:
-    """texts(a), the float texts of a, with json's spelling of the
-    non-finite values."""
-    out = texts(a)
-    if np.isfinite(a).all():
-        return out
-    return (_JSON_NONFINITE.get(t, t) for t in out)
+def _write_json(obj: Any, write: Callable[[str], Any],
+                texts: Callable | None = None) -> None:
+    """Write `json.dumps(obj, sort_keys=True, indent=2) + "\n"`, byte for
+    byte, through `write`, as it is encoded.  A non-empty 1-D or 2-D float
+    array goes out in pieces of `trajectory.PIECE` entries (rows, for 2-D),
+    each one join, so the text held at any time does not grow with the
+    report.  Dict keys are str.  `texts` gives an array's float texts
+    (default `float_texts`), so a run that also writes the array to a CSV
+    can format it once.  An unencodable payload raises TypeError when the
+    writer reaches it, after what comes before it has been written."""
+    _encode(obj, "\n", write, texts or float_texts)
+    write("\n")
 
 
-def _dumps(obj: Any, texts: Callable | None = None) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, byte for byte,
-    with a non-empty 1-D or 2-D float array written by one join over its
-    entries instead of one encoder call per element.  Dict keys are str.
-    `texts` gives an array's float texts (default `float_texts`), so a run
-    that also writes the array to a CSV can format it once."""
-    out: list[str] = []
-    _encode(obj, "\n", out, texts or float_texts)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(obj: Any, nl: str, out: list[str], texts: Callable) -> None:
-    """Append obj's JSON to out; nl is a newline and the indent of obj's line."""
+def _encode(obj: Any, nl: str, write: Callable[[str], Any], texts: Callable) -> None:
+    """Write obj's JSON; nl is a newline and the indent of obj's line."""
     inner = nl + "  "
     if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        write(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
-        out.append(_JSON_CONSTANTS[obj])
+        write(_JSON_CONSTANTS[obj])
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif isinstance(obj, float):
-        out.extend(_json_floats(obj, texts))
+        text = float.__repr__(obj)
+        write(_JSON_NONFINITE.get(text, text))
     elif (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
           and obj.ndim in (1, 2) and obj.size):
-        items = _json_floats(obj, texts)
-        if obj.ndim == 2:  # rows of shape[1] entries, laid out as nested lists
-            row = inner + "  "
-            items = map(("," + row).join, zip(*[iter(items)] * obj.shape[1]))
-            out += ("[", inner, "[", row, f"{inner}],{inner}[{row}".join(items),
-                    inner, "]", nl, "]")
-        else:
-            out += ("[", inner, ("," + inner).join(items), nl, "]")
+        _write_array(obj, nl, write, texts(obj))
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), nl, out, texts)
+        _encode(obj.tolist(), nl, write, texts)
     elif isinstance(obj, (list, tuple, dict)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
+        write("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _encode(value, inner, out, texts)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, write, texts)
             sep = "," + inner
-        out += (nl, "}")
+        write(nl + "}")
     elif isinstance(obj, (list, tuple)):
         sep = "[" + inner
         for value in obj:
-            out.append(sep)
-            _encode(value, inner, out, texts)
+            write(sep)
+            _encode(value, inner, write, texts)
             sep = "," + inner
-        out += (nl, "]")
+        write(nl + "]")
     elif is_dataclass(obj) and not isinstance(obj, type):
-        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, nl, out, texts)
+        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, nl, write, texts)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_array(a: np.ndarray, nl: str, write: Callable[[str], Any],
+                 texts: Iterable[str]) -> None:
+    """Write the non-empty float array a (1-D, or 2-D as nested lists),
+    whose row-major float texts are `texts`, one piece of rows per join."""
+    inner = nl + "  "
+    if a.ndim == 2:
+        row = inner + "  "
+        lead, sep, end = "[" + inner + "[" + row, f"{inner}],{inner}[{row}", inner + "]" + nl + "]"
+    else:
+        lead, sep, end = "[" + inner, "," + inner, nl + "]"
+    for rows, items in row_pieces(a, texts):
+        if not np.isfinite(rows).all():
+            items = (_JSON_NONFINITE.get(t, t) for t in items)
+        if a.ndim == 2:
+            items = map(("," + row).join, zip(*[items] * a.shape[1]))
+        write(lead)
+        write(sep.join(items))
+        lead = sep
+    write(end)
 
 
 # -- subcommand runners -------------------------------------------------------
@@ -441,19 +449,21 @@ def resolve(name: str, given: dict[str, Any]) -> dict[str, Any]:
 def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int:
     """Run a resolved config, write the report (with the config) to `out`,
     stdout when None, and the CSV rows to `csv_out`; returns the exit status.
-    An output path that cannot be written fails before the run."""
+    An output path that cannot be written fails before the run.  The report
+    is written as it is encoded, so only an unencodable payload (a
+    programming error) can leave a partial file."""
     command = COMMANDS[config["subcommand"]]
     for path, what in ((out, "report file"), (csv_out, "CSV file")):
         if path:
             _check_output(path, what)
     result = command.run(config)
     body, csv_writer, texts = result if command.rows else (result, None, None)
-    text = _dumps({"config": config, **body}, texts)
+    report = {"config": config, **body}
     if out:
         with _open(out, "report file", "w") as f:
-            f.write(text)
+            _write_json(report, f.write, texts)
     else:
-        sys.stdout.write(text)
+        _write_json(report, sys.stdout.write, texts)
     if csv_out:
         with _open(csv_out, "CSV file", "w", newline="") as f:
             csv_writer(f)

@@ -87,7 +87,7 @@ def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
         yq = tq - nodes[:-1][b]  # y_left + d (tq - t_left), built in place
         yq *= d[b]
         yq += y_left[b]
-        return tq, yq, np.broadcast_to(d[b], tq.shape)
+        return tq, yq, d[b][None]  # one slope per cell, not per sample
 
     return cell_sums(spec, h, w, samples)
 
@@ -118,8 +118,9 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
 
     The one quadrature kernel.  It walks the cells in blocks of BLOCK, and
     `samples(b)` returns the (tq, yq, vq) of the cells in slice b, one row
-    per Gauss point, so no sample array larger than a block is needed.  Each
-    block's integrand samples are reduced by `cell_integrals`, so a cell's
+    per Gauss point (vq may be one row, a slope per cell), so no sample
+    array larger than a block is needed.  Each block's integrand samples,
+    broadcast to the shape of yq, are reduced by `cell_integrals`, so a cell's
     bits depend on its own samples only, never on the block it falls in,
     nor on the other rows when samples are laid out (order, rows, cells).
     """
@@ -127,7 +128,10 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, h.size, BLOCK):
             b = slice(lo, lo + BLOCK)
-            lq = np.asarray(spec.eval(*samples(b)), dtype=float)
+            tq, yq, vq = samples(b)
+            lq = np.asarray(spec.eval(tq, yq, vq), dtype=float)
+            if lq.shape != yq.shape:  # a value that ignores t and y
+                lq = np.broadcast_to(lq, yq.shape)
             if out.ndim + 1 < lq.ndim:  # rows of cells
                 out = np.empty(lq.shape[1:-1] + h.shape)
             out[..., b] = cell_integrals(lq, h[b], w)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedLagrangianError
 from .lagrangian import LagrangianSpec, partial_array
-from .trajectory import Trajectory, float_texts
+from .trajectory import Trajectory, float_texts, row_pieces
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,11 @@ class ResidualReport:
         return list(float_texts(self.samples))
 
     def samples_to_csv(self, f) -> None:
-        rows = iter(self.sample_texts)
-        f.write("\n".join(["t,residual", *map(",".join, zip(rows, rows)), ""]))
+        """Write a 't,residual' header and one line per sample, PIECE
+        lines at a time."""
+        f.write("t,residual\n")
+        for _, texts in row_pieces(self.samples, self.sample_texts):
+            f.write("".join(map("%s,%s\n".__mod__, zip(texts, texts))))
 
 
 def el_residual(spec: LagrangianSpec, y: Trajectory) -> ResidualReport:

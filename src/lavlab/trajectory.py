@@ -12,7 +12,8 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .errors import ArgumentError, ContractError, DomainError, SamplingError
 
 # Endpoint-exactness tolerance for monotone maps, relative to (b - a).
 ENDPOINT_RTOL = 1e-12
+
+# Entries (rows, of a 2-D array) per piece of report text: a piece joined
+# into one string stays well under malloc's 128 KiB mmap threshold.
+PIECE = 2 ** 10
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -219,9 +224,10 @@ class Trajectory:
         if not body or body.isspace():
             raise ArgumentError("trajectory CSV has no rows after its header")
         try:  # correctly rounded, so the same bits as float()
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                              ndmin=2, usecols=(0, 1))
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != 2:
             rows = _parse_rows(body)
         return cls(Mesh(rows[:, 0]), rows[:, 1])
 
@@ -231,14 +237,16 @@ class Trajectory:
 
 def _parse_rows(body: str) -> np.ndarray:
     """The rows of a trajectory CSV body one at a time with float(): reads
-    what np.loadtxt refuses but float() takes, and names a bad line."""
+    what np.loadtxt refuses but float() takes, and names the first line
+    that is not exactly two numbers."""
     rows = []
     reader = csv.reader(io.StringIO(body, newline=""))
     for r in reader:
         if r:
             try:
-                rows.append((float(r[0]), float(r[1])))
-            except (IndexError, ValueError):
+                t, y = r
+                rows.append((float(t), float(y)))
+            except ValueError:
                 raise ArgumentError(
                     f"line {reader.line_num + 1}: expected t,y numbers, "
                     f"got {','.join(r)!r}") from None
@@ -248,8 +256,23 @@ def _parse_rows(body: str) -> np.ndarray:
 def float_texts(a) -> Iterator[str]:
     """float.__repr__ of each entry of `a`, row-major: the shortest text
     that reads back to the same bits, and the one float format of every
-    lavlab report (CSV keeps 'nan'/'inf'; the JSON writer respells them)."""
-    return map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist())
+    lavlab report (CSV keeps 'nan'/'inf'; the JSON writer respells them).
+    The entries become Python floats PIECE at a time."""
+    flat = np.asarray(a, dtype=float).ravel()
+    return chain.from_iterable(map(float.__repr__, flat[lo:lo + PIECE].tolist())
+                               for lo in range(0, flat.size, PIECE))
+
+
+def row_pieces(a: np.ndarray, texts: Iterable[str]) -> Iterator[tuple[np.ndarray, Iterator[str]]]:
+    """(rows, their texts) for each run of PIECE rows of `a` (entries, for
+    a 1-D array), the texts taken in turn from `texts`, a's float texts in
+    row-major order.  Each piece's texts must be used up before the next
+    piece.  The report writers write an array one such piece at a time, so
+    no text they build grows with the array."""
+    texts = iter(texts)
+    for lo in range(0, len(a), PIECE):
+        rows = a[lo:lo + PIECE]
+        yield rows, islice(texts, rows.size)
 
 
 def csv_text(header: str, *columns) -> str:

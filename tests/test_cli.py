@@ -147,6 +147,10 @@ class TestMainInProcess:
         ("other_header.csv", "x,y\n0,1\n1,2\n", "header 't,y'"),
         ("blank_rows_only.csv", "t,y\n\r\n", "no rows"),
         ("short_after_blank.csv", "t,y\n0,1\n\n0.5\n", "line 4"),
+        ("three_fields.csv", "t,y\n0,0,5\n1,1,6\n",
+         "line 2: expected t,y numbers, got '0,0,5'"),
+        ("third_field_late.csv", "t,y\n0,1\n0.5,2\n1,3,extra\n",
+         "line 4: expected t,y numbers, got '1,3,extra'"),
         ("not_an_object.json", "[0, 1]", "TypeError"),
         ("ragged.json", '{"nodes": [[0], [1, 2]], "values": [0, 1]}', "ValueError"),
         ("bad_syntax.json", '{"nodes": [0, 1],', "Expecting"),
@@ -166,7 +170,7 @@ class TestMainInProcess:
         "t,y\n\n0,1\n\n0.5,2\n1,3\n\n",             # blank lines
         " t , y \n0,1\n0.5,2\n1,3\n",                 # spaces around the header
         "t,y\r0,1\r0.5,2\r1,3\r",                     # CR line endings
-        't,y\n"0","1"\n0.5,2\n1,3,extra\n',           # quoted cells, a third column
+        't,y\n"0","1"\n0.5,2\n1,3\n',                 # quoted cells
     ])
     def test_trajectory_csv_layouts_read_as_before(self, tmp_path, text):
         path = tmp_path / "y.csv"

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -98,6 +99,21 @@ class TestKernel:
             assert cells[j] == (h / 2.0) * acc
             assert cells[j] == pytest.approx((h / 2.0) * math.fsum(terms),
                                              rel=order * np.finfo(float).eps)
+
+    def test_the_slope_reaches_the_integrand_once_per_cell(self):
+        """The sampler hands the integrand a (1, cells) row of slopes, and a
+        value of the slope alone is broadcast over each cell's Gauss points."""
+        shapes = []
+
+        def ev(t, y, v):
+            shapes.append((t.shape, y.shape, v.shape))
+            return v * v
+
+        spec = LagrangianSpec(id="slope_only", eval=ev, partials=None,
+                              autonomous=True, convex_in_v=True)
+        cells = cell_energies(spec, np.array([0.0, 0.25, 1.0]), np.array([0.0, 1.0, 1.5]))
+        assert shapes == [((5, 2), (5, 2), (1, 2))]
+        assert cells == pytest.approx([0.25 * 4.0 ** 2, 0.75 * (0.5 / 0.75) ** 2], rel=1e-15)
 
     def test_a_cell_has_the_same_bits_in_any_block(self):
         rng = np.random.default_rng(21)
@@ -250,7 +266,9 @@ class TestEnergy:
         # the same JSON as the former tuple of Python floats
         d = rep.to_json_dict()
         old = dict(d, per_cell=list(tuple(float(c) for c in cells)))
-        assert cli._dumps(d) == json.dumps(old, sort_keys=True, indent=2) + "\n"
+        written = io.StringIO()
+        cli._write_json(d, written.write)
+        assert written.getvalue() == json.dumps(old, sort_keys=True, indent=2) + "\n"
 
 
     @pytest.mark.parametrize("ident", CATALOG_IDS)

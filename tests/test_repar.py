@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -385,7 +386,9 @@ def _capped_bits(run, k):
         res = run(k)
     except InfeasibleError as exc:
         return "infeasible", str(exc)
-    return (cli._dumps(res), res.y_k.mesh.nodes.tobytes(), res.y_k.values.tobytes())
+    report = io.StringIO()
+    cli._write_json(res, report.write)
+    return (report.getvalue(), res.y_k.mesh.nodes.tobytes(), res.y_k.values.tobytes())
 
 
 class TestReparInput:

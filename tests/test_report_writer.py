@@ -1,9 +1,11 @@
-"""The report writer `cli._dumps` against `json.dumps(sort_keys=True, indent=2)`."""
+"""The report writer `cli._write_json` against `json.dumps(sort_keys=True, indent=2)`."""
 
 import dataclasses
 import json
 import math
+import tracemalloc
 from typing import Any
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lavlab import cli
+from lavlab import cli, trajectory
+
+
+def dumps(obj) -> str:
+    """What `cli._write_json` writes for obj, as one string."""
+    parts: list[str] = []
+    cli._write_json(obj, parts.append)
+    return "".join(parts)
 
 
 def as_lists(obj):
@@ -84,14 +93,58 @@ class TestDumps:
     @example([np.zeros((2, 0)), np.ones((1, 1)), np.empty(0), {}])
     @example(Report((Row(1, -0.0, np.ones((2, 2)), (1.0, math.inf)),), {"r": Report((), None)}))
     def test_matches_json_dumps(self, payload):
-        assert cli._dumps(payload) == reference(payload)
+        assert dumps(payload) == reference(payload)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3])
+    @given(payload=payloads)
+    @settings(max_examples=100, deadline=None)
+    @example(payload={"a": np.array([1.0, 2.0, math.nan]), "b": np.ones((3, 2))})
+    @example(payload=[np.array([[1.0, 2.0, 3.0], [4.0, -math.inf, 6.0]]), np.ones(4)])
+    def test_matches_json_dumps_across_pieces(self, piece, payload):
+        with mock.patch.object(trajectory, "PIECE", piece):
+            assert dumps(payload) == reference(payload)
+
+    def test_large_arrays_non_finite_in_the_last_piece_only(self):
+        """Pieces of the default size, every one but the last finite."""
+        rng = np.random.default_rng(19)
+        flat = rng.standard_normal(10_001) * 10.0 ** rng.integers(-300, 300, 10_001)
+        rows = rng.standard_normal((5_000, 2))
+        flat[-3:] = math.nan, math.inf, -math.inf
+        rows[-1] = math.nan, -math.inf
+        assert flat.size % trajectory.PIECE and len(rows) % trajectory.PIECE
+        assert np.isfinite(flat[:-trajectory.PIECE]).all()
+        assert np.isfinite(rows[:-trajectory.PIECE]).all()
+        payload = {"flat": flat, "rows": rows, "after": [1.0, math.nan]}
+        assert dumps(payload) == reference(payload)
 
     @pytest.mark.parametrize("bad", [object(), {"x": {1, 2}}, [np.int64(3)], Row])
     def test_unsupported_type_raises_like_json(self, bad):
         with pytest.raises(TypeError):
             json.dumps(bad)
         with pytest.raises(TypeError):
-            cli._dumps(bad)
+            dumps(bad)
+
+
+def _writing_peak(payload) -> int:
+    """tracemalloc's peak, in bytes, while the writer writes payload to a
+    write that keeps nothing."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._write_json(payload, lambda text: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_memory_does_not_grow_with_the_report():
+    """The writer holds a piece of text at a time, never the report: a
+    report 4x as large raises the traced peak by less than 0.5 MB."""
+    rng = np.random.default_rng(4)
+    flat, rows = rng.standard_normal(400_000), rng.standard_normal((200_000, 2))
+    quarter = _writing_peak({"a": flat[:100_000], "b": rows[:50_000]})
+    full = _writing_peak({"a": flat, "b": rows})
+    assert full - quarter < 500_000, (quarter, full)
 
 
 def report(name, **kw):
@@ -130,7 +183,7 @@ def small_payloads(tmp_path, capsys):
 def test_real_payloads_match_json_dumps(tmp_path, capsys):
     seen = 0
     for payload in small_payloads(tmp_path, capsys):
-        assert cli._dumps(payload) == reference(payload)
+        assert dumps(payload) == reference(payload)
         seen += 1
     assert seen == 8
 
@@ -161,7 +214,24 @@ def test_report_object_keys(name, settings, path, keys, tmp_path):
     report dataclass by its field names, so renaming a field renames a key."""
     if name in ("necessary-check", "energy") and "exact" not in settings:
         settings = {**settings, "trajectory": catenary_csv(tmp_path / "cat.csv")}
-    obj = json.loads(cli._dumps(report(name, **settings)))
+    obj = json.loads(dumps(report(name, **settings)))
     for step in path:
         obj = obj[step]
     assert set(obj) == keys
+
+
+@pytest.mark.parametrize("piece", [3, trajectory.PIECE])
+@pytest.mark.parametrize("name, settings", [
+    ("necessary-check", {"lagrangian": "surface_of_revolution"}),  # 2-D samples
+    ("energy", {"lagrangian": "sqrt_chain"}),  # 1-D per_cell
+])
+def test_out_file_and_stdout_get_the_same_bytes(name, settings, piece, tmp_path, capsys):
+    kw = {**settings, "trajectory": catenary_csv(tmp_path / "c.csv")}
+    config = cli.resolve(name, kw)
+    out = tmp_path / "report.json"
+    with mock.patch.object(trajectory, "PIECE", piece):
+        assert cli.run(config) == 0
+        printed = capsys.readouterr().out
+        assert cli.run(config, str(out)) == 0
+    assert out.read_bytes() == printed.encode()
+    assert printed == reference(report(name, **kw))

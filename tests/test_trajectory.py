@@ -317,6 +317,16 @@ class TestSerialization:
             want = np.array([float(x) for x in texts])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("body, line", [
+        ("0,0,5\n1,1,6\n", "line 2: expected t,y numbers, got '0,0,5'"),  # loadtxt reads 3 columns
+        ("0,0\n1,1,6\n", "line 3: expected t,y numbers, got '1,1,6'"),    # loadtxt refuses
+        ("0,0,\n1,1\n", "line 2: expected t,y numbers, got '0,0,'"),      # an empty third field
+    ])
+    def test_from_csv_refuses_a_row_with_extra_fields(self, body, line):
+        with pytest.raises(ArgumentError) as err:
+            Trajectory.from_csv(io.StringIO("t,y\n" + body))
+        assert str(err.value) == line
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=12, unique=True), st.data())
     @settings(max_examples=100, deadline=None)
