@@ -459,6 +459,8 @@ def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int
     result = command.run(config)
     body, csv_writer, texts = result if command.rows else (result, None, None)
     report = {"config": config, **body}
+    if not csv_out:  # formatting once for two outputs pays only with both
+        texts = None
     if out:
         with _open(out, "report file", "w") as f:
             _write_json(report, f.write, texts)

@@ -2,10 +2,10 @@
 
 Evaluators must accept numpy arrays, and are extended-real: a singular
 point yields +inf (never NaN), and infinities propagate through sums.  Exact
-partial derivatives likewise return +/-inf at singular points.  A single
-partial goes through `partial_array`, which falls back on central
-differences for a spec without exact partials; the scalar `partials`
-wrapper turns a non-finite partial into a SingularPointError.  The slope
+partial derivatives likewise return +/-inf at singular points.  Only L_y
+and L_v are ever read.  A single partial goes through `partial_array`,
+which reads it from the spec's jet or its exact partials, each stated once,
+and falls back on central differences for a spec with neither.  The slope
 optimizer takes (L, L_y, L_v) together from `jet`: the spec's own jet, which
 shares its subexpressions across the three, or `eval` plus `partial_array`.
 """
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CatalogKeyError, SingularPointError
+from .errors import ArgumentError, CatalogKeyError
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,28 +38,26 @@ class LagrangianSpec:
         id: stable name used by the CLI and catalogs.
         eval: (t, y, v) -> value >= 0 (or +inf when `extended`); must accept
             numpy arrays.
-        partials: optional (L_t, L_y, L_v) evaluators, array-safe, returning
+        partials: optional (L_y, L_v) evaluators, array-safe, returning
             +/-inf at singular points.
         autonomous: independent of t.
         convex_in_v: v -> L(t, y, v) convex for every (t, y) in the domain.
         extended: may take the value +inf.
         sample_box: (t, y, v) ranges where the integrand is finite and all
             structural flags hold; used by randomized checks.
-        jet: optional (t, y, v) -> (L, L_y, L_v) in one pass, equal bit for
-            bit to `eval`, `partials[1]` and `partials[2]`; see `jet`.
+        jet: optional (t, y, v) -> (L, L_y, L_v) in one pass, its L equal
+            bit for bit to `eval`; a spec with a jet needs no `partials`,
+            since `partial_array` reads L_y and L_v from it.
     """
 
     id: str
     eval: Callable
-    partials: tuple[Callable, Callable, Callable] | None
+    partials: tuple[Callable, Callable] | None
     autonomous: bool
     convex_in_v: bool
     extended: bool = False
     sample_box: Box = ((0.0, 1.0), (-2.0, 2.0), (-3.0, 3.0))
     jet: Callable | None = None
-
-    def __call__(self, t, y, v):
-        return self.eval(t, y, v)
 
 
 # -- catalog builders -----------------------------------------------------
@@ -84,7 +82,7 @@ def minimal_surface(weight: float = TWO_PI) -> LagrangianSpec:
 
     ident = "surface_of_revolution" if weight == TWO_PI else f"surface_of_revolution@{weight!r}"
     return LagrangianSpec(
-        id=ident, eval=ev, partials=(_zero, ly, lv),
+        id=ident, eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True,
         sample_box=((0.0, 1.0), (0.0, 3.0), (-3.0, 3.0)))
 
@@ -103,7 +101,7 @@ def _sqrt_chain() -> LagrangianSpec:
         return 4.0 * y * (2.0 * y * v - 1.0)
 
     return LagrangianSpec(
-        id="sqrt_chain", eval=ev, partials=(_zero, ly, lv),
+        id="sqrt_chain", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True)
 
 
@@ -137,7 +135,7 @@ def brachistochrone_problem(height: float = 1.0) -> LagrangianSpec:
         return _guard(y, raw)
 
     return LagrangianSpec(
-        id="brachistochrone", eval=ev, partials=(_zero, ly, lv),
+        id="brachistochrone", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
         sample_box=((0.0, 1.0), (height - 2.0, height - 0.05), (-3.0, 3.0)))
 
@@ -153,7 +151,7 @@ def _quartic() -> LagrangianSpec:
         return 4.0 * v * (v * v - 1.0) + 0.0 * y
 
     return LagrangianSpec(
-        id="quartic", eval=ev, partials=(_zero, _zero, lv),
+        id="quartic", eval=ev, partials=(_zero, lv),
         autonomous=True, convex_in_v=False)
 
 
@@ -171,37 +169,24 @@ def _quartic_plus_square() -> LagrangianSpec:
         return 4.0 * v * (v * v - 1.0) + 0.0 * y
 
     return LagrangianSpec(
-        id="quartic_plus_square", eval=ev, partials=(_zero, ly, lv),
+        id="quartic_plus_square", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=False)
 
 
 def _mania() -> LagrangianSpec:
     """(y^3 - t)^2 v^6: non-autonomous; vanishes along y = t**(1/3).
 
-    Each form takes its power of v before that power meets a power of y, so
-    where v has one value per cell (a piecewise-linear trajectory sampled
-    cell by cell) the powers of v cost a cell-sized pass.  The jet shares
-    y^2, c = y^3 - t and c^2 among the three values and has their bits.
+    Both forms take the power of v before it meets a power of y, so where v
+    has one value per cell (a piecewise-linear trajectory sampled cell by
+    cell) the powers of v cost a cell-sized pass.  The jet, the one source
+    of L_y and L_v, shares y^2, c = y^3 - t and c^2 among the three values;
+    its L has the bits of `ev`.
     """
 
     def ev(t, y, v):
         v2 = v * v
         c = y * y * y - t
         return c * c * (v2 * v2 * v2)
-
-    def lt(t, y, v):
-        v2 = v * v
-        return (y * y * y - t) * (-2.0 * (v2 * v2 * v2))
-
-    def ly(t, y, v):
-        v2 = v * v
-        y2 = y * y
-        return y2 * (y2 * y - t) * (6.0 * (v2 * v2 * v2))
-
-    def lv(t, y, v):
-        v2 = v * v
-        c = y * y * y - t
-        return c * c * (6.0 * (v2 * v2 * v))
 
     def jet(t, y, v):
         v2 = v * v
@@ -212,7 +197,7 @@ def _mania() -> LagrangianSpec:
         return c2 * (v4 * v2), y2 * c * (6.0 * (v4 * v2)), c2 * (6.0 * (v4 * v))
 
     return LagrangianSpec(
-        id="mania", eval=ev, partials=(lt, ly, lv),
+        id="mania", eval=ev, partials=None,
         autonomous=False, convex_in_v=True,
         sample_box=((0.0, 1.0), (-1.5, 1.5), (-3.0, 3.0)), jet=jet)
 
@@ -242,7 +227,7 @@ def _half_inverse() -> LagrangianSpec:
         return val if val.ndim else float(val)
 
     return LagrangianSpec(
-        id="half_inverse", eval=ev, partials=(_zero, ly, lv),
+        id="half_inverse", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
         sample_box=((0.0, 1.0), (0.15, 2.0), (-3.0, 3.0)))
 
@@ -318,7 +303,7 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
     autonomous = all(i == 0 for _, i, _, _ in parsed)
     spec = LagrangianSpec(
         id=ident or "polynomial",
-        eval=ev, partials=(_diff(0), _diff(1), _diff(2)),
+        eval=ev, partials=(_diff(1), _diff(2)),
         autonomous=autonomous, convex_in_v=False)
     # probe convexity in v on the sample box before freezing the flag
     (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
@@ -335,16 +320,22 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
 
 
 def partial_array(spec: LagrangianSpec, axis: int, t, y, v) -> np.ndarray:
-    """One partial of L (axis 0, 1, 2: L_t, L_y, L_v) at broadcast points.
+    """One partial of L at broadcast points; `axis` is the index of its
+    coordinate in (t, y, v), 1 for L_y and 2 for L_v.
 
-    Exact closed forms where the spec has them; otherwise a central
-    difference on that axis with step eps**(1/3) * max(1, |coord|), which is
-    NaN wherever the centre sample or either stencil sample is non-finite.
-    Singular points come back non-finite either way.
+    Entry `axis` of the spec's jet where it has one, else its exact partial;
+    otherwise a central difference on that axis with step
+    eps**(1/3) * max(1, |coord|), which is NaN wherever the centre sample or
+    either stencil sample is non-finite.  Singular points come back
+    non-finite either way.
     """
+    if axis not in (1, 2):
+        raise ArgumentError(f"partial axis must be 1 (L_y) or 2 (L_v), got {axis!r}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.jet is not None:
+            return np.asarray(spec.jet(t, y, v)[axis], dtype=float)
         if spec.partials is not None:
-            return np.asarray(spec.partials[axis](t, y, v), dtype=float)
+            return np.asarray(spec.partials[axis - 1](t, y, v), dtype=float)
         args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, y, v)))
         c = args[axis]
         h = _FD_STEP * np.maximum(1.0, np.abs(c))
@@ -365,15 +356,6 @@ def jet(spec: LagrangianSpec, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarr
             return tuple(np.asarray(a, dtype=float) for a in spec.jet(t, y, v))
         value = np.asarray(spec.eval(t, y, v), dtype=float)
     return value, partial_array(spec, 1, t, y, v), partial_array(spec, 2, t, y, v)
-
-
-def partials(spec: LagrangianSpec, t: float, y: float, v: float) -> tuple[float, float, float]:
-    """(L_t, L_y, L_v) at a point, from `partial_array`.  Raises
-    SingularPointError where any of them is non-finite."""
-    out = tuple(float(partial_array(spec, axis, t, y, v)) for axis in range(3))
-    if not all(math.isfinite(x) for x in out):
-        raise SingularPointError(f"{spec.id}: partials singular at (t={t}, y={y}, v={v})")
-    return out
 
 
 def convexity_probe(spec: LagrangianSpec, y: float, v_grid, t: float = 0.0) -> bool:

@@ -326,10 +326,6 @@ class FindKReport:
             K = row.k
         return cls(K=K, rows=tuple(rows))
 
-    @property
-    def found(self) -> bool:
-        return self.K is not None
-
 
 def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
            order: int = DEFAULT_ORDER) -> FindKReport:

@@ -173,9 +173,6 @@ class Trajectory:
     def boundary(self) -> tuple[float, float]:
         return float(self.values[0]), float(self.values[-1])
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.values))))
-
     def bisected(self) -> "Trajectory":
         """The same function on the once-bisected mesh (exact refinement)."""
         mid = (self.values[:-1] + self.values[1:]) / 2.0
@@ -210,8 +207,12 @@ class Trajectory:
         return cls(Mesh(nodes), values)
 
     def to_csv(self, f) -> None:
-        """Write rows t,y with shortest round-trip formatting (>= 15 digits)."""
-        f.write(self.to_csv_text())
+        """Write a 't,y' header and one line per node, PIECE lines at a
+        time, with shortest round-trip formatting (>= 15 digits)."""
+        f.write("t,y\n")
+        pairs = zip(float_texts(self.mesh.nodes), float_texts(self.values))
+        for _, rows in row_pieces(self.mesh.nodes, pairs):
+            f.write("".join(map("%s,%s\n".__mod__, rows)))
 
     @classmethod
     def from_csv(cls, f) -> "Trajectory":
@@ -230,9 +231,6 @@ class Trajectory:
         if rows is None or rows.shape[1] != 2:
             rows = _parse_rows(body)
         return cls(Mesh(rows[:, 0]), rows[:, 1])
-
-    def to_csv_text(self) -> str:
-        return csv_text("t,y", self.mesh.nodes, self.values)
 
 
 def _parse_rows(body: str) -> np.ndarray:
@@ -265,20 +263,14 @@ def float_texts(a) -> Iterator[str]:
 
 def row_pieces(a: np.ndarray, texts: Iterable[str]) -> Iterator[tuple[np.ndarray, Iterator[str]]]:
     """(rows, their texts) for each run of PIECE rows of `a` (entries, for
-    a 1-D array), the texts taken in turn from `texts`, a's float texts in
-    row-major order.  Each piece's texts must be used up before the next
-    piece.  The report writers write an array one such piece at a time, so
-    no text they build grows with the array."""
+    a 1-D array), the texts taken in turn from `texts`, one item per entry
+    of `a` in row-major order.  Each piece's texts must be used up before
+    the next piece.  The report writers write an array one such piece at a
+    time, so no text they build grows with the array."""
     texts = iter(texts)
     for lo in range(0, len(a), PIECE):
         rows = a[lo:lo + PIECE]
         yield rows, islice(texts, rows.size)
-
-
-def csv_text(header: str, *columns) -> str:
-    """The header line, then one comma-separated line per row of the
-    equal-length float columns."""
-    return "\n".join([header, *map(",".join, zip(*map(float_texts, columns))), ""])
 
 
 def sample(f: Callable[[float], float], mesh: Mesh) -> Trajectory:
@@ -338,10 +330,6 @@ class MonotoneMap:
             raise DomainError(f"evaluation outside [{self.mesh.a}, {self.mesh.b}]")
         out = np.interp(t_arr, self.mesh.nodes, self.image_nodes)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    @classmethod
-    def identity(cls, mesh: Mesh) -> "MonotoneMap":
-        return cls(mesh, np.ones(mesh.n_cells))
 
 
 def push_through_inverse(y: Trajectory, phi: MonotoneMap) -> Trajectory:

@@ -217,6 +217,25 @@ class TestMainInProcess:
         assert (tmp_path / "b.csv").read_text() == "t,residual\n" + "".join(
             f"{t!r},{r!r}\n" for t, r in samples)
 
+    def test_json_only_necessary_check_keeps_no_sample_texts(self, tmp_path, monkeypatch):
+        """Without --csv-out the EL samples are formatted as the JSON report
+        writes them, never kept as one list of texts; the report keeps the
+        bytes it has beside a CSV."""
+        traj = tmp_path / "cat.csv"
+        with open(traj, "w", newline="") as f:
+            sample(np.cosh, graded_mesh(-1, 1, 64, 1.0)).to_csv(f)
+        argv = ["necessary-check", "--lagrangian", "surface_of_revolution",
+                "--trajectory", str(traj), "--out"]
+        assert main([*argv, str(tmp_path / "a.json"),
+                     "--csv-out", str(tmp_path / "a.csv")]) == 0
+
+        def refuse(report):
+            raise AssertionError("sample_texts read without --csv-out")
+
+        monkeypatch.setattr(necessary.ResidualReport, "sample_texts", property(refuse))
+        assert main([*argv, str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
 
 def _write_trajectory(path, f, mesh):
     with open(path, "w", newline="") as fh:

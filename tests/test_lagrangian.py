@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError,
-                    SingularPointError, catalog, convexity_probe,
-                    minimal_surface, partial_array, partials,
+from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError, catalog,
+                    convexity_probe, minimal_surface, partial_array,
                     polynomial_lagrangian)
 from lavlab.lagrangian import jet
 
@@ -84,26 +83,34 @@ class TestCatalog:
 
 class TestPartials:
     def test_quartic_stationary_at_unit_slope(self):
-        _, _, lv = partials(catalog("quartic"), 0.0, 0.3, 1.0)
+        lv = float(partial_array(catalog("quartic"), 2, 0.0, 0.3, 1.0))
         assert lv == 0.0
 
     def test_surface_ly_at_zero_velocity(self):
-        _, ly, _ = partials(minimal_surface(1.0), 0.0, 2.0, 0.0)
+        ly = float(partial_array(minimal_surface(1.0), 1, 0.0, 2.0, 0.0))
         assert ly == 1.0
 
     def test_mania_lv_closed_form_and_fd_cross_check(self):
         spec = catalog("mania")
-        _, _, lv = partials(spec, 0.0, 1.0, 1.0)
+        lv = float(partial_array(spec, 2, 0.0, 1.0, 1.0))
         assert lv == pytest.approx(6.0, rel=1e-14)
         h = 1e-6
         fd = (spec.eval(0.0, 1.0, 1.0 + h) - spec.eval(0.0, 1.0, 1.0 - h)) / (2 * h)
         assert lv == pytest.approx(fd, rel=1e-8)
 
-    def test_singular_point_raises(self):
-        with pytest.raises(SingularPointError):
-            partials(catalog("half_inverse"), 0.0, 0.0, 1.0)
-        with pytest.raises(SingularPointError):
-            partials(catalog("brachistochrone"), 0.0, 1.5, 0.0)
+    def test_singular_point_is_not_finite(self):
+        for spec, y, v in ((catalog("half_inverse"), 0.0, 1.0),
+                           (catalog("brachistochrone"), 1.5, 0.0)):
+            for axis in (1, 2):
+                assert not math.isfinite(float(partial_array(spec, axis, 0.0, y, v)))
+
+    @pytest.mark.parametrize("axis", [0, 3])
+    def test_axis_other_than_y_or_v_rejected(self, axis):
+        """Only L_y (axis 1) and L_v (axis 2) exist; L_t is read nowhere."""
+        for spec in (catalog("quartic"), catalog("mania"),
+                     dataclasses.replace(catalog("quartic"), partials=None)):
+            with pytest.raises(ArgumentError):
+                partial_array(spec, axis, 0.0, 1.0, 1.0)
 
     def test_finite_difference_fallback(self):
         """Specs without closed-form partials fall back to central
@@ -111,8 +118,7 @@ class TestPartials:
         from lavlab import LagrangianSpec
         spec = LagrangianSpec(id="adhoc", eval=lambda t, y, v: t * y + v * v,
                               partials=None, autonomous=False, convex_in_v=True)
-        lt, ly, lv = partials(spec, 2.0, 3.0, 0.5)
-        assert lt == pytest.approx(3.0, rel=1e-9)
+        ly, lv = (float(partial_array(spec, axis, 2.0, 3.0, 0.5)) for axis in (1, 2))
         assert ly == pytest.approx(2.0, rel=1e-9)
         assert lv == pytest.approx(1.0, rel=1e-9)
 
@@ -124,16 +130,16 @@ class TestPartials:
 
         spec = LagrangianSpec(id="edge", eval=ev, partials=None,
                               autonomous=True, convex_in_v=False)
-        with pytest.raises(SingularPointError):
-            partials(spec, 0.0, 1e-9, 0.0)  # stencil crosses the barrier
+        # the y stencil crosses the barrier
+        assert math.isnan(float(partial_array(spec, 1, 0.0, 1e-9, 0.0)))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.id)
     def test_exact_partials_match_finite_differences(self, spec):
         """Central differences agree with the closed forms to relative 1e-6."""
         eps = np.finfo(float).eps ** (1 / 3)
         for t, y, v in sample_points(spec, 100):
-            exact = partials(spec, t, y, v)
-            for axis, c in enumerate((t, y, v)):
+            for axis, c in ((1, y), (2, v)):
+                exact = float(partial_array(spec, axis, t, y, v))
                 h = eps * max(1.0, abs(c))
                 args_p = [t, y, v]
                 args_m = [t, y, v]
@@ -143,13 +149,13 @@ class TestPartials:
                 if not (math.isfinite(hi) and math.isfinite(lo)):
                     continue
                 fd = (hi - lo) / (2 * h)
-                assert exact[axis] == pytest.approx(
-                    fd, rel=1e-6, abs=1e-6 * max(1.0, abs(exact[axis])))
+                assert exact == pytest.approx(
+                    fd, rel=1e-6, abs=1e-6 * max(1.0, abs(exact)))
         # the same comparison in one array call per axis, through the
         # finite-difference fallback of partial_array
         t, y, v = np.array(list(sample_points(spec, 100))).T
-        no_partials = dataclasses.replace(spec, partials=None)
-        for axis in range(3):
+        no_partials = dataclasses.replace(spec, partials=None, jet=None)
+        for axis in (1, 2):
             exact = partial_array(spec, axis, t, y, v)
             fd = partial_array(no_partials, axis, t, y, v)
             assert fd.shape == exact.shape == t.shape
@@ -160,7 +166,7 @@ class TestPartials:
     def test_finite_difference_array_nan_exactly_at_singular_points(self):
         spec = dataclasses.replace(catalog("half_inverse"), partials=None)
         y = np.array([-1.0, 0.0, 0.5, 1e-3, 0.0, 2.0])
-        for axis in range(3):
+        for axis in (1, 2):
             d = partial_array(spec, axis, 0.3, y, 1.0)
             assert np.array_equal(np.isnan(d), y == 0.0)
             assert np.all(np.isfinite(d[y != 0.0]))
@@ -304,8 +310,7 @@ class TestPolynomialLagrangian:
 
     def test_termwise_partials(self):
         spec = polynomial_lagrangian([[2, 1, 2, 3]])
-        lt, ly, lv = partials(spec, 2.0, 3.0, 0.5)
-        assert lt == pytest.approx(2 * 3 ** 2 * 0.5 ** 3)
+        ly, lv = (float(partial_array(spec, axis, 2.0, 3.0, 0.5)) for axis in (1, 2))
         assert ly == pytest.approx(2 * 2 * 2 * 3 * 0.5 ** 3)
         assert lv == pytest.approx(2 * 3 * 2 * 3 ** 2 * 0.5 ** 2)
 
