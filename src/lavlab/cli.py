@@ -343,9 +343,10 @@ def _run_repar(config: dict) -> dict:
             "energy_before": res.energy_before,
             "energy_after": res.energy_after,
             "gap": res.gap,
+            "changed_cells": res.changed_cells,
         })
         k_rows.append(KRow.of(res))
-        del res  # one capped trajectory alive at a time
+        del res  # one plan alive at a time
     header = f"{'k':>8} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>12} " \
              f"{'F(y)':>14} {'F(y_k)':>14} {'gap':>12}"
     lines = [header]

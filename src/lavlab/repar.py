@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
                      SingularPointError, UnsupportedLagrangianError)
-from .functional import DEFAULT_ORDER, _total, energy
+from .functional import (DEFAULT_ORDER, _gauss, _total, cell_sums, energy,
+                         gauss_points)
 from .lagrangian import LagrangianSpec, partial_array
 from .trajectory import (ENDPOINT_RTOL, MonotoneMap, Trajectory,
                          push_through_inverse)
@@ -34,13 +35,14 @@ SPLIT_GUARD_REL = 1e-13  # measure shortfalls below this (times b-a) skip the ce
 class ReparPlan:
     """Classification of mesh cells driving the time change.
 
-    All indices refer to `trajectory`, which is the input refined by at most
-    one node (the compensation-set split, reported in `split_node`), so every
-    compensation cell is covered whole.  The cell sets are read-only intp
-    arrays in mesh order.
+    All indices refer to `trajectory`, which is the input `y` refined by at
+    most one node (the compensation-set split, reported in `split_node`), so
+    every compensation cell is covered whole.  It is built on first access;
+    the per-k phases read its arrays from `_cells` instead.  The cell sets
+    are read-only intp arrays in mesh order.
     """
 
-    trajectory: Trajectory
+    y: Trajectory
     k: float
     lam: float
     s_cells: np.ndarray
@@ -58,16 +60,35 @@ class ReparPlan:
             cells.flags.writeable = False
             object.__setattr__(self, name, cells)
 
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        return self.y if self.split_node is None else self.y.with_node(self.split_node)
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """`trajectory`'s nodes, values, cell widths and slopes, to the bit."""
+        y = self.y
+        nodes, values, h, d = y.mesh.nodes, y.values, y.mesh.widths, y.cell_derivatives()
+        if self.split_node is None:
+            return nodes, values, h, d
+        c, t = int(self.a_cells[-1]), self.split_node
+        value = np.interp(t, nodes[c:c + 2], values[c:c + 2])  # as with_node
+        nodes, values = np.insert(nodes, c + 1, t), np.insert(values, c + 1, value)
+        h, d = np.insert(h, c + 1, 0.0), np.insert(d, c + 1, 0.0)
+        h[c:c + 2] = np.diff(nodes[c:c + 3])
+        d[c:c + 2] = np.diff(values[c:c + 3]) / h[c:c + 2]
+        return nodes, values, h, d
+
     @property
     def measure_a(self) -> float:
-        widths = self.trajectory.mesh.widths[self.a_cells]
+        widths = self._cells[2][self.a_cells]
         return _total(widths) if widths.size else 0.0
 
     def speeds(self) -> np.ndarray:
         """Per-cell speeds: |d|/k on the fast set, 1/2 on the compensation
         set, 1 elsewhere (before the endpoint closure correction)."""
-        d = self.trajectory.cell_derivatives()
-        v = np.ones(self.trajectory.mesh.n_cells)
+        d = self._cells[3]
+        v = np.ones(d.size)
         v[self.s_cells] = np.abs(d[self.s_cells]) / self.k
         v[self.a_cells] = 0.5
         return v
@@ -75,34 +96,56 @@ class ReparPlan:
 
 @dataclass(frozen=True)
 class ReparResult:
-    """Capped trajectory with its plan and the energy bookkeeping."""
+    """One cap: its plan, and Lip and F before and after.
 
-    y_k: Trajectory
+    `energy_after` and `lip_after` come from the `changed_cells` cells whose
+    speed is not 1 (see `ReparInput.cap`).  The capped trajectory `y_k` is
+    built by `build_map` and `push_through_inverse` on first access; with no
+    changed cell it is the input itself.
+    """
+
     plan: ReparPlan
     lip_before: float
     lip_after: float
     energy_before: float
     energy_after: float
+    changed_cells: int
 
     @property
     def gap(self) -> float:
         return self.energy_after - self.energy_before
+
+    @cached_property
+    def y_k(self) -> Trajectory:
+        if not self.changed_cells:
+            return self.plan.trajectory
+        return push_through_inverse(self.plan.trajectory, build_map(self.plan))
 
 
 def choose_lambda(y: Trajectory) -> float:
     """Smallest integer lambda >= 1 whose slow set covers half the interval.
 
     The slow set {|y'| <= lambda} is a union of cells; the rule keeps the
-    compensation set feasible at moderate thresholds.
+    compensation set feasible at moderate thresholds.  Past lambda = 1, one
+    sort of |y'| and a running sum of the widths in that order give the
+    candidate, and the measure test `covers` settles it, so lambda does not
+    depend on how the running sum rounds.
     """
     d = np.abs(y.cell_derivatives())
     widths = y.mesh.widths
     half = (y.mesh.b - y.mesh.a) / 2.0
-    top = int(math.ceil(float(np.max(d)))) + 1
-    for lam in range(1, top + 1):
-        if float(widths[d <= lam].sum()) >= half:
-            return float(lam)
-    return float(top)  # unreachable: lam = ceil(max|d|) covers every cell
+    covers = lambda lam: float(widths[d <= lam].sum()) >= half
+    if covers(1):
+        return 1.0
+    top = math.ceil(float(np.max(d))) + 1  # returned when nothing covers
+    order = np.argsort(d)
+    first = min(int(np.searchsorted(np.cumsum(widths[order]), half)), d.size - 1)
+    lam = max(1, math.ceil(d[order[first]]))
+    while lam < top and not covers(lam):
+        lam += 1
+    while lam > 1 and covers(lam - 1):
+        lam -= 1
+    return float(lam)
 
 
 def classify(y: Trajectory, k: float, lam: float) -> ReparPlan:
@@ -120,7 +163,7 @@ def classify(y: Trajectory, k: float, lam: float) -> ReparPlan:
     omega_idx = np.flatnonzero(absd <= lam)
     deficit = float(np.sum(widths[s_idx] * (absd[s_idx] / k - 1.0)))
     return ReparPlan(
-        trajectory=y, k=float(k), lam=float(lam),
+        y=y, k=float(k), lam=float(lam),
         s_cells=s_idx, omega_cells=omega_idx, a_cells=(),
         measure_s=float(widths[s_idx].sum()),
         measure_omega=float(widths[omega_idx].sum()),
@@ -151,7 +194,7 @@ def select_A(plan: ReparPlan) -> ReparPlan:
     if plan.complete:
         return plan
     target = 2.0 * plan.deficit
-    y = plan.trajectory
+    y = plan.y
     span = y.mesh.b - y.mesh.a
     if target == 0.0:
         return replace(plan, a_cells=(), complete=True)
@@ -162,14 +205,21 @@ def select_A(plan: ReparPlan) -> ReparPlan:
             f"2*deficit={target:.6g}; retry with k >= {hint}", k_hint=hint)
 
     # remaining[j]: measure still to cover when slow cell j is reached; the
-    # cumsum is sequential, so these are the bits of cell-by-cell subtraction
+    # cumsum is sequential, so these are the bits of cell-by-cell subtraction,
+    # and a prefix of the slow cells gives their prefix: the stop is sought in
+    # prefixes growing fourfold, so the cost follows |A_k|, not |Omega|
     cells = plan.omega_cells
-    widths = y.mesh.widths[cells]
-    remaining = np.cumsum(np.concatenate(([target], -widths)))
     guard = SPLIT_GUARD_REL * span
-    whole = remaining[:-1] >= widths
-    # stop at the first cell that does not fit whole or leaves at most guard
-    stops = ~whole | (remaining[1:] <= guard)
+    m = 0
+    while m < cells.size:
+        m = 4 * m + 64
+        widths = y.mesh.widths[cells[:m]]
+        remaining = np.cumsum(np.concatenate(([target], -widths)))
+        whole = remaining[:-1] >= widths
+        # stop at the first cell that does not fit whole or leaves at most guard
+        stops = ~whole | (remaining[1:] <= guard)
+        if stops.any():
+            break
     j = int(np.argmax(stops))
     if not stops[j]:
         raise ConsistencyError("compensation selection exhausted the slow set")
@@ -188,7 +238,7 @@ def select_A(plan: ReparPlan) -> ReparPlan:
         return replace(plan, a_cells=cells[:j + (split_node >= right)], complete=True)
     shift = lambda idx: idx + (idx >= split_cell)
     return ReparPlan(
-        trajectory=y.with_node(split_node), k=plan.k, lam=plan.lam,
+        y=y, k=plan.k, lam=plan.lam,
         s_cells=shift(plan.s_cells),
         omega_cells=np.insert(shift(cells), j, split_cell),  # both halves stay slow
         a_cells=np.append(cells[:j], split_cell),
@@ -196,31 +246,68 @@ def select_A(plan: ReparPlan) -> ReparPlan:
         deficit=plan.deficit, complete=True, split_node=split_node)
 
 
-def build_map(plan: ReparPlan, speeds: np.ndarray | None = None) -> MonotoneMap:
-    """Monotone map with the plan's speeds, closed to hit b exactly.
+def build_map(plan: ReparPlan) -> MonotoneMap:
+    """Monotone map with the plan's speeds, closed to hit b exactly (see
+    `_close_speeds`).  Only building y_k needs it, which `ReparResult.y_k`
+    does on first access; `ReparInput.cap` takes F(y_k) and Lip(y_k) from
+    the changed cells and closes the speeds without the map."""
+    return MonotoneMap(plan.trajectory.mesh, _close_speeds(plan, plan.speeds()))
+
+
+def _close_speeds(plan: ReparPlan, speeds: np.ndarray) -> np.ndarray:
+    """`plan.speeds()`, closed in place so that their time change phi has
+    phi(b) = b, after the checks of building y_k = y o phi^{-1}.
 
     In exact arithmetic the measure equation makes phi(b) = b; the residual
     float defect is absorbed into the last unit-speed cell (the last cell if
-    there is none) before the map is validated against the endpoint
-    tolerance.  `speeds`, if given, is `plan.speeds()` and is corrected in
-    place.
+    there is none).  The running sums of the closure are phi at the nodes,
+    to the bit of `MonotoneMap.image_nodes`, so the endpoint tolerance and
+    the strictly increasing nodes of y_k's mesh are checked here.
     """
     if not plan.complete:
         raise ArgumentError("plan is not complete; run select_A first")
-    mesh = plan.trajectory.mesh
-    if speeds is None:
-        speeds = plan.speeds()
-    widths = mesh.widths
-    defect = (mesh.b - mesh.a) - _total(speeds * widths)
+    a, b = plan.y.mesh.a, plan.y.mesh.b
+    widths = plan._cells[2]
+    run = np.cumsum(speeds * widths)
+    defect = (b - a) - float(run[-1])
     if defect != 0.0:  # argmax of no hit is 0: the last cell
-        j = mesh.n_cells - 1 - int(np.argmax(speeds[::-1] == 1.0))
+        j = widths.size - 1 - int(np.argmax(speeds[::-1] == 1.0))
         speeds[j] += defect / float(widths[j])
-    phi = MonotoneMap(mesh, speeds)
-    if not phi.is_endpoint_exact:
+        if not 0.0 < speeds[j] < math.inf:  # MonotoneMap's test of every speed
+            raise ArgumentError(f"closure speed {speeds[j]!r} is not finite and positive")
+        tail = np.concatenate((run[j - 1:j] if j else [0.0], speeds[j:] * widths[j:]))
+        run[j:] = np.cumsum(tail)[1:]  # the sums left of j keep their bits
+    run += a  # phi(t_1), ..., phi(t_n)
+    defect = abs(float(run[-1]) - b)
+    if not defect <= ENDPOINT_RTOL * (b - a):
         raise ConsistencyError(
-            f"endpoint defect {phi.endpoint_defect:.3e} exceeds tolerance "
-            f"{ENDPOINT_RTOL * (mesh.b - mesh.a):.3e}")
-    return phi
+            f"endpoint defect {defect:.3e} exceeds tolerance {ENDPOINT_RTOL * (b - a):.3e}")
+    inner = run[:-1]  # y_k's nodes between a and b: phi(b) is snapped to b
+    if inner.size and not (a < inner[0] and inner[-1] < b and np.all(inner[1:] > inner[:-1])):
+        raise ArgumentError("mesh nodes must be strictly increasing")
+    return speeds
+
+
+def _capped_energies(spec: LagrangianSpec, plan: ReparPlan, speeds: np.ndarray,
+                     cells: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Energies of y o phi^{-1} on the images of `plan.trajectory`'s cells
+    `cells`, phi having the per-cell `speeds`: phi maps cell j and its Gauss
+    points affinely onto a cell of width h_j s_j, so for an autonomous L the
+    image's energy is (h_j s_j / 2) sum_q w_q L(yq, d_j / s_j) on y's own
+    samples yq (at speed 1, the bits of `energy`'s)."""
+    x, w = _gauss(order)
+    nodes, values, h, d = plan._cells
+    s = speeds[cells]
+
+    def samples(b: slice):
+        idx = cells[b]
+        tq = gauss_points(nodes, h, x, idx)
+        yq = tq - nodes[idx]  # as in energy(): y_left + d (tq - t_left)
+        yq *= d[idx]
+        yq += values[idx]
+        return tq, yq, (d[idx] / s[b])[None]
+
+    return cell_sums(spec, h[cells] * s, w, samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +315,11 @@ class ReparInput:
     """A trajectory prepared for slope capping at any number of thresholds.
 
     What depends on y alone is computed once: the autonomy check, lambda
-    and Lip(y) by `of`, and F(y) by the first `cap(k)` with k > lambda (so a
-    grid at or below lambda never evaluates it).  Each `cap(k)` then runs
-    only the per-k phases.
+    and Lip(y) by `of`, and F(y) with its per-cell energies by the first
+    `cap(k)` with k > lambda (so a grid at or below lambda never evaluates
+    it).  Each `cap(k)` then runs only the per-k phases: it evaluates the
+    integrand on the cells whose speed is not 1 alone, and builds no capped
+    trajectory (`ReparResult.y_k` is built on first access).
     """
 
     spec: LagrangianSpec
@@ -248,27 +337,40 @@ class ReparInput:
         return cls(spec, y, order, choose_lambda(y), y.lipschitz_constant)
 
     @cached_property
-    def energy_before(self) -> float:
-        before = energy(self.spec, self.y, self.order).value
-        if not math.isfinite(before):
+    def _energy(self):
+        report = energy(self.spec, self.y, self.order)
+        if not math.isfinite(report.value):
             raise ArgumentError("reparametrize requires finite energy(y)")
-        return before
+        return report
+
+    @property
+    def energy_before(self) -> float:
+        return self._energy.value
 
     def cap(self, k: float) -> ReparResult:
-        """Cap the slopes of y at 2k by a time change; see `reparametrize`."""
+        """Cap the slopes of y at 2k by a time change; see `reparametrize`.
+
+        Only the cells of speed s_j != 1 change, to slope d_j / s_j: F(y_k)
+        is y's per-cell energies with those cells (and both halves of a
+        split cell) replaced, summed left to right, and Lip(y_k) is
+        max |d_j| / s_j.  Raises what building y_k would, without building it.
+        """
         if not k > self.lam:
             raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
         lip, before = self.lip, self.energy_before
         plan = select_A(classify(self.y, k, self.lam))
         speeds = plan.speeds()
         if np.all(speeds == 1.0):  # Lip(y) < k or |d| == k ties: no time change
-            return ReparResult(y_k=plan.trajectory, plan=plan, lip_before=lip,
-                               lip_after=lip, energy_before=before,
-                               energy_after=before)
-        y_k = push_through_inverse(plan.trajectory, build_map(plan, speeds))
-        return ReparResult(y_k=y_k, plan=plan, lip_before=lip,
-                           lip_after=y_k.lipschitz_constant, energy_before=before,
-                           energy_after=energy(self.spec, y_k, self.order).value)
+            return ReparResult(plan, lip, lip, before, before, changed_cells=0)
+        _close_speeds(plan, speeds)
+        changed = np.flatnonzero(speeds != 1.0)
+        per_cell, new = self._energy.per_cell.copy(), changed
+        if plan.split_node is not None:  # both halves of the split cell are new
+            split = int(plan.a_cells[-1])
+            per_cell, new = np.insert(per_cell, split, 0.0), np.append(changed, split + 1)
+        per_cell[new] = _capped_energies(self.spec, plan, speeds, new, self.order)
+        lip_after = float(np.max(np.abs(plan._cells[3]) / speeds))
+        return ReparResult(plan, lip, lip_after, before, _total(per_cell), changed.size)
 
 
 def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,

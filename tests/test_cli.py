@@ -97,7 +97,7 @@ class TestMainInProcess:
                                                        monkeypatch):
         import lavlab.repar
         from lavlab import ReparInput, catalog, find_K
-        ks, energies, lambdas = [], [], []
+        ks, energies, lambdas, pushes = [], [], [], []
 
         def counting(fn, calls, key=lambda *args: None):
             def counted(*args):
@@ -105,14 +105,16 @@ class TestMainInProcess:
                 return fn(*args)
             return counted
 
-        # classify runs once per capped k; energy and choose_lambda are counted
-        # wherever repar calls them
+        # classify runs once per capped k; energy, choose_lambda and the push
+        # that builds a capped trajectory are counted wherever repar calls them
         monkeypatch.setattr(lavlab.repar, "classify",
                             counting(lavlab.repar.classify, ks, lambda y, k, lam: k))
         monkeypatch.setattr(lavlab.repar, "energy",
                             counting(lavlab.repar.energy, energies))
         monkeypatch.setattr(lavlab.repar, "choose_lambda",
                             counting(lavlab.repar.choose_lambda, lambdas))
+        monkeypatch.setattr(lavlab.repar, "push_through_inverse",
+                            counting(lavlab.repar.push_through_inverse, pushes))
         out = tmp_path / "repar.json"
         grid = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0]
         assert main(["repar", "--lagrangian", "half_inverse", "--exact", "cuberoot",
@@ -121,16 +123,19 @@ class TestMainInProcess:
                      "--out", str(out)]) == 0
         assert ks == grid
         assert len(lambdas) == 1
+        # F(y) once; every F(y_k) from the changed cells, no y_k built
+        assert len(energies) == 1 and pushes == []
         monkeypatch.undo()
         y = sample(np.cbrt, graded_mesh(0, 1, 64, 2.0))
         prepared = ReparInput.of(catalog("half_inverse"), y)
-        capped = sum(prepared.cap(k).y_k is not y for k in grid)
-        assert len(energies) == 1 + capped
+        changed = [prepared.cap(k).changed_cells for k in grid]
+        assert all(c > 0 for c in changed)
         expected = find_K(catalog("half_inverse"), y, grid)
         assert [r.status for r in expected.rows][:2] == ["above_bound"] * 2
         payload = json.loads(out.read_text())
         assert payload["K"] == expected.K == 16.0
         assert [r["gap"] for r in payload["rows"]] == [r.gap for r in expected.rows]
+        assert [r["changed_cells"] for r in payload["rows"]] == changed
 
     def test_repar_non_autonomous_exits_2(self, capsys):
         assert main(["repar", "--lagrangian", "mania", "--exact", "cuberoot",

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 import lavlab.repar
 from lavlab import cli
 from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
-                    InfeasibleError, Mesh, ReparInput, SingularPointError,
+                    InfeasibleError, Mesh, MonotoneMap, ReparInput, SingularPointError,
                     Trajectory, UnsupportedLagrangianError, build_map, catalog,
                     choose_lambda, classify, energy, find_K, graded_mesh,
                     lemma_P, minimal_surface, partial_array, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
 
 from lavlab.repar import SPLIT_GUARD_REL
+from lavlab.trajectory import push_through_inverse
 
 from conftest import random_trajectory
 
@@ -48,6 +49,41 @@ class TestChooseLambda:
         w = y.mesh.widths
         assert float(w[d <= lam].sum()) >= 0.5
         assert lam == 1.0 or float(w[d <= lam - 1].sum()) < 0.5
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "ties", "sqrt"]),
+           st.sampled_from([1.0, 10.0]), st.sampled_from([24, 400]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop_over_lambda(self, seed, mode, scale, max_cells):
+        rng = np.random.default_rng(seed)
+        if mode == "ties":
+            y = tie_trajectory(rng, float(rng.integers(1, 5)))
+        elif mode == "sqrt":
+            mesh = graded_mesh(0, 1, int(rng.integers(2, max_cells + 1)), 2.0)
+            y = Trajectory(mesh, scale * np.sqrt(mesh.nodes))
+        else:
+            y = random_trajectory(rng, lo=-4 * scale, hi=4 * scale, max_cells=max_cells)
+        assert choose_lambda(y) == reference_choose_lambda(y)
+
+    def test_steep_slow_half(self):
+        """Three of four cells at slope 10^6 + 1/2: the slow half needs
+        lambda = 10^6 + 1, a million masked sums for the loop over lambda."""
+        y = Trajectory(uniform_mesh(0, 1, 4), np.array([0.0, 0.0, 1.0, 2.0, 3.0]) * 250000.125)
+        assert choose_lambda(y) == 1e6 + 1.0
+        d, w = np.abs(y.cell_derivatives()), y.mesh.widths
+        assert float(w[d <= 1e6 + 1.0].sum()) >= 0.5 > float(w[d <= 1e6].sum())
+
+
+def reference_choose_lambda(y):
+    """choose_lambda's rule as the plain loop over lambda = 1, 2, ...: one
+    masked sum per integer lambda."""
+    d = np.abs(y.cell_derivatives())
+    widths = y.mesh.widths
+    half = (y.mesh.b - y.mesh.a) / 2.0
+    top = int(math.ceil(float(np.max(d)))) + 1
+    for lam in range(1, top + 1):
+        if float(widths[d <= lam].sum()) >= half:
+            return float(lam)
+    return float(top)
 
 
 class TestClassify:
@@ -434,6 +470,85 @@ class TestReparInput:
         # the threshold is checked first, as in reparametrize
         with pytest.raises(ArgumentError, match="need k > choose_lambda"):
             inf.cap(1.0)
+
+
+class TestChangeOfVariables:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),
+           st.sampled_from(["random", "ties", "sqrt"]))
+    @settings(max_examples=100, deadline=None)
+    def test_numbers_match_the_built_trajectory(self, seed, ident, mode):
+        """F(y_k) and Lip(y_k) from the changed cells against energy() and
+        the Lipschitz constant of y_k built by build_map and the push.
+
+        The built y_k's nodes are rounded, so its cell widths, and the
+        slopes and energies computed from them, carry a relative error up
+        to rho = ulp(max |t|) / (its smallest width); cap's numbers use the
+        exact widths h_j s_j.  Random meshes keep cells of 1e-6 and more,
+        so rho reaches about 1e-10 on the smallest compensation cells."""
+        spec = catalog(ident)
+        rng = np.random.default_rng(seed)
+        if mode == "ties":
+            k0 = float(rng.integers(2, 5))
+            y = tie_trajectory(rng, k0)
+            grid = [k0, 2.0 * k0 + 1.0]
+        else:
+            if mode == "sqrt":
+                y = sample(np.sqrt, graded_mesh(0, 1, int(rng.integers(16, 400)), 2.0))
+            else:
+                y = random_trajectory(rng, lo=0.2, hi=3.0, max_cells=int(rng.choice([24, 400])))
+            lam, lip = choose_lambda(y), y.lipschitz_constant
+            grid = sorted(lam + 1e-3 + rng.uniform(0.0, 1.0, size=4) * max(lip - lam, 1.0))
+        prepared = ReparInput.of(spec, y)
+        eps = np.finfo(float).eps
+        for k in grid:
+            try:
+                res = prepared.cap(k)
+            except InfeasibleError:
+                continue
+            speeds = build_map(res.plan).speeds
+            assert res.changed_cells == np.count_nonzero(speeds != 1.0)
+            refined = res.plan.trajectory  # the plan's arrays have its bits
+            for got, built in zip(res.plan._cells, (refined.mesh.nodes, refined.values,
+                                                    refined.mesh.widths,
+                                                    refined.cell_derivatives())):
+                assert np.array_equal(got, built)
+            y_k = res.y_k
+            if not res.changed_cells:
+                assert y_k is y and res.energy_after == energy(spec, y).value
+            rho = np.spacing(max(abs(y_k.mesh.a), abs(y_k.mesh.b))) / y_k.mesh.widths.min()
+            assert energy(spec, y_k).value == pytest.approx(
+                res.energy_after, rel=1e-10 + 32.0 * rho, abs=0.0)
+            assert y_k.lipschitz_constant == pytest.approx(
+                res.lip_after, rel=2.0 * (rho + 2.0 * eps), abs=0.0)
+
+    def test_split_cell_halves_are_both_evaluated(self):
+        """The compensation split adds a cell, and neither half is a cell of
+        y: the left half runs at speed 1/2, the right half at speed 1, and
+        F(y_k) counts both."""
+        y = sample(np.sqrt, graded_mesh(0, 1, 256, 2.0))
+        res = ReparInput.of(SQRT_CHAIN, y).cap(4.0)
+        assert res.plan.split_node is not None
+        split = int(res.plan.a_cells[-1])
+        assert res.plan.speeds()[split:split + 2].tolist() == [0.5, 1.0]
+        per_cell = energy(SQRT_CHAIN, res.y_k).per_cell
+        assert per_cell.size == y.mesh.n_cells + 1
+        assert res.energy_after == pytest.approx(float(per_cell.sum()), rel=1e-12)
+
+    def test_nodes_that_collide_raise_as_the_push_does(self):
+        """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
+        image of half an ulp that rounds onto its left node: y_k has no
+        mesh, and cap raises the push's ArgumentError without building it."""
+        u = 2.0 ** -54  # ulp(0.25)
+        nodes = np.array([0.0, 0.25, 0.25 + u, 0.25 + 2 * u, 0.25 + 3 * u,
+                          0.25 + 4 * u, 0.25 + 6 * u, 1.0])
+        y = Trajectory(Mesh(nodes), 0.375 + np.array([-0.375, 0, 0, 0, 0, 0, 8 * u, 8 * u]))
+        assert y.cell_derivatives().tolist() == [1.5, 0, 0, 0, 0, 4, 0]
+        plan = select_A(classify(y, 2.0, choose_lambda(y)))
+        assert plan.a_cells.tolist() == [1]
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            push_through_inverse(y, MonotoneMap(y.mesh, plan.speeds()))
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            ReparInput.of(SQRT_CHAIN, y).cap(2.0)
 
 
 class TestLimitLaw:
