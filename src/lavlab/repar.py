@@ -25,8 +25,8 @@ from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
 from .functional import (DEFAULT_ORDER, _gauss, _total, cell_sums, energy,
                          gauss_points)
 from .lagrangian import LagrangianSpec, partial_array
-from .trajectory import (ENDPOINT_RTOL, MonotoneMap, Trajectory,
-                         push_through_inverse)
+from .trajectory import (ENDPOINT_RTOL, Mesh, MonotoneMap, Trajectory, endpoint_exact,
+                         push_through_inverse, pushed_nodes, time_change_image)
 
 SPLIT_GUARD_REL = 1e-13  # measure shortfalls below this (times b-a) skip the cell split
 
@@ -37,8 +37,9 @@ class ReparPlan:
 
     All indices refer to `trajectory`, which is the input `y` refined by at
     most one node (the compensation-set split, reported in `split_node`), so
-    every compensation cell is covered whole.  It is built on first access;
-    the per-k phases read its arrays from `_cells` instead.  The cell sets
+    every compensation cell is covered whole.  Its nodes, values, cell
+    widths and slopes are `_cells`, which the per-k phases read; the
+    trajectory itself is built from them on first access.  The cell sets
     are read-only intp arrays in mesh order.
     """
 
@@ -62,11 +63,16 @@ class ReparPlan:
 
     @cached_property
     def trajectory(self) -> Trajectory:
-        return self.y if self.split_node is None else self.y.with_node(self.split_node)
+        if self.split_node is None:
+            return self.y
+        nodes, values = self._cells[:2]
+        return Trajectory(Mesh(nodes), values)
 
     @cached_property
     def _cells(self) -> tuple[np.ndarray, ...]:
-        """`trajectory`'s nodes, values, cell widths and slopes, to the bit."""
+        """Nodes, values, cell widths and slopes of y with the split node
+        inserted, its value interpolated; the two new cells' widths and
+        slopes are the differences a mesh and a trajectory take."""
         y = self.y
         nodes, values, h, d = y.mesh.nodes, y.values, y.mesh.widths, y.cell_derivatives()
         if self.split_node is None:
@@ -126,10 +132,10 @@ def choose_lambda(y: Trajectory) -> float:
     """Smallest integer lambda >= 1 whose slow set covers half the interval.
 
     The slow set {|y'| <= lambda} is a union of cells; the rule keeps the
-    compensation set feasible at moderate thresholds.  Past lambda = 1, one
-    sort of |y'| and a running sum of the widths in that order give the
-    candidate, and the measure test `covers` settles it, so lambda does not
-    depend on how the running sum rounds.
+    compensation set feasible at moderate thresholds.  At an integer lambda
+    it is {ceil|y'| <= lambda}, so it changes only at the distinct values of
+    ceil|y'|, and its measure grows with lambda: past lambda = 1, the measure
+    test bisects those values, the largest of which covers every cell.
     """
     d = np.abs(y.cell_derivatives())
     widths = y.mesh.widths
@@ -137,15 +143,15 @@ def choose_lambda(y: Trajectory) -> float:
     covers = lambda lam: float(widths[d <= lam].sum()) >= half
     if covers(1):
         return 1.0
-    top = math.ceil(float(np.max(d))) + 1  # returned when nothing covers
-    order = np.argsort(d)
-    first = min(int(np.searchsorted(np.cumsum(widths[order]), half)), d.size - 1)
-    lam = max(1, math.ceil(d[order[first]]))
-    while lam < top and not covers(lam):
-        lam += 1
-    while lam > 1 and covers(lam - 1):
-        lam -= 1
-    return float(lam)
+    levels = np.unique(np.ceil(d[d > 1.0]))
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covers(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[hi])
 
 
 def classify(y: Trajectory, k: float, lam: float) -> ReparPlan:
@@ -246,46 +252,41 @@ def select_A(plan: ReparPlan) -> ReparPlan:
         deficit=plan.deficit, complete=True, split_node=split_node)
 
 
-def build_map(plan: ReparPlan) -> MonotoneMap:
+def build_map(plan: ReparPlan, speeds: np.ndarray | None = None) -> MonotoneMap:
     """Monotone map with the plan's speeds, closed to hit b exactly (see
-    `_close_speeds`).  Only building y_k needs it, which `ReparResult.y_k`
+    `_closed_image`).  `speeds`, if given, is `plan.speeds()` and is closed
+    in place.  Only building y_k needs the map, which `ReparResult.y_k`
     does on first access; `ReparInput.cap` takes F(y_k) and Lip(y_k) from
-    the changed cells and closes the speeds without the map."""
-    return MonotoneMap(plan.trajectory.mesh, _close_speeds(plan, plan.speeds()))
+    the changed cells and checks the closed speeds without the map.
+    """
+    if speeds is None:
+        speeds = plan.speeds()
+    _closed_image(plan, speeds)
+    return MonotoneMap(plan.trajectory.mesh, speeds)
 
 
-def _close_speeds(plan: ReparPlan, speeds: np.ndarray) -> np.ndarray:
-    """`plan.speeds()`, closed in place so that their time change phi has
-    phi(b) = b, after the checks of building y_k = y o phi^{-1}.
+def _closed_image(plan: ReparPlan, speeds: np.ndarray) -> np.ndarray:
+    """Close the plan's `speeds` in place, and return the image nodes
+    phi(t_0), ..., phi(t_n) of their time change phi.
 
     In exact arithmetic the measure equation makes phi(b) = b; the residual
     float defect is absorbed into the last unit-speed cell (the last cell if
-    there is none).  The running sums of the closure are phi at the nodes,
-    to the bit of `MonotoneMap.image_nodes`, so the endpoint tolerance and
-    the strictly increasing nodes of y_k's mesh are checked here.
+    there is none) before phi is checked against the endpoint tolerance.
     """
     if not plan.complete:
         raise ArgumentError("plan is not complete; run select_A first")
     a, b = plan.y.mesh.a, plan.y.mesh.b
     widths = plan._cells[2]
-    run = np.cumsum(speeds * widths)
-    defect = (b - a) - float(run[-1])
+    defect = (b - a) - _total(speeds * widths)
     if defect != 0.0:  # argmax of no hit is 0: the last cell
         j = widths.size - 1 - int(np.argmax(speeds[::-1] == 1.0))
         speeds[j] += defect / float(widths[j])
-        if not 0.0 < speeds[j] < math.inf:  # MonotoneMap's test of every speed
-            raise ArgumentError(f"closure speed {speeds[j]!r} is not finite and positive")
-        tail = np.concatenate((run[j - 1:j] if j else [0.0], speeds[j:] * widths[j:]))
-        run[j:] = np.cumsum(tail)[1:]  # the sums left of j keep their bits
-    run += a  # phi(t_1), ..., phi(t_n)
-    defect = abs(float(run[-1]) - b)
-    if not defect <= ENDPOINT_RTOL * (b - a):
+    image = time_change_image(a, widths, speeds)
+    if not endpoint_exact(image, a, b):
         raise ConsistencyError(
-            f"endpoint defect {defect:.3e} exceeds tolerance {ENDPOINT_RTOL * (b - a):.3e}")
-    inner = run[:-1]  # y_k's nodes between a and b: phi(b) is snapped to b
-    if inner.size and not (a < inner[0] and inner[-1] < b and np.all(inner[1:] > inner[:-1])):
-        raise ArgumentError("mesh nodes must be strictly increasing")
-    return speeds
+            f"endpoint defect {abs(float(image[-1]) - b):.3e} exceeds tolerance "
+            f"{ENDPOINT_RTOL * (b - a):.3e}")
+    return image
 
 
 def _capped_energies(spec: LagrangianSpec, plan: ReparPlan, speeds: np.ndarray,
@@ -317,9 +318,10 @@ class ReparInput:
     What depends on y alone is computed once: the autonomy check, lambda
     and Lip(y) by `of`, and F(y) with its per-cell energies by the first
     `cap(k)` with k > lambda (so a grid at or below lambda never evaluates
-    it).  Each `cap(k)` then runs only the per-k phases: it evaluates the
-    integrand on the cells whose speed is not 1 alone, and builds no capped
-    trajectory (`ReparResult.y_k` is built on first access).
+    it).  Each `cap(k)` then runs only the per-k phases: it takes F(y_k)
+    from the cells whose speed is not 1, evaluating the integrand on those
+    alone, and builds no capped trajectory (`ReparResult.y_k` is built on
+    first access).
     """
 
     spec: LagrangianSpec
@@ -350,10 +352,11 @@ class ReparInput:
     def cap(self, k: float) -> ReparResult:
         """Cap the slopes of y at 2k by a time change; see `reparametrize`.
 
-        Only the cells of speed s_j != 1 change, to slope d_j / s_j: F(y_k)
-        is y's per-cell energies with those cells (and both halves of a
-        split cell) replaced, summed left to right, and Lip(y_k) is
-        max |d_j| / s_j.  Raises what building y_k would, without building it.
+        Only the cells of speed s_j != 1 change, to slope d_j / s_j, so
+        Lip(y_k) is max |d_j| / s_j, and F(y_k) is F(y) plus the energies of
+        those cells (and of both halves of a split cell) after the change,
+        less y's energies of the cells they come from.  Raises what building
+        y_k would, without building it.
         """
         if not k > self.lam:
             raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
@@ -362,15 +365,18 @@ class ReparInput:
         speeds = plan.speeds()
         if np.all(speeds == 1.0):  # Lip(y) < k or |d| == k ties: no time change
             return ReparResult(plan, lip, lip, before, before, changed_cells=0)
-        _close_speeds(plan, speeds)
-        changed = np.flatnonzero(speeds != 1.0)
-        per_cell, new = self._energy.per_cell.copy(), changed
-        if plan.split_node is not None:  # both halves of the split cell are new
-            split = int(plan.a_cells[-1])
-            per_cell, new = np.insert(per_cell, split, 0.0), np.append(changed, split + 1)
-        per_cell[new] = _capped_energies(self.spec, plan, speeds, new, self.order)
+        a, b = self.y.mesh.a, self.y.mesh.b
+        pushed_nodes(_closed_image(plan, speeds), a, b)  # raises what the push of y_k would
+        new = old = speeds != 1.0
+        changed = int(np.count_nonzero(new))
+        if plan.split_node is not None:  # y's cell c is split: cells c, c + 1 are new
+            c = int(plan.a_cells[-1])
+            old, new[c + 1] = np.delete(new, c + 1), True
+        new, old = np.flatnonzero(new), np.flatnonzero(old)
+        delta = (_total(_capped_energies(self.spec, plan, speeds, new, self.order))
+                 - _total(self._energy.per_cell[old]))
         lip_after = float(np.max(np.abs(plan._cells[3]) / speeds))
-        return ReparResult(plan, lip, lip_after, before, _total(per_cell), changed.size)
+        return ReparResult(plan, lip, lip_after, before, before + delta, changed)
 
 
 def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,

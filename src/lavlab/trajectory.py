@@ -36,6 +36,16 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _cell_widths(nodes: np.ndarray) -> np.ndarray:
+    """np.diff(nodes) of finite nodes, checked as a mesh's cell widths."""
+    if nodes.size < 2:
+        raise ArgumentError("a mesh needs at least one cell")
+    widths = np.diff(nodes)
+    if not np.all(widths > 0):
+        raise ArgumentError("mesh nodes must be strictly increasing")
+    return widths
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Strictly increasing nodes t_0 < ... < t_n spanning [a, b].
@@ -49,11 +59,7 @@ class Mesh:
 
     def __post_init__(self):
         arr = _as_float_vector(self.nodes, "nodes").copy()
-        if arr.size < 2:
-            raise ArgumentError("a mesh needs at least one cell")
-        widths = np.diff(arr)
-        if not np.all(widths > 0):
-            raise ArgumentError("mesh nodes must be strictly increasing")
+        widths = _cell_widths(arr)
         arr.flags.writeable = False
         widths.flags.writeable = False
         object.__setattr__(self, "nodes", arr)
@@ -302,27 +308,24 @@ class MonotoneMap:
         v = _as_float_vector(self.speeds, "speeds").copy()
         if v.size != self.mesh.n_cells:
             raise ArgumentError("speeds must have one entry per cell")
-        if not np.all(v > 0):
-            raise ArgumentError("all speeds must be positive")
+        img = time_change_image(self.mesh.a, self.mesh.widths, v)
         v.flags.writeable = False
-        object.__setattr__(self, "speeds", v)
-
-    @cached_property
-    def image_nodes(self) -> np.ndarray:
-        img = np.empty(self.mesh.nodes.size)
-        img[0] = self.mesh.a
-        np.cumsum(self.speeds * self.mesh.widths, out=img[1:])
-        img[1:] += self.mesh.a
         img.flags.writeable = False
-        return img
+        object.__setattr__(self, "speeds", v)
+        object.__setattr__(self, "_image", img)
+
+    @property
+    def image_nodes(self) -> np.ndarray:
+        """phi(t_0), ..., phi(t_n); see `time_change_image`."""
+        return self._image
 
     @property
     def endpoint_defect(self) -> float:
-        return abs(float(self.image_nodes[-1]) - self.mesh.b)
+        return abs(float(self._image[-1]) - self.mesh.b)
 
     @property
     def is_endpoint_exact(self) -> bool:
-        return self.endpoint_defect <= ENDPOINT_RTOL * (self.mesh.b - self.mesh.a)
+        return endpoint_exact(self._image, self.mesh.a, self.mesh.b)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -330,6 +333,41 @@ class MonotoneMap:
             raise DomainError(f"evaluation outside [{self.mesh.a}, {self.mesh.b}]")
         out = np.interp(t_arr, self.mesh.nodes, self.image_nodes)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def time_change_image(a: float, widths: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """phi(t_0), ..., phi(t_n) for the time change with phi(t_0) = a that
+    runs the cells of `widths` at `speeds`: a, then a plus the running sums
+    of speeds * widths, left to right.  Raises ArgumentError unless every
+    speed is finite and positive."""
+    v = _as_float_vector(speeds, "speeds")
+    if not np.all(v > 0):
+        raise ArgumentError("all speeds must be positive")
+    img = np.empty(v.size + 1)
+    img[0] = a
+    np.cumsum(v * widths, out=img[1:])
+    img[1:] += a
+    return img
+
+
+def endpoint_exact(image: np.ndarray, a: float, b: float) -> bool:
+    """Whether the time change of [a, b] with node images `image` is
+    endpoint-exact: |phi(b) - b| <= ENDPOINT_RTOL (b - a)."""
+    return abs(float(image[-1]) - b) <= ENDPOINT_RTOL * (b - a)
+
+
+def pushed_nodes(image: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The mesh nodes of y o phi^{-1} for the time change of [a, b] with node
+    images `image`: those images, phi(b) snapped to b.  Raises ContractError
+    unless phi is endpoint-exact and ArgumentError unless the nodes make a
+    mesh, with no Mesh built."""
+    if not endpoint_exact(image, a, b):
+        raise ContractError(
+            f"map is not endpoint-exact: |phi(b) - b| = {abs(float(image[-1]) - b):.3e}")
+    nodes = image.copy()
+    nodes[-1] = b  # snap within the endpoint tolerance
+    _cell_widths(_as_float_vector(nodes, "nodes"))
+    return nodes
 
 
 def push_through_inverse(y: Trajectory, phi: MonotoneMap) -> Trajectory:
@@ -341,9 +379,4 @@ def push_through_inverse(y: Trajectory, phi: MonotoneMap) -> Trajectory:
     """
     if y.mesh is not phi.mesh and not np.array_equal(y.mesh.nodes, phi.mesh.nodes):
         raise ContractError("trajectory and map must share the same mesh")
-    if not phi.is_endpoint_exact:
-        raise ContractError(
-            f"map is not endpoint-exact: |phi(b) - b| = {phi.endpoint_defect:.3e}")
-    new_nodes = phi.image_nodes.copy()
-    new_nodes[-1] = y.mesh.b  # snap within the endpoint tolerance
-    return Trajectory(Mesh(new_nodes), y.values)
+    return Trajectory(Mesh(pushed_nodes(phi.image_nodes, y.mesh.a, y.mesh.b)), y.values)

@@ -170,6 +170,19 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and detail in err
 
+    @pytest.mark.parametrize("k, detail", [("4", "need k > choose_lambda(y) = 10.0"),
+                                           ("20", "finite energy")])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_repar_with_an_infinite_slope_exits_2(self, tmp_path, capsys, k, detail):
+        """A cell of width 5e-324 and rise 10 has slope +inf: lambda comes
+        from the finite slopes, and the cap stops with a usage error."""
+        path = tmp_path / "inf.csv"
+        path.write_text("t,y\n0,0\n5e-324,10\n1,0\n")
+        assert main(["repar", "--lagrangian", "sqrt_chain", "--trajectory", str(path),
+                     "--k", k]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]  # after numpy's overflow warning
+        assert err.startswith("error: ") and detail in err
+
     @pytest.mark.parametrize("text", [
         "t,y\r\n0,1\r\n0.5,2\r\n1,3\r\n",          # CRLF line endings
         "t,y\n\n0,1\n\n0.5,2\n1,3\n\n",             # blank lines

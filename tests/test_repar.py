@@ -72,6 +72,20 @@ class TestChooseLambda:
         d, w = np.abs(y.cell_derivatives()), y.mesh.widths
         assert float(w[d <= 1e6 + 1.0].sum()) >= 0.5 > float(w[d <= 1e6].sum())
 
+    def test_slow_half_on_the_boundary(self):
+        """Seven cells at slope 2.5, then seven at 10^6: the slow cells
+        cover exactly half in exact arithmetic.  A running sum of the widths
+        in |y'| order falls an ulp short of half where the measure test's
+        sum does not, so a candidate read from that sum lies on the steep
+        side, about a million integers above lambda = 3."""
+        mesh = uniform_mesh(0, 1, 14)
+        d = np.where(np.arange(14) < 7, 2.5, 1e6)
+        y = Trajectory(mesh, np.concatenate([[0.0], np.cumsum(d * mesh.widths)]))
+        w = y.mesh.widths
+        in_order = np.cumsum(w[np.argsort(np.abs(y.cell_derivatives()))])
+        assert in_order[6] < 0.5 <= float(w[:7].sum())
+        assert choose_lambda(y) == reference_choose_lambda(y) == 3.0
+
 
 def reference_choose_lambda(y):
     """choose_lambda's rule as the plain loop over lambda = 1, 2, ...: one
@@ -507,11 +521,6 @@ class TestChangeOfVariables:
                 continue
             speeds = build_map(res.plan).speeds
             assert res.changed_cells == np.count_nonzero(speeds != 1.0)
-            refined = res.plan.trajectory  # the plan's arrays have its bits
-            for got, built in zip(res.plan._cells, (refined.mesh.nodes, refined.values,
-                                                    refined.mesh.widths,
-                                                    refined.cell_derivatives())):
-                assert np.array_equal(got, built)
             y_k = res.y_k
             if not res.changed_cells:
                 assert y_k is y and res.energy_after == energy(spec, y).value
