@@ -83,7 +83,7 @@ def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
         d = (y_right - y_left) / h
 
     def samples(b: slice):
-        tq = gauss_points(nodes, h, x, b)
+        tq = gauss_points(nodes[:-1][b], nodes[1:][b], h[b], x)
         yq = tq - nodes[:-1][b]  # y_left + d (tq - t_left), built in place
         yq *= d[b]
         yq += y_left[b]
@@ -92,12 +92,12 @@ def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
     return cell_sums(spec, h, w, samples)
 
 
-def gauss_points(nodes: np.ndarray, h: np.ndarray, x: np.ndarray,
-                 b: slice = slice(None)) -> np.ndarray:
-    """The Gauss points of the cells in slice b: one row per rule node x on
-    [-1, 1], one column per cell (h is np.diff(nodes))."""
-    tq = (h[b] / 2.0) * x[:, None]
-    tq += (nodes[:-1][b] + nodes[1:][b]) / 2.0
+def gauss_points(left: np.ndarray, right: np.ndarray, h: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The Gauss points of the cells [left, right] of widths h (right - left):
+    one row per rule node x on [-1, 1], one column per cell."""
+    tq = (h / 2.0) * x[:, None]
+    tq += (left + right) / 2.0
     return tq
 
 
@@ -112,11 +112,11 @@ def gauss_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
-              samples: Callable[[slice], tuple]) -> np.ndarray:
+              samples: Callable[[slice], tuple], block: int = BLOCK) -> np.ndarray:
     """(h/2) * sum_k w_k L(tq, yq, vq) per cell; +inf for a cell with any
     sample that is non-finite or above INF_THRESHOLD.
 
-    The one quadrature kernel.  It walks the cells in blocks of BLOCK, and
+    The one quadrature kernel.  It walks the cells in blocks of `block`, and
     `samples(b)` returns the (tq, yq, vq) of the cells in slice b, one row
     per Gauss point (vq may be one row, a slope per cell), so no sample
     array larger than a block is needed.  Each block's integrand samples,
@@ -126,8 +126,8 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
     """
     out = np.empty(h.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, h.size, BLOCK):
-            b = slice(lo, lo + BLOCK)
+        for lo in range(0, h.size, block):
+            b = slice(lo, lo + block)
             tq, yq, vq = samples(b)
             lq = np.asarray(spec.eval(tq, yq, vq), dtype=float)
             if lq.shape != yq.shape:  # a value that ignores t and y
@@ -247,7 +247,7 @@ def exact_profile_energy(spec: LagrangianSpec, f: Callable, mesh: Mesh,
     h = np.diff(nodes)
 
     def samples(b: slice):
-        tq = gauss_points(nodes, h, x, b)
+        tq = gauss_points(nodes[:-1][b], nodes[1:][b], h[b], x)
         yq = np.asarray(f(tq), dtype=float)
         if df is not None:
             return tq, yq, np.asarray(df(tq), dtype=float)

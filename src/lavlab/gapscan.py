@@ -185,7 +185,7 @@ class _SlopeProblem:
         self.A, self.B = boundary
         x, self.w = _gauss(order)
         self.h = np.diff(mesh.nodes)
-        tq = gauss_points(mesh.nodes, self.h, x)
+        tq = gauss_points(mesh.nodes[:-1], mesh.nodes[1:], self.h, x)
         self.tq = tq[:, None]  # (order, 1, cells), broadcast over the rows
         self.offsets = (tq - mesh.nodes[:-1])[:, None]  # from each left node
         self.rows = max(1, _BATCH // tq.size)  # starts per batched call

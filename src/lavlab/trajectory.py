@@ -26,6 +26,12 @@ ENDPOINT_RTOL = 1e-12
 # into one string stays well under malloc's 128 KiB mmap threshold.
 PIECE = 2 ** 10
 
+# Cells per block of a pass over a trajectory's cells: a block's float
+# temporaries (64 KiB) stay under the same threshold.
+CELLS = 2 ** 13
+
+NOT_INCREASING = "mesh nodes must be strictly increasing"
+
 
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -42,8 +48,20 @@ def _cell_widths(nodes: np.ndarray) -> np.ndarray:
         raise ArgumentError("a mesh needs at least one cell")
     widths = np.diff(nodes)
     if not np.all(widths > 0):
-        raise ArgumentError("mesh nodes must be strictly increasing")
+        raise ArgumentError(NOT_INCREASING)
     return widths
+
+
+def _bisect(a: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
+    """`a` with the mean of each pair of neighbours inserted between them,
+    for the pairs `cells` only (every pair if None)."""
+    mid = (a[:-1] + a[1:]) / 2.0
+    if cells is not None:
+        return np.insert(a, cells + 1, mid[cells])
+    out = np.empty(2 * a.size - 1)
+    out[0::2] = a
+    out[1::2] = mid
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,12 +107,16 @@ class Mesh:
         return min(i, self.n_cells - 1)
 
     def bisected(self) -> "Mesh":
-        """Mesh with every cell split at its midpoint."""
+        """Mesh with every cell split at its midpoint; see `_bisectable`."""
+        return Mesh(_bisect(self.nodes, self._bisectable()))
+
+    def _bisectable(self) -> np.ndarray | None:
+        """The cells whose midpoint lies strictly inside them, None if all
+        do.  A cell with no float inside (one ulp wide) has its midpoint
+        rounded onto a node, so bisection keeps it whole."""
         mid = (self.nodes[:-1] + self.nodes[1:]) / 2.0
-        out = np.empty(2 * self.n_cells + 1)
-        out[0::2] = self.nodes
-        out[1::2] = mid
-        return Mesh(out)
+        inside = (self.nodes[:-1] < mid) & (mid < self.nodes[1:])
+        return None if inside.all() else np.flatnonzero(inside)
 
     def with_node(self, t: float) -> "Mesh":
         """Mesh with one extra node at t (no-op if t is already a node)."""
@@ -163,7 +185,8 @@ class Trajectory:
 
     @cached_property
     def _derivatives(self) -> np.ndarray:
-        d = np.diff(self.values) / self.mesh.widths
+        with np.errstate(over="ignore"):  # a slope too steep for a float is +-inf
+            d = np.diff(self.values) / self.mesh.widths
         d.flags.writeable = False
         return d
 
@@ -181,11 +204,8 @@ class Trajectory:
 
     def bisected(self) -> "Trajectory":
         """The same function on the once-bisected mesh (exact refinement)."""
-        mid = (self.values[:-1] + self.values[1:]) / 2.0
-        out = np.empty(2 * self.mesh.n_cells + 1)
-        out[0::2] = self.values
-        out[1::2] = mid
-        return Trajectory(self.mesh.bisected(), out)
+        cells = self.mesh._bisectable()
+        return Trajectory(Mesh(_bisect(self.mesh.nodes, cells)), _bisect(self.values, cells))
 
     def with_node(self, t: float) -> "Trajectory":
         """The same function with one extra node at t, whose value is the
@@ -222,29 +242,35 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, f) -> "Trajectory":
-        """Read a 't,y' header and rows t,y; a malformed file raises
-        ArgumentError naming the first bad line."""
+        """Read a 't,y' header and rows t,y from the text file f, a line at
+        a time, so no copy of its text is made (but of a pipe's, which
+        cannot be read twice); a malformed file raises ArgumentError naming
+        the first bad line."""
         header = next(csv.reader([f.readline()]), [])
         if [h.strip() for h in header] != ["t", "y"]:
             raise ArgumentError("trajectory CSV must have header 't,y'")
-        body = f.read()
-        if not body or body.isspace():
+        if not f.seekable():
+            f = io.StringIO(f.read(), newline="")
+        body = f.tell()
+        if all(map(str.isspace, iter(f.readline, ""))):
             raise ArgumentError("trajectory CSV has no rows after its header")
+        f.seek(body)
         try:  # correctly rounded, so the same bits as float()
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+            rows = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a decoding error included: _parse_rows raises it again
             rows = None
         if rows is None or rows.shape[1] != 2:
-            rows = _parse_rows(body)
+            f.seek(body)
+            rows = _parse_rows(f)
         return cls(Mesh(rows[:, 0]), rows[:, 1])
 
 
-def _parse_rows(body: str) -> np.ndarray:
-    """The rows of a trajectory CSV body one at a time with float(): reads
-    what np.loadtxt refuses but float() takes, and names the first line
-    that is not exactly two numbers."""
+def _parse_rows(f) -> np.ndarray:
+    """The rows of the rest of a trajectory CSV file, after its header,
+    one at a time with float(): reads what np.loadtxt refuses but float()
+    takes, and names the first line that is not exactly two numbers."""
     rows = []
-    reader = csv.reader(io.StringIO(body, newline=""))
+    reader = csv.reader(f)
     for r in reader:
         if r:
             try:
@@ -340,14 +366,30 @@ def time_change_image(a: float, widths: np.ndarray, speeds: np.ndarray) -> np.nd
     runs the cells of `widths` at `speeds`: a, then a plus the running sums
     of speeds * widths, left to right.  Raises ArgumentError unless every
     speed is finite and positive."""
-    v = _as_float_vector(speeds, "speeds")
-    if not np.all(v > 0):
-        raise ArgumentError("all speeds must be positive")
+    v = positive_speeds(speeds)
     img = np.empty(v.size + 1)
     img[0] = a
     np.cumsum(v * widths, out=img[1:])
     img[1:] += a
     return img
+
+
+def positive_speeds(speeds) -> np.ndarray:
+    """`speeds` as a float vector; raises ArgumentError unless every entry
+    is finite and positive."""
+    v = _as_float_vector(speeds, "speeds")
+    if not np.all(v > 0):
+        raise ArgumentError("all speeds must be positive")
+    return v
+
+
+def running_sum(part: np.ndarray, carry: float = -0.0) -> np.ndarray:
+    """`carry`, then the left-to-right running sums of `part` continued
+    from it: np.cumsum with the carry prepended, so a sequence summed one
+    part at a time, each part carrying the last sum of the one before, has
+    the bits of one np.cumsum over the whole sequence (the empty sum -0.0
+    adds to any float exactly)."""
+    return np.cumsum(np.concatenate(([carry], part)))
 
 
 def endpoint_exact(image: np.ndarray, a: float, b: float) -> bool:

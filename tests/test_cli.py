@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lavlab import cli, graded_mesh, necessary, sample
+from lavlab import CATALOG_IDS, cli, graded_mesh, necessary, sample
 from lavlab.cli import _config_from_args, _build_parser, main
 from lavlab.trajectory import float_texts
 
@@ -108,7 +108,7 @@ class TestMainInProcess:
         # classify runs once per capped k; energy, choose_lambda and the push
         # that builds a capped trajectory are counted wherever repar calls them
         monkeypatch.setattr(lavlab.repar, "classify",
-                            counting(lavlab.repar.classify, ks, lambda y, k, lam: k))
+                            counting(lavlab.repar.classify, ks, lambda y, k, *_: k))
         monkeypatch.setattr(lavlab.repar, "energy",
                             counting(lavlab.repar.energy, energies))
         monkeypatch.setattr(lavlab.repar, "choose_lambda",
@@ -172,16 +172,29 @@ class TestMainInProcess:
 
     @pytest.mark.parametrize("k, detail", [("4", "need k > choose_lambda(y) = 10.0"),
                                            ("20", "finite energy")])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
     def test_repar_with_an_infinite_slope_exits_2(self, tmp_path, capsys, k, detail):
         """A cell of width 5e-324 and rise 10 has slope +inf: lambda comes
-        from the finite slopes, and the cap stops with a usage error."""
+        from the finite slopes, and the cap stops with a usage error, the
+        only line on stderr."""
         path = tmp_path / "inf.csv"
         path.write_text("t,y\n0,0\n5e-324,10\n1,0\n")
         assert main(["repar", "--lagrangian", "sqrt_chain", "--trajectory", str(path),
                      "--k", k]) == 2
-        err = capsys.readouterr().err.splitlines()[-1]  # after numpy's overflow warning
-        assert err.startswith("error: ") and detail in err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ident", CATALOG_IDS)
+    def test_energy_with_an_infinite_slope_is_inf(self, ident, tmp_path, capsys):
+        """The +inf slope makes its cell's energy, and F, +inf (never NaN)
+        for every catalog integrand, with no numpy warning; the refinement
+        estimate keeps the one-ulp cell whole."""
+        path = tmp_path / "inf.csv"
+        path.write_text("t,y\n0,0\n5e-324,10\n1,0\n")
+        out = tmp_path / "e.json"
+        assert main(["energy", "--lagrangian", ident, "--trajectory", str(path),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["energy"]["value"] == math.inf
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "t,y\r\n0,1\r\n0.5,2\r\n1,3\r\n",          # CRLF line endings
@@ -265,10 +278,14 @@ def setting_cases(tmp_path):
     """Small runs of every subcommand, one for each input it can take."""
     cat = _write_trajectory(tmp_path / "cat.csv", np.cosh, graded_mesh(-1, 1, 40, 1.0))
     root = _write_trajectory(tmp_path / "sqrt.csv", np.sqrt, graded_mesh(0, 1, 64, 2.0))
+    # a cell one ulp wide, which the refinement estimate keeps whole
+    ulp = tmp_path / "ulp.csv"
+    ulp.write_text("t,y\n0,0\n0.5,0.5\n0.5000000000000001,0.5000000000000001\n1,1\n")
     exact = ["--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "64", "--power", "2"]
     return {
         "catalog": [[]],
-        "energy": [exact, ["--lagrangian", "surface_of_revolution", "--trajectory", cat]],
+        "energy": [exact, ["--lagrangian", "surface_of_revolution", "--trajectory", cat],
+                   ["--lagrangian", "sqrt_chain", "--trajectory", str(ulp)]],
         "repar": [[*exact, "--k", "2,4"],
                   ["--lagrangian", "sqrt_chain", "--trajectory", root, "--k", "4"]],
         "necessary-check": [["--lagrangian", "surface_of_revolution", "--trajectory", cat]],

@@ -151,7 +151,7 @@ class TestKernel:
         x, w = _gauss(order)
         nodes = np.linspace(0.0, 1.0, n + 1)
         h = np.diff(nodes)
-        tq = gauss_points(nodes, h, x)
+        tq = gauss_points(nodes[:-1], nodes[1:], h, x)
         yq = rng.normal(0.0, 1.0, (order, 4, n))
         vq = rng.normal(0.0, 2.0, (order, 4, n))
         yq[1, 2, BLOCK + 1] = math.inf

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
                     lemma_P, minimal_surface, partial_array, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
 
-from lavlab.repar import SPLIT_GUARD_REL
-from lavlab.trajectory import push_through_inverse
+from lavlab.functional import _gauss, _total, cell_sums, gauss_points
+from lavlab.repar import SPLIT_GUARD_REL, _closure
+from lavlab.trajectory import (CELLS, endpoint_exact, push_through_inverse, pushed_nodes,
+                               running_sum, time_change_image)
 
 from conftest import random_trajectory
 
@@ -111,7 +115,7 @@ class TestClassify:
         # slopes (4, 0), k=2: deficit = 0.5 (4/2 - 1) = 0.5
         plan = classify(two_cell([4.0, 0.0]), 2.0, 1.0)
         assert plan.s_cells == (0,)
-        assert plan.omega_cells == (1,)
+        assert plan.slow_cells == (1,)
         assert plan.deficit == pytest.approx(0.5, abs=1e-15)
 
     def test_sqrt_ramp_coarse_deficit(self):
@@ -162,12 +166,12 @@ class TestSelectA:
             except InfeasibleError:
                 continue
             assert set(plan.a_cells).isdisjoint(plan.s_cells)
-            assert set(plan.a_cells) <= set(plan.omega_cells)
+            assert set(plan.a_cells) <= set(plan.slow_cells)  # they end at the split
 
 
 def reference_select_A(plan):
     """select_A's greedy rule cell by cell, as a plain Python loop over the
-    classified plan: (s_cells, omega_cells, a_cells, split_node, measure_a),
+    classified plan: (s_cells, slow_cells, a_cells, split_node, measure_a),
     or None when the slow set runs out."""
     y = plan.trajectory
     widths = y.mesh.widths
@@ -175,7 +179,7 @@ def reference_select_A(plan):
     chosen = []
     remaining = 2.0 * plan.deficit
     split_node = split_cell = None
-    for idx in plan.omega_cells.tolist():
+    for idx in plan.slow_cells.tolist():
         w = float(widths[idx])
         if remaining >= w:
             chosen.append(idx)
@@ -195,17 +199,14 @@ def reference_select_A(plan):
             break
     if remaining > 0.0:
         return None
-    s_cells, omega_cells, a_cells = plan.s_cells.tolist(), plan.omega_cells.tolist(), chosen
+    s_cells, slow_cells, a_cells = plan.s_cells.tolist(), plan.slow_cells.tolist(), chosen
     if split_node is not None:
         shift = lambda i: i if i < split_cell else i + 1
         s_cells = [shift(i) for i in s_cells]
-        omega_cells = []
-        for i in plan.omega_cells.tolist():
-            omega_cells.extend([i, i + 1] if i == split_cell else [shift(i)])
         a_cells = [shift(i) for i in chosen] + [split_cell]
         widths = y.with_node(split_node).mesh.widths
     measure_a = float(sum(widths[i] * 1.0 for i in a_cells))
-    return s_cells, omega_cells, a_cells, split_node, measure_a
+    return s_cells, slow_cells, a_cells, split_node, measure_a
 
 
 class TestSelectAReference:
@@ -221,7 +222,7 @@ class TestSelectAReference:
         y = random_trajectory(rng, lo=-4, hi=4, max_cells=max_cells)
         lam = choose_lambda(y)
         plan = classify(y, lam + float(rng.uniform(0.25, 6.0)), lam)
-        widths = y.mesh.widths[plan.omega_cells]
+        widths = y.mesh.widths[plan.slow_cells]
         if mode == "split" or widths.size < 2:
             mode = "split"
         elif mode == "whole":
@@ -238,11 +239,11 @@ class TestSelectAReference:
         except ConsistencyError:
             assert expected is None
             return
-        s_cells, omega_cells, a_cells, split_node, measure_a = expected
-        for cells in (done.s_cells, done.omega_cells, done.a_cells):
+        s_cells, slow_cells, a_cells, split_node, measure_a = expected
+        for cells in (done.s_cells, done.slow_cells, done.a_cells):
             assert cells.dtype == np.intp and not cells.flags.writeable
         assert done.s_cells.tolist() == s_cells
-        assert done.omega_cells.tolist() == omega_cells
+        assert done.slow_cells.tolist() == slow_cells
         assert done.a_cells.tolist() == a_cells
         assert done.split_node == split_node
         assert done.measure_a == measure_a
@@ -265,13 +266,13 @@ class TestSelectASplitOntoANode:
         y = Trajectory(Mesh(a + np.array([0.0, 0.25, 0.75, 0.75 + eps, 1.0])),
                        np.array([0.0, 0.3, 1.05, 1.05 + 0.1 * eps, 1.8]))
         plan = classify(y, 2.0, 1.0)
-        assert plan.s_cells.tolist() == [3] and plan.omega_cells.tolist() == [2]
+        assert plan.s_cells.tolist() == [3] and plan.slow_cells.tolist() == [2]
         short = dataclasses.replace(plan, deficit=target / 2.0)
         assert y.mesh.nodes[2] + target == y.mesh.nodes[2 + len(taken)]
         done = select_A(short)
         assert done.trajectory is y and done.split_node is None
         assert done.s_cells.tolist() == [3]
-        assert done.omega_cells.tolist() == [2]
+        assert done.slow_cells.tolist() == [2]
         assert done.a_cells.tolist() == taken
         assert done.measure_a == eps * len(taken)
         speeds = done.speeds()
@@ -543,7 +544,8 @@ class TestChangeOfVariables:
         assert per_cell.size == y.mesh.n_cells + 1
         assert res.energy_after == pytest.approx(float(per_cell.sum()), rel=1e-12)
 
-    def test_nodes_that_collide_raise_as_the_push_does(self):
+    @pytest.mark.parametrize("cells", [1, 2, 3, CELLS])
+    def test_nodes_that_collide_raise_as_the_push_does(self, cells):
         """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
         image of half an ulp that rounds onto its left node: y_k has no
         mesh, and cap raises the push's ArgumentError without building it."""
@@ -556,8 +558,182 @@ class TestChangeOfVariables:
         assert plan.a_cells.tolist() == [1]
         with pytest.raises(ArgumentError, match="strictly increasing"):
             push_through_inverse(y, MonotoneMap(y.mesh, plan.speeds()))
-        with pytest.raises(ArgumentError, match="strictly increasing"):
+        with pytest.raises(ArgumentError, match="strictly increasing"), \
+                mock.patch.object(lavlab.repar, "CELLS", cells):
             ReparInput.of(SQRT_CHAIN, y).cap(2.0)
+
+
+def former_closure(plan):
+    """The closed speeds and image nodes as first written, on full-length
+    arrays: plan.speeds(), the defect summed by np.cumsum, the last
+    unit-speed cell found on the reversed speeds, then time_change_image,
+    endpoint_exact and pushed_nodes.  Returns (speeds, image), or the error
+    raised, as (type, message)."""
+    speeds = plan.speeds()
+    widths = plan.trajectory.mesh.widths
+    a, b = plan.y.mesh.a, plan.y.mesh.b
+    defect = (b - a) - _total(speeds * widths)
+    if defect != 0.0:
+        j = widths.size - 1 - int(np.argmax(speeds[::-1] == 1.0))
+        speeds[j] += defect / float(widths[j])
+    try:
+        image = time_change_image(a, widths, speeds)
+        if not endpoint_exact(image, a, b):
+            raise ConsistencyError(f"endpoint defect {abs(float(image[-1]) - b):.3e}")
+        pushed_nodes(image, a, b)
+    except (ArgumentError, ConsistencyError) as exc:
+        return type(exc), str(exc).split(" exceeds")[0]
+    return speeds, image
+
+
+def former_cap(prepared, k):
+    """(energy_after, lip_after, changed_cells) of cap(k) as first written:
+    F(y_k) and Lip(y_k) from the full closed speeds and the refined
+    trajectory's arrays."""
+    plan = select_A(classify(prepared.y, k, prepared.lam))
+    if np.all(plan.speeds() == 1.0):
+        return prepared.energy_before, prepared.lip, 0
+    closed = former_closure(plan)
+    if isinstance(closed[0], type):
+        return closed
+    speeds = closed[0]
+    traj = plan.trajectory
+    nodes, values, h, d = traj.mesh.nodes, traj.values, traj.mesh.widths, traj.cell_derivatives()
+    new = old = speeds != 1.0
+    changed = int(np.count_nonzero(new))
+    if plan.split_node is not None:
+        c = int(plan.a_cells[-1])
+        old, new[c + 1] = np.delete(new, c + 1), True
+    new, old = np.flatnonzero(new), np.flatnonzero(old)
+    x, w = _gauss(prepared.order)
+    s = speeds[new]
+
+    def samples(b):
+        idx = new[b]
+        tq = gauss_points(nodes[:-1][idx], nodes[1:][idx], h[idx], x)
+        yq = tq - nodes[idx]
+        yq *= d[idx]
+        yq += values[idx]
+        return tq, yq, (d[idx] / s[b])[None]
+
+    delta = (_total(cell_sums(prepared.spec, h[new] * s, w, samples))
+             - _total(prepared._energy.per_cell[old]))
+    return (prepared.energy_before + delta, float(np.max(np.abs(d) / speeds)), changed)
+
+
+def closure_plan(rng, mode):
+    """A complete plan for the closure: a random trajectory capped at a
+    random k (splits or not), one whose compensation set is short or long
+    by a random factor (a large closure, perhaps a speed <= 0), one where
+    every slow cell compensates (every cell moves), or slow cells then a
+    fast tail with the last slow cell split (the closure cell is its right
+    half)."""
+    if mode == "tail":
+        m, r = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        mesh = uniform_mesh(0.0, 1.0, m + r)
+        slopes = np.r_[np.full(m, 0.5), np.full(r, float(rng.uniform(2.5, 6.0)))]
+        y = Trajectory(mesh, np.r_[0.0, np.cumsum(slopes * mesh.widths)])
+        plan = classify(y, 2.0, 1.0)
+        short = plan.measure_omega - float(rng.uniform(0.1, 0.9)) * mesh.widths[0]
+        return select_A(dataclasses.replace(plan, deficit=short / 2.0))
+    y = random_trajectory(rng, lo=0.2, hi=3.0, max_cells=int(rng.choice([24, 400])))
+    lam = choose_lambda(y)
+    k = lam + 1e-3 + float(rng.uniform(0.0, 1.0)) * max(y.lipschitz_constant - lam, 1.0)
+    plan = classify(y, k, lam)
+    if mode == "all":
+        return dataclasses.replace(plan, a_cells=plan.slow_cells, complete=True)
+    if mode == "scaled":
+        plan = dataclasses.replace(plan, deficit=plan.deficit * float(rng.uniform(0.0, 1.2)))
+    return select_A(plan)
+
+
+class TestBlockedCap:
+    """Every per-k pass walks blocks of CELLS cells; with CELLS patched to
+    a few cells the block edges fall everywhere, and the numbers keep the
+    bits of the full-length formulas."""
+
+    @pytest.mark.parametrize("sizes", [[0], [1], [5, 3], [7, 1, 1, 9], [CELLS, 2, CELLS - 1]])
+    def test_running_sum_has_the_bits_of_one_cumsum(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        whole = rng.normal(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes))
+        whole[:1] = -0.0  # the empty sum keeps a leading -0.0
+        carry, parts = None, []
+        for lo, n in zip(np.cumsum([0] + sizes), sizes):
+            sums = running_sum(whole[lo:lo + n], *([] if carry is None else [carry]))
+            parts.append(sums[1:])
+            carry = sums[-1]
+        assert np.concatenate(parts).tobytes() == np.cumsum(whole).tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "scaled", "all", "tail"]),
+           st.sampled_from([1, 2, 3, 8, CELLS]))
+    @settings(max_examples=150, deadline=None)
+    def test_closure_matches_the_full_length_checks(self, seed, mode, cells):
+        """The closure cell and speed, and what the image checks raise, are
+        those of the full-length closure, time_change_image, endpoint_exact
+        and pushed_nodes."""
+        rng = np.random.default_rng(seed)
+        try:
+            plan = closure_plan(rng, mode)
+        except InfeasibleError:
+            return
+        expected = former_closure(plan)
+        with mock.patch.object(lavlab.repar, "CELLS", cells):
+            try:
+                j, speed = _closure(plan)
+            except (ArgumentError, ConsistencyError) as exc:
+                assert (type(exc), str(exc).split(" exceeds")[0]) == expected
+                return
+            assert not isinstance(expected[0], type), expected
+            speeds = plan.speeds()
+            speeds[j] = speed
+            assert speeds.tobytes() == expected[0].tobytes()
+            assert build_map(plan).image_nodes.tobytes() == expected[1].tobytes()
+        if mode == "tail" and plan.split_node is not None:
+            assert j == plan.split_cell + 1
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),
+           st.sampled_from(["random", "sqrt"]), st.sampled_from([1, 3, 8, CELLS]))
+    @settings(max_examples=80, deadline=None)
+    def test_cap_has_the_bits_of_the_full_length_formulas(self, seed, ident, mode, cells):
+        spec = catalog(ident)
+        rng = np.random.default_rng(seed)
+        if mode == "sqrt":
+            y = sample(np.sqrt, graded_mesh(0, 1, int(rng.integers(16, 400)), 2.0))
+        else:
+            y = random_trajectory(rng, lo=0.2, hi=3.0, max_cells=int(rng.choice([24, 400])))
+        prepared = ReparInput.of(spec, y)
+        lam, lip = prepared.lam, prepared.lip
+        for k in sorted(lam + 1e-3 + rng.uniform(0.0, 1.0, size=3) * max(lip - lam, 1.0)):
+            try:
+                expected = former_cap(prepared, k)
+            except InfeasibleError:
+                continue
+            with mock.patch.object(lavlab.repar, "CELLS", cells):
+                if isinstance(expected[0], type):
+                    with pytest.raises(expected[0], match=expected[1]):
+                        prepared.cap(k)
+                    continue
+                res = prepared.cap(k)
+            assert (res.energy_after, res.lip_after, res.changed_cells) == expected
+
+    def test_cap_memory_follows_the_changed_cells(self):
+        """At k = 256 a sqrt sample moves about n / 500 cells: one cap's
+        traced peak is the same for 2^14 and 2^16 cells, below one
+        2^16-entry float array."""
+        def cap_peak(n):
+            prepared = ReparInput.of(SQRT_CHAIN, sample(np.sqrt, graded_mesh(0, 1, n, 2.0)))
+            prepared.cap(2.0)  # F(y) and the slow set, once
+            tracemalloc.start()
+            try:
+                changed = prepared.cap(256.0).changed_cells
+                return tracemalloc.get_traced_memory()[1], changed
+            finally:
+                tracemalloc.stop()
+
+        (small, few), (large, more) = cap_peak(2 ** 14), cap_peak(2 ** 16)
+        assert few < more < 2 ** 16 // 100
+        assert large < 2 ** 16 * 8, (small, large)
+        assert large - small < 2 ** 14, (small, large)
 
 
 class TestLimitLaw:

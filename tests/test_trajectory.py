@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 from unittest import mock
 
@@ -63,6 +64,30 @@ class TestMesh:
         mesh = Mesh(np.array([0.0, 1.0, 4.0]))
         assert np.array_equal(mesh.bisected().nodes, [0.0, 0.5, 1.0, 2.5, 4.0])
 
+    @pytest.mark.parametrize("nodes, bisected", [
+        ([0.0, 0.5, 0.5000000000000001, 1.0], [0.0, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0]),
+        ([0.0, 5e-324, 1.0], [0.0, 5e-324, 0.5, 1.0]),
+        ([1.0, 1.0000000000000002], [1.0, 1.0000000000000002]),
+    ])
+    def test_bisected_keeps_a_cell_one_ulp_wide_whole(self, nodes, bisected):
+        """Such a cell's midpoint rounds onto a node, so it stays whole,
+        and the trajectory on it keeps its values there."""
+        mesh = Mesh(np.array(nodes))
+        assert mesh.bisected().nodes.tolist() == bisected
+        y = Trajectory(mesh, 2.0 * mesh.nodes)
+        assert y.bisected().mesh.nodes.tolist() == bisected
+        assert y.bisected().values.tolist() == [2.0 * t for t in bisected]
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_bisected_interleaves_when_every_midpoint_is_inside(self, seed):
+        y = random_trajectory(np.random.default_rng(seed), lo=-4, hi=4, max_cells=64)
+        fine = y.bisected()
+        for coarse, got in ((y.mesh.nodes, fine.mesh.nodes), (y.values, fine.values)):
+            want = np.empty(2 * coarse.size - 1)
+            want[0::2], want[1::2] = coarse, (coarse[:-1] + coarse[1:]) / 2.0
+            assert got.tobytes() == want.tobytes()
+
 
 class TestTrajectoryEval:
     def test_linear_interpolation(self):
@@ -97,6 +122,12 @@ class TestCellDerivatives:
         from lavlab import sawtooth
         d = sawtooth(4).cell_derivatives()
         assert np.array_equal(d, [1.0, -1.0] * 4)
+
+    def test_a_slope_too_steep_for_a_float_is_inf(self):
+        """Rise 10 over 5e-324 overflows to +inf, with no numpy warning."""
+        y = Trajectory(Mesh(np.array([0.0, 5e-324, 1.0])), np.array([0.0, 10.0, 0.0]))
+        assert y.cell_derivatives().tolist() == [np.inf, -10.0]
+        assert y.lipschitz_constant == np.inf
 
     def test_sqrt_ramp_coarse_slopes(self):
         from lavlab import sqrt_ramp
@@ -349,6 +380,64 @@ class TestSerialization:
             with mock.patch.object(trajectory, "PIECE", piece):
                 y.to_csv(buf)
             assert buf.getvalue() == want
+
+    def test_from_csv_peak_follows_the_columns_not_the_text(self, tmp_path):
+        """The file is read a line at a time: parsing 2^15 rows peaks under
+        3 times the two result columns (the rows, then the mesh and values
+        copies), where a copy of the whole text would take 4 bytes a
+        character."""
+        rows = 2 ** 15
+        path = tmp_path / "y.csv"
+        with open(path, "w", newline="") as f:
+            sample(np.sqrt, graded_mesh(0, 1, rows - 1, 2.0)).to_csv(f)
+        with open(path, newline="") as f:
+            tracemalloc.start()
+            try:
+                Trajectory.from_csv(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        columns = 2 * 8 * rows
+        assert peak < 3 * columns, (peak, columns)
+
+    @pytest.mark.parametrize("row, error, detail", [
+        ("0.5,abc", ArgumentError, "line 4002: expected t,y numbers, got '0.5,abc'"),
+        ("0.5,1,extra", ArgumentError, "line 4002: expected t,y numbers, got '0.5,1,extra'"),
+        ("0.5", ArgumentError, "line 4002: expected t,y numbers, got '0.5'"),
+    ])
+    def test_from_csv_names_a_bad_line_past_the_first_chunk(self, tmp_path, row, error, detail):
+        """4,000 good rows (about 100 KiB) before the bad one, so the parser
+        has read past its first chunk and the file is read again from the
+        first row."""
+        path = tmp_path / "y.csv"
+        good = "".join(f"{i / 8000!r},{i / 7!r}\n" for i in range(4000))
+        path.write_text(f"t,y\n{good}{row}\n0.75,2\n")
+        assert path.stat().st_size > 64 * 1024
+        with open(path, newline="") as f, pytest.raises(error) as err:
+            Trajectory.from_csv(f)
+        assert str(err.value) == detail
+
+    @pytest.mark.parametrize("body, line", [("0,0\r\n1,2\r\n", None),
+                                            ("0,0\n0.5,x\n", "line 3")])
+    def test_from_csv_reads_a_pipe(self, body, line):
+        """A pipe cannot be read twice: its text is parsed from a copy."""
+        read, write = os.pipe()
+        os.write(write, f"t,y\n{body}".encode())
+        os.close(write)
+        with os.fdopen(read, newline="") as f:
+            if line is None:
+                assert Trajectory.from_csv(f).values.tolist() == [0.0, 2.0]
+            else:
+                with pytest.raises(ArgumentError, match=line):
+                    Trajectory.from_csv(f)
+
+    def test_from_csv_refuses_a_bad_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "y.csv"
+        good = "".join(f"{i / 8000!r},{i / 7!r}\n" for i in range(4000))
+        path.write_bytes(f"t,y\n{good}".encode() + b"0.5,\xff\n0.75,2\n")
+        with open(path, newline="") as f, pytest.raises(UnicodeDecodeError,
+                                                       match="can't decode byte 0xff"):
+            Trajectory.from_csv(f)
 
     def test_to_csv_memory_does_not_grow_with_the_rows(self):
         """to_csv holds a piece of text at a time: 4x the rows raise the
