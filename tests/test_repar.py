@@ -544,20 +544,33 @@ class TestChangeOfVariables:
         assert per_cell.size == y.mesh.n_cells + 1
         assert res.energy_after == pytest.approx(float(per_cell.sum()), rel=1e-12)
 
-    @pytest.mark.parametrize("cells", [1, 2, 3, CELLS])
-    def test_nodes_that_collide_raise_as_the_push_does(self, cells):
-        """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
-        image of half an ulp that rounds onto its left node: y_k has no
-        mesh, and cap raises the push's ArgumentError without building it."""
+    @staticmethod
+    def colliding_nodes():
+        """A compensation cell one ulp of 0.25 wide, at speed 1/2: its image
+        of half an ulp rounds onto its left node."""
         u = 2.0 ** -54  # ulp(0.25)
         nodes = np.array([0.0, 0.25, 0.25 + u, 0.25 + 2 * u, 0.25 + 3 * u,
                           0.25 + 4 * u, 0.25 + 6 * u, 1.0])
         y = Trajectory(Mesh(nodes), 0.375 + np.array([-0.375, 0, 0, 0, 0, 0, 8 * u, 8 * u]))
         assert y.cell_derivatives().tolist() == [1.5, 0, 0, 0, 0, 4, 0]
+        return y
+
+    def test_nodes_that_collide_raise_as_the_push_does(self):
+        """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
+        image of half an ulp that rounds onto its left node: y_k has no
+        mesh, and cap raises the push's ArgumentError without building it."""
+        y = self.colliding_nodes()
         plan = select_A(classify(y, 2.0, choose_lambda(y)))
         assert plan.a_cells.tolist() == [1]
         with pytest.raises(ArgumentError, match="strictly increasing"):
             push_through_inverse(y, MonotoneMap(y.mesh, plan.speeds()))
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            ReparInput.of(SQRT_CHAIN, y).cap(2.0)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, CELLS])
+    def test_nodes_that_collide_raise_in_every_block_size(self, cells):
+        """The collision is found whichever block of cells holds it."""
+        y = self.colliding_nodes()
         with pytest.raises(ArgumentError, match="strictly increasing"), \
                 mock.patch.object(lavlab.repar, "CELLS", cells):
             ReparInput.of(SQRT_CHAIN, y).cap(2.0)
