@@ -37,7 +37,7 @@ import numpy as np
 from . import gapscan, necessary
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      InfeasibleError, LavlabError, UnsupportedLagrangianError)
-from .functional import DEFAULT_ORDER, energy, energy_converged
+from .functional import DEFAULT_ORDER, MAX_ORDER, energy, energy_converged
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
 from .repar import FindKReport, KRow, ReparInput
 from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
@@ -105,8 +105,9 @@ def _lagrangian(value: Any) -> str | dict:
     return value
 
 
-def _at_least(low: int) -> Callable[[Any], str | None]:
-    return lambda value: None if value >= low else f"must be >= {low}"
+def _in_range(low: int, high: float = math.inf) -> Callable[[Any], str | None]:
+    return lambda value: (f"must be >= {low}" if not value >= low else
+                          f"must be <= {high}" if value > high else None)
 
 
 def _one_of(names: Sequence[str]) -> Callable[[Any], str | None]:
@@ -121,21 +122,21 @@ TRAJECTORY = Setting("trajectory", "--trajectory", str,
                      help="CSV or JSON trajectory file")
 A = Setting("a", "--a", float, 0.0, help="left end of the mesh")
 B = Setting("b", "--b", float, 1.0, help="right end of the mesh")
-N = Setting("n", "--n", int, 256, check=_at_least(1), help="number of mesh cells")
-POWER = Setting("power", "--power", float, 1.0, check=_at_least(1),
+N = Setting("n", "--n", int, 256, check=_in_range(1), help="number of mesh cells")
+POWER = Setting("power", "--power", float, 1.0, check=_in_range(1),
                 help="mesh grading power (>= 1)")
-ORDER = Setting("order", "--order", int, DEFAULT_ORDER, check=_at_least(1),
-                help="Gauss points per cell; the weights sum to exactly 2 at "
-                     "orders 1-8, within 6 eps beyond")
-TOL = Setting("tol", "--tol", float, 1e-6, check=_at_least(0),
+ORDER = Setting("order", "--order", int, DEFAULT_ORDER, check=_in_range(1, MAX_ORDER),
+                help=f"Gauss points per cell, 1-{MAX_ORDER}; the weights sum to "
+                     "exactly 2 at orders 1-8, within 6 eps beyond")
+TOL = Setting("tol", "--tol", float, 1e-6, check=_in_range(0),
               help="refinement tolerance for --exact")
 K_GRID = Setting("k_grid", "--k", float, grid=True, help="comma-separated k grid")
 N_GRID = Setting("n_grid", "--n", int, grid=True, help="comma-separated mesh sizes")
 M_GRID = Setting("M_grid", "--M", float, grid=True, help="comma-separated slope bounds")
-RESTARTS = Setting("restarts", "--restarts", int, 8, check=_at_least(0),
+RESTARTS = Setting("restarts", "--restarts", int, 8, check=_in_range(0),
                    help="seeded restarts per slope bound: the straight line plus a "
                         "random 8-mode sine series, the same function on every mesh")
-SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_at_least(0),
+SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_in_range(0),
                help="64-bit seed of the restarts; with the bound M it keys "
                     "their sine coefficients")
 

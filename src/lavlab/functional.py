@@ -8,9 +8,11 @@ than as an evaluation error.  Results are extended reals: any sample above
 
 Every energy goes through one kernel, `cell_sums`, which walks the cells in
 blocks and sums each cell's weighted samples left to right, so a cell's
-bits depend neither on the BLAS build nor on the block it falls in.  Its
-reduction step, `cell_integrals`, is shared with the slope optimizer, which
-samples the integrand itself.
+bits depend neither on the BLAS build nor on the block it falls in.  The
+samples of piecewise-linear cells come from one sampler, `linear_samples`,
+which the energy, the slope optimizer and the slope caps share; the
+optimizer, which needs the integrand's jet, walks its cells in blocks of
+SAMPLES samples and reduces them by the kernel's step, `cell_integrals`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ from .trajectory import Mesh, Trajectory, sample
 
 INF_THRESHOLD = 1e300
 
-# Cells per kernel block: a block's (order, BLOCK) sample arrays stay in cache.
+# Cells per kernel block of `energy`: a block's (order, BLOCK) sample arrays
+# stay in cache; measured faster than blocks of SAMPLES samples.
 BLOCK = 2 ** 13
+SAMPLES = 2 ** 13  # per jet of the optimizer and the caps: 64 KiB, under malloc's mmap cut
+MAX_ORDER = 64  # _gauss builds an order x order matrix; no composite rule needs more
 
 DEFAULT_ORDER = 5  # exact for the catalog's polynomial integrands per cell
 
@@ -51,8 +56,8 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     width at orders 1 to 8.  Beyond 8 some orders have no such move and keep
     the symmetrized table, whose sum is then only within 6 eps of 2.
     """
-    if order < 1:
-        raise ArgumentError("quadrature order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ArgumentError(f"quadrature order must be >= 1 and <= {MAX_ORDER}, got {order}")
     x, w = np.polynomial.legendre.leggauss(order)
     x = (x - x[::-1]) / 2.0
     w = (w + w[::-1]) / 2.0
@@ -66,30 +71,32 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def cell_energies_lr(spec: LagrangianSpec, nodes: np.ndarray,
-                     y_left: np.ndarray, y_right: np.ndarray,
-                     order: int = DEFAULT_ORDER, *, h: np.ndarray | None = None,
-                     d: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell quadrature contributions from per-cell endpoint values.
+def linear_samples(order: int, left: np.ndarray, right: np.ndarray, y_left: np.ndarray,
+                   h: np.ndarray, d: np.ndarray, v: np.ndarray | None = None,
+                   points: np.ndarray | None = None) -> Callable[[slice], tuple]:
+    """The `samples(b)` of `cell_sums` for piecewise-linear cells: the Gauss
+    points tq of the cells [left, right] of widths h, one row per rule node;
+    yq = y_left + d (tq - left), each cell's line through its left value
+    with slope d; and vq, one row of v (the slopes d by default) per cell.
 
-    h and d are the cell widths np.diff(nodes) and slopes
-    (y_right - y_left) / h; a caller that has them (a Trajectory keeps
-    both) passes them instead of having them computed again.
+    y_left, d and v may be stacks (rows, cells) on one set of cells, which
+    lays the samples out (order, rows, cells) with tq as (order, 1, cells).
+    A caller that samples the same cells many times passes their
+    `gauss_points` as `points`, which are then not built again.
     """
-    x, w = _gauss(order)
-    if h is None:
-        h = np.diff(nodes)
-    if d is None:
-        d = (y_right - y_left) / h
+    x = _gauss(order)[0]
+    v = d if v is None else v
 
     def samples(b: slice):
-        tq = gauss_points(nodes[:-1][b], nodes[1:][b], h[b], x)
-        yq = tq - nodes[:-1][b]  # y_left + d (tq - t_left), built in place
-        yq *= d[b]
-        yq += y_left[b]
-        return tq, yq, d[b][None]  # one slope per cell, not per sample
+        tq = gauss_points(left[b], right[b], h[b], x) if points is None else points[:, b]
+        if d.ndim > 1:
+            tq = tq[:, None]  # broadcast over the rows
+        yq = tq - left[b]
+        yq = yq * d[..., b] if d.ndim > 1 else np.multiply(yq, d[b], out=yq)
+        yq += y_left[..., b]
+        return tq, yq, v[..., b][None]  # one slope per cell, not per sample
 
-    return cell_sums(spec, h, w, samples)
+    return samples
 
 
 def gauss_points(left: np.ndarray, right: np.ndarray, h: np.ndarray,
@@ -155,9 +162,19 @@ def cell_integrals(lq: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def cell_energies(spec: LagrangianSpec, nodes: np.ndarray, values: np.ndarray,
-                  order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Per-cell quadrature contributions for nodal data; may contain +inf."""
-    return cell_energies_lr(spec, nodes, values[:-1], values[1:], order)
+                  order: int = DEFAULT_ORDER, *, h: np.ndarray | None = None,
+                  d: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell quadrature contributions for nodal data; may contain +inf.
+
+    h and d are the cell widths np.diff(nodes) and slopes np.diff(values) / h;
+    a caller that keeps them (a Trajectory does) passes them.
+    """
+    w = _gauss(order)[1]
+    if h is None:
+        h = np.diff(nodes)
+    if d is None:
+        d = np.diff(values) / h
+    return cell_sums(spec, h, w, linear_samples(order, nodes[:-1], nodes[1:], values[:-1], h, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,25 +222,20 @@ def _total(per_cell: np.ndarray):
     return total if total.ndim else float(total)
 
 
-def _trajectory_cells(spec: LagrangianSpec, y: Trajectory, order: int) -> np.ndarray:
-    """cell_energies(spec, y.mesh.nodes, y.values, order), from the widths
-    and slopes y already keeps."""
-    return cell_energies_lr(spec, y.mesh.nodes, y.values[:-1], y.values[1:], order,
-                            h=y.mesh.widths, d=y.cell_derivatives())
-
-
 def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> EnergyReport:
     """Composite Gauss-Legendre energy of a trajectory.
 
-    The derivative entering L is the exact per-cell slope, and quadrature
-    nodes are strictly interior to cells.
+    The derivative entering L is the exact per-cell slope (the one y keeps,
+    as are the widths), and quadrature nodes are strictly interior to cells.
     """
-    per_cell = _trajectory_cells(spec, y, order)
+    cells = lambda y: cell_energies(spec, y.mesh.nodes, y.values, order,
+                                    h=y.mesh.widths, d=y.cell_derivatives())
+    per_cell = cells(y)
     per_cell.flags.writeable = False
     value = _total(per_cell)
 
     def refine() -> float:
-        fine_val = _total(_trajectory_cells(spec, y.bisected(), order))
+        fine_val = _total(cells(y.bisected()))
         return _extended_diff(value, fine_val)
 
     return EnergyReport(value=value, per_cell=per_cell,

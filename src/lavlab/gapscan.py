@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, _gauss, _total, cell_integrals, energy,
-                         energy_converged, gauss_points, gauss_sum)
+from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_integrals, energy,
+                         energy_converged, gauss_points, gauss_sum, linear_samples)
 from .lagrangian import LagrangianSpec, catalog, jet
 from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
@@ -96,7 +96,6 @@ _SPG_MEMORY = 10
 _SPG_GAMMA = 1e-4
 _SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
 _SPG_SIGMA = (0.1, 0.9)
-_BATCH = 2 ** 13  # samples per batched call: 64 KiB temporaries, under malloc's mmap cut
 _MODES = 8  # sine modes of a restart's perturbation
 
 
@@ -117,14 +116,14 @@ class _SlopeSet:
         non-increasing piecewise-linear phi(mu) = h . clip(u - mu, -m, m).
         Where a plain shift leaves some |s| > m, phi is evaluated at all 2n
         breakpoints u -+ m by a sort and a cumsum along the row (the
-        continuous quadratic knapsack, Kiwiel 2008), _BATCH // (2n) rows at a
+        continuous quadratic knapsack, Kiwiel 2008), SAMPLES // (2n) rows at a
         time so the sort's temporaries stay small.
         """
         rows = u.reshape(-1, u.shape[-1])
         m = np.broadcast_to(m, rows.shape[:1])[:, None]  # each row's bound, as a column
         out = rows - ((_total(self.h * rows) - self.c) / self.width)[:, None]
         hit = np.flatnonzero(np.abs(out).max(axis=-1) > m[:, 0])  # rows with an active bound
-        chunk = max(1, _BATCH // (2 * rows.shape[-1]))
+        chunk = max(1, SAMPLES // (2 * rows.shape[-1]))
         for r in (hit[i:i + chunk] for i in range(0, hit.size, chunk)):
             out[r] = self._search(rows[r], m[r])
         return out.reshape(u.shape)
@@ -173,22 +172,24 @@ class _SlopeProblem:
     endpoints pinned: nodal values y_i = A + sum_{j<i} h_j s_j, and y_n = B.
 
     Slopes and values come as stacks (rows, cells) and (rows, nodes), one
-    start per row, and their samples as (order, rows, cells).  Each row's
-    energy has the bits of `cell_energies(spec, nodes, y, order)` summed as
-    `energy` sums them, whatever its stack.  `project` is the exact
-    projection onto the feasible slopes, `_SlopeSet(h, B - A).project`.
+    start per row, and their samples, from `linear_samples`, as (order,
+    rows, cells).  Each row's energy has the bits of `cell_energies(spec,
+    nodes, y, order)` summed as `energy` sums them, whatever its stack.
+    `project` is the exact projection onto the feasible slopes,
+    `_SlopeSet(h, B - A).project`.
     """
 
     def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
                  boundary: tuple[float, float]):
-        self.spec = spec
+        self.spec, self.order = spec, order
         self.A, self.B = boundary
-        x, self.w = _gauss(order)
+        self.w = _gauss(order)[1]
+        self.left, self.right = mesh.nodes[:-1], mesh.nodes[1:]
         self.h = np.diff(mesh.nodes)
-        tq = gauss_points(mesh.nodes[:-1], mesh.nodes[1:], self.h, x)
-        self.tq = tq[:, None]  # (order, 1, cells), broadcast over the rows
-        self.offsets = (tq - mesh.nodes[:-1])[:, None]  # from each left node
-        self.rows = max(1, _BATCH // tq.size)  # starts per batched call
+        # the optimizer samples these cells thousands of times
+        self.points = gauss_points(self.left, self.right, self.h, _gauss(order)[0])
+        self.rows = max(1, SAMPLES // (order * self.h.size))  # starts per jet
+        self.cells = max(1, SAMPLES // (order * self.rows))  # cells per jet
         self.project = _SlopeSet(self.h, self.B - self.A).project
 
     def values(self, s: np.ndarray) -> np.ndarray:
@@ -199,40 +200,41 @@ class _SlopeProblem:
         y[:, -1] = self.B
         return y
 
-    def samples(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(yq, vq) at the Gauss points; vq is the slopes as (1, rows, cells),
-        which broadcasts against yq where it is used."""
-        d = (y[:, 1:] - y[:, :-1]) / self.h
-        yq = d * self.offsets
-        yq += y[:, :-1]
-        return yq, d[None]
-
     def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Energies of the rows of y and their gradients dE/ds_j divided by
         h_j (the gradient in the h-weighted metric), from one `jet` of the
-        integrand per `rows` rows.
+        integrand per block of `rows` rows and `cells` cells, at most
+        SAMPLES samples.
 
         The energies go through `cell_integrals` as `cell_sums` reduces its
-        samples.  For the gradient, cell j's own samples move with s_j
-        through y' and the offset from its left node; every later cell moves
-        rigidly by h_j, which a reversed cumsum of the per-cell L_y integrals
-        collects.
+        samples, and are summed over the whole row.  For the gradient, cell
+        j's own samples move with s_j through y' and the offset from its left
+        node; every later cell moves rigidly by h_j, which a reversed cumsum
+        of the per-cell L_y integrals, taken over the whole row, collects.
         """
-        energies, gradients = [], []
+        h, w = self.h, self.w
+        energies, gradients = np.empty(len(y)), np.empty((len(y), h.size))
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(0, len(y), self.rows):
-                yq, vq = self.samples(y[r:r + self.rows])
-                # a value that ignores t and y keeps the (1, rows, cells) of vq
-                lq, ly, lv = (a if a.shape == yq.shape else np.broadcast_to(a, yq.shape)
-                              for a in jet(self.spec, self.tq, yq, vq))
-                energies.append(_total(cell_integrals(lq, self.h, self.w)))
-                rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
-                ly = ly * self.offsets
-                ly += lv
-                g = gauss_sum(ly, self.w) / 2.0
+                rows = y[r:r + self.rows]
+                d = (rows[:, 1:] - rows[:, :-1]) / h
+                samples = linear_samples(self.order, self.left, self.right, rows[:, :-1], h, d,
+                                         points=self.points)
+                per_cell, rigid, g = np.empty_like(d), np.empty_like(d), gradients[r:r + len(d)]
+                for lo in range(0, h.size, self.cells):
+                    b = slice(lo, lo + self.cells)
+                    tq, yq, vq = samples(b)
+                    # a value that ignores t and y keeps the (1, rows, cells) of vq
+                    lq, ly, lv = (a if a.shape == yq.shape else np.broadcast_to(a, yq.shape)
+                                  for a in jet(self.spec, tq, yq, vq))
+                    per_cell[:, b] = cell_integrals(lq, h[b], w)
+                    rigid[:, b] = (h[b] / 2.0) * gauss_sum(ly, w)
+                    ly = ly * (tq - self.left[b])
+                    ly += lv
+                    g[:, b] = gauss_sum(ly, w) / 2.0
+                energies[r:r + len(d)] = _total(per_cell)
                 g[:, :-1] += np.cumsum(rigid[:, ::-1], axis=-1)[:, ::-1][:, 1:]
-                gradients.append(g)
-        return np.concatenate(energies), np.concatenate(gradients)
+        return energies, gradients
 
 
 def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
@@ -358,9 +360,7 @@ def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
 def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
                      boundary: tuple[float, float], restarts: int = 8,
                      seed: int = DEFAULT_SEED, order: int = DEFAULT_ORDER,
-                     max_iters: int = 3150,
-                     extra_inits: Sequence[Trajectory] = ()
-                     ) -> list[tuple[Trajectory, float, MinimizeInfo]]:
+                     max_iters: int = 3150) -> list[tuple[Trajectory, float, MinimizeInfo]]:
     """Best slope-bounded trajectory at each bound M of a grid, by spectral
     projected gradient; returns one (trajectory, energy, info) per bound, in
     ascending order of M.
@@ -371,26 +371,25 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
     projection is exact (see `_SlopeSet.project`), and steps are nonmonotone
     Barzilai-Borwein.
 
-    Starts at each bound: the straight line, each of `extra_inits`, the warm
-    start (the previous bound's answer; none at the first bound), and
-    `restarts` perturbations of the first by low-frequency sine series that
-    vanish at both ends (`_perturbations`),
-    seeded by (seed, int(M * 1e6)), so that they are the same functions on
-    every mesh.  A start that already satisfies the constraints (exact
-    endpoints, Lipschitz constant <= M) is used as given, so its energy is
-    a candidate unchanged; others are projected.  Every start runs once,
-    until its projected-gradient residual falls below 1e-8 or for
-    `max_iters` iterations, and each bound's answer is its best start (the
-    first of equals, in the order above).  The starts known in advance,
+    Starts at each bound: the straight line, the warm start (the previous
+    bound's answer; none at the first bound), and `restarts` perturbations
+    of the line by low-frequency sine series that vanish at both ends
+    (`_perturbations`), seeded by (seed, int(M * 1e6)), so that they are
+    the same functions on every mesh.  A start that already satisfies the
+    constraints (exact endpoints, Lipschitz constant <= M) is used as given,
+    so its energy is a candidate unchanged; others are projected.  Every
+    start runs once, until its projected-gradient residual falls below 1e-8
+    or for `max_iters` iterations, and each bound's answer is its best start
+    (the first of equals, in the order above).  The starts known in advance,
     those of every bound, run as one lockstep stack; each warm start runs
     alone once the previous bound is decided.  A start's result does not
-    depend on its stack, so each bound's answer is that of a one-bound call
-    given the previous answer as its last `extra_inits`.
+    depend on its stack, so each bound's answer is that of `_spg` on its
+    own starts, in the order above.
 
     Each energy is that of `energy(spec, trajectory, order)`, bit for bit.
     """
     A, B = boundary
-    nodes, n, span = mesh.nodes, mesh.n_cells, mesh.b - mesh.a
+    nodes, span = mesh.nodes, mesh.b - mesh.a
     if not all(math.isfinite(M) for M in bounds):
         raise ArgumentError(f"slope bounds must be finite, got {list(bounds)}")
     bounds = sorted(float(M) for M in bounds)
@@ -403,28 +402,22 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
     if bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
         raise ArgumentError(
             f"bound M={bounds[0]} infeasible: straight line needs slope {abs(B - A) / span:.6g}")
-    for t in extra_inits:
-        if not np.array_equal(t.mesh.nodes, nodes):
-            raise ArgumentError("extra_inits must live on the scan mesh")
     prob = _SlopeProblem(spec, mesh, order, boundary)
 
     base = A + (B - A) * (nodes - mesh.a) / span
-    known = [base, *(t.values for t in extra_inits)]
     amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
     inits: list[np.ndarray] = []
     for M in bounds:
-        inits += known
-        inits += list(base + amp0 * _perturbations(mesh, M, restarts, seed))
-    per = len(known) + restarts
+        inits += [base, *(base + amp0 * _perturbations(mesh, M, restarts, seed))]
+    per = 1 + restarts
     stack = _spg(prob, inits, np.repeat(bounds, per), max_iters)
 
     out: list[tuple[Trajectory, float, MinimizeInfo]] = []
     for j, M in enumerate(bounds):
         rows = [a[j * per:(j + 1) * per] for a in stack]
-        if out:  # the warm start goes after the known starts
+        if out:  # the warm start goes after the straight line
             warm = _spg(prob, [out[-1][0].values], np.array([M]), max_iters)
-            rows = [np.concatenate((a[:len(known)], b, a[len(known):]))
-                    for a, b in zip(rows, warm)]
+            rows = [np.concatenate((a[:1], b, a[1:])) for a, b in zip(rows, warm)]
         _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = rows
         best = int(np.argmin(e))
         info = MinimizeInfo(iterations=int(iters.sum()), energy_evals=int(e_evals.sum()),

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
                      SingularPointError, UnsupportedLagrangianError)
-from .functional import (DEFAULT_ORDER, _gauss, _total, cell_sums, energy,
-                         gauss_points)
+from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_sums, energy,
+                         linear_samples)
 from .lagrangian import LagrangianSpec, partial_array
 from .trajectory import (CELLS, ENDPOINT_RTOL, NOT_INCREASING, Mesh, MonotoneMap,
                          Trajectory, endpoint_exact, positive_speeds, push_through_inverse,
@@ -419,20 +419,11 @@ def _capped_cells(spec: LagrangianSpec, plan: ReparPlan, cells: np.ndarray,
     d_j / s_j, so for an autonomous L the image's energy is
     (h_j s_j / 2) sum_q w_q L(yq, d_j / s_j) on y's own samples yq (at
     speed 1, the bits of `energy`'s).  The quadrature walks blocks of
-    CELLS // order cells, so its sample arrays are no larger than a block
-    of CELLS."""
-    x, w = _gauss(order)
+    SAMPLES // order cells, so its sample arrays hold at most SAMPLES."""
     left, right, values, h, d = plan._cell_data(cells)
     v = d / s
-
-    def samples(b: slice):
-        tq = gauss_points(left[b], right[b], h[b], x)
-        yq = tq - left[b]  # as in energy(): y_left + d (tq - t_left)
-        yq *= d[b]
-        yq += values[b]
-        return tq, yq, v[b][None]
-
-    return cell_sums(spec, h * s, w, samples, max(1, CELLS // order)), np.abs(v)
+    samples = linear_samples(order, left, right, values, h, d, v)
+    return cell_sums(spec, h * s, _gauss(order)[1], samples, max(1, SAMPLES // order)), np.abs(v)
 
 
 @dataclass(frozen=True, eq=False)

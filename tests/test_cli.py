@@ -404,6 +404,8 @@ class TestSettings:
         (["gap-scan", "--n", "10", "--M", "4,nan"], "M_grid must not be NaN: (4.0, nan)"),
         (["energy", "--lagrangian", "mania", "--exact", "cuberoot", "--tol", "nan"],
          "tol must not be NaN: nan"),
+        (["energy", "--lagrangian", "mania", "--exact", "sqrt", "--order", "100000"],
+         "order must be <= 64"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2

@@ -10,9 +10,9 @@ from lavlab import (CATALOG_IDS, Trajectory, catalog, energy, energy_converged,
                     sawtooth, sqrt_ramp, uniform_mesh)
 
 from lavlab import cli
-from lavlab.functional import (BLOCK, _extended_diff, _gauss, _total,
-                               cell_energies, cell_energies_lr, cell_sums,
-                               gauss_points)
+from lavlab.errors import ArgumentError
+from lavlab.functional import (BLOCK, MAX_ORDER, _extended_diff, _gauss, _total,
+                               cell_energies, cell_sums, gauss_points)
 from lavlab.lagrangian import LagrangianSpec
 
 from conftest import oracle_energy, random_trajectory
@@ -46,6 +46,13 @@ class TestGaussTable:
             x, w = _gauss(order)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             assert abs(_total(w) - 2.0) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
+    def test_order_out_of_range_is_refused(self, order):
+        # the table comes from an order x order matrix, so a huge order would
+        # exhaust memory instead of failing as a bad argument
+        with pytest.raises(ArgumentError, match=f">= 1 and <= {MAX_ORDER}, got {order}"):
+            _gauss(order)
 
     def test_orders_beyond_8_sum_within_6_eps(self):
         # no middle move makes the sum exactly 2 at some of these orders
@@ -133,12 +140,19 @@ class TestKernel:
         rng = np.random.default_rng(4)
         n = 2 * BLOCK + 3
         nodes = np.linspace(0.0, 1.0, n + 1)
+        h = np.diff(nodes)
         y_left = rng.normal(0.0, 1.0, n)
         y_right = rng.normal(0.0, 1.0, n)
-        clean = cell_energies_lr(PLAIN, nodes, y_left, y_right)
+
+        def per_cell():
+            # with the slopes given, cell j reads only its left value values[j]
+            return cell_energies(PLAIN, nodes, np.append(y_left, 0.0), h=h,
+                                 d=(y_right - y_left) / h)
+
+        clean = per_cell()
         y_left[cell] = y_right[cell] = poison
         with np.errstate(invalid="ignore"):  # the slope inf - inf
-            cells = cell_energies_lr(PLAIN, nodes, y_left, y_right)
+            cells = per_cell()
         assert cells[cell] == math.inf
         others = np.arange(n) != cell
         assert np.array_equal(cells[others], clean[others])

@@ -10,11 +10,33 @@ from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
-from lavlab.functional import _total, cell_energies
-from lavlab.gapscan import _BATCH, _SlopeProblem, _SlopeSet, _perturbations, _spg
+from lavlab.functional import (SAMPLES, _gauss, _total, cell_energies, cell_integrals,
+                               gauss_points, gauss_sum)
+from lavlab.gapscan import MinimizeInfo, _SlopeProblem, _SlopeSet, _perturbations, _spg
 
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
+
+
+def _line_and_restarts(mesh, boundary, M, restarts, seed):
+    """minimize_bounded's own starts at bound M: the straight line, then its
+    `restarts` perturbations."""
+    A, B = boundary
+    base = A + (B - A) * (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
+    amp0 = 0.5 * max(1.0, float(np.max(np.abs(base))))
+    return [base, *(base + amp0 * _perturbations(mesh, M, restarts, seed))]
+
+
+def _best_start(spec, mesh, M, boundary, starts, max_iters=3150):
+    """(values, energy, info) of the best of `starts` run by `_spg` at bound
+    M, picked and reported as minimize_bounded picks and reports a bound's
+    answer."""
+    prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
+    _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = _spg(
+        prob, starts, np.full(len(starts), M), max_iters)
+    best = int(np.argmin(e))
+    return y[best], float(e[best]), MinimizeInfo(
+        int(iters.sum()), int(e_evals.sum()), int(g_evals.sum()), float(pg[best]), str(why[best]))
 
 
 class TestMinimizeBounded:
@@ -63,9 +85,9 @@ class TestMinimizeBounded:
         mesh = Mesh(sawtooth(8).mesh.nodes)  # 16 cells aligned with the teeth
         witness = energy(spec, sawtooth(8)).value
         assert witness == pytest.approx(1.0 / 768.0, rel=1e-12)
-        _, e, _ = minimize_bounded(spec, mesh, [1.0], (0.0, 0.0),
-                                   restarts=4, seed=5,
-                                   extra_inits=[sawtooth(8)])[0]
+        starts = _line_and_restarts(mesh, (0.0, 0.0), 1.0, 4, 5)
+        starts.insert(1, sawtooth(8).values)
+        _, e, _ = _best_start(spec, mesh, 1.0, (0.0, 0.0), starts)
         assert e <= witness + 1e-12
 
     def test_bound_monotonicity_with_warm_starts(self):
@@ -74,12 +96,12 @@ class TestMinimizeBounded:
         best = math.inf
         warm = []
         for M in (3.0, 5.0, 9.0):
-            traj, e, _ = minimize_bounded(spec, mesh, [M], (0.0, 1.0),
-                                          restarts=3, seed=11,
-                                          extra_inits=warm)[0]
+            starts = _line_and_restarts(mesh, (0.0, 1.0), M, 3, 11)
+            starts[1:1] = warm
+            values, e, _ = _best_start(spec, mesh, M, (0.0, 1.0), starts)
             assert e <= best + 1e-10
             best = e
-            warm = [traj]
+            warm = [values]
 
     def test_mania_two_endpoint_energy_floor(self):
         # any slope-bounded trajectory pinned at 0 and 1 keeps positive energy
@@ -271,7 +293,7 @@ class TestSlopeProjection:
                 n, k = int(rng.integers(1, 30)), int(rng.integers(1, 7))
             else:
                 n = int(rng.integers(600, 1400))
-                chunk = _BATCH // (2 * n)
+                chunk = SAMPLES // (2 * n)
                 k = int(rng.integers(chunk + 1, 2 * chunk + 2))
             h = rng.uniform(0.01, 1.0, n)
             m = rng.uniform(0.1, 5.0, k)
@@ -288,7 +310,7 @@ class TestSlopeProjection:
             shifted = [np.abs(stack[i] - u[i] + u[i][0] - stack[i][0]).max() <= 1e-12 * m[i]
                        for i in range(k)]
             mixed += any(shifted) and not all(shifted)
-            tall += k - sum(shifted) > _BATCH // (2 * n)
+            tall += k - sum(shifted) > SAMPLES // (2 * n)
         assert mixed >= 30
         assert tall >= 20
 
@@ -297,6 +319,24 @@ class TestSlopeProjection:
         s = _SlopeSet(h, 1.0).project(np.array([1.0, 2.0, 3.0]), 10.0)
         assert h @ s == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(np.diff(s), [1.0, 1.0])
+
+
+def _whole_row_reference(spec, mesh, y):
+    """Energies and h-metric gradients of the rows of y, each from one jet
+    of the integrand over the samples of its whole row."""
+    x, w = _gauss(DEFAULT_ORDER)
+    left, right, h = mesh.nodes[:-1], mesh.nodes[1:], np.diff(mesh.nodes)
+    tq = gauss_points(left, right, h, x)
+    energies, gradients = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in y:
+            d = (row[1:] - row[:-1]) / h
+            lq, ly, lv = lagrangian.jet(spec, tq, d * (tq - left) + row[:-1], d[None])
+            energies.append(_total(cell_integrals(lq, h, w)))
+            g = gauss_sum(ly * (tq - left) + lv, w) / 2.0
+            g[:-1] += np.cumsum(((h / 2.0) * gauss_sum(ly, w))[::-1])[::-1][1:]
+            gradients.append(g)
+    return np.array(energies), np.array(gradients)
 
 
 class TestSPGDiagnostics:
@@ -318,6 +358,25 @@ class TestSPGDiagnostics:
             assert e_row == _total(cell_energies(spec, mesh.nodes, row))
             assert np.array_equal(g_row, prob.evaluate(row[None])[1][0])
         assert got[0] == e == energy(spec, traj).value
+
+    @pytest.mark.parametrize("cells", [1, 3, 8, None], ids=["1", "3", "8", "default"])
+    def test_blocks_have_the_bits_of_whole_rows(self, cells, monkeypatch):
+        # energies and gradients with the sample budget patched to `cells`
+        # cells per jet (None: its default, several blocks per row on this
+        # mesh) against one jet per whole row; one row has a +inf sample
+        if cells is not None:
+            monkeypatch.setattr(gapscan, "SAMPLES", cells * DEFAULT_ORDER)
+        spec, mesh = catalog("mania"), graded_mesh(0.0, 1.0, 4000, 2.0)
+        prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
+        assert prob.rows == 1 and mesh.n_cells > 2 * prob.cells
+        rng = np.random.default_rng(8)
+        y = mesh.nodes + rng.normal(0.0, 0.01, (3, mesh.nodes.size))
+        y[1, 1234] = 1e120  # y^3 overflows
+        energies, gradients = prob.evaluate(y)
+        expected = _whole_row_reference(spec, mesh, y)
+        assert energies[1] == math.inf and np.isfinite(energies[[0, 2]]).all()
+        assert energies.tobytes() == expected[0].tobytes()
+        assert gradients.tobytes() == expected[1].tobytes()
 
     def test_info_reports_stationarity(self):
         traj, e, info = minimize_bounded(catalog("mania"), uniform_mesh(0, 1, 50),
@@ -341,17 +400,20 @@ class TestSPGDiagnostics:
         assert warm.lipschitz_constant <= 4.0
         e_warm = energy(spec, warm).value
         for M in (4.0, 4.5):
-            _, e, _ = minimize_bounded(spec, mesh, [M], (0.0, 1.0), restarts=0,
-                                       max_iters=0, extra_inits=[warm])[0]
+            line = _line_and_restarts(mesh, (0.0, 1.0), M, 0, 0)
+            values, e, _ = _best_start(spec, mesh, M, (0.0, 1.0), [*line, warm.values],
+                                       max_iters=0)
             assert e == e_warm
+            assert np.array_equal(values, warm.values)
 
     def test_one_integrand_pass_per_trial(self, monkeypatch):
-        # each start and each trial step is one row of one jet, which gives
-        # its energy and gradient together; nothing else samples the integrand
-        mania, partial_array, jet_rows, other = catalog("mania"), lagrangian.partial_array, [], []
+        # each start and each trial step is one row of jets, which give its
+        # energy and gradient together, order samples per cell; nothing else
+        # samples the integrand
+        mania, partial_array, sampled, other = catalog("mania"), lagrangian.partial_array, [], []
 
         def counted_jet(t, y, v):
-            jet_rows.append(y.shape[1])
+            sampled.append(y.size)
             return mania.jet(t, y, v)
 
         def counted_eval(t, y, v):
@@ -366,7 +428,8 @@ class TestSPGDiagnostics:
         spec = dataclasses.replace(mania, eval=counted_eval, jet=counted_jet)
         mesh = uniform_mesh(0, 1, 100)
         found = minimize_bounded(spec, mesh, [5.0, 10.0], (0.0, 1.0), restarts=3, seed=2)
-        assert sum(jet_rows) == sum(info.energy_evals for _, _, info in found)
+        assert sum(sampled) == DEFAULT_ORDER * mesh.n_cells * sum(
+            info.energy_evals for _, _, info in found)
         assert other == []
         # straight line and 3 restarts per bound, and the second bound's warm start
         for (_, _, info), starts in zip(found, (4, 5)):
@@ -452,8 +515,8 @@ class TestLockstep:
             assert len(set(bounds.tolist())) > 1
 
     def test_bound_grid_equals_a_chain_of_one_bound_calls(self):
-        # each bound's answer is that of a one-bound call whose last extra
-        # start is the previous bound's answer: values, energy and every
+        # each bound's answer is that of `_spg` on the line, the previous
+        # bound's answer and the restarts: values, energy and every
         # MinimizeInfo field, bit for bit
         spec, mesh = catalog("mania"), uniform_mesh(0, 1, 60)
         max_iters, restarts = 8, 3
@@ -462,13 +525,13 @@ class TestLockstep:
         assert all(traj.lipschitz_constant <= M for M, (traj, _, _) in zip((3, 5, 9), grid))
         warm = []
         for M, (traj, e, info) in zip((3.0, 5.0, 9.0), grid):
-            [(one, e_one, info_one)] = minimize_bounded(
-                spec, mesh, [M], (0.0, 1.0), restarts=restarts, seed=11,
-                max_iters=max_iters, extra_inits=warm)
-            assert np.array_equal(traj.values, one.values)
+            starts = _line_and_restarts(mesh, (0.0, 1.0), M, restarts, 11)
+            starts[1:1] = warm
+            one, e_one, info_one = _best_start(spec, mesh, M, (0.0, 1.0), starts, max_iters)
+            assert np.array_equal(traj.values, one)
             assert (e, info) == (e_one, info_one)
             # one run per start, none past the iteration cap
             assert info.iterations <= (1 + len(warm) + restarts) * max_iters
-            warm = [traj]
+            warm = [traj.values]
 
 

@@ -661,9 +661,10 @@ def closure_plan(rng, mode):
 
 
 class TestBlockedCap:
-    """Every per-k pass walks blocks of CELLS cells; with CELLS patched to
-    a few cells the block edges fall everywhere, and the numbers keep the
-    bits of the full-length formulas."""
+    """Every per-k pass walks blocks of CELLS cells, and the quadrature
+    blocks of SAMPLES samples; with these patched to a few cells the block
+    edges fall everywhere, and the numbers keep the bits of the full-length
+    formulas."""
 
     @pytest.mark.parametrize("sizes", [[0], [1], [5, 3], [7, 1, 1, 9], [CELLS, 2, CELLS - 1]])
     def test_running_sum_has_the_bits_of_one_cumsum(self, sizes):
@@ -721,7 +722,8 @@ class TestBlockedCap:
                 expected = former_cap(prepared, k)
             except InfeasibleError:
                 continue
-            with mock.patch.object(lavlab.repar, "CELLS", cells):
+            with mock.patch.object(lavlab.repar, "CELLS", cells), \
+                    mock.patch.object(lavlab.repar, "SAMPLES", cells):
                 if isinstance(expected[0], type):
                     with pytest.raises(expected[0], match=expected[1]):
                         prepared.cap(k)
