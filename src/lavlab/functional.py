@@ -9,10 +9,11 @@ than as an evaluation error.  Results are extended reals: any sample above
 Every energy goes through one kernel, `cell_sums`, which walks the cells in
 blocks and sums each cell's weighted samples left to right, so a cell's
 bits depend neither on the BLAS build nor on the block it falls in.  The
-samples of piecewise-linear cells come from one sampler, `linear_samples`,
-which the energy, the slope optimizer and the slope caps share; the
-optimizer, which needs the integrand's jet, walks its cells in blocks of
-SAMPLES samples and reduces them by the kernel's step, `cell_integrals`.
+samples of piecewise-linear cells come from one formula, `line_values`,
+which the energy and the slope caps reach through their sampler,
+`linear_samples`; the slope optimizer, which needs the integrand's jet,
+applies it to its mesh's kept Gauss points and reduces whole rows by the
+kernel's step, `cell_integrals`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ INF_THRESHOLD = 1e300
 # Cells per kernel block of `energy`: a block's (order, BLOCK) sample arrays
 # stay in cache; measured faster than blocks of SAMPLES samples.
 BLOCK = 2 ** 13
-SAMPLES = 2 ** 13  # per jet of the optimizer and the caps: 64 KiB, under malloc's mmap cut
+SAMPLES = 2 ** 13  # per jet of the optimizer's rows and the caps: 64 KiB, under malloc's mmap cut
 MAX_ORDER = 64  # _gauss builds an order x order matrix; no composite rule needs more
 
 DEFAULT_ORDER = 5  # exact for the catalog's polynomial integrands per cell
@@ -72,31 +73,30 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def linear_samples(order: int, left: np.ndarray, right: np.ndarray, y_left: np.ndarray,
-                   h: np.ndarray, d: np.ndarray, v: np.ndarray | None = None,
-                   points: np.ndarray | None = None) -> Callable[[slice], tuple]:
+                   h: np.ndarray, d: np.ndarray, v: np.ndarray) -> Callable[[slice], tuple]:
     """The `samples(b)` of `cell_sums` for piecewise-linear cells: the Gauss
     points tq of the cells [left, right] of widths h, one row per rule node;
-    yq = y_left + d (tq - left), each cell's line through its left value
-    with slope d; and vq, one row of v (the slopes d by default) per cell.
-
-    y_left, d and v may be stacks (rows, cells) on one set of cells, which
-    lays the samples out (order, rows, cells) with tq as (order, 1, cells).
-    A caller that samples the same cells many times passes their
-    `gauss_points` as `points`, which are then not built again.
+    their `line_values` yq on each cell's line through its left value with
+    slope d; and vq, one row of v per cell (the slopes d, or the capped
+    slopes of a time change).
     """
     x = _gauss(order)[0]
-    v = d if v is None else v
 
     def samples(b: slice):
-        tq = gauss_points(left[b], right[b], h[b], x) if points is None else points[:, b]
-        if d.ndim > 1:
-            tq = tq[:, None]  # broadcast over the rows
-        yq = tq - left[b]
-        yq = yq * d[..., b] if d.ndim > 1 else np.multiply(yq, d[b], out=yq)
-        yq += y_left[..., b]
-        return tq, yq, v[..., b][None]  # one slope per cell, not per sample
+        tq = gauss_points(left[b], right[b], h[b], x)
+        return tq, line_values(tq - left[b], y_left[b], d[b]), v[b][None]  # one slope per cell
 
     return samples
+
+
+def line_values(offsets: np.ndarray, y_left: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """y_left + d * offsets: the values of the cells' lines through their
+    left values y_left with slopes d, at offsets from their left nodes, one
+    row per Gauss point.  Offsets shaped (order, 1, cells) broadcast over
+    stacks (rows, cells) of y_left and d, giving (order, rows, cells)."""
+    yq = offsets * d
+    yq += y_left
+    return yq
 
 
 def gauss_points(left: np.ndarray, right: np.ndarray, h: np.ndarray,
@@ -174,7 +174,7 @@ def cell_energies(spec: LagrangianSpec, nodes: np.ndarray, values: np.ndarray,
         h = np.diff(nodes)
     if d is None:
         d = np.diff(values) / h
-    return cell_sums(spec, h, w, linear_samples(order, nodes[:-1], nodes[1:], values[:-1], h, d))
+    return cell_sums(spec, h, w, linear_samples(order, nodes[:-1], nodes[1:], values[:-1], h, d, d))
 
 
 @dataclass(frozen=True, eq=False)

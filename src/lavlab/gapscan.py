@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError
 from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_integrals, energy,
-                         energy_converged, gauss_points, gauss_sum, linear_samples)
+                         energy_converged, gauss_points, gauss_sum, line_values)
 from .lagrangian import LagrangianSpec, catalog, jet
 from .repar import KRow, ReparInput
 from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
@@ -172,7 +172,7 @@ class _SlopeProblem:
     endpoints pinned: nodal values y_i = A + sum_{j<i} h_j s_j, and y_n = B.
 
     Slopes and values come as stacks (rows, cells) and (rows, nodes), one
-    start per row, and their samples, from `linear_samples`, as (order,
+    start per row, and their samples, from `line_values`, as (order,
     rows, cells).  Each row's energy has the bits of `cell_energies(spec,
     nodes, y, order)` summed as `energy` sums them, whatever its stack.
     `project` is the exact projection onto the feasible slopes,
@@ -181,15 +181,14 @@ class _SlopeProblem:
 
     def __init__(self, spec: LagrangianSpec, mesh: Mesh, order: int,
                  boundary: tuple[float, float]):
-        self.spec, self.order = spec, order
+        self.spec = spec
         self.A, self.B = boundary
-        self.w = _gauss(order)[1]
-        self.left, self.right = mesh.nodes[:-1], mesh.nodes[1:]
+        x, self.w = _gauss(order)
         self.h = np.diff(mesh.nodes)
-        # the optimizer samples these cells thousands of times
-        self.points = gauss_points(self.left, self.right, self.h, _gauss(order)[0])
-        self.rows = max(1, SAMPLES // (order * self.h.size))  # starts per jet
-        self.cells = max(1, SAMPLES // (order * self.rows))  # cells per jet
+        tq = gauss_points(mesh.nodes[:-1], mesh.nodes[1:], self.h, x)
+        self.points = tq[:, None]  # (order, 1, cells), broadcast over the rows
+        self.offsets = self.points - mesh.nodes[:-1]  # from each left node
+        self.rows = max(1, SAMPLES // tq.size)  # starts per jet
         self.project = _SlopeSet(self.h, self.B - self.A).project
 
     def values(self, s: np.ndarray) -> np.ndarray:
@@ -203,38 +202,31 @@ class _SlopeProblem:
     def evaluate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Energies of the rows of y and their gradients dE/ds_j divided by
         h_j (the gradient in the h-weighted metric), from one `jet` of the
-        integrand per block of `rows` rows and `cells` cells, at most
-        SAMPLES samples.
+        integrand per `rows` rows.
 
         The energies go through `cell_integrals` as `cell_sums` reduces its
-        samples, and are summed over the whole row.  For the gradient, cell
-        j's own samples move with s_j through y' and the offset from its left
-        node; every later cell moves rigidly by h_j, which a reversed cumsum
-        of the per-cell L_y integrals, taken over the whole row, collects.
+        samples.  For the gradient, cell j's own samples move with s_j
+        through y' and the offset from its left node; every later cell moves
+        rigidly by h_j, which a reversed cumsum of the per-cell L_y integrals
+        collects.
         """
-        h, w = self.h, self.w
-        energies, gradients = np.empty(len(y)), np.empty((len(y), h.size))
+        energies, gradients = [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for r in range(0, len(y), self.rows):
                 rows = y[r:r + self.rows]
-                d = (rows[:, 1:] - rows[:, :-1]) / h
-                samples = linear_samples(self.order, self.left, self.right, rows[:, :-1], h, d,
-                                         points=self.points)
-                per_cell, rigid, g = np.empty_like(d), np.empty_like(d), gradients[r:r + len(d)]
-                for lo in range(0, h.size, self.cells):
-                    b = slice(lo, lo + self.cells)
-                    tq, yq, vq = samples(b)
-                    # a value that ignores t and y keeps the (1, rows, cells) of vq
-                    lq, ly, lv = (a if a.shape == yq.shape else np.broadcast_to(a, yq.shape)
-                                  for a in jet(self.spec, tq, yq, vq))
-                    per_cell[:, b] = cell_integrals(lq, h[b], w)
-                    rigid[:, b] = (h[b] / 2.0) * gauss_sum(ly, w)
-                    ly = ly * (tq - self.left[b])
-                    ly += lv
-                    g[:, b] = gauss_sum(ly, w) / 2.0
-                energies[r:r + len(d)] = _total(per_cell)
+                d = (rows[:, 1:] - rows[:, :-1]) / self.h
+                yq = line_values(self.offsets, rows[:, :-1], d)
+                # a value that ignores t and y keeps the (1, rows, cells) of d[None]
+                lq, ly, lv = (a if a.shape == yq.shape else np.broadcast_to(a, yq.shape)
+                              for a in jet(self.spec, self.points, yq, d[None]))
+                energies.append(_total(cell_integrals(lq, self.h, self.w)))
+                rigid = (self.h / 2.0) * gauss_sum(ly, self.w)
+                ly = ly * self.offsets
+                ly += lv
+                g = gauss_sum(ly, self.w) / 2.0
                 g[:, :-1] += np.cumsum(rigid[:, ::-1], axis=-1)[:, ::-1][:, 1:]
-        return energies, gradients
+                gradients.append(g)
+        return np.concatenate(energies), np.concatenate(gradients)
 
 
 def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,

@@ -323,7 +323,7 @@ class TestSlopeProjection:
 
 def _whole_row_reference(spec, mesh, y):
     """Energies and h-metric gradients of the rows of y, each from one jet
-    of the integrand over the samples of its whole row."""
+    of the integrand over the samples of its row alone."""
     x, w = _gauss(DEFAULT_ORDER)
     left, right, h = mesh.nodes[:-1], mesh.nodes[1:], np.diff(mesh.nodes)
     tq = gauss_points(left, right, h, x)
@@ -359,22 +359,23 @@ class TestSPGDiagnostics:
             assert np.array_equal(g_row, prob.evaluate(row[None])[1][0])
         assert got[0] == e == energy(spec, traj).value
 
-    @pytest.mark.parametrize("cells", [1, 3, 8, None], ids=["1", "3", "8", "default"])
-    def test_blocks_have_the_bits_of_whole_rows(self, cells, monkeypatch):
-        # energies and gradients with the sample budget patched to `cells`
-        # cells per jet (None: its default, several blocks per row on this
-        # mesh) against one jet per whole row; one row has a +inf sample
-        if cells is not None:
-            monkeypatch.setattr(gapscan, "SAMPLES", cells * DEFAULT_ORDER)
-        spec, mesh = catalog("mania"), graded_mesh(0.0, 1.0, 4000, 2.0)
+    @pytest.mark.parametrize("rows", [1, 2, None], ids=["1", "2", "default"])
+    def test_stacks_have_the_bits_of_single_rows(self, rows, monkeypatch):
+        # energies and gradients with the sample budget patched to `rows`
+        # whole rows per jet (None: its default, 3 rows on this mesh, so 5
+        # rows make a full and a partial stack) against one jet per row; one
+        # row has a +inf sample
+        spec, mesh = catalog("mania"), graded_mesh(0.0, 1.0, 500, 2.0)
+        if rows is not None:
+            monkeypatch.setattr(gapscan, "SAMPLES", rows * DEFAULT_ORDER * mesh.n_cells)
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
-        assert prob.rows == 1 and mesh.n_cells > 2 * prob.cells
+        assert prob.rows == (rows or 3)
         rng = np.random.default_rng(8)
-        y = mesh.nodes + rng.normal(0.0, 0.01, (3, mesh.nodes.size))
-        y[1, 1234] = 1e120  # y^3 overflows
+        y = mesh.nodes + rng.normal(0.0, 0.01, (5, mesh.nodes.size))
+        y[1, 123] = 1e120  # y^3 overflows
         energies, gradients = prob.evaluate(y)
         expected = _whole_row_reference(spec, mesh, y)
-        assert energies[1] == math.inf and np.isfinite(energies[[0, 2]]).all()
+        assert energies[1] == math.inf and np.isfinite(energies[[0, 2, 3, 4]]).all()
         assert energies.tobytes() == expected[0].tobytes()
         assert gradients.tobytes() == expected[1].tobytes()
 
