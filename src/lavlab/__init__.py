@@ -7,9 +7,9 @@ one-endpoint problems.
 """
 
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
-                     ConsistencyError, ContractError, DomainError,
-                     InfeasibleError, LavlabError, SamplingError,
-                     SingularPointError, UnsupportedLagrangianError)
+                     ConsistencyError, DomainError, InfeasibleError,
+                     LavlabError, SamplingError, SingularPointError,
+                     UnsupportedLagrangianError)
 from .functional import (DEFAULT_ORDER, ConvergenceResult, EnergyReport,
                          energy, energy_converged, exact_profile_energy)
 from .gapscan import (DEFAULT_SEED, GapReport, GapRow, avoidance_demo,
@@ -23,9 +23,9 @@ from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
 from .necessary import (ResidualReport, catenary, dbr_residual, el_residual,
                         fit_catenary)
 from .repar import (FindKReport, KRow, ReparInput, ReparPlan, ReparResult,
-                    TangentCurve, build_map, choose_lambda, classify, find_K,
-                    lemma_P, reparametrize, select_A)
-from .trajectory import (Mesh, MonotoneMap, Trajectory, graded_family,
-                         graded_mesh, push_through_inverse, sample, uniform_mesh)
+                    TangentCurve, choose_lambda, classify, find_K, lemma_P,
+                    reparametrize, select_A)
+from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
+                         uniform_mesh)
 
 __version__ = "0.1.0"

@@ -19,10 +19,6 @@ class CatalogKeyError(LavlabError, KeyError):
     """Unknown Lagrangian id."""
 
 
-class ContractError(LavlabError, ValueError):
-    """A cross-object contract is violated (mesh mismatch, inexact endpoint)."""
-
-
 class SamplingError(LavlabError, ValueError):
     """A function produced a non-finite value at a mesh node."""
 

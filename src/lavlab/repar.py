@@ -25,9 +25,8 @@ from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
 from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_sums, energy,
                          linear_samples)
 from .lagrangian import LagrangianSpec, partial_array
-from .trajectory import (CELLS, ENDPOINT_RTOL, NOT_INCREASING, Mesh, MonotoneMap,
-                         Trajectory, endpoint_exact, positive_speeds, push_through_inverse,
-                         running_sum)
+from .trajectory import (CELLS, ENDPOINT_RTOL, NOT_INCREASING, Mesh, Trajectory,
+                         endpoint_exact, positive_speeds, running_sum)
 
 SPLIT_GUARD_REL = 1e-13  # measure shortfalls below this (times b-a) skip the cell split
 
@@ -40,10 +39,12 @@ class ReparPlan:
     input `y` refined by at most one node (the compensation-set split,
     reported in `split_node`), so every compensation cell is covered whole;
     `slow_cells` is the slow set in y's own cells (the compensation cells
-    are a prefix of it, the split cell's left half last).  The per-k
-    phases read the refined cells from y and the split cell's two halves;
-    the refined trajectory is built on first access.  The cell sets are
-    read-only intp arrays in mesh order.
+    are a prefix of it, the split cell's left half last).  The time change
+    runs the fast cells at |d|/k, the compensation cells at 1/2 and the
+    rest at 1; `_moved_blocks` lists the cells of speed other than 1, a
+    block at a time.  The per-k phases read the refined cells from y and
+    the split cell's two halves; the refined trajectory is built on first
+    access.  The cell sets are read-only intp arrays in mesh order.
     """
 
     y: Trajectory
@@ -76,7 +77,7 @@ class ReparPlan:
     @cached_property
     def _halves(self) -> tuple[np.ndarray, ...]:
         """Nodes and values of the split cell with the split node between
-        them (its value interpolated, as with_node does), and the widths and
+        them (its value interpolated between theirs), and the widths and
         slopes of the two halves, as the refined trajectory has them."""
         y, c, t = self.y, self.split_cell, self.split_node
         nodes = np.array([y.mesh.nodes[c], t, y.mesh.nodes[c + 1]])
@@ -125,21 +126,14 @@ class ReparPlan:
         """|d|/k on the fast cells `cells`."""
         return np.abs(self.y.cell_derivatives()[self._y_cells(cells)]) / self.k
 
-    def speeds(self) -> np.ndarray:
-        """Per-cell speeds: |d|/k on the fast set, 1/2 on the compensation
-        set, 1 elsewhere (before the endpoint closure correction)."""
-        out = np.ones(self.n_cells)
-        out[self.s_cells] = self._fast_speeds(self.s_cells)
-        out[self.a_cells] = 0.5
-        return out
-
     def _moved_blocks(self, first: int = 0, closure: tuple[int, float] | None = None
                       ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """For each block of CELLS of y's cells, from block `first`: its first
         cell in `trajectory`, its widths (the split cell's two halves in its
-        place), and its cells of speed other than 1 in `speeds`, in mesh
-        order, with those speeds (a fast cell at |d|/k = 1 keeps speed 1);
-        with the `closure` (j, speed), cell j runs at that speed."""
+        place), and its cells of speed other than 1, in mesh order, with
+        those speeds: |d|/k on the fast set (a fast cell at |d|/k = 1 keeps
+        speed 1), 1/2 on the compensation set; with the `closure` (j, speed),
+        cell j runs at that speed."""
         h, c, s, a = self.y.mesh.widths, self.split_cell, self.s_cells, self.a_cells
         for ylo in range(first * CELLS, h.size, CELLS):
             lo, widths = ylo, h[ylo:ylo + CELLS]
@@ -171,8 +165,9 @@ class ReparResult:
 
     `energy_after` and `lip_after` come from the `changed_cells` cells whose
     speed is not 1 (see `ReparInput.cap`).  The capped trajectory `y_k` is
-    built by `build_map` and `push_through_inverse` on first access; with no
-    changed cell it is the input itself.
+    built on first access: its mesh nodes are the closed image phi(t_i) that
+    `_image_blocks` gives `_closure`, block by block, and its values those of
+    `plan.trajectory`; with no changed cell it is the input itself.
     """
 
     plan: ReparPlan
@@ -188,9 +183,12 @@ class ReparResult:
 
     @cached_property
     def y_k(self) -> Trajectory:
+        plan = self.plan
         if not self.changed_cells:
-            return self.plan.trajectory
-        return push_through_inverse(self.plan.trajectory, build_map(self.plan))
+            return plan.trajectory
+        blocks = _image_blocks(plan, _closure(plan))  # consecutive blocks share a node
+        nodes = np.concatenate([next(blocks), *(nodes[1:] for nodes in blocks)])
+        return Trajectory(Mesh(nodes), plan.trajectory.values)
 
 
 def choose_lambda(y: Trajectory) -> float:
@@ -253,15 +251,13 @@ def classify(y: Trajectory, k: float, lam: float,
         deficit=deficit, complete=False)
 
 
-def _feasible_k_hint(y: Trajectory, k: float, lam: float) -> float | None:
-    widths = y.mesh.widths
-    absd = np.abs(y.cell_derivatives())
-    omega = float(widths[absd <= lam].sum())
-    probe = k
+def _feasible_k_hint(plan: ReparPlan) -> float | None:
+    """The first of 2k, 4k, ... (64 doublings) at which twice `classify`'s
+    deficit falls below the slow set's measure, or None."""
+    slow, probe = (plan.slow_cells, plan.measure_omega), plan.k
     for _ in range(64):
         probe *= 2.0
-        mask = absd >= probe
-        if 2.0 * float(np.sum(widths[mask] * (absd[mask] / probe - 1.0))) < omega:
+        if 2.0 * classify(plan.y, probe, plan.lam, slow).deficit < plan.measure_omega:
             return probe
     return None
 
@@ -282,7 +278,7 @@ def select_A(plan: ReparPlan) -> ReparPlan:
     if target == 0.0:
         return replace(plan, a_cells=(), complete=True)
     if not plan.measure_omega > target:
-        hint = _feasible_k_hint(y, plan.k, plan.lam)
+        hint = _feasible_k_hint(plan)
         raise InfeasibleError(
             f"slow set too small: |Omega|={plan.measure_omega:.6g} <= "
             f"2*deficit={target:.6g}; retry with k >= {hint}", k_hint=hint)
@@ -325,17 +321,6 @@ def select_A(plan: ReparPlan) -> ReparPlan:
                    split_node=split_node)
 
 
-def build_map(plan: ReparPlan) -> MonotoneMap:
-    """Monotone map with the plan's speeds, closed to hit b exactly (see
-    `_closure`, which raises what pushing y through it would).  Only
-    building y_k needs the map, which `ReparResult.y_k` does on first
-    access."""
-    j, speed = _closure(plan)
-    speeds = plan.speeds()
-    speeds[j] = speed
-    return MonotoneMap(plan.trajectory.mesh, speeds)
-
-
 def _trailing_run(cells: np.ndarray, end: int) -> int:
     """How many of end - 1, end - 2, ... lie in `cells` (distinct, below
     end, in order) in a row: cells[i] - i never falls, and the run is where
@@ -359,19 +344,42 @@ def _scaled(widths: np.ndarray, cells: np.ndarray, v: np.ndarray) -> np.ndarray:
     return widths
 
 
+def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
+                  carry: float = -0.0) -> Iterator[np.ndarray]:
+    """The closed image phi(t_i) of `plan.trajectory`'s nodes, the mesh
+    nodes of y_k, one block of `_moved_blocks(first, closure)` at a time,
+    from the block's left node to its right one (so consecutive blocks share
+    a node): a plus the running sums of speeds * widths, continued from
+    `carry`, the sum of the blocks before `first`, so they have the bits of
+    one np.cumsum.  On the last block, phi(b) must lie within the endpoint
+    tolerance of b (ConsistencyError) and is snapped to b."""
+    a, b = plan.y.mesh.a, plan.y.mesh.b
+    for lo, widths, cells, v in plan._moved_blocks(first, closure):
+        sums = running_sum(_scaled(widths, cells - lo, v), carry)
+        carry, nodes = sums[-1], sums + a
+        if lo + widths.size == plan.n_cells:
+            if not endpoint_exact(nodes, a, b):
+                raise ConsistencyError(
+                    f"endpoint defect {abs(float(nodes[-1]) - b):.3e} exceeds tolerance "
+                    f"{ENDPOINT_RTOL * (b - a):.3e}")
+            nodes[-1] = b
+        yield nodes
+
+
 def _closure(plan: ReparPlan) -> tuple[int, float]:
     """The cell of `plan.trajectory` that absorbs the endpoint closure, and
     its closed speed.
 
     In exact arithmetic the measure equation makes phi(b) = b; the float
     defect, b - a less the left-to-right sum of speeds * widths, is absorbed
-    into the last unit-speed cell (the last cell if there is none).  Then,
-    as `time_change_image` and `pushed_nodes` would for y_k, every speed
-    must be finite and positive, phi(b) within the endpoint tolerance
-    (ConsistencyError) and the nodes phi(t_i) strictly increasing.  The
-    sums walk `_moved_blocks`, each block's continued from the last by
-    `running_sum`, so they have the bits of one np.cumsum; the blocks before
-    the one that absorbs the defect are summed once.
+    into the last unit-speed cell (the last cell if there is none).  Then
+    every speed must be finite and positive, and the closed image from
+    which `ReparResult.y_k` builds its mesh, `_image_blocks`, must end
+    within the endpoint tolerance of b (ConsistencyError) and increase
+    strictly (ArgumentError), so a cap raises what building y_k would.
+    The sums walk `_moved_blocks`, each block's continued from the last by
+    `running_sum`; the blocks before the one that absorbs the defect are
+    summed once.
     """
     if not plan.complete:
         raise ArgumentError("plan is not complete; run select_A first")
@@ -394,19 +402,8 @@ def _closure(plan: ReparPlan) -> tuple[int, float]:
         speed += defect / float(plan._cell_data(np.array([j]))[3][0])
     positive_speeds((top, speed))  # every other speed lies in [1/2, top]
     first = int(plan._y_cells(np.array(j))) // CELLS  # the block holding cell j
-    last = (plan.y.mesh.n_cells - 1) // CELLS
-    ok, carry = all(ok[:first]), starts[first]
-    for block, (lo, widths, cells, v) in enumerate(plan._moved_blocks(first, (j, speed)), first):
-        sums = running_sum(_scaled(widths, cells - lo, v), carry)
-        carry, nodes = sums[-1], sums + a
-        if block == last:
-            if not endpoint_exact(nodes, a, b):
-                raise ConsistencyError(
-                    f"endpoint defect {abs(float(nodes[-1]) - b):.3e} exceeds tolerance "
-                    f"{ENDPOINT_RTOL * (b - a):.3e}")
-            nodes[-1] = b  # snapped, as pushed_nodes does
-        ok &= increasing(nodes)
-    if not ok:
+    ok[first:] = map(increasing, _image_blocks(plan, (j, speed), first, starts[first]))
+    if not all(ok):
         raise ArgumentError(NOT_INCREASING)
     return j, speed
 

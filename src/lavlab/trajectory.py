@@ -1,4 +1,5 @@
-"""Meshes, piecewise-linear trajectories, and monotone time changes.
+"""Meshes, piecewise-linear trajectories, and the sums and checks of
+monotone time changes.
 
 A trajectory is the linear interpolant of nodal values on a strictly
 increasing mesh; its derivative is constant on each cell.  Singular
@@ -17,9 +18,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, ContractError, DomainError, SamplingError
+from .errors import ArgumentError, DomainError, SamplingError
 
-# Endpoint-exactness tolerance for monotone maps, relative to (b - a).
+# Endpoint-exactness tolerance for time changes, relative to (b - a).
 ENDPOINT_RTOL = 1e-12
 
 # Entries (rows, of a 2-D array) per piece of report text: a piece joined
@@ -118,15 +119,6 @@ class Mesh:
         inside = (self.nodes[:-1] < mid) & (mid < self.nodes[1:])
         return None if inside.all() else np.flatnonzero(inside)
 
-    def with_node(self, t: float) -> "Mesh":
-        """Mesh with one extra node at t (no-op if t is already a node)."""
-        if not (self.a < t < self.b):
-            raise DomainError(f"new node {t} must lie strictly inside ({self.a}, {self.b})")
-        i = int(np.searchsorted(self.nodes, t))
-        if self.nodes[i] == t:
-            return self
-        return Mesh(np.insert(self.nodes, i, t))
-
 
 def uniform_mesh(a: float, b: float, n: int) -> Mesh:
     return graded_mesh(a, b, n, 1.0)
@@ -206,16 +198,6 @@ class Trajectory:
         """The same function on the once-bisected mesh (exact refinement)."""
         cells = self.mesh._bisectable()
         return Trajectory(Mesh(_bisect(self.mesh.nodes, cells)), _bisect(self.values, cells))
-
-    def with_node(self, t: float) -> "Trajectory":
-        """The same function with one extra node at t, whose value is the
-        interpolant's there (no-op if t is already a node)."""
-        new_mesh = self.mesh.with_node(t)
-        if new_mesh is self.mesh:
-            return self
-        i = int(np.searchsorted(self.mesh.nodes, t))  # t lies in cell i - 1
-        value = np.interp(t, self.mesh.nodes[i - 1:i + 1], self.values[i - 1:i + 1])
-        return Trajectory(new_mesh, np.insert(self.values, i, value))
 
     # -- serialization ----------------------------------------------------
 
@@ -319,61 +301,6 @@ def sample(f: Callable[[float], float], mesh: Mesh) -> Trajectory:
     return Trajectory(mesh, vals)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """Strictly increasing piecewise-linear time change phi: [a,b] -> [a, phi(b)].
-
-    Defined by per-cell speeds v_i > 0 on a mesh; phi(a) = a by construction.
-    The map is *endpoint-exact* when |phi(b) - b| <= 1e-12 (b - a).
-    """
-
-    mesh: Mesh
-    speeds: np.ndarray
-
-    def __post_init__(self):
-        v = _as_float_vector(self.speeds, "speeds").copy()
-        if v.size != self.mesh.n_cells:
-            raise ArgumentError("speeds must have one entry per cell")
-        img = time_change_image(self.mesh.a, self.mesh.widths, v)
-        v.flags.writeable = False
-        img.flags.writeable = False
-        object.__setattr__(self, "speeds", v)
-        object.__setattr__(self, "_image", img)
-
-    @property
-    def image_nodes(self) -> np.ndarray:
-        """phi(t_0), ..., phi(t_n); see `time_change_image`."""
-        return self._image
-
-    @property
-    def endpoint_defect(self) -> float:
-        return abs(float(self._image[-1]) - self.mesh.b)
-
-    @property
-    def is_endpoint_exact(self) -> bool:
-        return endpoint_exact(self._image, self.mesh.a, self.mesh.b)
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.mesh.a) or np.any(t_arr > self.mesh.b):
-            raise DomainError(f"evaluation outside [{self.mesh.a}, {self.mesh.b}]")
-        out = np.interp(t_arr, self.mesh.nodes, self.image_nodes)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def time_change_image(a: float, widths: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-    """phi(t_0), ..., phi(t_n) for the time change with phi(t_0) = a that
-    runs the cells of `widths` at `speeds`: a, then a plus the running sums
-    of speeds * widths, left to right.  Raises ArgumentError unless every
-    speed is finite and positive."""
-    v = positive_speeds(speeds)
-    img = np.empty(v.size + 1)
-    img[0] = a
-    np.cumsum(v * widths, out=img[1:])
-    img[1:] += a
-    return img
-
-
 def positive_speeds(speeds) -> np.ndarray:
     """`speeds` as a float vector; raises ArgumentError unless every entry
     is finite and positive."""
@@ -396,29 +323,3 @@ def endpoint_exact(image: np.ndarray, a: float, b: float) -> bool:
     """Whether the time change of [a, b] with node images `image` is
     endpoint-exact: |phi(b) - b| <= ENDPOINT_RTOL (b - a)."""
     return abs(float(image[-1]) - b) <= ENDPOINT_RTOL * (b - a)
-
-
-def pushed_nodes(image: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The mesh nodes of y o phi^{-1} for the time change of [a, b] with node
-    images `image`: those images, phi(b) snapped to b.  Raises ContractError
-    unless phi is endpoint-exact and ArgumentError unless the nodes make a
-    mesh, with no Mesh built."""
-    if not endpoint_exact(image, a, b):
-        raise ContractError(
-            f"map is not endpoint-exact: |phi(b) - b| = {abs(float(image[-1]) - b):.3e}")
-    nodes = image.copy()
-    nodes[-1] = b  # snap within the endpoint tolerance
-    _cell_widths(_as_float_vector(nodes, "nodes"))
-    return nodes
-
-
-def push_through_inverse(y: Trajectory, phi: MonotoneMap) -> Trajectory:
-    """Exact representation of y o phi^{-1}.
-
-    The output mesh nodes are phi(t_i) and the values are unchanged, so the
-    new cell slopes are d_i / v_i and both boundary values are preserved
-    exactly.  Requires phi on the same mesh as y and endpoint-exact.
-    """
-    if y.mesh is not phi.mesh and not np.array_equal(y.mesh.nodes, phi.mesh.nodes):
-        raise ContractError("trajectory and map must share the same mesh")
-    return Trajectory(Mesh(pushed_nodes(phi.image_nodes, y.mesh.a, y.mesh.b)), y.values)

@@ -45,6 +45,13 @@ def random_trajectory(rng: np.random.Generator, lo: float = -2.0,
     return Trajectory(mesh, rng.uniform(lo, hi, size=mesh.nodes.size))
 
 
+def former_with_node(y: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of y with one node inserted at t, as first written:
+    sort the appended node, then interpolate y at every node."""
+    nodes = np.sort(np.append(y.mesh.nodes, t))
+    return nodes, np.interp(nodes, y.mesh.nodes, y.values)
+
+
 def oracle_energy(spec, traj: Trajectory) -> float:
     """Adaptive-quadrature energy of the linear interpolant, cellwise.
 

@@ -97,7 +97,7 @@ class TestMainInProcess:
                                                        monkeypatch):
         import lavlab.repar
         from lavlab import ReparInput, catalog, find_K
-        ks, energies, lambdas, pushes = [], [], [], []
+        ks, energies, lambdas, builds = [], [], [], []
 
         def counting(fn, calls, key=lambda *args: None):
             def counted(*args):
@@ -105,16 +105,17 @@ class TestMainInProcess:
                 return fn(*args)
             return counted
 
-        # classify runs once per capped k; energy, choose_lambda and the push
-        # that builds a capped trajectory are counted wherever repar calls them
+        # classify runs once per capped k; energy, choose_lambda and
+        # ReparResult.y_k, which builds a capped trajectory, are counted
+        # wherever repar calls them
         monkeypatch.setattr(lavlab.repar, "classify",
                             counting(lavlab.repar.classify, ks, lambda y, k, *_: k))
         monkeypatch.setattr(lavlab.repar, "energy",
                             counting(lavlab.repar.energy, energies))
         monkeypatch.setattr(lavlab.repar, "choose_lambda",
                             counting(lavlab.repar.choose_lambda, lambdas))
-        monkeypatch.setattr(lavlab.repar, "push_through_inverse",
-                            counting(lavlab.repar.push_through_inverse, pushes))
+        monkeypatch.setattr(lavlab.repar.ReparResult, "y_k",
+                            property(counting(lavlab.repar.ReparResult.y_k.func, builds)))
         out = tmp_path / "repar.json"
         grid = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0]
         assert main(["repar", "--lagrangian", "half_inverse", "--exact", "cuberoot",
@@ -124,7 +125,7 @@ class TestMainInProcess:
         assert ks == grid
         assert len(lambdas) == 1
         # F(y) once; every F(y_k) from the changed cells, no y_k built
-        assert len(energies) == 1 and pushes == []
+        assert len(energies) == 1 and builds == []
         monkeypatch.undo()
         y = sample(np.cbrt, graded_mesh(0, 1, 64, 2.0))
         prepared = ReparInput.of(catalog("half_inverse"), y)

@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 import lavlab.repar
 from lavlab import cli
 from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
-                    InfeasibleError, Mesh, MonotoneMap, ReparInput, SingularPointError,
-                    Trajectory, UnsupportedLagrangianError, build_map, catalog,
+                    InfeasibleError, Mesh, ReparInput, ReparResult, SingularPointError,
+                    Trajectory, UnsupportedLagrangianError, catalog,
                     choose_lambda, classify, energy, find_K, graded_mesh,
                     lemma_P, minimal_surface, partial_array, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
 
 from lavlab.functional import _gauss, _total, cell_sums, gauss_points
 from lavlab.repar import SPLIT_GUARD_REL, _closure
-from lavlab.trajectory import (CELLS, endpoint_exact, push_through_inverse, pushed_nodes,
-                               running_sum, time_change_image)
+from lavlab.trajectory import CELLS, endpoint_exact, positive_speeds, running_sum
 
-from conftest import random_trajectory
+from conftest import former_with_node, random_trajectory
 
 SQRT_CHAIN = catalog("sqrt_chain")
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -34,6 +33,32 @@ def two_cell(slopes, a=0.0, b=1.0):
     h = mesh.widths[0]
     vals = np.concatenate([[0.0], np.cumsum(np.asarray(slopes) * h)])
     return Trajectory(mesh, vals)
+
+
+def former_speeds(plan):
+    """The plan's per-cell speeds before the closure, as first written, on
+    full-length arrays: ones, |d|/k on the fast set, 1/2 on the
+    compensation set."""
+    speeds = np.ones(plan.n_cells)
+    speeds[plan.s_cells] = np.abs(plan.trajectory.cell_derivatives()[plan.s_cells]) / plan.k
+    speeds[plan.a_cells] = 0.5
+    return speeds
+
+
+def moved_speeds(plan, closure=None):
+    """The speed of each of `plan.trajectory`'s cells as `_moved_blocks`
+    gives them, with the `closure` (j, speed) if given; 1 on the cells it
+    does not list."""
+    speeds = np.ones(plan.n_cells)
+    for _, _, cells, v in plan._moved_blocks(0, closure):
+        speeds[cells] = v
+    return speeds
+
+
+def built_y_k(plan):
+    """y_k of a cap with the complete `plan`, built as `ReparResult.y_k`
+    builds it, whether or not a cell moves."""
+    return ReparResult(plan, 0.0, 0.0, 0.0, 0.0, changed_cells=1).y_k
 
 
 class TestChooseLambda:
@@ -169,6 +194,42 @@ class TestSelectA:
             assert set(plan.a_cells) <= set(plan.slow_cells)  # they end at the split
 
 
+def former_k_hint(y, k, lam):
+    """The feasible-k hint as first written: |Omega| and each doubled
+    probe's deficit from full-length masks."""
+    widths = y.mesh.widths
+    absd = np.abs(y.cell_derivatives())
+    omega = float(widths[absd <= lam].sum())
+    probe = k
+    for _ in range(64):
+        probe *= 2.0
+        mask = absd >= probe
+        if 2.0 * float(np.sum(widths[mask] * (absd[mask] / probe - 1.0))) < omega:
+            return probe
+    return None
+
+
+class TestFeasibleKHint:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([24, 400]))
+    @settings(max_examples=100, deadline=None)
+    def test_hint_has_the_former_bits_and_is_feasible(self, seed, max_cells):
+        """On infeasible plans the hint is the former formula's, bit for
+        bit, and select_A accepts a plan classified at it."""
+        rng = np.random.default_rng(seed)
+        y = random_trajectory(rng, lo=-4, hi=4, max_cells=max_cells)
+        lam = choose_lambda(y)
+        k = lam + float(rng.uniform(1e-3, 2.0))
+        plan = classify(y, k, lam)
+        if plan.deficit == 0.0 or plan.measure_omega > 2.0 * plan.deficit:
+            return  # feasible
+        with pytest.raises(InfeasibleError) as err:
+            select_A(plan)
+        hint = err.value.k_hint
+        assert hint == former_k_hint(y, k, lam)
+        if hint is not None:
+            assert select_A(classify(y, hint, lam)).complete
+
+
 def reference_select_A(plan):
     """select_A's greedy rule cell by cell, as a plain Python loop over the
     classified plan: (s_cells, slow_cells, a_cells, split_node, measure_a),
@@ -204,7 +265,7 @@ def reference_select_A(plan):
         shift = lambda i: i if i < split_cell else i + 1
         s_cells = [shift(i) for i in s_cells]
         a_cells = [shift(i) for i in chosen] + [split_cell]
-        widths = y.with_node(split_node).mesh.widths
+        widths = np.diff(former_with_node(y, split_node)[0])
     measure_a = float(sum(widths[i] * 1.0 for i in a_cells))
     return s_cells, slow_cells, a_cells, split_node, measure_a
 
@@ -275,21 +336,29 @@ class TestSelectASplitOntoANode:
         assert done.slow_cells.tolist() == [2]
         assert done.a_cells.tolist() == taken
         assert done.measure_a == eps * len(taken)
-        speeds = done.speeds()
+        speeds = moved_speeds(done)
         assert speeds[3] == abs(y.cell_derivatives()[3]) / 2.0
         assert speeds[2] == (0.5 if taken else 1.0)
 
 
 class TestBuildMap:
+    """The closed time change: the cell and speed `_closure` closes it
+    with, and the image nodes that `ReparResult.y_k` builds from."""
+
     def test_empty_plan_gives_identity(self):
-        plan = select_A(classify(two_cell([0.5, 0.5]), 2.0, 1.0))
-        phi = build_map(plan)
-        assert np.all(phi.speeds == 1.0)
+        y = two_cell([0.5, 0.5])
+        plan = select_A(classify(y, 2.0, 1.0))
+        assert _closure(plan) == (1, 1.0)
+        assert np.all(moved_speeds(plan, _closure(plan)) == 1.0)
+        assert built_y_k(plan).mesh.nodes.tolist() == y.mesh.nodes.tolist()
+        assert reparametrize(V_SQUARED, y, 2.0).y_k is y
 
     def test_tie_slopes_give_unit_speeds(self):
-        plan = select_A(classify(two_cell([4.0, 0.0]), 4.0, 1.0))
-        phi = build_map(plan)
-        assert np.all(phi.speeds == 1.0)
+        y = two_cell([4.0, 0.0])
+        plan = select_A(classify(y, 4.0, 1.0))
+        assert np.all(moved_speeds(plan, _closure(plan)) == 1.0)
+        res = reparametrize(V_SQUARED, y, 4.0)
+        assert res.changed_cells == 0 and res.y_k is y
 
     def test_hand_speed_balance(self):
         # fast cell of width 1/4 at speed 2 (deficit 1/4), compensation of
@@ -298,13 +367,25 @@ class TestBuildMap:
         vals = np.array([0.0, 1.0, 1.25, 1.5])  # slopes 4, 0.5, 1
         y = Trajectory(Mesh(nodes), vals)
         plan = select_A(classify(y, 2.0, 1.0))
-        phi = build_map(plan)
-        assert phi.endpoint_defect <= 1e-15
+        assert _closure(plan) == (2, 1.0)  # no defect to absorb
         assert 0.25 * 2 + 0.5 * 0.5 + 0.25 * 1 == 1.0
+        y_k = reparametrize(V_SQUARED, y, 2.0).y_k
+        assert y_k.mesh.nodes.tolist() == [0.0, 0.5, 0.75, 1.0]
+        assert y_k.cell_derivatives().tolist() == [2.0, 1.0, 1.0]
+
+    def test_closure_rejects_a_nonpositive_speed(self):
+        """Every slow cell compensates, and the defect to absorb is as large
+        as the last cell's image: its closed speed is 0."""
+        y = two_cell([4.0, 0.0])
+        plan = dataclasses.replace(classify(y, 2.0, 1.0), a_cells=[1], complete=True)
+        with pytest.raises(ArgumentError, match="all speeds must be positive"):
+            _closure(plan)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_measure_law_random(self, seed):
+        """|A_k| = 2 deficit, so the unclosed map misses b by at most
+        1e-12 (b - a), and the closure moves one cell's image by that."""
         rng = np.random.default_rng(seed)
         y = random_trajectory(rng, lo=-4, hi=4)
         lam = choose_lambda(y)
@@ -315,12 +396,16 @@ class TestBuildMap:
             return
         span = y.mesh.b - y.mesh.a
         assert abs(plan.measure_a - 2.0 * plan.deficit) <= 1e-12 * span
-        phi = build_map(plan)
-        assert phi.endpoint_defect <= 1e-12 * span
+        speeds, widths = former_speeds(plan), plan.trajectory.mesh.widths
+        assert abs(_total(speeds * widths) - span) <= 1e-12 * span
+        j, speed = _closure(plan)
+        assert abs(speed - speeds[j]) * widths[j] <= 1e-12 * span
+        assert built_y_k(plan).mesh.b == y.mesh.b
 
     def test_closure_defect_is_a_left_to_right_sum(self):
-        """The endpoint defect absorbed by build_map is summed cell by cell
-        from the left (no BLAS dot), so the corrected speeds have fixed bits."""
+        """The endpoint defect absorbed by the closure is summed cell by
+        cell from the left (no BLAS dot), so the corrected speeds have fixed
+        bits."""
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n = 400
@@ -332,7 +417,7 @@ class TestBuildMap:
             y = Trajectory(Mesh(nodes), values)
             lam = choose_lambda(y)
             plan = select_A(classify(y, lam + 2.0, lam))
-            speeds = plan.speeds()
+            speeds = former_speeds(plan)
             widths = plan.trajectory.mesh.widths
             total = 0.0
             for v, h in zip(speeds.tolist(), widths.tolist()):
@@ -341,7 +426,7 @@ class TestBuildMap:
             if defect != 0.0:
                 j = int(np.flatnonzero(speeds == 1.0)[-1])
                 speeds[j] += defect / float(widths[j])
-            assert np.array_equal(build_map(plan).speeds, speeds)
+            assert np.array_equal(moved_speeds(plan, _closure(plan)), speeds)
 
 
 class TestReparametrize:
@@ -395,7 +480,7 @@ class TestReparametrize:
         y = sample(np.sqrt, graded_mesh(0, 1, 128, 2.0))
         res = reparametrize(SQRT_CHAIN, y, 4.0)
         d = res.plan.trajectory.cell_derivatives()
-        v = res.plan.speeds()
+        v = moved_speeds(res.plan)
         for i in res.plan.s_cells:
             assert v[i] == abs(d[i]) / 4.0
             assert v[i] >= 1.0
@@ -469,7 +554,7 @@ class TestReparInput:
             assert _capped_bits(prepared.cap, k) == expected
         if mode == "ties":
             tie = prepared.cap(grid[0])
-            assert tie.y_k is y and np.all(tie.plan.speeds() == 1.0)
+            assert tie.y_k is y and np.all(moved_speeds(tie.plan) == 1.0)
         assert prepared.cap(grid[-1]).y_k is y  # Lip(y) < k
 
     def test_same_errors_as_reparametrize(self):
@@ -493,7 +578,7 @@ class TestChangeOfVariables:
     @settings(max_examples=100, deadline=None)
     def test_numbers_match_the_built_trajectory(self, seed, ident, mode):
         """F(y_k) and Lip(y_k) from the changed cells against energy() and
-        the Lipschitz constant of y_k built by build_map and the push.
+        the Lipschitz constant of the built y_k.
 
         The built y_k's nodes are rounded, so its cell widths, and the
         slopes and energies computed from them, carry a relative error up
@@ -520,7 +605,7 @@ class TestChangeOfVariables:
                 res = prepared.cap(k)
             except InfeasibleError:
                 continue
-            speeds = build_map(res.plan).speeds
+            speeds = moved_speeds(res.plan, _closure(res.plan))
             assert res.changed_cells == np.count_nonzero(speeds != 1.0)
             y_k = res.y_k
             if not res.changed_cells:
@@ -539,7 +624,7 @@ class TestChangeOfVariables:
         res = ReparInput.of(SQRT_CHAIN, y).cap(4.0)
         assert res.plan.split_node is not None
         split = int(res.plan.a_cells[-1])
-        assert res.plan.speeds()[split:split + 2].tolist() == [0.5, 1.0]
+        assert moved_speeds(res.plan)[split:split + 2].tolist() == [0.5, 1.0]
         per_cell = energy(SQRT_CHAIN, res.y_k).per_cell
         assert per_cell.size == y.mesh.n_cells + 1
         assert res.energy_after == pytest.approx(float(per_cell.sum()), rel=1e-12)
@@ -558,12 +643,13 @@ class TestChangeOfVariables:
     def test_nodes_that_collide_raise_as_the_push_does(self):
         """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
         image of half an ulp that rounds onto its left node: y_k has no
-        mesh, and cap raises the push's ArgumentError without building it."""
+        mesh (the full-length reference raises), and cap raises the same
+        ArgumentError without building it."""
         y = self.colliding_nodes()
         plan = select_A(classify(y, 2.0, choose_lambda(y)))
         assert plan.a_cells.tolist() == [1]
         with pytest.raises(ArgumentError, match="strictly increasing"):
-            push_through_inverse(y, MonotoneMap(y.mesh, plan.speeds()))
+            former_closure(plan)
         with pytest.raises(ArgumentError, match="strictly increasing"):
             ReparInput.of(SQRT_CHAIN, y).cap(2.0)
 
@@ -577,26 +663,35 @@ class TestChangeOfVariables:
 
 
 def former_closure(plan):
-    """The closed speeds and image nodes as first written, on full-length
-    arrays: plan.speeds(), the defect summed by np.cumsum, the last
-    unit-speed cell found on the reversed speeds, then time_change_image,
-    endpoint_exact and pushed_nodes.  Returns (speeds, image), or the error
-    raised, as (type, message)."""
-    speeds = plan.speeds()
+    """The closed speeds and y_k's mesh nodes as first written, on
+    full-length arrays: `former_speeds`, the defect summed by np.cumsum,
+    the last unit-speed cell found on the reversed speeds; then the image a
+    plus np.cumsum(speeds * widths), a prepended, which must end within the
+    endpoint tolerance of b, snapped to b, and make a mesh.  Returns
+    (speeds, nodes), or raises what those checks raise."""
+    speeds = former_speeds(plan)
     widths = plan.trajectory.mesh.widths
     a, b = plan.y.mesh.a, plan.y.mesh.b
     defect = (b - a) - _total(speeds * widths)
     if defect != 0.0:
         j = widths.size - 1 - int(np.argmax(speeds[::-1] == 1.0))
         speeds[j] += defect / float(widths[j])
+    positive_speeds(speeds)
+    nodes = np.concatenate(([a], a + np.cumsum(speeds * widths)))
+    if not endpoint_exact(nodes, a, b):
+        raise ConsistencyError(f"endpoint defect {abs(float(nodes[-1]) - b):.3e}")
+    nodes[-1] = b
+    Mesh(nodes)  # raises unless strictly increasing
+    return speeds, nodes
+
+
+def closure_outcome(plan):
+    """former_closure(plan), or the type and the message head of the
+    ArgumentError or ConsistencyError it raises."""
     try:
-        image = time_change_image(a, widths, speeds)
-        if not endpoint_exact(image, a, b):
-            raise ConsistencyError(f"endpoint defect {abs(float(image[-1]) - b):.3e}")
-        pushed_nodes(image, a, b)
+        return former_closure(plan)
     except (ArgumentError, ConsistencyError) as exc:
         return type(exc), str(exc).split(" exceeds")[0]
-    return speeds, image
 
 
 def former_cap(prepared, k):
@@ -604,9 +699,9 @@ def former_cap(prepared, k):
     F(y_k) and Lip(y_k) from the full closed speeds and the refined
     trajectory's arrays."""
     plan = select_A(classify(prepared.y, k, prepared.lam))
-    if np.all(plan.speeds() == 1.0):
+    if np.all(former_speeds(plan) == 1.0):
         return prepared.energy_before, prepared.lip, 0
-    closed = former_closure(plan)
+    closed = closure_outcome(plan)
     if isinstance(closed[0], type):
         return closed
     speeds = closed[0]
@@ -682,15 +777,15 @@ class TestBlockedCap:
            st.sampled_from([1, 2, 3, 8, CELLS]))
     @settings(max_examples=150, deadline=None)
     def test_closure_matches_the_full_length_checks(self, seed, mode, cells):
-        """The closure cell and speed, and what the image checks raise, are
-        those of the full-length closure, time_change_image, endpoint_exact
-        and pushed_nodes."""
+        """The closure cell and speed, what the image checks raise, and the
+        nodes of y_k are those of the full-length closure and image, phi(b)
+        snapped to b."""
         rng = np.random.default_rng(seed)
         try:
             plan = closure_plan(rng, mode)
         except InfeasibleError:
             return
-        expected = former_closure(plan)
+        expected = closure_outcome(plan)
         with mock.patch.object(lavlab.repar, "CELLS", cells):
             try:
                 j, speed = _closure(plan)
@@ -698,10 +793,12 @@ class TestBlockedCap:
                 assert (type(exc), str(exc).split(" exceeds")[0]) == expected
                 return
             assert not isinstance(expected[0], type), expected
-            speeds = plan.speeds()
+            speeds = former_speeds(plan)
             speeds[j] = speed
             assert speeds.tobytes() == expected[0].tobytes()
-            assert build_map(plan).image_nodes.tobytes() == expected[1].tobytes()
+            y_k = built_y_k(plan)
+            assert y_k.mesh.nodes.tobytes() == expected[1].tobytes()
+            assert y_k.values.tobytes() == plan.trajectory.values.tobytes()
         if mode == "tail" and plan.split_node is not None:
             assert j == plan.split_cell + 1
 
@@ -729,7 +826,12 @@ class TestBlockedCap:
                         prepared.cap(k)
                     continue
                 res = prepared.cap(k)
+                y_k = res.y_k
             assert (res.energy_after, res.lip_after, res.changed_cells) == expected
+            if res.changed_cells:  # else y_k is y
+                nodes = former_closure(res.plan)[1]
+                assert y_k.mesh.nodes.tobytes() == nodes.tobytes()
+                assert y_k.values.tobytes() == res.plan.trajectory.values.tobytes()
 
     def test_cap_memory_follows_the_changed_cells(self):
         """At k = 256 a sqrt sample moves about n / 500 cells: one cap's

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import tracemalloc
@@ -8,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lavlab import (ArgumentError, ContractError, DomainError, Mesh,
-                    MonotoneMap, SamplingError, Trajectory, graded_mesh,
-                    push_through_inverse, sample, uniform_mesh)
+from lavlab import (ArgumentError, ConsistencyError, DomainError, InfeasibleError,
+                    Mesh, ReparPlan, SamplingError, Trajectory, choose_lambda,
+                    classify, graded_mesh, polynomial_lagrangian, reparametrize,
+                    sample, select_A, uniform_mesh)
 from lavlab import trajectory
-from lavlab.trajectory import graded_family
+from lavlab.repar import _closure, _image_blocks
+from lavlab.trajectory import endpoint_exact, graded_family, positive_speeds, running_sum
 
-from conftest import random_trajectory
+from conftest import former_with_node, random_trajectory
+
+V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
 
 
 class TestMesh:
@@ -139,13 +144,6 @@ class TestCellDerivatives:
         assert y.lipschitz_constant == pytest.approx(10.0)
 
 
-def former_with_node(y: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and values of y.with_node(t) as first written: sort the
-    appended node, then interpolate y at every node."""
-    nodes = np.sort(np.append(y.mesh.nodes, t))
-    return nodes, np.interp(nodes, y.mesh.nodes, y.values)
-
-
 def graded_jittered_mesh(rng: np.random.Generator, n: int, jitter: bool) -> Mesh:
     """A graded mesh of [a, b], each interior node optionally moved by up
     to a quarter of its smaller adjacent cell."""
@@ -159,6 +157,9 @@ def graded_jittered_mesh(rng: np.random.Generator, n: int, jitter: bool) -> Mesh
 
 
 class TestWithNode:
+    """A trajectory with one node inserted: `ReparPlan.trajectory`, y with
+    the compensation split node."""
+
     @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
            st.sampled_from(["inside", "ulp_below", "ulp_above"]))
     @settings(max_examples=200, deadline=None)
@@ -174,26 +175,15 @@ class TestWithNode:
             t = float(np.nextafter(mesh.nodes[i], -np.inf if where == "ulp_below" else np.inf))
         if not mesh.a < t < mesh.b or t in mesh.nodes:
             return
-        out = y.with_node(t)
+        c = int(np.searchsorted(mesh.nodes, t)) - 1  # the cell t splits
+        h = float(mesh.widths[c])
+        plan = ReparPlan(y=y, k=2.0, lam=1.0, s_cells=(), slow_cells=[c], a_cells=[c],
+                         measure_s=0.0, measure_omega=h, deficit=(t - mesh.nodes[c]) / 2.0,
+                         complete=True, split_node=t)
+        out = plan.trajectory
         nodes, values = former_with_node(y, t)
         assert np.array_equal(out.mesh.nodes.view(np.int64), nodes.view(np.int64))
         assert np.array_equal(out.values.view(np.int64), values.view(np.int64))
-        assert np.array_equal(out.mesh.with_node(t).nodes, nodes)
-
-    def test_existing_node_returns_the_same_objects(self):
-        y = sample(np.sqrt, graded_mesh(0, 1, 8, 2.0))
-        for t in y.mesh.nodes[1:-1]:
-            assert y.with_node(float(t)) is y
-            assert y.mesh.with_node(float(t)) is y.mesh
-
-    @pytest.mark.parametrize("t", [0.0, 1.0, -0.5, 1.5, np.nextafter(0.0, -1.0),
-                                   np.nextafter(1.0, 2.0), np.nan])
-    def test_node_outside_the_open_interval_raises(self, t):
-        y = sample(np.sqrt, graded_mesh(0, 1, 8, 2.0))
-        with pytest.raises(DomainError):
-            y.with_node(t)
-        with pytest.raises(DomainError):
-            y.mesh.with_node(t)
 
 
 class TestSample:
@@ -226,88 +216,97 @@ class TestSample:
 
 
 class TestMonotoneMap:
+    """The sums and checks of a time change phi that runs each cell at a
+    speed: phi(t_i) = a plus the running sums of speeds * widths,
+    `positive_speeds` and `endpoint_exact`."""
+
     def test_identity_map(self):
         mesh = uniform_mesh(0, 1, 4)
-        phi = MonotoneMap(mesh, np.ones(mesh.n_cells))
-        assert phi.is_endpoint_exact
-        assert np.allclose(phi.image_nodes, mesh.nodes, rtol=0, atol=1e-15)
+        image = mesh.a + running_sum(mesh.widths)
+        assert endpoint_exact(image, mesh.a, mesh.b)
+        assert np.allclose(image, mesh.nodes, rtol=0, atol=1e-15)
 
     def test_rejects_nonpositive_speeds(self):
-        mesh = uniform_mesh(0, 1, 2)
-        with pytest.raises(ArgumentError):
-            MonotoneMap(mesh, np.array([1.0, 0.0]))
+        with pytest.raises(ArgumentError, match="positive"):
+            positive_speeds(np.array([1.0, 0.0]))
+        with pytest.raises(ArgumentError, match="finite"):
+            positive_speeds(np.array([1.0, np.inf]))
 
     def test_endpoint_defect(self):
         mesh = uniform_mesh(0, 1, 2)
-        phi = MonotoneMap(mesh, np.array([2.0, 2.0 / 3.0]))
-        assert phi.image_nodes[1] == pytest.approx(1.0)
-        assert phi.endpoint_defect == pytest.approx(1.0 / 3.0)
-        assert not phi.is_endpoint_exact
+        image = mesh.a + running_sum(np.array([2.0, 2.0 / 3.0]) * mesh.widths)
+        assert image[1] == pytest.approx(1.0)
+        assert image[-1] - mesh.b == pytest.approx(1.0 / 3.0)
+        assert not endpoint_exact(image, mesh.a, mesh.b)
+
+
+def random_cap(rng: np.random.Generator):
+    """A random trajectory y and its cap at a random k between lambda and
+    Lip(y), or None where k is infeasible."""
+    y = random_trajectory(rng, lo=-1.0, hi=1.0)
+    lam = choose_lambda(y)
+    k = lam + 1e-3 + float(rng.uniform()) * max(y.lipschitz_constant - lam, 1.0)
+    try:
+        return y, reparametrize(V_SQUARED, y, k)
+    except InfeasibleError:
+        return y, None
 
 
 class TestPushThroughInverse:
+    """y_k = y o phi^{-1}, as `ReparResult.y_k` builds it: the mesh nodes
+    phi(t_i) of the refined trajectory, whose values it keeps."""
+
     def test_identity_speeds_leave_trajectory_unchanged(self):
+        """A cap with no cell to move returns y; built anyway, y_k has y's
+        values and, up to rounding, its nodes."""
         y = sample(np.sqrt, graded_mesh(0, 1, 8, 2.0))
-        out = push_through_inverse(y, MonotoneMap(y.mesh, np.ones(y.mesh.n_cells)))
+        res = reparametrize(V_SQUARED, y, y.lipschitz_constant + 1.0)
+        assert res.changed_cells == 0 and res.y_k is y
+        out = dataclasses.replace(res, changed_cells=1).y_k
         assert np.array_equal(out.values, y.values)
         assert np.allclose(out.mesh.nodes, y.mesh.nodes, rtol=0, atol=1e-15)
 
     def test_not_endpoint_exact_rejected(self):
-        y = Trajectory(uniform_mesh(0, 1, 2), np.array([0.0, 1.0, 2.0]))
-        phi = MonotoneMap(y.mesh, np.array([2.0, 2.0 / 3.0]))
-        with pytest.raises(ContractError):
-            push_through_inverse(y, phi)
-
-    def test_mesh_mismatch_rejected(self):
-        y = Trajectory(uniform_mesh(0, 1, 2), np.array([0.0, 1.0, 2.0]))
-        mesh = uniform_mesh(0, 1, 3)
-        phi = MonotoneMap(mesh, np.ones(mesh.n_cells))
-        with pytest.raises(ContractError):
-            push_through_inverse(y, phi)
+        """The image's last block raises unless phi(b) is within the
+        endpoint tolerance of b; the closure's own speed passes."""
+        y = Trajectory(uniform_mesh(0, 1, 4), np.array([0.0, 0.75, 1.0, 1.25, 1.5]))
+        plan = select_A(classify(y, 2.0, 1.0))
+        assert _closure(plan) == (3, 1.0)
+        assert list(_image_blocks(plan, (3, 1.0)))[-1].tolist() == [0.0, 0.375, 0.5, 0.75, 1.0]
+        with pytest.raises(ConsistencyError, match="endpoint defect 2.500e-01"):
+            list(_image_blocks(plan, (3, 2.0)))
 
     def test_hand_composed_two_cell_example(self):
-        # slopes (3, 1) on equal cells, speeds (3/2, 1/2): endpoint exact,
-        # output slopes both 2, boundary values preserved
-        y = Trajectory(uniform_mesh(0, 1, 2), np.array([0.0, 1.5, 2.0]))
-        phi = MonotoneMap(y.mesh, np.array([1.5, 0.5]))
-        assert phi.is_endpoint_exact
-        out = push_through_inverse(y, phi)
-        assert np.allclose(out.mesh.nodes, [0.0, 0.75, 1.0])
-        assert np.allclose(out.cell_derivatives(), [2.0, 2.0])
+        # slopes (3, 1, 1, 1) on equal cells, capped at k = 2: speeds
+        # (3/2, 1/2, 1, 1), endpoint exact, output slopes (2, 2, 1, 1),
+        # boundary values preserved
+        y = Trajectory(uniform_mesh(0, 1, 4), np.array([0.0, 0.75, 1.0, 1.25, 1.5]))
+        out = reparametrize(V_SQUARED, y, 2.0).y_k
+        assert out.mesh.nodes.tolist() == [0.0, 0.375, 0.5, 0.75, 1.0]
+        assert out.cell_derivatives().tolist() == [2.0, 2.0, 1.0, 1.0]
         assert out.boundary == y.boundary
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_push_preserves_boundary_and_variation(self, seed):
-        rng = np.random.default_rng(seed)
-        y = random_trajectory(rng)
-        speeds = rng.uniform(0.5, 2.0, size=y.mesh.n_cells)
-        # close the map so it is endpoint-exact
-        widths = y.mesh.widths
-        speeds *= (y.mesh.b - y.mesh.a) / float(np.dot(speeds, widths))
-        phi = MonotoneMap(y.mesh, speeds)
-        if not phi.is_endpoint_exact:
+        y, res = random_cap(np.random.default_rng(seed))
+        if res is None:
             return
-        out = push_through_inverse(y, phi)
+        out = res.y_k
         assert out.values[0] == y.values[0]
         assert out.values[-1] == y.values[-1]
-        assert np.abs(np.diff(out.values)).sum() == np.abs(np.diff(y.values)).sum()
+        assert np.array_equal(out.values, res.plan.trajectory.values)
+        assert np.abs(np.diff(out.values)).sum() == \
+            np.abs(np.diff(res.plan.trajectory.values)).sum()
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_speed_floor_bounds_output_slopes(self, seed):
-        rng = np.random.default_rng(seed)
-        y = random_trajectory(rng)
-        speeds = rng.uniform(0.5, 3.0, size=y.mesh.n_cells)
-        widths = y.mesh.widths
-        speeds *= (y.mesh.b - y.mesh.a) / float(np.dot(speeds, widths))
-        if np.min(speeds) < 0.5:
+        """Every speed is at least 1/2, so no slope more than doubles."""
+        y, res = random_cap(np.random.default_rng(seed))
+        if res is None:
             return
-        phi = MonotoneMap(y.mesh, speeds)
-        if not phi.is_endpoint_exact:
-            return
-        out = push_through_inverse(y, phi)
-        assert out.lipschitz_constant <= 2.0 * y.lipschitz_constant * (1 + 1e-12)
+        assert res.y_k.lipschitz_constant <= 2.0 * y.lipschitz_constant * (1 + 1e-9)
 
 
 # Float texts that read back to exactly the float they were made from.
