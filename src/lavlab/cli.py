@@ -135,10 +135,12 @@ N_GRID = Setting("n_grid", "--n", int, grid=True, help="comma-separated mesh siz
 M_GRID = Setting("M_grid", "--M", float, grid=True, help="comma-separated slope bounds")
 RESTARTS = Setting("restarts", "--restarts", int, 8, check=_in_range(0),
                    help="seeded restarts per slope bound: the straight line plus a "
-                        "random 8-mode sine series, the same function on every mesh")
-SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED, check=_in_range(0),
-               help="64-bit seed of the restarts; with the bound M it keys "
-                    "their sine coefficients")
+                        "sine series of 8 modes with coefficients drawn from Python's "
+                        "random.Random, the same function on every mesh")
+SEED = Setting("seed", "--seed", int, gapscan.DEFAULT_SEED,
+               check=_in_range(0, gapscan.SEED_MAX),
+               help="64-bit seed of the restarts, 0 to 2^64 - 1; with the bound M it "
+                    "keys the random.Random stream of their sine coefficients")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ kernel's step, `cell_integrals`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from decimal import Decimal, localcontext
+from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -35,9 +37,14 @@ INF_THRESHOLD = 1e300
 # stay in cache; measured faster than blocks of SAMPLES samples.
 BLOCK = 2 ** 13
 SAMPLES = 2 ** 13  # per jet of the optimizer's rows and the caps: 64 KiB, under malloc's mmap cut
-MAX_ORDER = 64  # _gauss builds an order x order matrix; no composite rule needs more
+MAX_ORDER = 64  # no composite rule needs more; _gauss's Newton work grows as order^2
 
 DEFAULT_ORDER = 5  # exact for the catalog's polynomial integrands per cell
+
+# Digits of the decimal Newton iteration behind `_gauss`, and the step below
+# which it stops: the root is then good to about 45 digits, far past a float.
+_DIGITS = 45
+_NEWTON_STOP = Decimal("1e-30")
 
 # Relative step for differentiating an exactly-known profile at quadrature
 # points; shrinks toward both endpoints so endpoint singularities are never
@@ -47,29 +54,74 @@ _EXACT_FD_REL = 1e-5
 
 @lru_cache(maxsize=None)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], owned by lavlab.
-
-    numpy's table is symmetrized (nodes odd, weights even), and the middle
-    weight (or pair) is moved by the fewest ulps, at most 16, that make the
-    left-to-right sum of the weights 2, and the exactly rounded sum too
-    where both can hold (every order from 1 to 8).  So the kernel's
-    fixed-order contraction integrates a constant 1 to exactly each cell's
-    width at orders 1 to 8.  Beyond 8 some orders have no such move and keep
-    the symmetrized table, whose sum is then only within 6 eps of 2.
-    """
+    """Gauss-Legendre nodes and weights on [-1, 1], owned by lavlab: the
+    `_legendre_table` of the order, as read-only arrays."""
     if not 1 <= order <= MAX_ORDER:
         raise ArgumentError(f"quadrature order must be >= 1 and <= {MAX_ORDER}, got {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = (x - x[::-1]) / 2.0
-    w = (w + w[::-1]) / 2.0
-    middle = np.zeros(order, dtype=bool)
-    middle[(order - 1) // 2:order // 2 + 1] = True  # one weight or a pair
-    moves = (w + k * np.spacing(w) * middle for k in sorted(range(-16, 17), key=abs))
-    fits = [fit for fit in moves if _total(fit) == 2.0]
-    w = next((fit for fit in fits if math.fsum(fit) == 2.0), fits[0] if fits else w)
+    x, w = map(np.array, _legendre_table(order))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _legendre_table(order: int) -> tuple[list[float], list[float]]:
+    """The Gauss-Legendre nodes, ascending, and weights of an order, with
+    no numpy and no LAPACK.
+
+    Each positive root of P_order is found by Newton's method in
+    `_DIGITS`-digit decimal arithmetic from the classic guess
+    cos(pi (i - 1/4) / (order + 1/2)), with P_order and P_order-1 from the
+    three-term recurrence, and its weight is 2 / ((1 - x^2) P'(x)^2); each is
+    then rounded once to a float.  So the table is correctly rounded, and
+    the nodes are odd and the weights even by construction.  Where the
+    left-to-right sum of the weights misses 2 (order 7 of orders 1 to 8), the
+    middle weight (or pair) is moved by the fewest ulps, at most 16, that
+    make it 2, and the exactly rounded sum too where both can hold.  So the
+    kernel's fixed-order contraction integrates a constant 1 to exactly each
+    cell's width at orders 1 to 8.  Beyond 8 some orders have no such move
+    and keep the rounded table, whose sum is then only within 6 eps of 2.
+    """
+    roots, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        for i in range(1, order // 2 + 1):  # the positive roots, largest first
+            x, step = Decimal(math.cos(math.pi * (i - 0.25) / (order + 0.5))), 1
+            while abs(step) >= _NEWTON_STOP:
+                p, dp = _legendre(order, x)
+                step = p / dp
+                x -= step
+            roots.append(float(x))
+            weights.append(_weight(order, x))
+        middle = [_weight(order, Decimal(0))] if order % 2 else []  # an odd order's root 0
+    nodes = [-r for r in roots] + [0.0] * (order % 2) + roots[::-1]
+    w = weights + middle + weights[::-1]
+    if _sum(w) != 2.0:
+        mid = range((order - 1) // 2, order // 2 + 1)  # one weight or a pair
+        moves = ([v + k * math.ulp(v) if i in mid else v for i, v in enumerate(w)]
+                 for k in sorted(range(-16, 17), key=abs))
+        fits = [fit for fit in moves if _sum(fit) == 2.0]
+        w = next((fit for fit in fits if math.fsum(fit) == 2.0), fits[0] if fits else w)
+    return nodes, w
+
+
+def _legendre(order: int, x: Decimal) -> tuple[Decimal, Decimal]:
+    """P_order(x) and P'_order(x), by the three-term recurrence
+    (k + 1) P_k+1 = (2k + 1) x P_k - k P_k-1, in the current decimal context."""
+    prev, p = Decimal(1), x
+    for k in range(1, order):
+        prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+    return p, order * (x * p - prev) / (x * x - 1)
+
+
+def _weight(order: int, x: Decimal) -> float:
+    """The Gauss weight 2 / ((1 - x^2) P'(x)^2) of the root x, as a float."""
+    dp = _legendre(order, x)[1]
+    return float(2 / ((1 - x * x) * dp * dp))
+
+
+def _sum(w: list[float]) -> float:
+    """The left-to-right float sum of w: `_total`'s bits, without numpy."""
+    return reduce(operator.add, w)
 
 
 def linear_samples(order: int, left: np.ndarray, right: np.ndarray, y_left: np.ndarray,

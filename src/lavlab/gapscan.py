@@ -10,6 +10,7 @@ only the final endpoint pinned have energies at quadrature-noise level.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
                          uniform_mesh)
 
 DEFAULT_SEED = 0x4C41565245
+SEED_MAX = 2 ** 64 - 1  # seeds are 64-bit, so (seed, M) keys the restarts one-to-one
 
 
 # -- reference minimizing families ------------------------------------------
@@ -97,6 +99,7 @@ _SPG_GAMMA = 1e-4
 _SPG_STEP_MIN, _SPG_STEP_MAX = 1e-10, 1e10
 _SPG_SIGMA = (0.1, 0.9)
 _MODES = 8  # sine modes of a restart's perturbation
+_SQRT3 = math.sqrt(3.0)  # scales a uniform draw on (-1, 1) to unit variance
 
 
 class _SlopeSet:
@@ -329,22 +332,25 @@ def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
     restarts at slope bound M.
 
     Each is sum_k c_k sin(k pi x) over the first _MODES modes, with
-    x = (t - a)/(b - a), c_k ~ N(0, 1)/k and a scale ~ U(0.2, 1), and is 0
-    exactly at both ends.  The draws are keyed by (seed, int(M * 1e6)) and
-    not by the mesh, so the j-th perturbation at M is one function sampled
-    on every mesh, and its slopes stay bounded as the mesh is refined.  The
-    modes are summed left to right, with no BLAS call.
+    x = (t - a)/(b - a), c_k = sqrt(3) (2u - 1)/k (mean 0, variance 1/k^2)
+    and a scale 0.2 + 0.8u, for uniform draws u of `random.Random`, and is 0
+    exactly at both ends.  The draws are keyed by (seed, int(M * 1e6)),
+    one-to-one for seeds below 2^64, and not by the mesh, so the j-th
+    perturbation at M is one function sampled on every mesh, and its slopes
+    stay bounded as the mesh is refined.  Python keeps `Random.random`'s
+    stream for a given seed, and the draws become coefficients by correctly
+    rounded float operations only, so the restarts depend on no library's
+    generator.  The modes are summed left to right, with no BLAS call.
     """
     k = np.arange(1, _MODES + 1)
     x = (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
     modes = np.sin(np.pi * k[:, None] * x)
-    rng = np.random.default_rng([seed, int(M * 1e6)])
+    draw = random.Random(int(M * 1e6) << 64 | seed).random
     out = np.zeros((count, x.size))
     for row in out:
-        coef = rng.standard_normal(_MODES) / k
-        for c, mode in zip(coef, modes):
-            row += c * mode
-        row *= rng.uniform(0.2, 1.0)
+        for j, mode in enumerate(modes, start=1):
+            row += _SQRT3 * (2.0 * draw() - 1.0) / j * mode
+        row *= 0.2 + 0.8 * draw()
     out[:, [0, -1]] = 0.0
     return out
 
@@ -391,6 +397,8 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         raise ArgumentError("slope bounds must be positive")
     if max_iters < 0:
         raise ArgumentError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0 <= seed <= SEED_MAX:
+        raise ArgumentError(f"seed must be >= 0 and <= {SEED_MAX}, got {seed}")
     if bounds[0] * (1.0 - 1e-12) * span <= abs(B - A):
         raise ArgumentError(
             f"bound M={bounds[0]} infeasible: straight line needs slope {abs(B - A) / span:.6g}")

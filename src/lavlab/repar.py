@@ -164,10 +164,12 @@ class ReparResult:
     """One cap: its plan, and Lip and F before and after.
 
     `energy_after` and `lip_after` come from the `changed_cells` cells whose
-    speed is not 1 (see `ReparInput.cap`).  The capped trajectory `y_k` is
-    built on first access: its mesh nodes are the closed image phi(t_i) that
-    `_image_blocks` gives `_closure`, block by block, and its values those of
-    `plan.trajectory`; with no changed cell it is the input itself.
+    speed is not 1 (see `ReparInput.cap`).  `closure` is the cell and speed
+    `_closure(plan)` closed the time change with (None when nothing moves).
+    The capped trajectory `y_k` is built on first access: its mesh nodes are
+    the closed image phi(t_i) that `_image_blocks` gives for that closure,
+    block by block, and its values those of `plan.trajectory`; with no
+    changed cell it is the input itself.
     """
 
     plan: ReparPlan
@@ -176,6 +178,7 @@ class ReparResult:
     energy_before: float
     energy_after: float
     changed_cells: int
+    closure: tuple[int, float] | None
 
     @property
     def gap(self) -> float:
@@ -186,7 +189,7 @@ class ReparResult:
         plan = self.plan
         if not self.changed_cells:
             return plan.trajectory
-        blocks = _image_blocks(plan, _closure(plan))  # consecutive blocks share a node
+        blocks = _image_blocks(plan, self.closure)  # consecutive blocks share a node
         nodes = np.concatenate([next(blocks), *(nodes[1:] for nodes in blocks)])
         return Trajectory(Mesh(nodes), plan.trajectory.values)
 
@@ -484,7 +487,7 @@ class ReparInput:
         plan = select_A(classify(self.y, k, self.lam, self._slow))
         if not plan.a_cells.size and np.all(plan._fast_speeds(plan.s_cells) == 1.0):
             # Lip(y) < k or |d| == k ties: no time change
-            return ReparResult(plan, lip, lip, before, before, changed_cells=0)
+            return ReparResult(plan, lip, lip, before, before, changed_cells=0, closure=None)
         closure = _closure(plan)
         d, per_cell, c = self.y.cell_derivatives(), self._energy.per_cell, plan.split_cell
         changed, lip_after, gained, lost = 0, 0.0, -0.0, -0.0
@@ -508,7 +511,8 @@ class ReparInput:
                 lip_after = max(lip_after, float(slopes.max()))
             if old.size:
                 lost = float(running_sum(per_cell[old], lost)[-1])
-        return ReparResult(plan, lip, lip_after, before, before + (gained - lost), changed)
+        return ReparResult(plan, lip, lip_after, before, before + (gained - lost), changed,
+                           closure)
 
 
 def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,

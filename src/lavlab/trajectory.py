@@ -44,12 +44,17 @@ def _as_float_vector(x, name: str) -> np.ndarray:
 
 
 def _cell_widths(nodes: np.ndarray) -> np.ndarray:
-    """np.diff(nodes) of finite nodes, checked as a mesh's cell widths."""
+    """np.diff(nodes) of finite nodes, checked as a mesh's cell widths:
+    positive, and finite (two finite nodes can lie more than the largest
+    float apart)."""
     if nodes.size < 2:
         raise ArgumentError("a mesh needs at least one cell")
-    widths = np.diff(nodes)
+    with np.errstate(over="ignore"):
+        widths = np.diff(nodes)
     if not np.all(widths > 0):
         raise ArgumentError(NOT_INCREASING)
+    if not np.all(np.isfinite(widths)):
+        raise ArgumentError("mesh cell widths must be finite: nodes too far apart")
     return widths
 
 

@@ -394,6 +394,8 @@ class TestSettings:
 
     @pytest.mark.parametrize("argv, message", [
         (["gap-scan", "--n", "20", "--M", "4", "--seed", "-1"], "seed must be >= 0"),
+        (["gap-scan", "--n", "20", "--M", "4", "--seed", str(2 ** 64)],
+         f"seed must be <= {2 ** 64 - 1}"),
         (["gap-scan", "--n", "20", "--M", "4", "--restarts", "-1"], "restarts must be >= 0"),
         (["energy", "--lagrangian", "mania", "--exact", "cuberoot", "--n", "8", "--tol", "-1"],
          "tol must be >= 0"),
@@ -488,6 +490,24 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in lines:
         parser.parse_args(argv)
+
+
+def test_runs_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
+    """The restarts draw from Python's `random` and the Gauss-Legendre table
+    is lavlab's own, so a fresh process that runs a gap scan and an exact
+    energy never imports numpy's generators or its polynomial package (whose
+    Gauss table calls LAPACK)."""
+    runs = [["gap-scan", "--n", "20,40", "--M", "4,8", "--restarts", "2",
+             "--out", str(tmp_path / "gap.json")],
+            ["energy", "--lagrangian", "mania", "--exact", "cuberoot", "--n", "256",
+             "--out", str(tmp_path / "energy.json")]]
+    script = ("import sys\n"
+              "from lavlab.cli import main\n"
+              f"assert [main(argv) for argv in {runs!r}] == [0, 0]\n"
+              "print([m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules])\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestSubprocessReproducibility:

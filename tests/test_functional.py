@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,10 +48,31 @@ class TestGaussTable:
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
             assert abs(_total(w) - 2.0) <= 8 * np.finfo(float).eps
 
+    def test_order_5_is_pinned(self):
+        # the correctly rounded closed forms +-sqrt(5 -+ 2 sqrt(10/7))/3 and
+        # (322 +- 13 sqrt(70))/900, 128/225
+        x, w = _gauss(5)
+        assert [v.hex() for v in x.tolist()] == [
+            "-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0.0p+0",
+            "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1"]
+        assert [v.hex() for v in w.tolist()] == [
+            "0x1.e539ec36e038cp-3", "0x1.ea1da25ae415bp-2", "0x1.23456789abcdfp-1",
+            "0x1.ea1da25ae415bp-2", "0x1.e539ec36e038cp-3"]
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_even_moments_are_exact_within_a_few_ulps(self, order):
+        # sum_i w_i x_i^m = 2/(m + 1) for even m <= 2 order - 1, the sum
+        # taken exactly in rationals from the table's floats
+        x, w = (list(map(Fraction, v.tolist())) for v in _gauss(order))
+        for m in range(0, 2 * order, 2):
+            exact = Fraction(2, m + 1)
+            got = sum(wi * xi ** m for xi, wi in zip(x, w))
+            assert abs(got - exact) <= 6 * Fraction(math.ulp(float(exact))), m
+
     @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
     def test_order_out_of_range_is_refused(self, order):
-        # the table comes from an order x order matrix, so a huge order would
-        # exhaust memory instead of failing as a bad argument
+        # the table's Newton iteration takes time quadratic in the order, so
+        # a huge order would hang instead of failing as a bad argument
         with pytest.raises(ArgumentError, match=f">= 1 and <= {MAX_ORDER}, got {order}"):
             _gauss(order)
 

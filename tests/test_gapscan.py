@@ -492,6 +492,16 @@ class TestRestarts:
         assert not np.array_equal(_perturbations(coarse, 5.0, 1, DEFAULT_SEED),
                                   _perturbations(coarse, 10.0, 1, DEFAULT_SEED))
 
+    def test_seed_is_64_bit(self):
+        # (seed, int(M * 1e6)) keys the draws one-to-one only for such seeds
+        mesh = uniform_mesh(0, 1, 10)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ArgumentError, match=f"seed must be >= 0 and <= {2 ** 64 - 1}"):
+                minimize_bounded(catalog("mania"), mesh, [5.0], (0.0, 1.0), restarts=1,
+                                 seed=seed)
+        waves = [_perturbations(mesh, 5.0, 1, seed) for seed in (0, 1, 2 ** 64 - 1)]
+        assert len({w.tobytes() for w in waves}) == 3
+
 
 class TestLockstep:
     @pytest.mark.parametrize("spec, M, k", [(catalog("mania"), 5.0, 7), (V_SQUARED, 2.0, 4)],

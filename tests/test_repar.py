@@ -58,7 +58,7 @@ def moved_speeds(plan, closure=None):
 def built_y_k(plan):
     """y_k of a cap with the complete `plan`, built as `ReparResult.y_k`
     builds it, whether or not a cell moves."""
-    return ReparResult(plan, 0.0, 0.0, 0.0, 0.0, changed_cells=1).y_k
+    return ReparResult(plan, 0.0, 0.0, 0.0, 0.0, changed_cells=1, closure=_closure(plan)).y_k
 
 
 class TestChooseLambda:
@@ -832,6 +832,17 @@ class TestBlockedCap:
                 nodes = former_closure(res.plan)[1]
                 assert y_k.mesh.nodes.tobytes() == nodes.tobytes()
                 assert y_k.values.tobytes() == res.plan.trajectory.values.tobytes()
+
+    def test_y_k_reuses_the_closure_of_its_cap(self):
+        """One cap and its y_k close the time change once: y_k builds its
+        nodes from the (cell, speed) the cap kept, with the same bits."""
+        prepared = ReparInput.of(SQRT_CHAIN, sample(np.sqrt, graded_mesh(0, 1, 400, 2.0)))
+        with mock.patch.object(lavlab.repar, "_closure", wraps=_closure) as closure:
+            res = prepared.cap(2.0)
+            y_k = res.y_k
+        assert res.changed_cells and closure.call_count == 1
+        assert res.closure == _closure(res.plan)
+        assert y_k.mesh.nodes.tobytes() == built_y_k(res.plan).mesh.nodes.tobytes()
 
     def test_cap_memory_follows_the_changed_cells(self):
         """At k = 256 a sqrt sample moves about n / 500 cells: one cap's

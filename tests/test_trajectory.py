@@ -1,12 +1,13 @@
 import dataclasses
 import io
+import math
 import os
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lavlab import (ArgumentError, ConsistencyError, DomainError, InfeasibleError,
@@ -21,6 +22,15 @@ from conftest import former_with_node, random_trajectory
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
 
+WIDTHS_NOT_FINITE = "mesh cell widths must be finite"
+WIDE = [-9.9792015476736e+291, 1.7976931348623157e+308]  # finite, more than the largest float apart
+
+
+def overflows(nodes):
+    """Whether some pair of neighbouring nodes lies more than the largest
+    float apart."""
+    return any(math.isinf(b - a) for a, b in zip(nodes, nodes[1:]))
+
 
 class TestMesh:
     def test_rejects_non_increasing_nodes(self):
@@ -30,6 +40,15 @@ class TestMesh:
             Mesh(np.array([0.0]))
         with pytest.raises(ArgumentError):
             Mesh(np.array([0.0, np.inf]))
+
+    def test_rejects_finite_nodes_whose_width_overflows(self):
+        # np.diff of these finite nodes is +inf, which `> 0` lets through
+        assert overflows(WIDE)
+        with pytest.raises(ArgumentError, match=WIDTHS_NOT_FINITE):
+            Mesh(np.array(WIDE))
+        body = "".join(f"{t!r},{y}\n" for t, y in zip(WIDE, (0, 1)))
+        with pytest.raises(ArgumentError, match=WIDTHS_NOT_FINITE):
+            Trajectory.from_csv(io.StringIO("t,y\n" + body))
 
     def test_graded_mesh_formula(self):
         assert np.array_equal(graded_mesh(0, 1, 2, 1.0).nodes, [0.0, 0.5, 1.0])
@@ -349,6 +368,10 @@ class TestSerialization:
         t_texts = [data.draw(st.sampled_from(EXACT_FORMATS))(t) for t in sorted(ts)]
         y_texts = data.draw(st.lists(NUMBER_TEXTS, min_size=len(ts), max_size=len(ts)))
         body = "".join(f"{t},{y}\n" for t, y in zip(t_texts, y_texts))
+        if overflows(sorted(ts)):  # finite nodes too far apart for a float width
+            with pytest.raises(ArgumentError, match=WIDTHS_NOT_FINITE):
+                Trajectory.from_csv(io.StringIO("t,y\n" + body))
+            return
         back = Trajectory.from_csv(io.StringIO("t,y\n" + body))
         for got, texts in ((back.mesh.nodes, t_texts), (back.values, y_texts)):
             want = np.array([float(x) for x in texts])
@@ -369,6 +392,7 @@ class TestSerialization:
     @settings(max_examples=100, deadline=None)
     def test_to_csv_matches_the_former_row_loop(self, ts, data):
         """The same bytes whatever the piece size, so across piece edges."""
+        assume(not overflows(sorted(ts)))  # no mesh has an infinite width
         ys = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                 min_size=len(ts), max_size=len(ts)))
         y = Trajectory(Mesh(np.array(sorted(ts))), np.array(ys))
