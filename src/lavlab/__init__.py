@@ -12,11 +12,10 @@ from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      UnsupportedLagrangianError)
 from .functional import (DEFAULT_ORDER, ConvergenceResult, EnergyReport,
                          energy, energy_converged, exact_profile_energy)
-from .gapscan import (DEFAULT_SEED, GapReport, GapRow, avoidance_demo,
-                      cuberoot_truncation, halfinverse_lower_bound,
-                      mania_one_endpoint_truncations, mania_reference_energy,
-                      mania_two_endpoint_scan, minimize_bounded, plateau_tent,
-                      sawtooth, sqrt_ramp)
+from .gapscan import (DEFAULT_SEED, GapReport, GapRow, cuberoot_truncation,
+                      halfinverse_lower_bound, mania_one_endpoint_truncations,
+                      mania_reference_energy, mania_two_endpoint_scan,
+                      minimize_bounded, plateau_tent, sawtooth, sqrt_ramp)
 from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
                          catalog, convexity_probe, minimal_surface,
                          partial_array, polynomial_lagrangian)

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: catalog, energy, repar, necessary-check, gap-scan, demo.  Each
+Subcommands: catalog, energy, repar, necessary-check, gap-scan.  Each
 subcommand declares the settings its runner reads (`COMMANDS`), and each
 setting is declared once, with its flag, its config-file key, its type, its
 default and its range check.  That declaration makes the subcommand's flags,
@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Sequence
@@ -335,33 +335,18 @@ def _run_repar(config: dict) -> dict:
     else:
         y = _load_trajectory(config["trajectory"])
     prepared = ReparInput.of(spec, y, config["order"])
-    rows, k_rows = [], []
-    for k in sorted(config["k_grid"]):
-        res = prepared.cap(k)
-        rows.append({
-            "k": k,
-            "measure_s": res.plan.measure_s,
-            "measure_a": res.plan.measure_a,
-            "lip": res.lip_after,
-            "energy_before": res.energy_before,
-            "energy_after": res.energy_after,
-            "gap": res.gap,
-            "changed_cells": res.changed_cells,
-        })
-        k_rows.append(KRow.of(res))
-        del res  # one plan alive at a time
-    header = f"{'k':>8} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>12} " \
-             f"{'F(y)':>14} {'F(y_k)':>14} {'gap':>12}"
-    lines = [header]
+    rows = [KRow.of(prepared.cap(k)) for k in sorted(config["k_grid"])]  # rows hold no plan
+    lines = [f"{'k':>8} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>12} "
+             f"{'F(y)':>14} {'F(y_k)':>14} {'gap':>12}  status"]
     for r in rows:
-        lines.append(f"{r['k']:8g} {r['measure_s']:12.5g} {r['measure_a']:12.5g} "
-                     f"{r['lip']:12.5g} {r['energy_before']:14.8g} "
-                     f"{r['energy_after']:14.8g} {r['gap']:12.5g}")
+        lines.append(f"{r.k:8g} {r.measure_s:12.5g} {r.measure_a:12.5g} {r.lip:12.5g} "
+                     f"{r.energy_before:14.8g} {r.energy_after:14.8g} {r.gap:12.5g}  "
+                     f"{r.status}")
     sys.stderr.write("\n".join(lines) + "\n")
     return {
         "rows": rows,
         # ReparInput.of has already refused non-autonomous integrands
-        "K": FindKReport.of(k_rows).K if spec.convex_in_v else None,
+        "K": FindKReport.of(rows).K if spec.convex_in_v else None,
     }
 
 
@@ -386,18 +371,6 @@ def _run_gap_scan(config: dict) -> tuple[dict, Callable, None]:
     return {"report": report}, report.rows_to_csv, None
 
 
-def _run_demo(config: dict) -> dict:
-    spec = catalog("sqrt_chain")
-    mesh = graded_mesh(0.0, 1.0, config["n"], config["power"])
-    rows = gapscan.avoidance_demo(spec, np.sqrt, mesh, config["k_grid"], config["order"])
-    lines = [f"{'k':>6} {'Lip(y_k)':>12} {'F(y)':>14} {'F(y_k)':>14} {'gap':>12} {'1/k':>10}"]
-    for r in rows:
-        lines.append(f"{r.k:6g} {r.lip_after:12.5g} {r.energy_before:14.8g} "
-                     f"{r.energy_after:14.8g} {r.gap:12.5g} {1.0 / r.k:10.5g}")
-    sys.stderr.write("\n".join(lines) + "\n")
-    return {"rows": rows}
-
-
 COMMANDS: dict[str, Command] = {c.name: c for c in (
     Command("catalog", "list catalog ids and flags", _run_catalog),
     Command("energy", "energy of a trajectory or exact profile", _run_energy,
@@ -408,9 +381,6 @@ COMMANDS: dict[str, Command] = {c.name: c for c in (
             _run_necessary, (LAGRANGIAN, TRAJECTORY), rows=True),
     Command("gap-scan", "bounded-slope scan of Mania's problem", _run_gap_scan,
             (N_GRID, M_GRID, RESTARTS, SEED, ORDER), rows=True),
-    Command("demo", "avoidance sweep for sqrt_chain on sqrt(t)", _run_demo,
-            (N, replace(POWER, default=2.0), ORDER,
-             replace(K_GRID, default=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0)))),
 )}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +20,7 @@ from .errors import ArgumentError, DomainError
 from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_integrals, energy,
                          energy_converged, gauss_points, gauss_sum, line_values)
 from .lagrangian import LagrangianSpec, catalog, jet
-from .repar import KRow, ReparInput
-from .trajectory import (Mesh, Trajectory, graded_family, graded_mesh, sample,
-                         uniform_mesh)
+from .trajectory import Mesh, Trajectory, graded_family, graded_mesh, uniform_mesh
 
 DEFAULT_SEED = 0x4C41565245
 SEED_MAX = 2 ** 64 - 1  # seeds are 64-bit, so (seed, M) keys the restarts one-to-one
@@ -531,13 +529,3 @@ def halfinverse_lower_bound(y: Trajectory, interval: tuple[float, float],
     log_ratio = math.log(abs(y.eval(b))) - math.log(abs(y.eval(c)))
     return -log_ratio + log_ratio ** 2 / (4.0 * C * C * (b - c))
 
-
-# -- avoidance table -----------------------------------------------------------
-
-
-def avoidance_demo(spec: LagrangianSpec, y_exact: Callable, mesh: Mesh,
-                   k_grid: Sequence[float], order: int = DEFAULT_ORDER
-                   ) -> tuple[KRow, ...]:
-    """Slope-capping sweep on a sampled profile, one judged row per k."""
-    prepared = ReparInput.of(spec, sample(y_exact, mesh), order)
-    return tuple(KRow.of(prepared.cap(k)) for k in sorted(float(k) for k in k_grid))

@@ -531,22 +531,32 @@ def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,
 
 @dataclass(frozen=True)
 class KRow:
+    """One k of a sweep, as `lavlab repar` writes it: the cap's measures of
+    the fast and compensation sets, Lip(y_k), F(y), F(y_k), the gap and the
+    changed cells, judged by the bound gap <= 1/k.  A k that `find_K` skips
+    (at or below lambda) or cannot cap (infeasible) has None for all but
+    `k` and `status`."""
+
     k: float
     status: str  # "ok" | "above_bound" | "skipped_lambda" | "infeasible"
-    lip_after: float | None
-    energy_before: float | None
-    energy_after: float | None
-    gap: float | None
+    measure_s: float | None = None
+    measure_a: float | None = None
+    lip: float | None = None
+    energy_before: float | None = None
+    energy_after: float | None = None
+    gap: float | None = None
+    changed_cells: int | None = None
 
     @classmethod
     def of(cls, res: ReparResult) -> "KRow":
         """Judge one reparametrization by the bound gap <= 1/k, allowing a
         relative slack of 1e-12 on the energy."""
-        k = res.plan.k
+        plan = res.plan
         slack = 1e-12 * max(1.0, abs(res.energy_before))
-        ok = res.energy_after <= res.energy_before + 1.0 / k + slack
-        return cls(k, "ok" if ok else "above_bound", res.lip_after,
-                   res.energy_before, res.energy_after, res.gap)
+        ok = res.energy_after <= res.energy_before + 1.0 / plan.k + slack
+        return cls(plan.k, "ok" if ok else "above_bound", plan.measure_s, plan.measure_a,
+                   res.lip_after, res.energy_before, res.energy_after, res.gap,
+                   res.changed_cells)
 
 
 @dataclass(frozen=True)
@@ -580,12 +590,12 @@ def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
     rows: list[KRow] = []
     for k in sorted(float(k) for k in k_grid):
         if not k > prepared.lam:
-            rows.append(KRow(k, "skipped_lambda", None, None, None, None))
+            rows.append(KRow(k, "skipped_lambda"))
             continue
         try:
             rows.append(KRow.of(prepared.cap(k)))
         except InfeasibleError:
-            rows.append(KRow(k, "infeasible", None, None, None, None))
+            rows.append(KRow(k, "infeasible"))
     return FindKReport.of(rows)
 
 

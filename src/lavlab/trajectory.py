@@ -60,8 +60,10 @@ def _cell_widths(nodes: np.ndarray) -> np.ndarray:
 
 def _bisect(a: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
     """`a` with the mean of each pair of neighbours inserted between them,
-    for the pairs `cells` only (every pair if None)."""
-    mid = (a[:-1] + a[1:]) / 2.0
+    for the pairs `cells` only (every pair if None).  The mean is halved
+    before it is summed, so it cannot overflow, and it has the bits of
+    (a_i + a_{i+1}) / 2 unless a half falls below the normal floats."""
+    mid = a[:-1] * 0.5 + a[1:] * 0.5
     if cells is not None:
         return np.insert(a, cells + 1, mid[cells])
     out = np.empty(2 * a.size - 1)
@@ -120,7 +122,7 @@ class Mesh:
         """The cells whose midpoint lies strictly inside them, None if all
         do.  A cell with no float inside (one ulp wide) has its midpoint
         rounded onto a node, so bisection keeps it whole."""
-        mid = (self.nodes[:-1] + self.nodes[1:]) / 2.0
+        mid = self.nodes[:-1] * 0.5 + self.nodes[1:] * 0.5  # as `_bisect` forms it
         inside = (self.nodes[:-1] < mid) & (mid < self.nodes[1:])
         return None if inside.all() else np.flatnonzero(inside)
 

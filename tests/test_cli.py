@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -135,7 +136,8 @@ class TestMainInProcess:
         assert [r.status for r in expected.rows][:2] == ["above_bound"] * 2
         payload = json.loads(out.read_text())
         assert payload["K"] == expected.K == 16.0
-        assert [r["gap"] for r in payload["rows"]] == [r.gap for r in expected.rows]
+        # one row type: the rows are find_K's, field for field
+        assert payload["rows"] == [dataclasses.asdict(r) for r in expected.rows]
         assert [r["changed_cells"] for r in payload["rows"]] == changed
 
     def test_repar_non_autonomous_exits_2(self, capsys):
@@ -288,10 +290,11 @@ def setting_cases(tmp_path):
         "energy": [exact, ["--lagrangian", "surface_of_revolution", "--trajectory", cat],
                    ["--lagrangian", "sqrt_chain", "--trajectory", str(ulp)]],
         "repar": [[*exact, "--k", "2,4"],
-                  ["--lagrangian", "sqrt_chain", "--trajectory", root, "--k", "4"]],
+                  ["--lagrangian", "sqrt_chain", "--trajectory", root, "--k", "4"],
+                  ["--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "64",
+                   "--k", "2,4,8,16,32,64"]],
         "necessary-check": [["--lagrangian", "surface_of_revolution", "--trajectory", cat]],
         "gap-scan": [["--n", "20", "--M", "4", "--restarts", "1", "--order", "3"]],
-        "demo": [["--n", "64"]],
     }
 
 
@@ -333,13 +336,15 @@ class TestSettings:
         flags = {a.dest for a in sub._actions} - {"help", "config", "out", "csv_out"}
         assert flags == echoed - {"subcommand"}
 
-    def test_demo_echoes_the_grid_and_power_it_ran(self, tmp_path, capsys):
-        out = tmp_path / "demo.json"
-        assert main(["demo", "--n", "64", "--out", str(out)]) == 0
+    def test_repar_echoes_the_grid_and_power_it_ran(self, tmp_path, capsys):
+        out = tmp_path / "repar.json"
+        argv = ["repar", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "64",
+                "--k", "2,4,8,16,32,64"]
+        assert main([*argv, "--power", "2", "--out", str(out)]) == 0
         default = json.loads(out.read_text())
         assert default["config"]["k_grid"] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert default["config"]["power"] == 2.0
-        assert main(["demo", "--n", "64", "--power", "1.5", "--out", str(out)]) == 0
+        assert main([*argv, "--power", "1.5", "--out", str(out)]) == 0
         graded = json.loads(out.read_text())
         assert graded["config"]["power"] == 1.5
         assert graded["rows"] != default["rows"]
@@ -350,7 +355,7 @@ class TestSettings:
         ("repar", "--tol", "tol", 1e-3),
         ("necessary-check", "--order", "order", 3),
         ("gap-scan", "--lagrangian", "lagrangian", "mania"),
-        ("demo", "--a", "a", 5.0),
+        ("repar", "--restarts", "restarts", 5),
         ("gap-scan", "--jobs", "jobs", 2),  # removed: mesh sizes run serially
         ("gap-scan", "--format", "format", "csv"),  # removed: CSV rows go to --csv-out
         ("necessary-check", "--format", "format", "json"),
@@ -397,7 +402,8 @@ class TestSettings:
         (["gap-scan", "--n", "20", "--M", "4", "--restarts", "-1"], "restarts must be >= 0"),
         (["energy", "--lagrangian", "mania", "--exact", "cuberoot", "--n", "8", "--tol", "-1"],
          "tol must be >= 0"),
-        (["demo", "--power", "0.5"], "power must be >= 1"),
+        (["repar", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--k", "4",
+          "--power", "0.5"], "power must be >= 1"),
         (["energy", "--lagrangian", "mania", "--exact", "sqrt", "--n", "0"], "n must be >= 1"),
         (["repar", "--lagrangian", "mania", "--exact", "sqrt", "--k", ""], "non-empty --k"),
         (["gap-scan", "--n", "10", "--M", "inf"], "slope bounds must be finite"),
@@ -435,7 +441,7 @@ class TestSettings:
         cfg = tmp_path / "cfg.json"
         if content is not None:
             cfg.write_bytes(content)
-        assert main(["demo", "--config", str(cfg)]) == 2
+        assert main(["repar", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config file ") and str(cfg) in err and detail in err
 
@@ -475,7 +481,7 @@ class TestSettings:
         cfg.write_text(json.dumps({"subcommand": "catalog"}))
         assert main(["catalog", "--config", str(cfg)]) == 0
         capsys.readouterr()
-        assert main(["demo", "--config", str(cfg)]) == 2
+        assert main(["repar", "--config", str(cfg)]) == 2
         assert "'catalog'" in capsys.readouterr().err
 
 
@@ -490,6 +496,25 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for argv in lines:
         parser.parse_args(argv)
+
+
+def test_readme_and_cli_docstring_name_only_the_subcommands():
+    """Beyond the Command line block: the README's prose names no
+    `lavlab <subcommand>` that `cli.COMMANDS` lacks, and the `cli` module
+    docstring lists exactly its subcommands, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(re.findall(r"`lavlab ([a-z-]+)", text)) <= set(cli.COMMANDS)
+    listed = cli.__doc__.split("Subcommands: ", 1)[1].split(".", 1)[0]
+    assert listed.split(", ") == list(cli.COMMANDS)
+
+
+def test_removed_demo_subcommand_exits_2(capsys):
+    """`demo` ran the sweep `repar --lagrangian sqrt_chain --exact sqrt
+    --power 2` runs; it is an unknown subcommand now."""
+    with pytest.raises(SystemExit) as exc:
+        main(["demo"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'demo'" in capsys.readouterr().err
 
 
 def test_runs_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
@@ -555,8 +580,9 @@ class TestSubprocessReproducibility:
         assert lines[0] == "t,residual"
         assert len(lines) == len(payload["el"]["samples"]) + 1
 
-    def test_demo_runs(self, tmp_path):
-        res = run_cli(["demo", "--n", "128", "--k", "2,4"])
+    def test_repar_runs(self, tmp_path):
+        res = run_cli(["repar", "--lagrangian", "sqrt_chain", "--exact", "sqrt",
+                       "--n", "128", "--power", "2", "--k", "2,4"])
         assert res.returncode == 0
         assert "Lip(y_k)" in res.stderr
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
-                    LagrangianSpec, Mesh, Trajectory, avoidance_demo, catalog,
+                    LagrangianSpec, Mesh, Trajectory, catalog,
                     cuberoot_truncation, energy, gapscan, graded_mesh, lagrangian,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
                     polynomial_lagrangian, sample, sawtooth, uniform_mesh)
 from lavlab.functional import (SAMPLES, _gauss, _total, cell_energies, cell_integrals,
-                               gauss_points, gauss_sum)
+                               gauss_points, gauss_sum, line_values)
 from lavlab.gapscan import MinimizeInfo, _SlopeProblem, _SlopeSet, _perturbations, _spg
 
 
@@ -169,30 +169,6 @@ class TestHalfInverseLowerBound:
             bound = halfinverse_lower_bound(y, window, y.lipschitz_constant)
             e = energy(spec, y).value
             assert bound <= e + 1e-8 * max(1.0, abs(e))
-
-
-class TestAvoidanceDemo:
-    def test_identity_profile_zero_gap(self):
-        rows = avoidance_demo(V_SQUARED, lambda t: np.asarray(t, float),
-                              uniform_mesh(0, 1, 32), [2, 4, 8])
-        for r in rows:
-            assert r.gap == 0.0
-
-    def test_sqrt_chain_gap_shrinks(self):
-        rows = avoidance_demo(catalog("sqrt_chain"), np.sqrt,
-                              graded_mesh(0, 1, 1024, 2.0), [2, 8, 32, 128])
-        gaps = [r.gap for r in rows]
-        assert gaps == sorted(gaps, reverse=True)
-        assert all(r.gap <= 1.0 / r.k for r in rows)
-        assert [r.status for r in rows] == ["ok"] * 4  # the rows are KRows
-
-    def test_half_inverse_capped_energies_finite(self):
-        rows = avoidance_demo(catalog("half_inverse"), np.sqrt,
-                              graded_mesh(0, 1, 512, 2.0), [4, 16])
-        for r in rows:
-            assert math.isfinite(r.energy_after)
-            assert r.lip_after <= 2 * r.k + 1e-9
-
 
 
 NO_PARTIALS_MANIA = LagrangianSpec(
@@ -470,6 +446,51 @@ def test_c7_rows_are_stationary(monkeypatch):
     for n in (100, 200, 500):
         energies = [r.best_energy for r in report.rows if r.mesh_n == n]
         assert energies == sorted(energies, reverse=True)
+
+
+def _lattice_paths(spec, mesh, bounds, lattice):
+    """Bellman (1957) dynamic programming over the chain of cells: for each
+    slope bound M, the nodal values on `lattice` of least summed cell energy
+    with y(a) = 0, y(b) = 1 and every slope within M.  Cell energies use the
+    optimizer's Gauss points, samples and reduction, and are shared by the
+    bounds; only the feasible transitions differ."""
+    x, w = _gauss(DEFAULT_ORDER)
+    tq = gauss_points(mesh.nodes[:-1], mesh.nodes[1:], mesh.widths, x)
+    p, q = lattice[:, None], lattice[None, :]  # (from, to) nodal values
+    start = np.where(lattice == 0.0, 0.0, np.inf)
+    cost, back = [start] * len(bounds), [[] for _ in bounds]
+    for j, h in enumerate(mesh.widths):
+        d = (q - p) / h
+        t = tq[:, j, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = cell_integrals(spec.eval(t, line_values(t - mesh.nodes[j], p, d), d), h, w)
+        for i, M in enumerate(bounds):
+            total = np.where(np.abs(d) <= M, cost[i][:, None] + e, np.inf)
+            back[i].append(np.argmin(total, axis=0))
+            cost[i] = total[back[i][-1], np.arange(lattice.size)]
+    paths = []
+    for steps in back:
+        node = [int(np.flatnonzero(lattice == 1.0)[0])]
+        for came_from in reversed(steps):
+            node.append(int(came_from[node[-1]]))
+        paths.append(lattice[node[::-1]])
+    return paths
+
+
+@pytest.mark.parametrize("n, q", [(20, 100), (50, 200)])  # lattice steps 1/q, K = 1.8 q + 1
+def test_straight_line_start_reaches_the_lattice_global_basin(n, q):
+    """Mania's integrand is not convex in y, so a local method could stop in
+    a basin that is not global.  The lattice optimum is a feasible path, so
+    its energy bounds the discrete minimum from above: the 0-restart answer
+    must lie at or below it, and polishing the lattice path by `_spg` must
+    land on the same energy, within 8 ulps."""
+    spec, mesh, bounds = catalog("mania"), uniform_mesh(0.0, 1.0, n), [5.0, 10.0]
+    lattice = np.arange(-2 * q // 5, 7 * q // 5 + 1) / q  # [-0.4, 1.4], with 0 and 1
+    found = minimize_bounded(spec, mesh, bounds, (0.0, 1.0), restarts=0)
+    for M, path, (_, e0, _) in zip(bounds, _lattice_paths(spec, mesh, bounds, lattice), found):
+        assert e0 <= energy(spec, Trajectory(mesh, path)).value
+        _, polished, _ = _best_start(spec, mesh, M, (0.0, 1.0), [path])
+        assert abs(polished - e0) <= 8 * math.ulp(e0), (M, polished, e0)
 
 
 class TestRestarts:

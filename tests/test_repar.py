@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lavlab.repar
 from lavlab import cli
 from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
-                    InfeasibleError, Mesh, ReparInput, ReparResult, SingularPointError,
+                    InfeasibleError, KRow, Mesh, ReparInput, ReparResult, SingularPointError,
                     Trajectory, UnsupportedLagrangianError, catalog,
                     choose_lambda, classify, energy, find_K, graded_mesh,
                     lemma_P, minimal_surface, partial_array, polynomial_lagrangian,
@@ -900,6 +900,25 @@ class TestFindK:
             if row.k >= rep.K:
                 assert row.energy_after <= row.energy_before + 1 / row.k + 1e-12
 
+    def test_identity_profile_zero_gap(self):
+        y = sample(lambda t: np.asarray(t, float), uniform_mesh(0, 1, 32))
+        for r in find_K(V_SQUARED, y, [2, 4, 8]).rows:
+            assert r.gap == 0.0
+
+    def test_sqrt_chain_gap_shrinks(self):
+        y = sample(np.sqrt, graded_mesh(0, 1, 1024, 2.0))
+        rows = find_K(SQRT_CHAIN, y, [2, 8, 32, 128]).rows
+        gaps = [r.gap for r in rows]
+        assert gaps == sorted(gaps, reverse=True)
+        assert all(r.gap <= 1.0 / r.k for r in rows)
+        assert [r.status for r in rows] == ["ok"] * 4
+
+    def test_half_inverse_capped_energies_finite(self):
+        y = sample(np.sqrt, graded_mesh(0, 1, 512, 2.0))
+        for r in find_K(catalog("half_inverse"), y, [4, 16]).rows:
+            assert math.isfinite(r.energy_after)
+            assert r.lip <= 2 * r.k + 1e-9
+
     def test_nonconvex_flag_rejected(self):
         y = sample(np.sin, uniform_mesh(0, 1, 8))
         with pytest.raises(ArgumentError):
@@ -912,6 +931,7 @@ class TestFindK:
         assert statuses[1.0] == "skipped_lambda"
         assert statuses[2.0] == "skipped_lambda"
         assert statuses[8.0] == "ok"
+        assert rep.rows[0] == KRow(1.0, "skipped_lambda", *[None] * 7)
         assert rep.K == 8.0
 
     def test_infeasible_row_and_input_energy_once(self, monkeypatch):
@@ -927,6 +947,7 @@ class TestFindK:
         y = Trajectory(uniform_mesh(0, 1, 2), [0, 2, 2])
         rep = find_K(SQRT_CHAIN, y, [2, 8])
         assert [r.status for r in rep.rows] == ["infeasible", "ok"]
+        assert rep.rows[0] == KRow(2.0, "infeasible", *[None] * 7)
         assert rep.K == 8.0
         assert len(energies) == 1 and energies[0] is y
 

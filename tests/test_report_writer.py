@@ -176,7 +176,7 @@ def small_payloads(tmp_path, capsys):
     yield report("repar", lagrangian="sqrt_chain", exact="sqrt", n=64, power=2.0,
                  k_grid=(2.0, 8.0, 64.0))
     yield report("gap-scan", n_grid=(20,), M_grid=(4.0, 8.0), restarts=0, order=3)
-    yield report("demo", n=64, k_grid=(2.0, 4.0))
+    yield report("repar", lagrangian="sqrt_chain", trajectory=traj, k_grid=(2.0, 4.0))
     capsys.readouterr()
 
 
@@ -203,8 +203,10 @@ NECESSARY = {"lagrangian": "surface_of_revolution"}
     ("necessary-check", NECESSARY, ["dbr"], RESIDUAL_KEYS),
     ("energy", {"lagrangian": "mania", "exact": "cuberoot", "n": 64}, ["energy"],
      {"value", "converged", "error_estimate", "n_cells", "history"}),  # ConvergenceResult
-    ("demo", {"n": 64, "k_grid": (2.0,)}, ["rows", 0],  # KRow
-     {"k", "status", "lip_after", "energy_before", "energy_after", "gap"}),
+    ("repar", {"lagrangian": "sqrt_chain", "exact": "sqrt", "n": 64, "k_grid": (2.0,)},
+     ["rows", 0],  # KRow
+     {"k", "status", "measure_s", "measure_a", "lip", "energy_before", "energy_after",
+      "gap", "changed_cells"}),
     ("energy", {"lagrangian": "surface_of_revolution"}, ["energy"],  # EnergyReport
      {"value", "per_cell", "error_estimate", "order"}),
 ], ids=["GapReport", "GapRow", "ResidualReport_el", "ResidualReport_dbr",

@@ -3,6 +3,8 @@ import io
 import math
 import os
 import tracemalloc
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -101,6 +103,21 @@ class TestMesh:
         y = Trajectory(mesh, 2.0 * mesh.nodes)
         assert y.bisected().mesh.nodes.tolist() == bisected
         assert y.bisected().values.tolist() == [2.0 * t for t in bisected]
+
+    def test_bisected_splits_near_the_largest_float(self):
+        """Each mean is halved before it is summed, so neighbours near +-max
+        float split, with no overflow warning, at the correctly rounded mean."""
+        big = np.finfo(float).max
+        y = Trajectory(uniform_mesh(0, 3, 3), np.array([0.9 * big, big, -big, -0.95 * big]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for coarse, fine in ((np.array([1e308, 1.7e308]),
+                                  Mesh(np.array([1e308, 1.7e308])).bisected().nodes),
+                                 (y.values, y.bisected().values)):
+                mean = [float((Fraction(p) + Fraction(q)) / 2)
+                        for p, q in zip(coarse[:-1], coarse[1:])]
+                assert fine[0::2].tolist() == coarse.tolist()
+                assert fine[1::2].tolist() == mean
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
