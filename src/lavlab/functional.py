@@ -22,14 +22,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ArgumentError
 from .lagrangian import LagrangianSpec
-from .trajectory import Mesh, Trajectory, sample
+from .trajectory import Mesh, Trajectory
 
 INF_THRESHOLD = 1e300
 
@@ -180,8 +180,7 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
     per Gauss point (vq may be one row, a slope per cell), so no sample
     array larger than a block is needed.  Each block's integrand samples,
     broadcast to the shape of yq, are reduced by `cell_integrals`, so a cell's
-    bits depend on its own samples only, never on the block it falls in,
-    nor on the other rows when samples are laid out (order, rows, cells).
+    bits depend on its own samples only, never on the block it falls in.
     """
     out = np.empty(h.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,16 +190,15 @@ def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
             lq = np.asarray(spec.eval(tq, yq, vq), dtype=float)
             if lq.shape != yq.shape:  # a value that ignores t and y
                 lq = np.broadcast_to(lq, yq.shape)
-            if out.ndim + 1 < lq.ndim:  # rows of cells
-                out = np.empty(lq.shape[1:-1] + h.shape)
-            out[..., b] = cell_integrals(lq, h[b], w)
+            out[b] = cell_integrals(lq, h[b], w)
     return out
 
 
 def cell_integrals(lq: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(h/2) * gauss_sum(lq, w): the cell integrals of integrand samples lq
     laid out one row per Gauss point; +inf for a cell with any sample that
-    is non-finite or above INF_THRESHOLD.
+    is non-finite or above INF_THRESHOLD.  Samples laid out (order, rows,
+    cells) give each row the bits of that row alone.
 
     Samples that are all finite and below the threshold (the usual case)
     skip the mask.  Call it with over and invalid warnings off.
@@ -243,13 +241,9 @@ class EnergyReport:
     quadrature_order: int
     _refine: Callable[[], float] = field(repr=False)
 
-    @property
+    @cached_property
     def refinement_error_estimate(self) -> float:
-        cached = self.__dict__.get("_estimate")
-        if cached is None:
-            cached = self._refine()
-            self.__dict__["_estimate"] = cached
-        return cached
+        return self._refine()
 
     def to_json_dict(self) -> dict:
         return {

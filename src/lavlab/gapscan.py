@@ -29,15 +29,15 @@ SEED_MAX = 2 ** 64 - 1  # seeds are 64-bit, so (seed, M) keys the restarts one-t
 # -- reference minimizing families ------------------------------------------
 
 
-def sqrt_ramp(n: int, tail_cells: int = 1024, tail_power: float = 2.0) -> Trajectory:
+def sqrt_ramp(n: int, tail_cells: int = 1024) -> Trajectory:
     """Linear ramp of slope sqrt(n) on [0, 1/n], then sqrt(t) up to 1.
 
-    The tail is sampled on a graded mesh; tail_cells=1 gives the coarse
-    three-node version with slopes (sqrt(n), (1 - n**-0.5)/(1 - 1/n)).
+    The tail is sampled on a mesh graded with power 2; tail_cells=1 gives
+    the coarse three-node version with slopes (sqrt(n), (1 - n**-0.5)/(1 - 1/n)).
     """
     if n < 2:
         raise ArgumentError("need n >= 2")
-    tail = graded_mesh(1.0 / n, 1.0, tail_cells, tail_power)
+    tail = graded_mesh(1.0 / n, 1.0, tail_cells, 2.0)
     nodes = np.concatenate([[0.0], tail.nodes])
     values = np.sqrt(nodes)
     values[0] = 0.0
@@ -68,18 +68,18 @@ def sawtooth(n: int) -> Trajectory:
     return Trajectory(Mesh(nodes), values)
 
 
-def cuberoot_truncation(n: int, tail_power: float = 3.0) -> Trajectory:
+def cuberoot_truncation(n: int) -> Trajectory:
     """t**(1/3) truncated flat at height (n+1)**(-1/3) on [0, 1/(n+1)].
 
-    Lipschitz with constant (n+1)**(2/3)/3 and final value 1; the tail
-    resolution scales with that constant so the sampled energy stays at
-    quadrature-noise level for every n.
+    Lipschitz with constant (n+1)**(2/3)/3 and final value 1; the tail mesh
+    is graded with power 3, and its resolution scales with that constant so
+    the sampled energy stays at quadrature-noise level for every n.
     """
     if n < 1:
         raise ArgumentError("need n >= 1")
     s0 = 1.0 / (n + 1)
     tail_cells = max(256, int(math.ceil(16.0 * (n + 1) ** (2.0 / 3.0))))
-    tail = graded_mesh(s0, 1.0, tail_cells, tail_power)
+    tail = graded_mesh(s0, 1.0, tail_cells, 3.0)
     nodes = np.concatenate([[0.0], tail.nodes])
     values = np.cbrt(np.maximum(nodes, s0))
     return Trajectory(Mesh(nodes), values)
@@ -458,10 +458,10 @@ class GapReport:
             f.write(f"{r.mesh_n},{r.slope_bound!r},{r.best_energy!r},{r.iterations}\n")
 
 
-def mania_reference_energy(order: int = DEFAULT_ORDER, tol: float = 1e-6) -> float:
-    """Energy of the true minimizer t**(1/3), by refinement on graded meshes."""
+def mania_reference_energy(order: int = DEFAULT_ORDER) -> float:
+    """Energy of the true minimizer t**(1/3), refined on graded meshes to an estimate of 1e-6."""
     family = graded_family(0.0, 1.0, 2 ** 14, 3.0)
-    return energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=tol).value
+    return energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=1e-6).value
 
 
 def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],

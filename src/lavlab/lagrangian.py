@@ -63,9 +63,32 @@ class LagrangianSpec:
 # -- catalog builders -----------------------------------------------------
 
 
-def _zero(t, y, v):
-    """The partial of a variable the integrand does not depend on."""
-    return np.zeros_like(np.asarray(t, dtype=float) + y + v)
+def _extended(domain: Callable, formula: Callable) -> Callable:
+    """(t, y, v) -> formula(t, y, v) where domain(y) holds, else +inf: the catalog's one
+    off-domain guard.  Both get y as a float array, the formula runs with divide,
+    invalid and overflow warnings off, and a scalar point gives a float."""
+
+    def guarded(t, y, v):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.where(domain(y), formula(t, y, v), np.inf)
+        return out if out.ndim else float(out)
+
+    return guarded
+
+
+def _monomials(terms: Sequence[tuple[float, int, int, int]]) -> Callable:
+    """(t, y, v) -> the left-to-right sum of c * t**i * y**j * v**k over the
+    terms (c, i, j, k), from zeros of the broadcast shape; a float for a scalar."""
+
+    def total(t, y, v):
+        t, y, v = (np.asarray(a, dtype=float) for a in (t, y, v))
+        out = np.zeros(np.broadcast(t, y, v).shape)
+        for c, i, j, k in terms:
+            out = out + c * t**i * y**j * v**k
+        return out if out.ndim else float(out)
+
+    return total
 
 
 def minimal_surface(weight: float = TWO_PI) -> LagrangianSpec:
@@ -108,32 +131,16 @@ def _sqrt_chain() -> LagrangianSpec:
 def brachistochrone_problem(height: float = 1.0) -> LagrangianSpec:
     """sqrt(1 + v^2) / sqrt(height - y), extended (+inf for y >= height)."""
 
-    def ev(t, y, v):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            root = np.sqrt(np.maximum(height - y, 0.0))
-            val = np.where(y < height, np.sqrt(1.0 + v * v) / np.where(root > 0, root, 1.0), np.inf)
-        return val if val.ndim else float(val)
-
-    def _guard(y, raw):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y < height, raw, np.inf)
-        return out if out.ndim else float(out)
+    def ev(t, y, v):  # y < height makes height - y > 0, subnormal or not
+        return np.sqrt(1.0 + v * v) / np.sqrt(height - y)
 
     def ly(t, y, v):
-        y_arr = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            raw = 0.5 * np.sqrt(1.0 + v * v) * np.where(
-                y_arr < height, np.maximum(height - y_arr, np.finfo(float).tiny) ** -1.5, 1.0)
-        return _guard(y, raw)
+        return 0.5 * np.sqrt(1.0 + v * v) * np.maximum(height - y, np.finfo(float).tiny) ** -1.5
 
     def lv(t, y, v):
-        y_arr = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            root = np.sqrt(np.maximum(height - y_arr, np.finfo(float).tiny))
-            raw = v / np.sqrt(1.0 + v * v) / root
-        return _guard(y, raw)
+        return v / np.sqrt(1.0 + v * v) / np.sqrt(np.maximum(height - y, np.finfo(float).tiny))
 
+    ev, ly, lv = (_extended(lambda y: y < height, f) for f in (ev, ly, lv))
     return LagrangianSpec(
         id="brachistochrone", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
@@ -151,12 +158,12 @@ def _quartic() -> LagrangianSpec:
         return 4.0 * v * (v * v - 1.0) + 0.0 * y
 
     return LagrangianSpec(
-        id="quartic", eval=ev, partials=(_zero, lv),
+        id="quartic", eval=ev, partials=(_monomials(()), lv),
         autonomous=True, convex_in_v=False)
 
 
 def _quartic_plus_square() -> LagrangianSpec:
-    """(v^2 - 1)^2 + y^2: double well plus confinement."""
+    """(v^2 - 1)^2 + y^2: double well plus confinement; L_v is the quartic's."""
 
     def ev(t, y, v):
         r = v * v - 1.0
@@ -165,11 +172,8 @@ def _quartic_plus_square() -> LagrangianSpec:
     def ly(t, y, v):
         return 2.0 * y + 0.0 * v
 
-    def lv(t, y, v):
-        return 4.0 * v * (v * v - 1.0) + 0.0 * y
-
     return LagrangianSpec(
-        id="quartic_plus_square", eval=ev, partials=(ly, lv),
+        id="quartic_plus_square", eval=ev, partials=(ly, _quartic().partials[1]),
         autonomous=True, convex_in_v=False)
 
 
@@ -206,26 +210,16 @@ def _half_inverse() -> LagrangianSpec:
     """(v - 1/(2y))^2 for y != 0, +inf otherwise.  Vanishes along y = sqrt(t)."""
 
     def ev(t, y, v):
-        y_arr = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = v - 1.0 / (2.0 * y_arr)
-            val = np.where(y_arr != 0.0, r * r, np.inf)
-        return val if val.ndim else float(val)
+        r = v - 1.0 / (2.0 * y)
+        return r * r
 
     def ly(t, y, v):
-        y_arr = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = v - 1.0 / (2.0 * y_arr)
-            raw = r / (y_arr * y_arr)
-            val = np.where(y_arr != 0.0, raw, np.inf)
-        return val if val.ndim else float(val)
+        return (v - 1.0 / (2.0 * y)) / (y * y)
 
     def lv(t, y, v):
-        y_arr = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = np.where(y_arr != 0.0, 2.0 * (v - 1.0 / (2.0 * y_arr)), np.inf)
-        return val if val.ndim else float(val)
+        return 2.0 * (v - 1.0 / (2.0 * y))
 
+    ev, ly, lv = (_extended(lambda y: y != 0.0, f) for f in (ev, ly, lv))
     return LagrangianSpec(
         id="half_inverse", eval=ev, partials=(ly, lv),
         autonomous=True, convex_in_v=True, extended=True,
@@ -278,33 +272,12 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
     if not parsed:
         raise ArgumentError("polynomial needs at least one term")
 
-    def ev(t, y, v):
-        t = np.asarray(t, dtype=float)
-        total = np.zeros(np.broadcast(t, y, v).shape)
-        for c, i, j, k in parsed:
-            total = total + c * t**i * np.asarray(y, dtype=float)**j * np.asarray(v, dtype=float)**k
-        return total if total.ndim else float(total)
-
-    def _diff(axis: int):
-        def d(t, y, v):
-            t = np.asarray(t, dtype=float)
-            total = np.zeros(np.broadcast(t, y, v).shape)
-            for c, i, j, k in parsed:
-                p = (i, j, k)[axis]
-                if p == 0:
-                    continue
-                e = [i, j, k]
-                e[axis] -= 1
-                total = total + c * p * t**e[0] * np.asarray(y, dtype=float)**e[1] \
-                    * np.asarray(v, dtype=float)**e[2]
-            return total if total.ndim else float(total)
-        return d
-
-    autonomous = all(i == 0 for _, i, _, _ in parsed)
+    # term-wise: c * p times the term with its power p of y (or v) lowered, p = 0 dropped
+    ly, lv = (_monomials(tuple((c * e[axis], *(p - (a == axis) for a, p in enumerate(e)))
+                               for c, *e in parsed if e[axis])) for axis in (1, 2))
     spec = LagrangianSpec(
-        id=ident or "polynomial",
-        eval=ev, partials=(_diff(1), _diff(2)),
-        autonomous=autonomous, convex_in_v=False)
+        id=ident or "polynomial", eval=_monomials(tuple(parsed)), partials=(ly, lv),
+        autonomous=all(i == 0 for _, i, _, _ in parsed), convex_in_v=False)
     # probe convexity in v on the sample box before freezing the flag
     (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
     grid = np.linspace(v0, v1, 33)

@@ -142,13 +142,12 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def fit_catenary(a: float, A: float, b: float, B: float,
-                 alpha_max: float = 60.0) -> tuple[float, float]:
+def fit_catenary(a: float, A: float, b: float, B: float) -> tuple[float, float]:
     """Fit (alpha, beta) so cosh(alpha t + beta)/alpha hits (a, A) and (b, B).
 
     Eliminating beta leaves a single equation in alpha, solved by bisection
-    on the first sign change from small alpha; the smallest positive
-    solution is returned.
+    on the first sign change from small alpha (scanned up to 60); the
+    smallest positive solution is returned.
     """
     if min(A, B) <= 0:
         raise ArgumentError("boundary values must be positive")
@@ -161,7 +160,7 @@ def fit_catenary(a: float, A: float, b: float, B: float,
         s = alpha * (A - B) / (2.0 * math.sinh(dd))
         return c * c - s * s - 1.0
 
-    grid = np.linspace(1e-6, alpha_max, 4096)
+    grid = np.linspace(1e-6, 60.0, 4096)
     prev_alpha, prev_val = grid[0], g(grid[0])
     root = None
     for alpha in grid[1:]:

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError, catalog,
-                    convexity_probe, minimal_surface, partial_array,
+from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError, brachistochrone_problem,
+                    catalog, convexity_probe, minimal_surface, partial_array,
                     polynomial_lagrangian)
 from lavlab.lagrangian import jet
 
@@ -324,3 +325,169 @@ class TestPolynomialLagrangian:
             polynomial_lagrangian([])
         with pytest.raises(ArgumentError):
             polynomial_lagrangian([[1, -1, 0, 0]])
+
+
+# -- the hand-guarded formulas the catalog had before its one guard --------
+
+
+def reference_brachistochrone(height):
+    def ev(t, y, v):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            root = np.sqrt(np.maximum(height - y, 0.0))
+            val = np.where(y < height, np.sqrt(1.0 + v * v) / np.where(root > 0, root, 1.0), np.inf)
+        return val if val.ndim else float(val)
+
+    def _guard(y, raw):
+        y = np.asarray(y, dtype=float)
+        out = np.where(y < height, raw, np.inf)
+        return out if out.ndim else float(out)
+
+    def ly(t, y, v):
+        y_arr = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            raw = 0.5 * np.sqrt(1.0 + v * v) * np.where(
+                y_arr < height, np.maximum(height - y_arr, np.finfo(float).tiny) ** -1.5, 1.0)
+        return _guard(y, raw)
+
+    def lv(t, y, v):
+        y_arr = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            root = np.sqrt(np.maximum(height - y_arr, np.finfo(float).tiny))
+            raw = v / np.sqrt(1.0 + v * v) / root
+        return _guard(y, raw)
+
+    return ev, ly, lv
+
+
+def reference_half_inverse():
+    def ev(t, y, v):
+        y_arr = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = v - 1.0 / (2.0 * y_arr)
+            val = np.where(y_arr != 0.0, r * r, np.inf)
+        return val if val.ndim else float(val)
+
+    def ly(t, y, v):
+        y_arr = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = v - 1.0 / (2.0 * y_arr)
+            raw = r / (y_arr * y_arr)
+            val = np.where(y_arr != 0.0, raw, np.inf)
+        return val if val.ndim else float(val)
+
+    def lv(t, y, v):
+        y_arr = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val = np.where(y_arr != 0.0, 2.0 * (v - 1.0 / (2.0 * y_arr)), np.inf)
+        return val if val.ndim else float(val)
+
+    return ev, ly, lv
+
+
+def reference_polynomial(parsed):
+    def ev(t, y, v):
+        t = np.asarray(t, dtype=float)
+        total = np.zeros(np.broadcast(t, y, v).shape)
+        for c, i, j, k in parsed:
+            total = total + c * t**i * np.asarray(y, dtype=float)**j * np.asarray(v, dtype=float)**k
+        return total if total.ndim else float(total)
+
+    def _diff(axis: int):
+        def d(t, y, v):
+            t = np.asarray(t, dtype=float)
+            total = np.zeros(np.broadcast(t, y, v).shape)
+            for c, i, j, k in parsed:
+                p = (i, j, k)[axis]
+                if p == 0:
+                    continue
+                e = [i, j, k]
+                e[axis] -= 1
+                total = total + c * p * t**e[0] * np.asarray(y, dtype=float)**e[1] \
+                    * np.asarray(v, dtype=float)**e[2]
+            return total if total.ndim else float(total)
+        return d
+
+    return ev, _diff(1), _diff(2)
+
+
+def reference_zero(t, y, v):
+    return np.zeros_like(np.asarray(t, dtype=float) + y + v)
+
+
+def reference_quartic_plus_square_lv(t, y, v):
+    return 4.0 * v * (v * v - 1.0) + 0.0 * y
+
+
+POLYNOMIAL_TERMS = (
+    [[1, 1, 2, 2], ["3/4", 0, 3, 1], [2, 0, 0, 4]],
+    [[1, 0, 0, 4], [-2, 0, 0, 2], [1, 0, 0, 0]],
+    [["-5/3", 3, 0, 1], [0.1, 0, 1, 0], ["1/3", 2, 2, 3], [7, 0, 5, 0]],
+)
+
+# brachistochrone at height 0 puts subnormal depths 0 - y in reach
+REFERENCE_CASES = (
+    [(f"brachistochrone@{h}", brachistochrone_problem(h), reference_brachistochrone(h))
+     for h in (1.0, 0.0, 2.5)]
+    + [("half_inverse", catalog("half_inverse"), reference_half_inverse())]
+    + [(f"polynomial{n}", polynomial_lagrangian(terms),
+        reference_polynomial([(float(Fraction(c)) if isinstance(c, str) else float(c), i, j, k)
+                              for c, i, j, k in terms]))
+       for n, terms in enumerate(POLYNOMIAL_TERMS)]
+    + [("quartic_ly", dataclasses.replace(catalog("quartic"), eval=catalog("quartic").partials[0],
+                                          partials=None), (reference_zero,)),
+       ("quartic_plus_square_lv",
+        dataclasses.replace(catalog("quartic_plus_square"),
+                            eval=catalog("quartic_plus_square").partials[1], partials=None),
+        (reference_quartic_plus_square_lv,))]
+)
+
+SINGULAR_Y = (0.0, 1.0, 1.0 - 1e-310, -1e-310, -5e-324, 5e-324, 1e-310, 2.5, 2.5 - 4e-16,
+              3.0, math.inf, -math.inf, math.nan)
+
+
+class TestReferenceBits:
+    """The catalog's guarded and polynomial integrands and partials have the
+    bits, NaNs and result types of the formulas each used to write out."""
+
+    @staticmethod
+    def functions(spec):
+        return (spec.eval,) + tuple(spec.partials or ())
+
+    @staticmethod
+    def quiet(spec):
+        """inf and NaN points make a polynomial warn, and a guarded spec never."""
+        return np.errstate() if spec.extended else np.errstate(invalid="ignore", over="ignore")
+
+    @pytest.mark.parametrize("name,spec,reference", REFERENCE_CASES,
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_arrays_with_singular_points(self, name, spec, reference):
+        rng = np.random.default_rng(53)
+        (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
+        t = rng.uniform(t0, t1, (5, 1, 400))
+        y = rng.uniform(y0, y1, (5, 3, 400))
+        y.flat[:len(SINGULAR_Y) * 7:7] = SINGULAR_Y
+        v = rng.uniform(v0, v1, (1, 3, 400))
+        v.flat[[3, 11, 29]] = (0.0, math.inf, math.nan)
+        for points in ((t, y, v), (t[:, 0], y[:, 0], 0.5), (0.3, y, v[0, 0])):
+            for f, g in zip(self.functions(spec), reference, strict=True):
+                with self.quiet(spec):
+                    got, want = f(*points), g(*points)
+                assert type(got) is type(want) is np.ndarray
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name,spec,reference", REFERENCE_CASES,
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_scalars(self, name, spec, reference):
+        rng = np.random.default_rng(59)
+        (t0, t1), _, (v0, v1) = spec.sample_box
+        for y in SINGULAR_Y + tuple(rng.uniform(-3.0, 3.0, 20)):
+            for t, v in ((0.0, 0.0), (float(rng.uniform(t0, t1)), float(rng.uniform(v0, v1))),
+                         (1.0, math.inf)):
+                for f, g in zip(self.functions(spec), reference, strict=True):
+                    with self.quiet(spec):
+                        got, want = f(t, float(y), v), g(t, float(y), v)
+                    # as every reference but quartic's old L_y, which gave a 0-d array
+                    assert type(got) is float
+                    assert np.array_equal(got, want, equal_nan=True)
