@@ -1,8 +1,9 @@
 """Energies of the known zero-energy minimizers, by graded refinement.
 
 The minimizers sqrt(t) and t**(1/3) have unbounded derivatives at 0, so
-their energies are approximated by sampling the exact profile at interior
-quadrature points of meshes graded toward the singular endpoint.
+their energies are approximated by sampling the exact profile and its exact
+derivative at interior quadrature points of meshes graded toward the
+singular endpoint.
 
 Contrast: the energy of the *interpolant* of t**(1/3) under Mania's
 integrand grows like (8/105)/h_1 as the mesh refines -- no interpolant
@@ -11,15 +12,15 @@ pinned at both endpoints can approach the minimizer's zero energy.
 
 import numpy as np
 
-from lavlab import (catalog, energy, energy_converged, graded_family, graded_mesh,
-                    sample)
+from lavlab import (EXACT_PROFILES, catalog, energy, energy_converged, graded_family,
+                    graded_mesh, sample)
 
 
-for ident, profile, power in (("mania", np.cbrt, 3.0),
-                              ("half_inverse", np.sqrt, 3.0),
-                              ("sqrt_chain", np.sqrt, 2.0)):
+for ident, profile, power in (("mania", "cuberoot", 3.0),
+                              ("half_inverse", "sqrt", 3.0),
+                              ("sqrt_chain", "sqrt", 2.0)):
     family = graded_family(0.0, 1.0, 2 ** 12, power)  # 64, 128, ..., 4096 cells
-    res = energy_converged(catalog(ident), profile, family, tol=1e-9)
+    res = energy_converged(catalog(ident), *EXACT_PROFILES[profile], family, tol=1e-9)
     print(f"{ident:14s} minimizer energy = {res.value:.3e}  "
           f"(converged={res.converged}, cells={res.n_cells})")
 

@@ -10,8 +10,9 @@ from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      ConsistencyError, DomainError, InfeasibleError,
                      LavlabError, SamplingError, SingularPointError,
                      UnsupportedLagrangianError)
-from .functional import (DEFAULT_ORDER, ConvergenceResult, EnergyReport,
-                         energy, energy_converged, exact_profile_energy)
+from .functional import (DEFAULT_ORDER, EXACT_PROFILES, ConvergenceResult,
+                         EnergyReport, energy, energy_converged,
+                         exact_profile_energy)
 from .gapscan import (DEFAULT_SEED, GapReport, GapRow, cuberoot_truncation,
                       halfinverse_lower_bound, mania_one_endpoint_truncations,
                       mania_reference_energy, mania_two_endpoint_scan,

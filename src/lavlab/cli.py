@@ -37,20 +37,12 @@ import numpy as np
 from . import gapscan, necessary
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      InfeasibleError, LavlabError, UnsupportedLagrangianError)
-from .functional import DEFAULT_ORDER, MAX_ORDER, energy, energy_converged
+from .functional import (DEFAULT_ORDER, EXACT_PROFILES, MAX_ORDER, energy,
+                         energy_converged)
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
 from .repar import FindKReport, KRow, ReparInput
 from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
                          row_pieces, sample)
-
-# Named exact profiles accepted by --exact, with exact derivatives.
-EXACT_CURVES: dict[str, tuple[Callable, Callable]] = {
-    "identity": (lambda t: np.asarray(t, dtype=float),
-                 lambda t: np.ones_like(np.asarray(t, dtype=float))),
-    "sqrt": (np.sqrt, lambda t: 0.5 / np.sqrt(t)),
-    "cuberoot": (np.cbrt, lambda t: np.cbrt(t) / (3.0 * np.asarray(t, dtype=float))),
-    "catenary": (lambda t: np.cosh(t), lambda t: np.sinh(t)),
-}
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,8 @@ def _one_of(names: Sequence[str]) -> Callable[[Any], str | None]:
 
 LAGRANGIAN = Setting("lagrangian", "--lagrangian", _lagrangian,
                      help="catalog id: " + ", ".join(CATALOG_IDS))
-EXACT = Setting("exact", "--exact", str, check=_one_of(sorted(EXACT_CURVES)),
-                help="named exact profile: " + ", ".join(sorted(EXACT_CURVES)))
+EXACT = Setting("exact", "--exact", str, check=_one_of(sorted(EXACT_PROFILES)),
+                help="named exact profile: " + ", ".join(sorted(EXACT_PROFILES)))
 TRAJECTORY = Setting("trajectory", "--trajectory", str,
                      help="CSV or JSON trajectory file")
 A = Setting("a", "--a", float, 0.0, help="left end of the mesh")
@@ -308,10 +300,9 @@ def _run_energy(config: dict) -> dict:
     spec = _resolve_spec(config["lagrangian"])
     payload: dict[str, Any] = {"lagrangian": spec.id}
     if "exact" in config:
-        f, df = EXACT_CURVES[config["exact"]]
         family = graded_family(config["a"], config["b"], config["n"], config["power"])
-        res = energy_converged(spec, f, family,
-                               order=config["order"], tol=config["tol"], dy_exact=df)
+        res = energy_converged(spec, *EXACT_PROFILES[config["exact"]], family,
+                               order=config["order"], tol=config["tol"])
         payload["energy"] = res
         value = res.value
     else:
@@ -330,7 +321,7 @@ def _run_energy(config: dict) -> dict:
 def _run_repar(config: dict) -> dict:
     spec = _resolve_spec(config["lagrangian"])
     if "exact" in config:
-        f, _ = EXACT_CURVES[config["exact"]]
+        f, _ = EXACT_PROFILES[config["exact"]]
         y = sample(f, graded_mesh(config["a"], config["b"], config["n"], config["power"]))
     else:
         y = _load_trajectory(config["trajectory"])

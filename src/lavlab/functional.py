@@ -29,13 +29,10 @@ import numpy as np
 
 from .errors import ArgumentError
 from .lagrangian import LagrangianSpec
-from .trajectory import Mesh, Trajectory
+from .trajectory import CELLS, Mesh, Trajectory
 
 INF_THRESHOLD = 1e300
 
-# Cells per kernel block of `energy`: a block's (order, BLOCK) sample arrays
-# stay in cache; measured faster than blocks of SAMPLES samples.
-BLOCK = 2 ** 13
 SAMPLES = 2 ** 13  # per jet of the optimizer's rows and the caps: 64 KiB, under malloc's mmap cut
 MAX_ORDER = 64  # no composite rule needs more; _gauss's Newton work grows as order^2
 
@@ -46,10 +43,15 @@ DEFAULT_ORDER = 5  # exact for the catalog's polynomial integrands per cell
 _DIGITS = 45
 _NEWTON_STOP = Decimal("1e-30")
 
-# Relative step for differentiating an exactly-known profile at quadrature
-# points; shrinks toward both endpoints so endpoint singularities are never
-# crossed.
-_EXACT_FD_REL = 1e-5
+# Named exact profiles, name -> (f, f'), with exact derivatives: `energy
+# --exact` and `repar --exact` read them by name.
+EXACT_PROFILES: dict[str, tuple[Callable, Callable]] = {
+    "identity": (lambda t: np.asarray(t, dtype=float),
+                 lambda t: np.ones_like(np.asarray(t, dtype=float))),
+    "sqrt": (np.sqrt, lambda t: 0.5 / np.sqrt(t)),
+    "cuberoot": (np.cbrt, lambda t: np.cbrt(t) / (3.0 * np.asarray(t, dtype=float))),
+    "catenary": (lambda t: np.cosh(t), lambda t: np.sinh(t)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +173,13 @@ def gauss_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def cell_sums(spec: LagrangianSpec, h: np.ndarray, w: np.ndarray,
-              samples: Callable[[slice], tuple], block: int = BLOCK) -> np.ndarray:
+              samples: Callable[[slice], tuple], block: int = CELLS) -> np.ndarray:
     """(h/2) * sum_k w_k L(tq, yq, vq) per cell; +inf for a cell with any
     sample that is non-finite or above INF_THRESHOLD.
 
-    The one quadrature kernel.  It walks the cells in blocks of `block`, and
+    The one quadrature kernel.  It walks the cells in blocks of `block`
+    (by default `CELLS`: a block's (order, CELLS) sample arrays stay in
+    cache, measured faster than blocks of SAMPLES samples), and
     `samples(b)` returns the (tq, yq, vq) of the cells in slice b, one row
     per Gauss point (vq may be one row, a slope per cell), so no sample
     array larger than a block is needed.  Each block's integrand samples,
@@ -291,27 +295,17 @@ def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> E
 # -- energy of an exactly known profile -------------------------------------
 
 
-def exact_profile_energy(spec: LagrangianSpec, f: Callable, mesh: Mesh,
-                         order: int = DEFAULT_ORDER,
-                         df: Callable | None = None) -> float:
-    """Quadrature of L(t, f(t), f'(t)) sampling f itself at quadrature points.
-
-    When df is not given, f'(t) is taken by central differences with step
-    1e-5 * min(t - a, b - t), which never crosses the endpoints where the
-    profiles of interest are singular.
-    """
+def exact_profile_energy(spec: LagrangianSpec, f: Callable, df: Callable, mesh: Mesh,
+                         order: int = DEFAULT_ORDER) -> float:
+    """Quadrature of L(t, f(t), f'(t)), sampling the profile f and its exact
+    derivative df at the quadrature points."""
     x, w = _gauss(order)
     nodes = mesh.nodes
     h = np.diff(nodes)
 
     def samples(b: slice):
         tq = gauss_points(nodes[:-1][b], nodes[1:][b], h[b], x)
-        yq = np.asarray(f(tq), dtype=float)
-        if df is not None:
-            return tq, yq, np.asarray(df(tq), dtype=float)
-        delta = _EXACT_FD_REL * np.minimum(tq - mesh.a, mesh.b - tq)
-        return tq, yq, (np.asarray(f(tq + delta), dtype=float)
-                        - np.asarray(f(tq - delta), dtype=float)) / (2.0 * delta)
+        return tq, np.asarray(f(tq), dtype=float), np.asarray(df(tq), dtype=float)
 
     return _total(cell_sums(spec, h, w, samples))
 
@@ -327,25 +321,24 @@ class ConvergenceResult:
     history: tuple[tuple[int, float, float], ...]  # (cells, value, estimate)
 
 
-def energy_converged(spec: LagrangianSpec, y_exact: Callable,
+def energy_converged(spec: LagrangianSpec, f: Callable, df: Callable,
                      mesh_family: Iterable[Mesh], order: int = DEFAULT_ORDER,
-                     tol: float = 1e-6,
-                     dy_exact: Callable | None = None) -> ConvergenceResult:
+                     tol: float = 1e-6) -> ConvergenceResult:
     """First energy in the family whose refinement estimate is below tol.
 
-    Approximates the energy of the exactly-known profile y_exact (not of its
-    interpolant, whose energy need not converge when a Lavrentiev gap or a
-    blow-up is present).  The refinement estimate of each family member is
-    the difference against the once-bisected mesh.  If no member converges,
-    the last value is returned with `converged=False`.
+    Approximates the energy of the exactly-known profile f, whose exact
+    derivative is df (not of its interpolant, whose energy need not converge
+    when a Lavrentiev gap or a blow-up is present).  The refinement estimate
+    of each family member is the difference against the once-bisected mesh.
+    If no member converges, the last value is returned with `converged=False`.
     """
     history: list[tuple[int, float, float]] = []
     value = np.inf
     estimate = np.inf
     n_cells = 0
     for mesh in mesh_family:
-        value = exact_profile_energy(spec, y_exact, mesh, order, dy_exact)
-        fine_val = exact_profile_energy(spec, y_exact, mesh.bisected(), order, dy_exact)
+        value = exact_profile_energy(spec, f, df, mesh, order)
+        fine_val = exact_profile_energy(spec, f, df, mesh.bisected(), order)
         estimate = _extended_diff(value, fine_val)
         n_cells = mesh.n_cells
         history.append((n_cells, value, estimate))

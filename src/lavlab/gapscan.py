@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_integrals, energy,
-                         energy_converged, gauss_points, gauss_sum, line_values)
+from .functional import (DEFAULT_ORDER, EXACT_PROFILES, SAMPLES, _gauss, _total,
+                         cell_integrals, energy, energy_converged, gauss_points,
+                         gauss_sum, line_values)
 from .lagrangian import LagrangianSpec, catalog, jet
 from .trajectory import Mesh, Trajectory, graded_family, graded_mesh, uniform_mesh
 
@@ -461,7 +462,8 @@ class GapReport:
 def mania_reference_energy(order: int = DEFAULT_ORDER) -> float:
     """Energy of the true minimizer t**(1/3), refined on graded meshes to an estimate of 1e-6."""
     family = graded_family(0.0, 1.0, 2 ** 14, 3.0)
-    return energy_converged(catalog("mania"), np.cbrt, family, order=order, tol=1e-6).value
+    return energy_converged(catalog("mania"), *EXACT_PROFILES["cuberoot"], family,
+                            order=order, tol=1e-6).value
 
 
 def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],

@@ -134,8 +134,8 @@ def brachistochrone_problem(height: float = 1.0) -> LagrangianSpec:
     def ev(t, y, v):  # y < height makes height - y > 0, subnormal or not
         return np.sqrt(1.0 + v * v) / np.sqrt(height - y)
 
-    def ly(t, y, v):
-        return 0.5 * np.sqrt(1.0 + v * v) * np.maximum(height - y, np.finfo(float).tiny) ** -1.5
+    def ly(t, y, v):  # a subnormal depth overflows to +inf
+        return 0.5 * np.sqrt(1.0 + v * v) * (height - y) ** -1.5
 
     def lv(t, y, v):
         return v / np.sqrt(1.0 + v * v) / np.sqrt(np.maximum(height - y, np.finfo(float).tiny))

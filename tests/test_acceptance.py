@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from lavlab import (CATALOG_IDS, InfeasibleError, Mesh, Trajectory, catalog,
-                    choose_lambda, dbr_residual,
+from lavlab import (CATALOG_IDS, EXACT_PROFILES, InfeasibleError, Mesh, Trajectory,
+                    catalog, choose_lambda, dbr_residual,
                     el_residual, energy, energy_converged, find_K,
                     graded_mesh, halfinverse_lower_bound, lemma_P,
                     mania_one_endpoint_truncations, mania_two_endpoint_scan,
@@ -65,10 +65,12 @@ def test_c2_known_minimizer_energies():
             yield graded_mesh(0.0, 1.0, n, power)
             n *= 2
 
-    res = energy_converged(catalog("mania"), np.cbrt, family(3.0), tol=1e-6)
+    res = energy_converged(catalog("mania"), *EXACT_PROFILES["cuberoot"], family(3.0),
+                           tol=1e-6)
     assert res.converged and res.value <= 1e-3
 
-    res = energy_converged(catalog("half_inverse"), np.sqrt, family(3.0), tol=1e-6)
+    res = energy_converged(catalog("half_inverse"), *EXACT_PROFILES["sqrt"], family(3.0),
+                           tol=1e-6)
     assert res.converged and res.value <= 1e-3
 
     assert time.perf_counter() - t0 < 10.0

@@ -498,6 +498,23 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
+def test_readme_sh_command_lines_resolve():
+    """Every `lavlab ...` line of the README's `sh` blocks parses, and each
+    one without `--config` resolves to a config: its settings exist, have
+    the right types and are in range.  The lines are not run."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("\n", 1)[1] for block in text.split("```")[1::2]
+              if block.startswith("sh\n")]
+    lines = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+             if line.startswith("lavlab ")]
+    assert lines
+    parser = _build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv)
+        if "--config" not in argv:
+            _config_from_args(args)
+
+
 def test_readme_and_cli_docstring_name_only_the_subcommands():
     """Beyond the Command line block: the README's prose names no
     `lavlab <subcommand>` that `cli.COMMANDS` lacks, and the `cli` module

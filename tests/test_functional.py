@@ -6,15 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lavlab import (CATALOG_IDS, Mesh, Trajectory, catalog, energy, energy_converged,
-                    graded_mesh, plateau_tent, polynomial_lagrangian, sample,
-                    sawtooth, sqrt_ramp, uniform_mesh)
+from lavlab import (CATALOG_IDS, EXACT_PROFILES, Mesh, Trajectory, catalog, energy,
+                    energy_converged, graded_family, graded_mesh, plateau_tent,
+                    polynomial_lagrangian, sample, sawtooth, sqrt_ramp, uniform_mesh)
 
 from lavlab import cli
 from lavlab.errors import ArgumentError
-from lavlab.functional import (BLOCK, MAX_ORDER, _extended_diff, _gauss, _total,
+from lavlab.functional import (MAX_ORDER, _extended_diff, _gauss, _total,
                                cell_energies, cell_integrals, gauss_points)
 from lavlab.lagrangian import LagrangianSpec
+from lavlab.trajectory import CELLS
 
 from conftest import former_with_node, oracle_energy, random_trajectory
 
@@ -146,7 +147,7 @@ class TestKernel:
 
     def test_a_cell_has_the_same_bits_in_any_block(self):
         rng = np.random.default_rng(21)
-        n = 2 * BLOCK + 3
+        n = 2 * CELLS + 3
         nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.0, n))]) / n
         values = np.sin(8.0 * nodes) + rng.normal(0.0, 1e-3, n + 1)
         spec = catalog("quartic_plus_square")
@@ -156,11 +157,11 @@ class TestKernel:
         assert np.array_equal(cells, alone)
 
     @pytest.mark.parametrize("poison", [math.nan, math.inf, 1e151])
-    @pytest.mark.parametrize("cell", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK + 2])
+    @pytest.mark.parametrize("cell", [0, CELLS - 1, CELLS, 2 * CELLS - 1, 2 * CELLS + 2])
     def test_a_bad_sample_makes_only_its_cell_infinite(self, poison, cell):
         # 1e151 gives samples near 1e302: finite, but above INF_THRESHOLD
         rng = np.random.default_rng(4)
-        n = 2 * BLOCK + 3
+        n = 2 * CELLS + 3
         nodes = np.linspace(0.0, 1.0, n + 1)
         h = np.diff(nodes)
         y_left = rng.normal(0.0, 1.0, n)
@@ -338,33 +339,55 @@ class TestEnergyConverged:
         return out
 
     def test_mania_on_cuberoot_reaches_zero(self):
-        res = energy_converged(catalog("mania"), np.cbrt, self.family(), tol=1e-6)
+        res = energy_converged(catalog("mania"), *EXACT_PROFILES["cuberoot"], self.family(),
+                               tol=1e-6)
         assert res.converged
         assert res.value <= 1e-3
 
     def test_half_inverse_on_sqrt_reaches_zero(self):
-        res = energy_converged(catalog("half_inverse"), np.sqrt,
+        res = energy_converged(catalog("half_inverse"), *EXACT_PROFILES["sqrt"],
                                self.family(power=2.0), tol=1e-6)
         assert res.converged
         assert res.value <= 1e-3
 
     def test_sqrt_chain_on_sqrt_decreases_with_refinement(self):
-        res = energy_converged(catalog("sqrt_chain"), np.sqrt,
+        res = energy_converged(catalog("sqrt_chain"), *EXACT_PROFILES["sqrt"],
                                self.family(power=2.0), tol=1e-12)
         assert res.value <= 1e-9
 
     def test_exact_derivative_accepted(self):
-        res = energy_converged(catalog("half_inverse"), np.sqrt, self.family(2.0),
-                               tol=1e-9, dy_exact=lambda t: 0.5 / np.sqrt(t))
+        res = energy_converged(catalog("half_inverse"), np.sqrt, lambda t: 0.5 / np.sqrt(t),
+                               self.family(2.0), tol=1e-9)
         assert res.converged
         assert res.value <= 1e-12
 
     def test_not_converged_marker(self):
         # a single coarse mesh with a loose integrand and absurd tolerance
         spec = catalog("quartic_plus_square")
-        res = energy_converged(spec, np.cos, [uniform_mesh(0, 1, 3)], tol=1e-30)
+        res = energy_converged(spec, np.cos, lambda t: -np.sin(t), [uniform_mesh(0, 1, 3)],
+                               tol=1e-30)
         assert not res.converged
         assert res.history[-1][0] == 3
+
+    @pytest.mark.parametrize("ident, profile, power, bound", [
+        ("sqrt_chain", "sqrt", 2.0, 1e-30),
+        ("half_inverse", "sqrt", 3.0, 0.0),
+        ("mania", "cuberoot", 3.0, 1e-26)])
+    def test_known_minimizers_reach_rounding_level(self, ident, profile, power, bound):
+        # a central difference of the profile gave 5.1e-21 (sqrt_chain) and
+        # 2.0e-21 (half_inverse) on the same meshes
+        res = energy_converged(catalog(ident), *EXACT_PROFILES[profile],
+                               graded_family(0.0, 1.0, 2 ** 12, power))
+        assert res.converged
+        assert 0.0 <= res.value <= bound
+
+    @pytest.mark.parametrize("name", sorted(EXACT_PROFILES))
+    def test_profile_derivatives_match_a_central_difference(self, name):
+        f, df = EXACT_PROFILES[name]
+        t = np.linspace(0.05, 0.95, 19)
+        step = 1e-5 * t
+        fd = (f(t + step) - f(t - step)) / (2.0 * step)
+        assert np.allclose(df(t), fd, rtol=1e-8, atol=0.0)
 
 
 class TestGradingBehavior:
