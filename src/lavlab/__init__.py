@@ -19,7 +19,7 @@ from .gapscan import (DEFAULT_SEED, GapReport, GapRow, cuberoot_truncation,
                       minimize_bounded, plateau_tent, sawtooth, sqrt_ramp)
 from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
                          catalog, convexity_probe, minimal_surface,
-                         partial_array, polynomial_lagrangian)
+                         polynomial_lagrangian)
 from .necessary import (ResidualReport, catenary, dbr_residual, el_residual,
                         fit_catenary)
 from .repar import (FindKReport, KRow, ReparInput, ReparPlan, ReparResult,

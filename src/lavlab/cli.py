@@ -36,7 +36,8 @@ import numpy as np
 
 from . import gapscan, necessary
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
-                     InfeasibleError, LavlabError, UnsupportedLagrangianError)
+                     InfeasibleError, LavlabError, SamplingError,
+                     UnsupportedLagrangianError)
 from .functional import (DEFAULT_ORDER, EXACT_PROFILES, MAX_ORDER, energy,
                          energy_converged)
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
@@ -486,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return run(config, args.out, getattr(args, "csv_out", None))
-    except (ConfigError, CatalogKeyError, ArgumentError,
+    except (ConfigError, CatalogKeyError, ArgumentError, SamplingError,
             UnsupportedLagrangianError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

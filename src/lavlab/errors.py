@@ -28,7 +28,8 @@ class SingularPointError(LavlabError, ValueError):
 
 
 class UnsupportedLagrangianError(LavlabError, ValueError):
-    """Operation requires a structural flag (autonomous, convex) the integrand lacks."""
+    """Operation requires a structural flag (autonomous, convex) the integrand
+    lacks, or derivatives it does not state (neither partials nor a jet)."""
 
 
 class ConsistencyError(LavlabError, RuntimeError):

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, SamplingError
 from .lagrangian import LagrangianSpec
 from .trajectory import CELLS, Mesh, Trajectory
 
@@ -298,14 +298,21 @@ def energy(spec: LagrangianSpec, y: Trajectory, order: int = DEFAULT_ORDER) -> E
 def exact_profile_energy(spec: LagrangianSpec, f: Callable, df: Callable, mesh: Mesh,
                          order: int = DEFAULT_ORDER) -> float:
     """Quadrature of L(t, f(t), f'(t)), sampling the profile f and its exact
-    derivative df at the quadrature points."""
+    derivative df at the quadrature points.  A NaN of either, where the
+    profile is undefined, raises SamplingError naming the first such point;
+    an infinite one is an extended value."""
     x, w = _gauss(order)
     nodes = mesh.nodes
     h = np.diff(nodes)
 
     def samples(b: slice):
         tq = gauss_points(nodes[:-1][b], nodes[1:][b], h[b], x)
-        return tq, np.asarray(f(tq), dtype=float), np.asarray(df(tq), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fq, dq = np.asarray(f(tq), dtype=float), np.asarray(df(tq), dtype=float)
+        undefined = np.isnan(fq) | np.isnan(dq)
+        if undefined.any():
+            raise SamplingError(f"f or f' is NaN at the Gauss point t={tq[undefined].min()}")
+        return tq, fq, dq
 
     return _total(cell_sums(spec, h, w, samples))
 

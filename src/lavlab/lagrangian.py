@@ -3,11 +3,11 @@
 Evaluators must accept numpy arrays, and are extended-real: a singular
 point yields +inf (never NaN), and infinities propagate through sums.  Exact
 partial derivatives likewise return +/-inf at singular points.  Only L_y
-and L_v are ever read.  A single partial goes through `partial_array`,
-which reads it from the spec's jet or its exact partials, each stated once,
-and falls back on central differences for a spec with neither.  The slope
-optimizer takes (L, L_y, L_v) together from `jet`: the spec's own jet, which
-shares its subexpressions across the three, or `eval` plus `partial_array`.
+and L_v are ever read, and only through `jet`, which returns (L, L_y, L_v)
+together: the spec's own jet, which shares its subexpressions across the
+three, or `eval` and its exact partials, each stated once.  No derivative
+is taken numerically; a spec that states neither partials nor a jet has
+no derivatives, and reading them raises UnsupportedLagrangianError.
 """
 
 from __future__ import annotations
@@ -19,13 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CatalogKeyError
+from .errors import ArgumentError, CatalogKeyError, UnsupportedLagrangianError
 
 TWO_PI = 2.0 * math.pi
-
-# Central-difference step exponent 1/3 balances O(h^2) truncation against
-# rounding for first derivatives.
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -39,15 +35,17 @@ class LagrangianSpec:
         eval: (t, y, v) -> value >= 0 (or +inf when `extended`); must accept
             numpy arrays.
         partials: optional (L_y, L_v) evaluators, array-safe, returning
-            +/-inf at singular points.
+            +/-inf at singular points; `jet` reads them where the spec has
+            no jet.
         autonomous: independent of t.
         convex_in_v: v -> L(t, y, v) convex for every (t, y) in the domain.
         extended: may take the value +inf.
         sample_box: (t, y, v) ranges where the integrand is finite and all
             structural flags hold; used by randomized checks.
         jet: optional (t, y, v) -> (L, L_y, L_v) in one pass, its L equal
-            bit for bit to `eval`; a spec with a jet needs no `partials`,
-            since `partial_array` reads L_y and L_v from it.
+            bit for bit to `eval`; where a spec has one, `jet` reads L_y
+            and L_v from it alone, so it needs no `partials`.  A spec with
+            neither serves `energy` and `repar`, which read no derivative.
     """
 
     id: str
@@ -292,43 +290,18 @@ def polynomial_lagrangian(terms: Sequence, ident: str | None = None) -> Lagrangi
 # -- generic operations -----------------------------------------------------
 
 
-def partial_array(spec: LagrangianSpec, axis: int, t, y, v) -> np.ndarray:
-    """One partial of L at broadcast points; `axis` is the index of its
-    coordinate in (t, y, v), 1 for L_y and 2 for L_v.
-
-    Entry `axis` of the spec's jet where it has one, else its exact partial;
-    otherwise a central difference on that axis with step
-    eps**(1/3) * max(1, |coord|), which is NaN wherever the centre sample or
-    either stencil sample is non-finite.  Singular points come back
-    non-finite either way.
-    """
-    if axis not in (1, 2):
-        raise ArgumentError(f"partial axis must be 1 (L_y) or 2 (L_v), got {axis!r}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.jet is not None:
-            return np.asarray(spec.jet(t, y, v)[axis], dtype=float)
-        if spec.partials is not None:
-            return np.asarray(spec.partials[axis - 1](t, y, v), dtype=float)
-        args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, y, v)))
-        c = args[axis]
-        h = _FD_STEP * np.maximum(1.0, np.abs(c))
-
-        def at(x):
-            return np.asarray(spec.eval(*args[:axis], x, *args[axis + 1:]), dtype=float)
-
-        centre, d = at(c), (at(c + h) - at(c - h)) / (2.0 * h)
-        return np.where(np.isfinite(centre) & np.isfinite(d), d, np.nan)
-
-
 def jet(spec: LagrangianSpec, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, L_y, L_v) at broadcast points: the spec's own `jet` where it has
-    one, otherwise `eval` with `partial_array` axes 1 and 2, so the three
-    have the bits of those calls either way."""
+    """(L, L_y, L_v) at broadcast points, the one reader of an integrand's
+    derivatives: the spec's own `jet` where it has one, otherwise `eval`
+    and its exact `partials`.  A spec that states neither raises
+    UnsupportedLagrangianError; singular points come back non-finite."""
+    if spec.jet is None and spec.partials is None:
+        raise UnsupportedLagrangianError(
+            f"{spec.id}: the integrand states no derivatives (neither partials nor a jet)")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.jet is not None:
             return tuple(np.asarray(a, dtype=float) for a in spec.jet(t, y, v))
-        value = np.asarray(spec.eval(t, y, v), dtype=float)
-    return value, partial_array(spec, 1, t, y, v), partial_array(spec, 2, t, y, v)
+        return tuple(np.asarray(f(t, y, v), dtype=float) for f in (spec.eval, *spec.partials))
 
 
 def convexity_probe(spec: LagrangianSpec, y: float, v_grid, t: float = 0.0) -> bool:

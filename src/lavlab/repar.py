@@ -24,7 +24,7 @@ from .errors import (ArgumentError, ConsistencyError, InfeasibleError,
                      SingularPointError, UnsupportedLagrangianError)
 from .functional import (DEFAULT_ORDER, SAMPLES, _gauss, _total, cell_sums, energy,
                          linear_samples)
-from .lagrangian import LagrangianSpec, partial_array
+from .lagrangian import LagrangianSpec, jet
 from .trajectory import (CELLS, ENDPOINT_RTOL, NOT_INCREASING, Mesh, Trajectory,
                          endpoint_exact, positive_speeds, running_sum)
 
@@ -619,10 +619,10 @@ def lemma_P(spec: LagrangianSpec, y: float, w_grid, t: float = 0.0) -> TangentCu
     """Tangent-intercept values of v -> L(t, y, v) on a grid (t frozen)."""
     grid = np.sort(np.asarray(w_grid, dtype=float))
     t_grid, y_grid = np.full_like(grid, t), np.full_like(grid, y)
-    lv = partial_array(spec, 2, t_grid, y_grid, grid)
+    value, _, lv = jet(spec, t_grid, y_grid, grid)
     if not np.all(np.isfinite(lv)):
         raise SingularPointError(f"{spec.id}: L_v singular on the grid at (t={t}, y={y})")
-    vals = np.asarray(spec.eval(t_grid, y_grid, grid), dtype=float) - grid * lv
+    vals = value - grid * lv
     scale = max(1.0, float(np.max(np.abs(vals))))
     tol = 1e-10 * scale
     neg = grid < 0

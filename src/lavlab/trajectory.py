@@ -58,12 +58,17 @@ def _cell_widths(nodes: np.ndarray) -> np.ndarray:
     return widths
 
 
-def _bisect(a: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
-    """`a` with the mean of each pair of neighbours inserted between them,
-    for the pairs `cells` only (every pair if None).  The mean is halved
-    before it is summed, so it cannot overflow, and it has the bits of
+def midpoints(a: np.ndarray) -> np.ndarray:
+    """The mean of each pair of neighbours of `a`.  Each is halved before
+    they are summed, so the mean cannot overflow, and it has the bits of
     (a_i + a_{i+1}) / 2 unless a half falls below the normal floats."""
-    mid = a[:-1] * 0.5 + a[1:] * 0.5
+    return a[:-1] * 0.5 + a[1:] * 0.5
+
+
+def _bisect(a: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
+    """`a` with the `midpoints` of its pairs of neighbours inserted between
+    them, for the pairs `cells` only (every pair if None)."""
+    mid = midpoints(a)
     if cells is not None:
         return np.insert(a, cells + 1, mid[cells])
     out = np.empty(2 * a.size - 1)
@@ -122,7 +127,7 @@ class Mesh:
         """The cells whose midpoint lies strictly inside them, None if all
         do.  A cell with no float inside (one ulp wide) has its midpoint
         rounded onto a node, so bisection keeps it whole."""
-        mid = self.nodes[:-1] * 0.5 + self.nodes[1:] * 0.5  # as `_bisect` forms it
+        mid = midpoints(self.nodes)
         inside = (self.nodes[:-1] < mid) & (mid < self.nodes[1:])
         return None if inside.all() else np.flatnonzero(inside)
 
@@ -295,13 +300,15 @@ def row_pieces(a: np.ndarray, texts: Iterable[str]) -> Iterator[tuple[np.ndarray
 
 
 def sample(f: Callable[[float], float], mesh: Mesh) -> Trajectory:
-    """Nodal interpolant of f on the mesh."""
-    try:
-        vals = np.asarray(f(mesh.nodes), dtype=float)
-        if vals.shape != mesh.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(t)) for t in mesh.nodes])
+    """Nodal interpolant of f on the mesh.  f runs with numpy's float
+    warnings off; a value that is not finite raises SamplingError."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            vals = np.asarray(f(mesh.nodes), dtype=float)
+            if vals.shape != mesh.nodes.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            vals = np.array([float(f(t)) for t in mesh.nodes])
     if not np.all(np.isfinite(vals)):
         bad = mesh.nodes[~np.isfinite(vals)][0]
         raise SamplingError(f"f is not finite at node t={bad}")

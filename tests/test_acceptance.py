@@ -18,8 +18,9 @@ from lavlab import (CATALOG_IDS, EXACT_PROFILES, InfeasibleError, Mesh, Trajecto
                     el_residual, energy, energy_converged, find_K,
                     graded_mesh, halfinverse_lower_bound, lemma_P,
                     mania_one_endpoint_truncations, mania_two_endpoint_scan,
-                    minimal_surface, partial_array, plateau_tent, reparametrize,
+                    minimal_surface, plateau_tent, reparametrize,
                     sample, sawtooth, sqrt_ramp, uniform_mesh)
+from lavlab.lagrangian import jet
 
 import conftest
 from conftest import alternating_mesh, random_trajectory
@@ -155,7 +156,7 @@ def test_c5_tangent_function_monotonicity_and_inequality():
             w = d / s
             lw = float(spec.eval(t, y, w))
             ld = float(spec.eval(t, y, d))
-            lv = float(partial_array(spec, 2, t, y, w))
+            lv = float(jet(spec, t, y, w)[2])
             p = lw - w * lv
             scale = max(1.0, abs(lw * s), abs(ld), abs(p) * (s - 1.0))
             assert lw * s <= ld + p * (s - 1.0) + 1e-10 * scale

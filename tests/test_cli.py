@@ -415,6 +415,10 @@ class TestSettings:
          "order must be <= 64"),
         (["gap-scan", "--n", "20", "--M", "4", "--seed", str(2 ** 64)],
          f"seed must be <= {2 ** 64 - 1}"),
+        (["repar", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--a", "-1", "--b", "1",
+          "--n", "8", "--k", "2"], "f is not finite at node t=-1.0"),
+        (["energy", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--a", "-1", "--b", "1",
+          "--n", "64"], "f or f' is NaN at the Gauss point t=-0.99"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +13,10 @@ from lavlab import (CATALOG_IDS, EXACT_PROFILES, Mesh, Trajectory, catalog, ener
                     polynomial_lagrangian, sample, sawtooth, sqrt_ramp, uniform_mesh)
 
 from lavlab import cli
-from lavlab.errors import ArgumentError
+from lavlab.errors import ArgumentError, SamplingError
 from lavlab.functional import (MAX_ORDER, _extended_diff, _gauss, _total,
-                               cell_energies, cell_integrals, gauss_points)
+                               cell_energies, cell_integrals, exact_profile_energy,
+                               gauss_points)
 from lavlab.lagrangian import LagrangianSpec
 from lavlab.trajectory import CELLS
 
@@ -327,6 +330,26 @@ class TestEnergy:
                 fine = y.bisected()
                 fine_val = _total(cell_energies(spec, fine.mesh.nodes, fine.values, order))
                 assert rep.refinement_error_estimate == _extended_diff(rep.value, fine_val)
+
+
+class TestExactProfileEnergy:
+    def test_an_undefined_profile_names_its_first_gauss_point(self):
+        """sqrt is NaN left of 0: the first Gauss point of [-1, 1] is named,
+        without a numpy warning."""
+        f, df = EXACT_PROFILES["sqrt"]
+        x, _ = _gauss(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = float(0.125 * x[0] + -0.875)  # as gauss_points forms it
+            with pytest.raises(SamplingError, match=re.escape(f"t={first!r}") + "$"):
+                exact_profile_energy(catalog("sqrt_chain"), f, df, uniform_mesh(-1, 1, 8))
+
+    def test_an_infinite_profile_value_is_extended(self):
+        """An infinite derivative is an extended value, not an error."""
+        spec = catalog("sqrt_chain")
+        value = exact_profile_energy(spec, lambda t: t, lambda t: np.where(t < 0.5, np.inf, 1.0),
+                                     uniform_mesh(0, 1, 4))
+        assert value == math.inf
 
 
 class TestEnergyConverged:

@@ -47,8 +47,9 @@ class TestMinimizeBounded:
         assert np.allclose(traj.values, traj.mesh.nodes, atol=1e-4)
 
     def test_integrand_of_the_slope_alone(self):
-        # its value keeps the per-cell shape of the slopes it is given
-        spec = LagrangianSpec(id="slope_only", eval=lambda t, y, v: v * v, partials=None,
+        # its value and partials keep the per-cell shape of the slopes they are given
+        spec = LagrangianSpec(id="slope_only", eval=lambda t, y, v: v * v,
+                              partials=(lambda t, y, v: 0.0 * v, lambda t, y, v: 2.0 * v),
                               autonomous=True, convex_in_v=True)
         traj, e, info = minimize_bounded(spec, uniform_mesh(0, 1, 16), [2.0], (0.0, 1.0),
                                          restarts=2, seed=1)[0]
@@ -171,11 +172,6 @@ class TestHalfInverseLowerBound:
             assert bound <= e + 1e-8 * max(1.0, abs(e))
 
 
-NO_PARTIALS_MANIA = LagrangianSpec(
-    id="mania_without_partials", eval=catalog("mania").eval, partials=None,
-    autonomous=False, convex_in_v=True)
-
-
 def _random_mesh(rng, n):
     inner = np.sort(rng.uniform(0.05, 0.95, n - 1))
     return Mesh(np.concatenate([[0.0], inner, [1.0]]))
@@ -190,7 +186,7 @@ def _unpinned_values(boundary, h, s):
 class TestSlopeGradient:
     @pytest.mark.parametrize("spec", [catalog("mania"),
                                       catalog("quartic_plus_square"),
-                                      V_SQUARED, NO_PARTIALS_MANIA],
+                                      V_SQUARED],
                              ids=lambda s: s.id)
     @pytest.mark.parametrize("boundary", [(0.0, 1.0), (-0.5, 0.25)],
                              ids=["two_endpoint", "two_endpoint_shifted"])
@@ -383,11 +379,11 @@ class TestSPGDiagnostics:
             assert e == e_warm
             assert np.array_equal(values, warm.values)
 
-    def test_one_integrand_pass_per_trial(self, monkeypatch):
+    def test_one_integrand_pass_per_trial(self):
         # each start and each trial step is one row of jets, which give its
         # energy and gradient together, order samples per cell; nothing else
         # samples the integrand
-        mania, partial_array, sampled, other = catalog("mania"), lagrangian.partial_array, [], []
+        mania, sampled, other = catalog("mania"), [], []
 
         def counted_jet(t, y, v):
             sampled.append(y.size)
@@ -397,11 +393,6 @@ class TestSPGDiagnostics:
             other.append("eval")
             return mania.eval(t, y, v)
 
-        def counted_partial_array(*args):
-            other.append("partial_array")
-            return partial_array(*args)
-
-        monkeypatch.setattr(lagrangian, "partial_array", counted_partial_array)
         spec = dataclasses.replace(mania, eval=counted_eval, jet=counted_jet)
         mesh = uniform_mesh(0, 1, 100)
         found = minimize_bounded(spec, mesh, [5.0, 10.0], (0.0, 1.0), restarts=3, seed=2)
@@ -413,14 +404,6 @@ class TestSPGDiagnostics:
             assert info.gradient_evals == info.iterations + starts
         reference = minimize_bounded(mania, mesh, [5.0, 10.0], (0.0, 1.0), restarts=3, seed=2)
         assert [(e, info) for _, e, info in found] == [(e, info) for _, e, info in reference]
-
-    def test_partials_fallback_reaches_the_same_minimum(self):
-        mesh = uniform_mesh(0, 1, 40)
-        _, exact, _ = minimize_bounded(catalog("mania"), mesh, [5.0], (0.0, 1.0),
-                                       restarts=0)[0]
-        _, approx, _ = minimize_bounded(NO_PARTIALS_MANIA, mesh, [5.0],
-                                        (0.0, 1.0), restarts=0)[0]
-        assert approx == pytest.approx(exact, rel=1e-6)
 
 
 def test_c7_rows_are_stationary(monkeypatch):

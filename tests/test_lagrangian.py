@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError, brachistochrone_problem,
-                    catalog, convexity_probe, minimal_surface, partial_array,
-                    polynomial_lagrangian)
+from lavlab import (CATALOG_IDS, ArgumentError, CatalogKeyError, LagrangianSpec, ReparInput,
+                    UnsupportedLagrangianError, brachistochrone_problem, catalog,
+                    convexity_probe, dbr_residual, el_residual, energy, lemma_P,
+                    minimal_surface, minimize_bounded, polynomial_lagrangian, sample,
+                    uniform_mesh)
 from lavlab.lagrangian import jet
 
 RNG = np.random.default_rng(20260811)
@@ -82,18 +84,31 @@ class TestCatalog:
         assert flags["half_inverse"] == (True, True, True)
 
 
+def central_difference(spec, axis, t, y, v):
+    """The central difference of L along coordinate `axis` of (t, y, v),
+    1 for y and 2 for v, with step eps**(1/3) * max(1, |coordinate|),
+    at broadcast points; non-finite where a stencil sample is."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (t, y, v)))
+    h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(args[axis]))
+    up, down = list(args), list(args)
+    up[axis], down[axis] = args[axis] + h, args[axis] - h
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return (np.asarray(spec.eval(*up), dtype=float)
+                - np.asarray(spec.eval(*down), dtype=float)) / (2.0 * h)
+
+
 class TestPartials:
     def test_quartic_stationary_at_unit_slope(self):
-        lv = float(partial_array(catalog("quartic"), 2, 0.0, 0.3, 1.0))
+        lv = float(jet(catalog("quartic"), 0.0, 0.3, 1.0)[2])
         assert lv == 0.0
 
     def test_surface_ly_at_zero_velocity(self):
-        ly = float(partial_array(minimal_surface(1.0), 1, 0.0, 2.0, 0.0))
+        ly = float(jet(minimal_surface(1.0), 0.0, 2.0, 0.0)[1])
         assert ly == 1.0
 
     def test_mania_lv_closed_form_and_fd_cross_check(self):
         spec = catalog("mania")
-        lv = float(partial_array(spec, 2, 0.0, 1.0, 1.0))
+        lv = float(jet(spec, 0.0, 1.0, 1.0)[2])
         assert lv == pytest.approx(6.0, rel=1e-14)
         h = 1e-6
         fd = (spec.eval(0.0, 1.0, 1.0 + h) - spec.eval(0.0, 1.0, 1.0 - h)) / (2 * h)
@@ -103,89 +118,59 @@ class TestPartials:
         for spec, y, v in ((catalog("half_inverse"), 0.0, 1.0),
                            (catalog("brachistochrone"), 1.5, 0.0)):
             for axis in (1, 2):
-                assert not math.isfinite(float(partial_array(spec, axis, 0.0, y, v)))
-
-    @pytest.mark.parametrize("axis", [0, 3])
-    def test_axis_other_than_y_or_v_rejected(self, axis):
-        """Only L_y (axis 1) and L_v (axis 2) exist; L_t is read nowhere."""
-        for spec in (catalog("quartic"), catalog("mania"),
-                     dataclasses.replace(catalog("quartic"), partials=None)):
-            with pytest.raises(ArgumentError):
-                partial_array(spec, axis, 0.0, 1.0, 1.0)
-
-    def test_finite_difference_fallback(self):
-        """Specs without closed-form partials fall back to central
-        differences with step eps**(1/3) * max(1, |coordinate|)."""
-        from lavlab import LagrangianSpec
-        spec = LagrangianSpec(id="adhoc", eval=lambda t, y, v: t * y + v * v,
-                              partials=None, autonomous=False, convex_in_v=True)
-        ly, lv = (float(partial_array(spec, axis, 2.0, 3.0, 0.5)) for axis in (1, 2))
-        assert ly == pytest.approx(2.0, rel=1e-9)
-        assert lv == pytest.approx(1.0, rel=1e-9)
-
-    def test_finite_difference_fallback_singular_stencil(self):
-        from lavlab import LagrangianSpec
-
-        def ev(t, y, v):
-            return math.inf if y <= 0 else 1.0 / y
-
-        spec = LagrangianSpec(id="edge", eval=ev, partials=None,
-                              autonomous=True, convex_in_v=False)
-        # the y stencil crosses the barrier
-        assert math.isnan(float(partial_array(spec, 1, 0.0, 1e-9, 0.0)))
+                assert not math.isfinite(float(jet(spec, 0.0, y, v)[axis]))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.id)
     def test_exact_partials_match_finite_differences(self, spec):
-        """Central differences agree with the closed forms to relative 1e-6."""
-        eps = np.finfo(float).eps ** (1 / 3)
+        """Central differences agree with the closed forms to relative 1e-6,
+        point by point and in one array call per axis."""
         for t, y, v in sample_points(spec, 100):
-            for axis, c in ((1, y), (2, v)):
-                exact = float(partial_array(spec, axis, t, y, v))
-                h = eps * max(1.0, abs(c))
-                args_p = [t, y, v]
-                args_m = [t, y, v]
-                args_p[axis] = c + h
-                args_m[axis] = c - h
-                hi, lo = spec.eval(*args_p), spec.eval(*args_m)
-                if not (math.isfinite(hi) and math.isfinite(lo)):
+            for axis in (1, 2):
+                exact = float(jet(spec, t, y, v)[axis])
+                fd = float(central_difference(spec, axis, t, y, v))
+                if not math.isfinite(fd):
                     continue
-                fd = (hi - lo) / (2 * h)
                 assert exact == pytest.approx(
                     fd, rel=1e-6, abs=1e-6 * max(1.0, abs(exact)))
-        # the same comparison in one array call per axis, through the
-        # finite-difference fallback of partial_array
         t, y, v = np.array(list(sample_points(spec, 100))).T
-        no_partials = dataclasses.replace(spec, partials=None, jet=None)
+        got = jet(spec, t, y, v)
         for axis in (1, 2):
-            exact = partial_array(spec, axis, t, y, v)
-            fd = partial_array(no_partials, axis, t, y, v)
+            exact, fd = got[axis], central_difference(spec, axis, t, y, v)
             assert fd.shape == exact.shape == t.shape
             assert np.all(np.isfinite(fd))
             tol = np.maximum(1e-6 * np.abs(fd), 1e-6 * np.maximum(1.0, np.abs(exact)))
             assert np.all(np.abs(exact - fd) <= tol)
 
-    def test_finite_difference_array_nan_exactly_at_singular_points(self):
-        spec = dataclasses.replace(catalog("half_inverse"), partials=None)
-        y = np.array([-1.0, 0.0, 0.5, 1e-3, 0.0, 2.0])
-        for axis in (1, 2):
-            d = partial_array(spec, axis, 0.3, y, 1.0)
-            assert np.array_equal(np.isnan(d), y == 0.0)
-            assert np.all(np.isfinite(d[y != 0.0]))
 
-    def test_finite_difference_array_nan_where_stencil_crosses_barrier(self):
-        """A finite centre with an infinite stencil sample is NaN, not inf."""
-        from lavlab import LagrangianSpec
+EVAL_ONLY = LagrangianSpec(id="eval_only", eval=catalog("sqrt_chain").eval, partials=None,
+                           autonomous=True, convex_in_v=True)
 
-        def ev(t, y, v):
-            y = np.asarray(y, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(y > 0, 1.0 / y, np.inf)
 
-        spec = LagrangianSpec(id="edge", eval=ev, partials=None,
-                              autonomous=True, convex_in_v=False)
-        d = partial_array(spec, 1, 0.0, np.array([1e-12, 1.0]), 0.0)
-        assert math.isnan(d[0])
-        assert d[1] == pytest.approx(-1.0, rel=1e-9)
+class TestNoDerivatives:
+    """A spec that states neither partials nor a jet has no derivatives:
+    every reader of L_y or L_v refuses it, and nothing falls back on a
+    numerical derivative."""
+
+    @pytest.mark.parametrize("read", [
+        lambda spec: jet(spec, 0.5, 1.0, 0.5),
+        lambda spec: el_residual(spec, sample(np.sqrt, uniform_mesh(0.1, 1, 8))),
+        lambda spec: dbr_residual(spec, sample(np.sqrt, uniform_mesh(0.1, 1, 8))),
+        lambda spec: minimize_bounded(spec, uniform_mesh(0, 1, 8), [2.0], (0.0, 1.0),
+                                      restarts=0),
+        lambda spec: lemma_P(spec, 1.0, [-1.0, 1.0]),
+    ], ids=["jet", "el_residual", "dbr_residual", "minimize_bounded", "lemma_P"])
+    def test_a_derivative_reader_raises(self, read):
+        with pytest.raises(UnsupportedLagrangianError, match="eval_only: .*no derivatives"):
+            read(EVAL_ONLY)
+
+    def test_energy_and_repar_read_no_derivative(self):
+        y = sample(np.sqrt, uniform_mesh(0.0, 1.0, 16))
+        assert energy(EVAL_ONLY, y).value == energy(catalog("sqrt_chain"), y).value
+        capped, reference = (ReparInput.of(spec, y).cap(2.0)
+                             for spec in (EVAL_ONLY, catalog("sqrt_chain")))
+        assert capped.changed_cells > 0
+        assert (capped.energy_before, capped.energy_after) == (
+            reference.energy_before, reference.energy_after)
 
 
 def optimizer_grid(spec, rng, rows=3, cells=7, order=5):
@@ -198,13 +183,15 @@ def optimizer_grid(spec, rng, rows=3, cells=7, order=5):
 
 
 def eval_and_partials(spec, t, y, v):
-    return (np.asarray(spec.eval(t, y, v), dtype=float),
-            partial_array(spec, 1, t, y, v), partial_array(spec, 2, t, y, v))
+    """`eval`, then L_y and L_v from the spec's partials, or from its own jet
+    where it states only that."""
+    partials = ([f(t, y, v) for f in spec.partials] if spec.partials is not None
+                else spec.jet(t, y, v)[1:])
+    return tuple(np.asarray(a, dtype=float) for a in (spec.eval(t, y, v), *partials))
 
 
 JET_SPECS = ALL_SPECS + [
-    polynomial_lagrangian([[1, 1, 2, 2], ["3/4", 0, 3, 1], [2, 0, 0, 4]], "polynomial"),
-    dataclasses.replace(catalog("mania"), id="mania_without_partials", partials=None, jet=None)]
+    polynomial_lagrangian([[1, 1, 2, 2], ["3/4", 0, 3, 1], [2, 0, 0, 4]], "polynomial")]
 
 
 class TestJet:
@@ -223,9 +210,7 @@ class TestJet:
         for a, b in zip(jet(spec, *point), eval_and_partials(spec, *point), strict=True):
             assert a.shape == () and a == b
 
-    @pytest.mark.parametrize("spec", [s for s in JET_SPECS if s.extended] + [
-        dataclasses.replace(catalog(i), id=f"{i}_without_partials", partials=None)
-        for i in ("brachistochrone", "half_inverse")], ids=lambda s: s.id)
+    @pytest.mark.parametrize("spec", [s for s in JET_SPECS if s.extended], ids=lambda s: s.id)
     def test_singular_points_stay_infinite(self, spec):
         # brachistochrone is singular for y >= 1, half_inverse at y = 0
         t, y, v = optimizer_grid(spec, np.random.default_rng(37))
@@ -236,8 +221,7 @@ class TestJet:
         assert np.all(np.isfinite(got[0][~singular]))
         for a, b in zip(got, eval_and_partials(spec, t, y, v), strict=True):
             assert np.array_equal(a, b, equal_nan=True)
-        if spec.partials is not None:  # central differences are NaN there by design
-            assert not any(np.isnan(a).any() for a in got)
+        assert not any(np.isnan(a).any() for a in got)
 
 
 class TestConvexityProbe:
@@ -311,7 +295,7 @@ class TestPolynomialLagrangian:
 
     def test_termwise_partials(self):
         spec = polynomial_lagrangian([[2, 1, 2, 3]])
-        ly, lv = (float(partial_array(spec, axis, 2.0, 3.0, 0.5)) for axis in (1, 2))
+        _, ly, lv = (float(a) for a in jet(spec, 2.0, 3.0, 0.5))
         assert ly == pytest.approx(2 * 2 * 2 * 3 * 0.5 ** 3)
         assert lv == pytest.approx(2 * 3 * 2 * 3 ** 2 * 0.5 ** 2)
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lavlab import (ArgumentError, LagrangianSpec, ResidualReport, Trajectory,
+from lavlab import (ArgumentError, LagrangianSpec, Mesh, ResidualReport, Trajectory,
                     UnsupportedLagrangianError, catalog,
                     catenary, dbr_residual, el_residual, fit_catenary,
                     minimal_surface, plateau_tent, polynomial_lagrangian,
@@ -82,21 +83,11 @@ class TestEulerLagrangeResidual:
         assert len(rep.skipped) > 0
         assert all(math.isfinite(r) for _, r in rep.samples)
 
-    def test_finite_difference_partials_skip_singular_nodes(self):
-        exact = catalog("half_inverse")
-        spec = LagrangianSpec(id="half_inverse_fd", eval=exact.eval,
-                              partials=None, autonomous=True,
-                              convex_in_v=True, extended=True)
-        vals = np.array([1.0, 0.5, 0.0, 0.5, 1.0])
-        rep = el_residual(spec, Trajectory(uniform_mesh(0, 1, 4), vals))
-        assert len(rep.skipped) > 0
-        assert all(math.isfinite(r) for _, r in rep.samples)
-
     def test_integrand_bug_propagates(self):
         def broken(t, y, v):
             raise TypeError("bug in a user integrand")
 
-        spec = LagrangianSpec(id="broken", eval=broken, partials=None,
+        spec = LagrangianSpec(id="broken", eval=broken, partials=(broken, broken),
                               autonomous=True, convex_in_v=True)
         with pytest.raises(TypeError):
             el_residual(spec, sample(lambda t: t, uniform_mesh(0, 1, 4)))
@@ -174,22 +165,45 @@ class TestResidualReport:
         assert buf.getvalue() == former.getvalue()
 
 
-@pytest.mark.parametrize("check", [el_residual, dbr_residual])
-def test_finite_difference_calls_do_not_grow_with_the_mesh(check):
-    """Without exact partials, the integrand is called on whole arrays:
-    the call count does not depend on the number of cells."""
+@pytest.mark.parametrize("check, counts", [(el_residual, (2, 4)), (dbr_residual, (1, 2))],
+                         ids=["el_residual", "dbr_residual"])
+def test_integrand_calls_do_not_grow_with_the_mesh(check, counts):
+    """The integrand and its partials are called on whole arrays, through one
+    `jet` per staggered grid: (eval, partials) calls do not depend on the
+    number of cells."""
     calls = []
 
-    def counted(t, y, v):
-        calls.append(1)
-        return UNIT_SURFACE.eval(t, y, v)
+    def counted(name, f):
+        def wrapped(t, y, v):
+            calls.append(name)
+            return f(t, y, v)
+        return wrapped
 
-    spec = LagrangianSpec(id="surface_fd", eval=counted, partials=None,
+    spec = LagrangianSpec(id="surface_counted", eval=counted("eval", UNIT_SURFACE.eval),
+                          partials=tuple(counted("partial", f) for f in UNIT_SURFACE.partials),
                           autonomous=True, convex_in_v=True)
-    counts = []
     for cells in (8, 800):
-        y = sample(np.cosh, uniform_mesh(-1.0, 1.0, cells))
         calls.clear()
-        check(spec, y)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        check(spec, sample(np.cosh, uniform_mesh(-1.0, 1.0, cells)))
+        assert (calls.count("eval"), calls.count("partial")) == counts
+
+
+# nodes near the largest float, whose sums overflow, on cells of finite width
+HUGE_NODES = np.array([1e308, 1.2e308, 1.4e308, 1.6e308, 1.7e308])
+
+
+@pytest.mark.parametrize("check", [el_residual, dbr_residual])
+def test_midpoints_of_huge_nodes_do_not_overflow(check):
+    """Every sample time is finite and inside its cell (an interior node for
+    the Euler-Lagrange residual, a cell midpoint for the constancy check),
+    and no overflow warning is raised."""
+    y = Trajectory(Mesh(HUGE_NODES), np.ones(HUGE_NODES.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check(catalog("quartic"), y)
+    t = rep.samples[:, 0]
+    if check is el_residual:
+        assert np.array_equal(t, HUGE_NODES[1:-1])
+    else:
+        assert t.size == 4 and np.all((HUGE_NODES[:-1] < t) & (t < HUGE_NODES[1:]))
+    assert rep.skipped.size == 0 and rep.max_abs == 0.0

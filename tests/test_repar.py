@@ -15,10 +15,11 @@ from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
                     InfeasibleError, KRow, Mesh, ReparInput, ReparResult, SingularPointError,
                     Trajectory, UnsupportedLagrangianError, catalog,
                     choose_lambda, classify, energy, find_K, graded_mesh,
-                    lemma_P, minimal_surface, partial_array, polynomial_lagrangian,
+                    lemma_P, minimal_surface, polynomial_lagrangian,
                     reparametrize, sample, select_A, sqrt_ramp, uniform_mesh)
 
 from lavlab.functional import _gauss, _total, cell_sums, gauss_points
+from lavlab.lagrangian import jet
 from lavlab.repar import SPLIT_GUARD_REL, _closure
 from lavlab.trajectory import CELLS, endpoint_exact, positive_speeds, running_sum
 
@@ -992,13 +993,14 @@ class TestLemmaP:
     @pytest.mark.parametrize("ident", CATALOG_IDS)
     def test_grid_matches_pointwise_intercepts(self, ident):
         """The whole-grid evaluation gives the bits of L - w L_v taken point
-        by point through `partial_array`."""
+        by point through `jet`."""
         spec = catalog(ident)
         (t0, t1), (y0, y1), (v0, v1) = spec.sample_box
         t, y = (t0 + t1) / 2.0, (y0 + y1) / 2.0
         curve = lemma_P(spec, y, np.linspace(v0, v1, 17), t=t)
         for w, p in zip(curve.w_grid, curve.values):
-            assert p == float(spec.eval(t, y, w)) - w * float(partial_array(spec, 2, t, y, w))
+            value, _, lv = jet(spec, t, y, w)
+            assert p == float(value) - w * float(lv)
 
     def test_singular_grid_point_raises(self):
         with pytest.raises(SingularPointError):
@@ -1022,7 +1024,7 @@ class TestTangentInequality:
             w = d / s
             lw = float(spec.eval(t, y, w))
             ld = float(spec.eval(t, y, d))
-            lv = float(partial_array(spec, 2, t, y, w))
+            lv = float(jet(spec, t, y, w)[2])
             p = lw - w * lv
             lhs = lw * s
             rhs = ld + p * (s - 1.0)
