@@ -156,9 +156,11 @@ def line_values(offsets: np.ndarray, y_left: np.ndarray, d: np.ndarray) -> np.nd
 def gauss_points(left: np.ndarray, right: np.ndarray, h: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
     """The Gauss points of the cells [left, right] of widths h (right - left):
-    one row per rule node x on [-1, 1], one column per cell."""
+    one row per rule node x on [-1, 1], one column per cell.  The centres
+    are formed as `trajectory.midpoints` forms its means, each end halved
+    before the sum, so they cannot overflow."""
     tq = (h / 2.0) * x[:, None]
-    tq += (left + right) / 2.0
+    tq += left * 0.5 + right * 0.5
     return tq
 
 

@@ -394,6 +394,8 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         raise ArgumentError("need at least one slope bound")
     if bounds[0] <= 0:
         raise ArgumentError("slope bounds must be positive")
+    if not math.isfinite(bounds[-1] * 1e6):  # int(M * 1e6) keys the restarts
+        raise ArgumentError(f"slope bounds times 1e6 must be finite, got {bounds}")
     if max_iters < 0:
         raise ArgumentError(f"max_iters must be >= 0, got {max_iters}")
     if not 0 <= seed <= SEED_MAX:

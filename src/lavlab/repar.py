@@ -3,12 +3,13 @@
 Given a trajectory y and a threshold k, build a strictly increasing time
 change phi and return y o phi^{-1}, which has Lipschitz constant at most 2k
 and the same boundary values.  Cells where |y'| >= k (the fast set) are
-slowed by |y'|/k; to land exactly on the right endpoint, a measured subset
-of slow cells (slope <= lambda < k, the compensation set) runs at speed 1/2,
-its measure being exactly twice the time deficit created by the slowdown.
-For integrands that are convex in the velocity, the energy excess of the
-capped trajectory is eventually below 1/k; `find_K` locates that threshold
-on a grid.
+slowed by |y'|/k; to land exactly on the right endpoint, a prefix of the
+slow cells (slope <= lambda < k, the compensation set) runs faster: each
+at speed 1/2 but the last, which runs at a speed in [1/2, 1), so that the
+time it saves is exactly the deficit the slowdown created.  For integrands
+that are convex in the velocity, the energy excess of the capped
+trajectory is eventually below 1/k; `find_K` locates that threshold on a
+grid.
 """
 
 from __future__ import annotations
@@ -28,23 +29,16 @@ from .lagrangian import LagrangianSpec, jet
 from .trajectory import (CELLS, ENDPOINT_RTOL, NOT_INCREASING, Mesh, Trajectory,
                          endpoint_exact, positive_speeds, running_sum)
 
-SPLIT_GUARD_REL = 1e-13  # measure shortfalls below this (times b-a) skip the cell split
-
 
 @dataclass(frozen=True)
 class ReparPlan:
-    """Classification of mesh cells driving the time change.
+    """Classification of y's cells driving the time change.
 
-    `s_cells` and `a_cells` index the cells of `trajectory`, which is the
-    input `y` refined by at most one node (the compensation-set split,
-    reported in `split_node`), so every compensation cell is covered whole;
-    `slow_cells` is the slow set in y's own cells (the compensation cells
-    are a prefix of it, the split cell's left half last).  The time change
-    runs the fast cells at |d|/k, the compensation cells at 1/2 and the
+    The time change runs the fast cells `s_cells` at |d|/k, the
+    compensation cells `a_cells` (a prefix of the slow set `slow_cells`) at
+    1/2 but the last, which runs at `a_last_speed` in [1/2, 1), and the
     rest at 1; `_moved_blocks` lists the cells of speed other than 1, a
-    block at a time.  The per-k phases read the refined cells from y and
-    the split cell's two halves; the refined trajectory is built on first
-    access.  The cell sets are read-only intp arrays in mesh order.
+    block at a time.  The cell sets are read-only intp arrays in mesh order.
     """
 
     y: Trajectory
@@ -57,7 +51,7 @@ class ReparPlan:
     measure_omega: float
     deficit: float
     complete: bool
-    split_node: float | None = None
+    a_last_speed: float = 0.5
 
     def __post_init__(self):
         for name in ("s_cells", "slow_cells", "a_cells"):
@@ -66,96 +60,50 @@ class ReparPlan:
             object.__setattr__(self, name, cells)
 
     @property
-    def n_cells(self) -> int:
-        return self.y.mesh.n_cells + (self.split_node is not None)
-
-    @property
-    def split_cell(self) -> int | None:
-        """The left half of the split cell (the last compensation cell)."""
-        return None if self.split_node is None else int(self.a_cells[-1])
-
-    @cached_property
-    def _halves(self) -> tuple[np.ndarray, ...]:
-        """Nodes and values of the split cell with the split node between
-        them (its value interpolated between theirs), and the widths and
-        slopes of the two halves, as the refined trajectory has them."""
-        y, c, t = self.y, self.split_cell, self.split_node
-        nodes = np.array([y.mesh.nodes[c], t, y.mesh.nodes[c + 1]])
-        values = np.array([y.values[c], np.interp(t, nodes[::2], y.values[c:c + 2]),
-                           y.values[c + 1]])
-        h = np.diff(nodes)
-        return nodes, values, h, np.diff(values) / h
-
-    @cached_property
-    def trajectory(self) -> Trajectory:
-        if self.split_node is None:
-            return self.y
-        (_, t, _), (_, value, _), _, _ = self._halves
-        c = self.split_cell
-        return Trajectory(Mesh(np.insert(self.y.mesh.nodes, c + 1, t)),
-                          np.insert(self.y.values, c + 1, value))
-
-    def _y_cells(self, cells: np.ndarray) -> np.ndarray:
-        """The cell of y that each of `trajectory`'s cells `cells` lies in."""
-        c = self.split_cell
-        return cells if c is None else cells - (cells > c)
-
-    def _cell_data(self, cells: np.ndarray) -> list[np.ndarray]:
-        """Left node, right node, left value, width and slope of each of
-        `trajectory`'s cells `cells` (in order), read from y and the split
-        halves."""
-        y, c, src = self.y, self.split_cell, self._y_cells(cells)
-        data = [y.mesh.nodes[src], y.mesh.nodes[src + 1], y.values[src],
-                y.mesh.widths[src], y.cell_derivatives()[src]]
-        for i in range(2) if c is not None else ():
-            half = np.searchsorted(cells, c + i)
-            if half < cells.size and cells[half] == c + i:
-                nodes, values, h, d = self._halves
-                for arr, x in zip(data, (nodes[i], nodes[i + 1], values[i], h[i], d[i])):
-                    arr[half] = x
-        return data
-
-    @property
     def measure_a(self) -> float:
-        widths = self.y.mesh.widths[self.a_cells]  # compensation cells end at the split
-        if self.split_node is not None:
-            widths[-1] = self._halves[2][0]
-        return _total(widths) if widths.size else 0.0
+        """The sum of 2 (1 - s_j) h_j over the compensation cells: their
+        widths, the last one's scaled by 2 (1 - a_last_speed).  The time
+        they save is half of it, and `select_A` makes it 2 * deficit."""
+        if not self.a_cells.size:
+            return 0.0
+        widths = self.y.mesh.widths[self.a_cells]
+        widths[-1] *= 2.0 * (1.0 - self.a_last_speed)
+        return _total(widths)
 
     def _fast_speeds(self, cells: np.ndarray) -> np.ndarray:
         """|d|/k on the fast cells `cells`."""
-        return np.abs(self.y.cell_derivatives()[self._y_cells(cells)]) / self.k
+        return np.abs(self.y.cell_derivatives()[cells]) / self.k
 
     def _moved_blocks(self, first: int = 0, closure: tuple[int, float] | None = None
                       ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """For each block of CELLS of y's cells, from block `first`: its first
-        cell in `trajectory`, its widths (the split cell's two halves in its
-        place), and its cells of speed other than 1, in mesh order, with
+        """For each block of CELLS cells, from block `first`: its first cell,
+        its widths, and its cells of speed other than 1, in mesh order, with
         those speeds: |d|/k on the fast set (a fast cell at |d|/k = 1 keeps
-        speed 1), 1/2 on the compensation set; with the `closure` (j, speed),
-        cell j runs at that speed."""
-        h, c, s, a = self.y.mesh.widths, self.split_cell, self.s_cells, self.a_cells
-        for ylo in range(first * CELLS, h.size, CELLS):
-            lo, widths = ylo, h[ylo:ylo + CELLS]
-            if c is not None and c < ylo:
-                lo += 1
-            elif c is not None and c < ylo + CELLS:
-                widths = np.concatenate((h[ylo:c], self._halves[2], h[c + 1:ylo + CELLS]))
-            s0, s1, a0, a1 = np.searchsorted(s, (lo, lo + widths.size)).tolist() + \
-                np.searchsorted(a, (lo, lo + widths.size)).tolist()
+        speed 1), 1/2 on the compensation set; then each override (j, speed)
+        runs cell j at that speed, first the last compensation cell at
+        `a_last_speed`, then the `closure`."""
+        h, s, a = self.y.mesh.widths, self.s_cells, self.a_cells
+        overrides = [(int(a[-1]), self.a_last_speed)] if a.size else []
+        if closure is not None:
+            overrides.append(closure)
+        for lo in range(first * CELLS, h.size, CELLS):
+            widths = h[lo:lo + CELLS]
+            hi = lo + widths.size
+            s0, s1, a0, a1 = np.searchsorted(s, (lo, hi)).tolist() + \
+                np.searchsorted(a, (lo, hi)).tolist()
             cells, v = s[s0:s1], self._fast_speeds(s[s0:s1])
             if (v == 1.0).any():
                 cells, v = cells[v != 1.0], v[v != 1.0]
             if a0 < a1:  # the two sets are disjoint
                 at = np.searchsorted(cells, a[a0:a1])
                 cells, v = np.insert(cells, at, a[a0:a1]), np.insert(v, at, 0.5)
-            if closure is not None and lo <= closure[0] < lo + widths.size:
-                j, speed = closure
-                i = int(np.searchsorted(cells, j))
-                if i < cells.size and cells[i] == j:
-                    cells, v = np.delete(cells, i), np.delete(v, i)
-                if speed != 1.0:
-                    cells, v = np.insert(cells, i, j), np.insert(v, i, speed)
+            for j, speed in overrides:
+                if lo <= j < hi:
+                    i = int(np.searchsorted(cells, j))
+                    if i < cells.size and cells[i] == j:
+                        cells, v = np.delete(cells, i), np.delete(v, i)
+                    if speed != 1.0:
+                        cells, v = np.insert(cells, i, j), np.insert(v, i, speed)
             yield lo, widths, cells, v
 
 
@@ -168,8 +116,8 @@ class ReparResult:
     `_closure(plan)` closed the time change with (None when nothing moves).
     The capped trajectory `y_k` is built on first access: its mesh nodes are
     the closed image phi(t_i) that `_image_blocks` gives for that closure,
-    block by block, and its values those of `plan.trajectory`; with no
-    changed cell it is the input itself.
+    block by block, and its values those of y; with no changed cell it is
+    the input itself.
     """
 
     plan: ReparPlan
@@ -188,10 +136,10 @@ class ReparResult:
     def y_k(self) -> Trajectory:
         plan = self.plan
         if not self.changed_cells:
-            return plan.trajectory
+            return plan.y
         blocks = _image_blocks(plan, self.closure)  # consecutive blocks share a node
         nodes = np.concatenate([next(blocks), *(nodes[1:] for nodes in blocks)])
-        return Trajectory(Mesh(nodes), plan.trajectory.values)
+        return Trajectory(Mesh(nodes), plan.y.values)
 
 
 def choose_lambda(y: Trajectory) -> float:
@@ -268,16 +216,18 @@ def _feasible_k_hint(plan: ReparPlan) -> float | None:
 def select_A(plan: ReparPlan) -> ReparPlan:
     """Complete the plan: pick the compensation set greedily from the left.
 
-    Cells of the slow set are taken in mesh order until their measure equals
-    twice the deficit; the final cell is split by inserting one node so the
-    measure is exact.  Requires the slow set strictly larger than the target
-    measure; otherwise raises InfeasibleError carrying a feasible-k hint.
+    Cells of the slow set are taken in mesh order, at speed 1/2, each saving
+    half its width in time, up to the first cell j whose width h_j covers
+    the measure r still to cover (twice the deficit less the widths before
+    it).  Cell j runs whole at speed 1 - r / (2 h_j), in [1/2, 1), which
+    saves r / 2, so the set saves exactly the deficit; where that speed
+    rounds to 1, cell j is left out and the endpoint closure absorbs the
+    sub-ulp rest.  Requires the slow set strictly larger than twice the
+    deficit; otherwise raises InfeasibleError carrying a feasible-k hint.
     """
     if plan.complete:
         return plan
     target = 2.0 * plan.deficit
-    y = plan.y
-    span = y.mesh.b - y.mesh.a
     if target == 0.0:
         return replace(plan, a_cells=(), complete=True)
     if not plan.measure_omega > target:
@@ -288,40 +238,24 @@ def select_A(plan: ReparPlan) -> ReparPlan:
 
     # remaining[j]: measure still to cover when slow cell j is reached; the
     # cumsum is sequential, so these are the bits of cell-by-cell subtraction,
-    # and a prefix of the slow cells gives their prefix: the stop is sought in
-    # prefixes growing fourfold, so the cost follows |A_k|, not |Omega|
+    # and a prefix of the slow cells gives their prefix: the last cell is
+    # sought in prefixes growing fourfold, so the cost follows |A_k|, not |Omega|
     cells = plan.slow_cells
-    guard = SPLIT_GUARD_REL * span
     m = 0
     while m < cells.size:
         m = 4 * m + 64
-        widths = y.mesh.widths[cells[:m]]
-        remaining = np.cumsum(np.concatenate(([target], -widths)))
-        whole = remaining[:-1] >= widths
-        # stop at the first cell that does not fit whole or leaves at most guard
-        stops = ~whole | (remaining[1:] <= guard)
-        if stops.any():
+        widths = plan.y.mesh.widths[cells[:m]]
+        remaining = np.cumsum(np.concatenate(([target], -widths)))[:-1]
+        last = remaining <= widths
+        if last.any():
             break
-    j = int(np.argmax(stops))
-    if not stops[j]:
+    j = int(np.argmax(last))
+    if not last[j]:
         raise ConsistencyError("compensation selection exhausted the slow set")
-    if whole[j]:
-        return replace(plan, a_cells=cells[:j + 1], complete=True)
-    if not remaining[j] > guard:  # shortfall below the guard: no split
+    speed = 1.0 - 0.5 * float(remaining[j] / widths[j])
+    if speed == 1.0:
         return replace(plan, a_cells=cells[:j], complete=True)
-
-    # split slow cell j at the exact measure; later indices shift by one
-    split_cell = int(cells[j])
-    left, right = y.mesh.nodes[split_cell:split_cell + 2]
-    split_node = float(left) + float(remaining[j])
-    if not left < split_node < right:
-        # the split rounds onto a node: take the cell whole (or not at all) and
-        # leave the sub-ulp difference to the endpoint closure
-        return replace(plan, a_cells=cells[:j + (split_node >= right)], complete=True)
-    s_cells = plan.s_cells
-    return replace(plan, s_cells=s_cells + (s_cells > split_cell),
-                   a_cells=np.append(cells[:j], split_cell), complete=True,
-                   split_node=split_node)
+    return replace(plan, a_cells=cells[:j + 1], a_last_speed=speed, complete=True)
 
 
 def _trailing_run(cells: np.ndarray, end: int) -> int:
@@ -349,7 +283,7 @@ def _scaled(widths: np.ndarray, cells: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
                   carry: float = -0.0) -> Iterator[np.ndarray]:
-    """The closed image phi(t_i) of `plan.trajectory`'s nodes, the mesh
+    """The closed image phi(t_i) of y's nodes, the mesh
     nodes of y_k, one block of `_moved_blocks(first, closure)` at a time,
     from the block's left node to its right one (so consecutive blocks share
     a node): a plus the running sums of speeds * widths, continued from
@@ -360,7 +294,7 @@ def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
     for lo, widths, cells, v in plan._moved_blocks(first, closure):
         sums = running_sum(_scaled(widths, cells - lo, v), carry)
         carry, nodes = sums[-1], sums + a
-        if lo + widths.size == plan.n_cells:
+        if lo + widths.size == plan.y.mesh.n_cells:
             if not endpoint_exact(nodes, a, b):
                 raise ConsistencyError(
                     f"endpoint defect {abs(float(nodes[-1]) - b):.3e} exceeds tolerance "
@@ -370,8 +304,8 @@ def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
 
 
 def _closure(plan: ReparPlan) -> tuple[int, float]:
-    """The cell of `plan.trajectory` that absorbs the endpoint closure, and
-    its closed speed.
+    """The cell of y that absorbs the endpoint closure, and its closed
+    speed.
 
     In exact arithmetic the measure equation makes phi(b) = b; the float
     defect, b - a less the left-to-right sum of speeds * widths, is absorbed
@@ -399,12 +333,12 @@ def _closure(plan: ReparPlan) -> tuple[int, float]:
             j = lo + widths.size - 1 - run
         if v.size:
             top = max(top, float(v.max()))
-    j, speed = (j, 1.0) if j is not None else (plan.n_cells - 1, float(v[-1]))
+    j, speed = (j, 1.0) if j is not None else (plan.y.mesh.n_cells - 1, float(v[-1]))
     defect = (b - a) - carry
     if defect != 0.0:
-        speed += defect / float(plan._cell_data(np.array([j]))[3][0])
+        speed += defect / float(plan.y.mesh.widths[j])
     positive_speeds((top, speed))  # every other speed lies in [1/2, top]
-    first = int(plan._y_cells(np.array(j))) // CELLS  # the block holding cell j
+    first = j // CELLS  # the block holding cell j
     ok[first:] = map(increasing, _image_blocks(plan, (j, speed), first, starts[first]))
     if not all(ok):
         raise ArgumentError(NOT_INCREASING)
@@ -414,15 +348,17 @@ def _closure(plan: ReparPlan) -> tuple[int, float]:
 def _capped_cells(spec: LagrangianSpec, plan: ReparPlan, cells: np.ndarray,
                   s: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Energies and |slopes| of y o phi^{-1} on the images of
-    `plan.trajectory`'s cells `cells`, run at speeds `s`: phi maps cell j
+    y's cells `cells`, run at speeds `s`: phi maps cell j
     and its Gauss points affinely onto a cell of width h_j s_j and slope
     d_j / s_j, so for an autonomous L the image's energy is
     (h_j s_j / 2) sum_q w_q L(yq, d_j / s_j) on y's own samples yq (at
     speed 1, the bits of `energy`'s).  The quadrature walks blocks of
     SAMPLES // order cells, so its sample arrays hold at most SAMPLES."""
-    left, right, values, h, d = plan._cell_data(cells)
+    y = plan.y
+    h, d = y.mesh.widths[cells], y.cell_derivatives()[cells]
     v = d / s
-    samples = linear_samples(order, left, right, values, h, d, v)
+    samples = linear_samples(order, y.mesh.nodes[cells], y.mesh.nodes[cells + 1],
+                             y.values[cells], h, d, v)
     return cell_sums(spec, h * s, _gauss(order)[1], samples, max(1, SAMPLES // order)), np.abs(v)
 
 
@@ -437,9 +373,8 @@ class ReparInput:
     the per-k phases on the fast, compensation and changed cells, plus
     passes over blocks of CELLS cells, so its memory follows the changed
     cells, not the mesh: it takes F(y_k) from the cells whose speed is not
-    1, evaluating the integrand on those alone, and builds neither the
-    refined nor the capped trajectory (`ReparResult.y_k` is built on first
-    access).
+    1, evaluating the integrand on those alone, and does not build the
+    capped trajectory (`ReparResult.y_k` is built on first access).
     """
 
     spec: LagrangianSpec
@@ -477,9 +412,8 @@ class ReparInput:
         Only the cells of speed s_j != 1 change, to slope d_j / s_j, so
         Lip(y_k) is the larger of max |d_j| / s_j over them and max |d_i|
         over the rest, and F(y_k) is F(y) plus the energies of those cells
-        (and of both halves of a split cell) after the change, less y's
-        energies of the cells they come from.  Raises what building y_k
-        would, without building it.
+        after the change, less y's energies of the same cells.  Raises what
+        building y_k would, without building it.
         """
         if not k > self.lam:
             raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
@@ -489,28 +423,18 @@ class ReparInput:
             # Lip(y) < k or |d| == k ties: no time change
             return ReparResult(plan, lip, lip, before, before, changed_cells=0, closure=None)
         closure = _closure(plan)
-        d, per_cell, c = self.y.cell_derivatives(), self._energy.per_cell, plan.split_cell
+        d, per_cell = self.y.cell_derivatives(), self._energy.per_cell
         changed, lip_after, gained, lost = 0, 0.0, -0.0, -0.0
-        for block, (lo, widths, cells, v) in enumerate(plan._moved_blocks(0, closure)):
+        for lo, widths, cells, v in plan._moved_blocks(0, closure):
             changed += cells.size
-            new, s, old = cells, v, cells
-            if c is not None and lo <= c + 1 < lo + widths.size:
-                # y's cell c is split: cells c, c + 1 are new, and come from c
-                i = int(np.searchsorted(cells, c + 1))
-                if i < cells.size and cells[i] == c + 1:
-                    old = np.delete(cells, i)
-                else:
-                    new, s = np.insert(cells, i, c + 1), np.insert(v, i, 1.0)
-            old = plan._y_cells(old)
-            slopes = np.abs(d[block * CELLS:(block + 1) * CELLS])  # y's, at speed 1
-            slopes[old - block * CELLS] = 0.0
+            slopes = np.abs(d[lo:lo + widths.size])  # y's, at speed 1
+            slopes[cells - lo] = 0.0
             lip_after = max(lip_after, float(slopes.max()))
-            if new.size:
-                energies, slopes = _capped_cells(self.spec, plan, new, s, self.order)
+            if cells.size:
+                energies, slopes = _capped_cells(self.spec, plan, cells, v, self.order)
                 gained = float(running_sum(energies, gained)[-1])
                 lip_after = max(lip_after, float(slopes.max()))
-            if old.size:
-                lost = float(running_sum(per_cell[old], lost)[-1])
+                lost = float(running_sum(per_cell[cells], lost)[-1])
         return ReparResult(plan, lip, lip_after, before, before + (gained - lost), changed,
                            closure)
 

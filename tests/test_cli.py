@@ -419,10 +419,36 @@ class TestSettings:
           "--n", "8", "--k", "2"], "f is not finite at node t=-1.0"),
         (["energy", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--a", "-1", "--b", "1",
           "--n", "64"], "f or f' is NaN at the Gauss point t=-0.99"),
+        (["gap-scan", "--n", "4", "--M", "1e308"], "slope bounds times 1e6 must be finite"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    # a small run of each subcommand that has float settings; a case adds
+    # one float setting as --flag=value, which overrides the run's own
+    EXTREME_RUNS = {
+        "energy": ["--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "8"],
+        "repar": ["--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "8", "--k", "4"],
+        "gap-scan": ["--n", "4", "--M", "4", "--restarts", "0"],
+    }
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, s.flag) for name, command in cli.COMMANDS.items()
+        for s in command.every_setting if s.cast is float])
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "5e-324", "-0.0"])
+    def test_extreme_float_setting_exits_cleanly(self, name, flag, value, tmp_path, capsys):
+        """Every float setting at the largest, smallest and signed-zero
+        floats either runs, or exits 2 or 3 with a message, not a
+        traceback."""
+        argv = [name, *self.EXTREME_RUNS[name], f"{flag}={value}",
+                "--out", str(tmp_path / "report.json")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, argv, key, value", [
         ("gap-scan", ["--n", "10"], "M_grid", [4.0, math.nan]),

@@ -266,6 +266,21 @@ class TestEnergy:
             v2 = energy(spec, y, 2 * order).value
             assert abs(v1 - v2) <= 1e-13 * max(1.0, abs(v1))
 
+    def test_cells_near_the_largest_float(self):
+        """Each cell's centre is formed from its halved ends, so cells near
+        the largest float keep finite Gauss points inside them.  With every
+        value 1.0 the double well (v^2 - 1)^2 is 1, so the energy is the
+        length 7e307; the identity profile there has energy 0."""
+        nodes = np.array([1e308, 1.2e308, 1.4e308, 1.6e308, 1.7e308])
+        mesh = Mesh(nodes)
+        tq = gauss_points(nodes[:-1], nodes[1:], mesh.widths, _gauss(5)[0])
+        assert np.all((nodes[:-1] < tq) & (tq < nodes[1:]))
+        quartic = catalog("quartic")
+        assert energy(quartic, Trajectory(mesh, np.ones(5))).value == pytest.approx(7e307)
+        res = energy_converged(quartic, *EXACT_PROFILES["identity"],
+                               graded_family(1e308, 1.7e308, 4, 1.0))
+        assert res.converged and res.value == 0.0
+
     def test_additivity_under_cell_split(self):
         rng = np.random.default_rng(11)
         spec = catalog("quartic_plus_square")

@@ -20,10 +20,10 @@ from lavlab import (CATALOG_IDS, ArgumentError, ConsistencyError,
 
 from lavlab.functional import _gauss, _total, cell_sums, gauss_points
 from lavlab.lagrangian import jet
-from lavlab.repar import SPLIT_GUARD_REL, _closure
+from lavlab.repar import _closure
 from lavlab.trajectory import CELLS, endpoint_exact, positive_speeds, running_sum
 
-from conftest import former_with_node, random_trajectory
+from conftest import random_trajectory
 
 SQRT_CHAIN = catalog("sqrt_chain")
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
@@ -39,18 +39,18 @@ def two_cell(slopes, a=0.0, b=1.0):
 def former_speeds(plan):
     """The plan's per-cell speeds before the closure, as first written, on
     full-length arrays: ones, |d|/k on the fast set, 1/2 on the
-    compensation set."""
-    speeds = np.ones(plan.n_cells)
-    speeds[plan.s_cells] = np.abs(plan.trajectory.cell_derivatives()[plan.s_cells]) / plan.k
+    compensation set but `a_last_speed` on its last cell."""
+    speeds = np.ones(plan.y.mesh.n_cells)
+    speeds[plan.s_cells] = np.abs(plan.y.cell_derivatives()[plan.s_cells]) / plan.k
     speeds[plan.a_cells] = 0.5
+    speeds[plan.a_cells[-1:]] = plan.a_last_speed
     return speeds
 
 
 def moved_speeds(plan, closure=None):
-    """The speed of each of `plan.trajectory`'s cells as `_moved_blocks`
-    gives them, with the `closure` (j, speed) if given; 1 on the cells it
-    does not list."""
-    speeds = np.ones(plan.n_cells)
+    """The speed of each of y's cells as `_moved_blocks` gives them, with
+    the `closure` (j, speed) if given; 1 on the cells it does not list."""
+    speeds = np.ones(plan.y.mesh.n_cells)
     for _, _, cells, v in plan._moved_blocks(0, closure):
         speeds[cells] = v
     return speeds
@@ -161,15 +161,17 @@ class TestSelectA:
         assert plan.a_cells.size == 0
         assert plan.measure_a == 0.0
 
-    def test_split_measures_exactly_twice_deficit(self):
-        # slow set one cell of width 0.5; deficit 0.1 -> first 0.2 of the cell
+    def test_fractional_speed_measures_exactly_twice_deficit(self):
+        # slow set one cell of width 0.5; deficit 0.1 -> the whole cell at
+        # speed 1 - 0.2 / (2 * 0.5) = 0.8, which saves 0.1
         y = two_cell([4.0, 0.0])
         plan = classify(y, 2.0, 1.0)
         object.__setattr__(plan, "deficit", 0.1)
         done = select_A(plan)
-        assert done.split_node == pytest.approx(0.7)
+        assert done.a_cells.tolist() == [1]
+        assert done.a_last_speed == pytest.approx(0.8, abs=1e-15)
         assert done.measure_a == pytest.approx(0.2, abs=1e-15)
-        assert done.trajectory.mesh.n_cells == 3
+        assert moved_speeds(done).tolist() == [2.0, done.a_last_speed]
 
     def test_infeasible_at_small_k_feasible_at_large(self):
         y = two_cell([4.0, 0.0])
@@ -192,7 +194,7 @@ class TestSelectA:
             except InfeasibleError:
                 continue
             assert set(plan.a_cells).isdisjoint(plan.s_cells)
-            assert set(plan.a_cells) <= set(plan.slow_cells)  # they end at the split
+            assert plan.a_cells.tolist() == plan.slow_cells[:plan.a_cells.size].tolist()
 
 
 def former_k_hint(y, k, lam):
@@ -233,65 +235,43 @@ class TestFeasibleKHint:
 
 def reference_select_A(plan):
     """select_A's greedy rule cell by cell, as a plain Python loop over the
-    classified plan: (s_cells, slow_cells, a_cells, split_node, measure_a),
-    or None when the slow set runs out."""
-    y = plan.trajectory
-    widths = y.mesh.widths
-    guard = SPLIT_GUARD_REL * (y.mesh.b - y.mesh.a)
-    chosen = []
+    classified plan: (s_cells, slow_cells, a_cells, a_last_speed,
+    measure_a), or None when the slow set runs out."""
+    widths = plan.y.mesh.widths
+    slow = plan.slow_cells.tolist()
     remaining = 2.0 * plan.deficit
-    split_node = split_cell = None
-    for idx in plan.slow_cells.tolist():
+    for i, idx in enumerate(slow):
         w = float(widths[idx])
-        if remaining >= w:
-            chosen.append(idx)
-            remaining -= w
-            if remaining <= guard:
-                remaining = 0.0
-                break
-        else:
-            if remaining > guard:
-                split_node = float(y.mesh.nodes[idx]) + remaining
-                split_cell = idx
-                if split_node >= y.mesh.nodes[idx + 1]:  # rounds onto the right node
-                    chosen.append(idx)
-                if not y.mesh.nodes[idx] < split_node < y.mesh.nodes[idx + 1]:
-                    split_node = None
-            remaining = 0.0
+        if remaining <= w:  # the last compensation cell saves remaining / 2
+            speed = 1.0 - 0.5 * (remaining / w)
+            a_cells, last_speed = (slow[:i], 0.5) if speed == 1.0 else (slow[:i + 1], speed)
             break
-    if remaining > 0.0:
+        remaining -= w
+    else:
         return None
-    s_cells, slow_cells, a_cells = plan.s_cells.tolist(), plan.slow_cells.tolist(), chosen
-    if split_node is not None:
-        shift = lambda i: i if i < split_cell else i + 1
-        s_cells = [shift(i) for i in s_cells]
-        a_cells = [shift(i) for i in chosen] + [split_cell]
-        widths = np.diff(former_with_node(y, split_node)[0])
-    measure_a = float(sum(widths[i] * 1.0 for i in a_cells))
-    return s_cells, slow_cells, a_cells, split_node, measure_a
+    measure_a = 0.0
+    for n, idx in enumerate(a_cells, start=1):
+        measure_a += float(widths[idx]) * (2.0 * (1.0 - last_speed) if n == len(a_cells) else 1.0)
+    return plan.s_cells.tolist(), slow, a_cells, last_speed, measure_a
 
 
 class TestSelectAReference:
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["split", "whole", "tiny"]),
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["classified", "whole"]),
            st.sampled_from([24, 400]))
     @settings(max_examples=150, deadline=None)
     def test_matches_cell_by_cell_loop_bitwise(self, seed, mode, max_cells):
-        """"split" keeps the classified deficit; "whole" sets the target to
-        the measure of the first slow cells, so no cell is split; "tiny"
-        sets it below the split guard.  Meshes of up to 400 cells give long
-        slow and compensation sets."""
+        """"classified" keeps the classified deficit; "whole" sets the target
+        to the measure of the first slow cells, so the last compensation
+        cell runs at 1/2, up to the rounding of the running subtraction.
+        Meshes of up to 400 cells give long slow and compensation sets."""
         rng = np.random.default_rng(seed)
         y = random_trajectory(rng, lo=-4, hi=4, max_cells=max_cells)
         lam = choose_lambda(y)
         plan = classify(y, lam + float(rng.uniform(0.25, 6.0)), lam)
         widths = y.mesh.widths[plan.slow_cells]
-        if mode == "split" or widths.size < 2:
-            mode = "split"
-        elif mode == "whole":
+        if mode == "whole" and widths.size >= 2:
             m = int(rng.integers(1, widths.size))
             object.__setattr__(plan, "deficit", sum(widths[:m].tolist()) / 2.0)
-        else:
-            object.__setattr__(plan, "deficit", SPLIT_GUARD_REL / 4.0)
         expected = reference_select_A(plan)
         try:
             done = select_A(plan)
@@ -301,45 +281,68 @@ class TestSelectAReference:
         except ConsistencyError:
             assert expected is None
             return
-        s_cells, slow_cells, a_cells, split_node, measure_a = expected
+        s_cells, slow_cells, a_cells, a_last_speed, measure_a = expected
         for cells in (done.s_cells, done.slow_cells, done.a_cells):
             assert cells.dtype == np.intp and not cells.flags.writeable
         assert done.s_cells.tolist() == s_cells
         assert done.slow_cells.tolist() == slow_cells
         assert done.a_cells.tolist() == a_cells
-        assert done.split_node == split_node
+        assert done.a_last_speed == a_last_speed
         assert done.measure_a == measure_a
-        if mode != "split":
-            assert split_node is None
 
 
-class TestSelectASplitOntoANode:
-    @pytest.mark.parametrize("a, target, taken", [
-        (0.0, 2.0 ** -10 - 2.0 ** -62, [2]),  # onto the right node: whole
-        (2.0 ** 20, 2e-11, []),               # below half an ulp of 2^20: none
-    ])
-    def test_a_split_that_rounds_onto_a_node_moves_no_index(self, a, target, taken):
-        """The compensation target 2 * deficit falls short of the one slow
-        cell's width 2^-10 by less than half an ulp of its right node, or is
-        less than half an ulp of its left node, so the split node t_2 +
-        target rounds onto a node: the cell is taken whole or not at all,
-        the trajectory is kept, and no index moves."""
-        eps = 2.0 ** -10
-        y = Trajectory(Mesh(a + np.array([0.0, 0.25, 0.75, 0.75 + eps, 1.0])),
-                       np.array([0.0, 0.3, 1.05, 1.05 + 0.1 * eps, 1.8]))
-        plan = classify(y, 2.0, 1.0)
-        assert plan.s_cells.tolist() == [3] and plan.slow_cells.tolist() == [2]
-        short = dataclasses.replace(plan, deficit=target / 2.0)
-        assert y.mesh.nodes[2] + target == y.mesh.nodes[2 + len(taken)]
-        done = select_A(short)
-        assert done.trajectory is y and done.split_node is None
-        assert done.s_cells.tolist() == [3]
-        assert done.slow_cells.tolist() == [2]
-        assert done.a_cells.tolist() == taken
-        assert done.measure_a == eps * len(taken)
-        speeds = moved_speeds(done)
-        assert speeds[3] == abs(y.cell_derivatives()[3]) / 2.0
-        assert speeds[2] == (0.5 if taken else 1.0)
+class TestFractionalCompensation:
+    """The last compensation cell runs whole at a speed in [1/2, 1), so a
+    cap keeps y's cells and the compensation saves exactly the deficit."""
+
+    @staticmethod
+    def random_plan(seed):
+        """A complete plan of a random trajectory or a sqrt sample at a
+        random feasible k, or None."""
+        rng = np.random.default_rng(seed)
+        if rng.uniform() < 0.5:
+            y = sample(np.sqrt, graded_mesh(0, 1, int(rng.integers(16, 400)), 2.0))
+        else:
+            y = random_trajectory(rng, lo=-4, hi=4, max_cells=int(rng.choice([24, 400])))
+        lam = choose_lambda(y)
+        k = lam + 1e-3 + float(rng.uniform(0.0, 1.0)) * max(y.lipschitz_constant - lam, 1.0)
+        try:
+            return select_A(classify(y, k, lam))
+        except InfeasibleError:
+            return None
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_y_k_keeps_the_mesh_size(self, seed):
+        plan = self.random_plan(seed)
+        if plan is None:
+            return
+        res = reparametrize(V_SQUARED, plan.y, plan.k)
+        assert res.y_k.mesh.n_cells == plan.y.mesh.n_cells
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_last_compensation_speed_is_at_least_half_and_below_one(self, seed):
+        plan = self.random_plan(seed)
+        if plan is None or not plan.a_cells.size:
+            return
+        speeds = moved_speeds(plan)
+        assert 0.5 <= plan.a_last_speed < 1.0
+        assert speeds[plan.a_cells[-1]] == plan.a_last_speed
+        assert np.all(speeds[plan.a_cells[:-1]] == 0.5)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_time_saved_is_the_deficit(self, seed):
+        """The sum over A of 2 (1 - s_j) h_j, from the speeds the time
+        change runs, is 2 * deficit within 1e-12 (b - a)."""
+        plan = self.random_plan(seed)
+        if plan is None:
+            return
+        y = plan.y
+        a = plan.a_cells
+        saved = float(np.sum(2.0 * (1.0 - moved_speeds(plan)[a]) * y.mesh.widths[a]))
+        assert abs(saved - 2.0 * plan.deficit) <= 1e-12 * (y.mesh.b - y.mesh.a)
 
 
 class TestBuildMap:
@@ -397,7 +400,7 @@ class TestBuildMap:
             return
         span = y.mesh.b - y.mesh.a
         assert abs(plan.measure_a - 2.0 * plan.deficit) <= 1e-12 * span
-        speeds, widths = former_speeds(plan), plan.trajectory.mesh.widths
+        speeds, widths = former_speeds(plan), plan.y.mesh.widths
         assert abs(_total(speeds * widths) - span) <= 1e-12 * span
         j, speed = _closure(plan)
         assert abs(speed - speeds[j]) * widths[j] <= 1e-12 * span
@@ -419,7 +422,7 @@ class TestBuildMap:
             lam = choose_lambda(y)
             plan = select_A(classify(y, lam + 2.0, lam))
             speeds = former_speeds(plan)
-            widths = plan.trajectory.mesh.widths
+            widths = plan.y.mesh.widths
             total = 0.0
             for v, h in zip(speeds.tolist(), widths.tolist()):
                 total += v * h
@@ -472,7 +475,7 @@ class TestReparametrize:
         per = np.asarray(rep_after.per_cell)
         s = set(res.plan.s_cells)
         a = set(res.plan.a_cells)
-        n_cells = res.plan.trajectory.mesh.n_cells
+        n_cells = res.plan.y.mesh.n_cells
         neutral = [i for i in range(n_cells) if i not in s and i not in a]
         split_sum = per[list(s)].sum() + per[list(a)].sum() + per[neutral].sum()
         assert split_sum == pytest.approx(res.energy_after, rel=1e-10)
@@ -480,13 +483,14 @@ class TestReparametrize:
     def test_plan_speed_classes(self):
         y = sample(np.sqrt, graded_mesh(0, 1, 128, 2.0))
         res = reparametrize(SQRT_CHAIN, y, 4.0)
-        d = res.plan.trajectory.cell_derivatives()
+        d = res.plan.y.cell_derivatives()
         v = moved_speeds(res.plan)
         for i in res.plan.s_cells:
             assert v[i] == abs(d[i]) / 4.0
             assert v[i] >= 1.0
-        for i in res.plan.a_cells:
+        for i in res.plan.a_cells[:-1]:
             assert v[i] == 0.5
+        assert v[res.plan.a_cells[-1]] == res.plan.a_last_speed
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -617,23 +621,23 @@ class TestChangeOfVariables:
             assert y_k.lipschitz_constant == pytest.approx(
                 res.lip_after, rel=2.0 * (rho + 2.0 * eps), abs=0.0)
 
-    def test_split_cell_halves_are_both_evaluated(self):
-        """The compensation split adds a cell, and neither half is a cell of
-        y: the left half runs at speed 1/2, the right half at speed 1, and
-        F(y_k) counts both."""
+    def test_fractional_cell_is_evaluated_at_its_speed(self):
+        """The last compensation cell is a cell of y run whole at a speed
+        strictly between 1/2 and 1, its right neighbour keeps speed 1, and
+        F(y_k) counts it on y's cells."""
         y = sample(np.sqrt, graded_mesh(0, 1, 256, 2.0))
         res = ReparInput.of(SQRT_CHAIN, y).cap(4.0)
-        assert res.plan.split_node is not None
-        split = int(res.plan.a_cells[-1])
-        assert moved_speeds(res.plan)[split:split + 2].tolist() == [0.5, 1.0]
+        last, speed = int(res.plan.a_cells[-1]), res.plan.a_last_speed
+        assert 0.5 < speed < 1.0
+        assert moved_speeds(res.plan)[last:last + 2].tolist() == [speed, 1.0]
         per_cell = energy(SQRT_CHAIN, res.y_k).per_cell
-        assert per_cell.size == y.mesh.n_cells + 1
+        assert per_cell.size == y.mesh.n_cells
         assert res.energy_after == pytest.approx(float(per_cell.sum()), rel=1e-12)
 
     @staticmethod
     def colliding_nodes():
-        """A compensation cell one ulp of 0.25 wide, at speed 1/2: its image
-        of half an ulp rounds onto its left node."""
+        """Four compensation cells one ulp of 0.25 wide, at speed 1/2: the
+        first one's image of half an ulp rounds onto its left node."""
         u = 2.0 ** -54  # ulp(0.25)
         nodes = np.array([0.0, 0.25, 0.25 + u, 0.25 + 2 * u, 0.25 + 3 * u,
                           0.25 + 4 * u, 0.25 + 6 * u, 1.0])
@@ -642,13 +646,14 @@ class TestChangeOfVariables:
         return y
 
     def test_nodes_that_collide_raise_as_the_push_does(self):
-        """A compensation cell one ulp of 0.25 wide, at speed 1/2, has an
-        image of half an ulp that rounds onto its left node: y_k has no
+        """Compensation cells one ulp of 0.25 wide, at speed 1/2, have
+        images of half an ulp, the first of which rounds onto its left
+        node: y_k has no
         mesh (the full-length reference raises), and cap raises the same
         ArgumentError without building it."""
         y = self.colliding_nodes()
         plan = select_A(classify(y, 2.0, choose_lambda(y)))
-        assert plan.a_cells.tolist() == [1]
+        assert plan.a_cells.tolist() == [1, 2, 3, 4]
         with pytest.raises(ArgumentError, match="strictly increasing"):
             former_closure(plan)
         with pytest.raises(ArgumentError, match="strictly increasing"):
@@ -671,7 +676,7 @@ def former_closure(plan):
     endpoint tolerance of b, snapped to b, and make a mesh.  Returns
     (speeds, nodes), or raises what those checks raise."""
     speeds = former_speeds(plan)
-    widths = plan.trajectory.mesh.widths
+    widths = plan.y.mesh.widths
     a, b = plan.y.mesh.a, plan.y.mesh.b
     defect = (b - a) - _total(speeds * widths)
     if defect != 0.0:
@@ -697,8 +702,7 @@ def closure_outcome(plan):
 
 def former_cap(prepared, k):
     """(energy_after, lip_after, changed_cells) of cap(k) as first written:
-    F(y_k) and Lip(y_k) from the full closed speeds and the refined
-    trajectory's arrays."""
+    F(y_k) and Lip(y_k) from the full closed speeds and y's arrays."""
     plan = select_A(classify(prepared.y, k, prepared.lam))
     if np.all(former_speeds(plan) == 1.0):
         return prepared.energy_before, prepared.lip, 0
@@ -706,14 +710,9 @@ def former_cap(prepared, k):
     if isinstance(closed[0], type):
         return closed
     speeds = closed[0]
-    traj = plan.trajectory
-    nodes, values, h, d = traj.mesh.nodes, traj.values, traj.mesh.widths, traj.cell_derivatives()
-    new = old = speeds != 1.0
-    changed = int(np.count_nonzero(new))
-    if plan.split_node is not None:
-        c = int(plan.a_cells[-1])
-        old, new[c + 1] = np.delete(new, c + 1), True
-    new, old = np.flatnonzero(new), np.flatnonzero(old)
+    y = plan.y
+    nodes, values, h, d = y.mesh.nodes, y.values, y.mesh.widths, y.cell_derivatives()
+    new = np.flatnonzero(speeds != 1.0)
     x, w = _gauss(prepared.order)
     s = speeds[new]
 
@@ -726,17 +725,17 @@ def former_cap(prepared, k):
         return tq, yq, (d[idx] / s[b])[None]
 
     delta = (_total(cell_sums(prepared.spec, h[new] * s, w, samples))
-             - _total(prepared._energy.per_cell[old]))
-    return (prepared.energy_before + delta, float(np.max(np.abs(d) / speeds)), changed)
+             - _total(prepared._energy.per_cell[new]))
+    return (prepared.energy_before + delta, float(np.max(np.abs(d) / speeds)), new.size)
 
 
 def closure_plan(rng, mode):
     """A complete plan for the closure: a random trajectory capped at a
-    random k (splits or not), one whose compensation set is short or long
-    by a random factor (a large closure, perhaps a speed <= 0), one where
-    every slow cell compensates (every cell moves), or slow cells then a
-    fast tail with the last slow cell split (the closure cell is its right
-    half)."""
+    random k, one whose compensation set is short or long by a random
+    factor (a large closure, perhaps a speed <= 0), one where every slow
+    cell compensates (every cell moves), or slow cells then a fast tail with
+    the last slow cell at a fractional speed (every cell moves, so the
+    closure cell is the last one)."""
     if mode == "tail":
         m, r = int(rng.integers(1, 40)), int(rng.integers(1, 40))
         mesh = uniform_mesh(0.0, 1.0, m + r)
@@ -799,9 +798,10 @@ class TestBlockedCap:
             assert speeds.tobytes() == expected[0].tobytes()
             y_k = built_y_k(plan)
             assert y_k.mesh.nodes.tobytes() == expected[1].tobytes()
-            assert y_k.values.tobytes() == plan.trajectory.values.tobytes()
-        if mode == "tail" and plan.split_node is not None:
-            assert j == plan.split_cell + 1
+            assert y_k.values.tobytes() == plan.y.values.tobytes()
+        if mode == "tail":
+            assert 0.5 < plan.a_last_speed < 1.0
+            assert j == plan.y.mesh.n_cells - 1
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),
            st.sampled_from(["random", "sqrt"]), st.sampled_from([1, 3, 8, CELLS]))
@@ -832,7 +832,7 @@ class TestBlockedCap:
             if res.changed_cells:  # else y_k is y
                 nodes = former_closure(res.plan)[1]
                 assert y_k.mesh.nodes.tobytes() == nodes.tobytes()
-                assert y_k.values.tobytes() == res.plan.trajectory.values.tobytes()
+                assert y_k.values.tobytes() == res.plan.y.values.tobytes()
 
     def test_y_k_reuses_the_closure_of_its_cap(self):
         """One cap and its y_k close the time change once: y_k builds its

@@ -13,14 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lavlab import (ArgumentError, ConsistencyError, DomainError, InfeasibleError,
-                    Mesh, ReparPlan, SamplingError, Trajectory, choose_lambda,
+                    Mesh, SamplingError, Trajectory, choose_lambda,
                     classify, graded_mesh, polynomial_lagrangian, reparametrize,
                     sample, select_A, uniform_mesh)
 from lavlab import trajectory
 from lavlab.repar import _closure, _image_blocks
 from lavlab.trajectory import endpoint_exact, graded_family, positive_speeds, running_sum
 
-from conftest import former_with_node, random_trajectory
+from conftest import random_trajectory
 
 V_SQUARED = polynomial_lagrangian([[1, 0, 0, 2]])
 
@@ -180,48 +180,6 @@ class TestCellDerivatives:
         assert y.lipschitz_constant == pytest.approx(10.0)
 
 
-def graded_jittered_mesh(rng: np.random.Generator, n: int, jitter: bool) -> Mesh:
-    """A graded mesh of [a, b], each interior node optionally moved by up
-    to a quarter of its smaller adjacent cell."""
-    a = float(rng.uniform(-2.0, 1.0))
-    b = a + float(rng.uniform(0.5, 3.0))
-    nodes = graded_mesh(a, b, n, float(rng.uniform(1.0, 4.0))).nodes.copy()
-    if jitter and n > 1:
-        h = np.diff(nodes)
-        nodes[1:-1] += rng.uniform(-1.0, 1.0, n - 1) * 0.25 * np.minimum(h[:-1], h[1:])
-    return Mesh(nodes)
-
-
-class TestWithNode:
-    """A trajectory with one node inserted: `ReparPlan.trajectory`, y with
-    the compensation split node."""
-
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
-           st.sampled_from(["inside", "ulp_below", "ulp_above"]))
-    @settings(max_examples=200, deadline=None)
-    def test_same_bits_as_sorting_and_interpolating_every_node(self, seed, jitter, where):
-        rng = np.random.default_rng(seed)
-        mesh = graded_jittered_mesh(rng, int(rng.integers(1, 300)), jitter)
-        y = Trajectory(mesh, rng.normal(size=mesh.nodes.size) * 10.0 ** rng.uniform(-3, 3))
-        if where == "inside":
-            i = int(rng.integers(0, mesh.n_cells))
-            t = float(mesh.nodes[i] + rng.uniform() * mesh.widths[i])
-        else:  # an ulp beside an interior node, or beside a or b
-            i = int(rng.integers(0, mesh.nodes.size))
-            t = float(np.nextafter(mesh.nodes[i], -np.inf if where == "ulp_below" else np.inf))
-        if not mesh.a < t < mesh.b or t in mesh.nodes:
-            return
-        c = int(np.searchsorted(mesh.nodes, t)) - 1  # the cell t splits
-        h = float(mesh.widths[c])
-        plan = ReparPlan(y=y, k=2.0, lam=1.0, s_cells=(), slow_cells=[c], a_cells=[c],
-                         measure_s=0.0, measure_omega=h, deficit=(t - mesh.nodes[c]) / 2.0,
-                         complete=True, split_node=t)
-        out = plan.trajectory
-        nodes, values = former_with_node(y, t)
-        assert np.array_equal(out.mesh.nodes.view(np.int64), nodes.view(np.int64))
-        assert np.array_equal(out.values.view(np.int64), values.view(np.int64))
-
-
 class TestSample:
     def test_identity(self):
         mesh = graded_mesh(0, 1, 5, 2.0)
@@ -290,7 +248,7 @@ def random_cap(rng: np.random.Generator):
 
 class TestPushThroughInverse:
     """y_k = y o phi^{-1}, as `ReparResult.y_k` builds it: the mesh nodes
-    phi(t_i) of the refined trajectory, whose values it keeps."""
+    phi(t_i) of y's nodes, whose values it keeps."""
 
     def test_identity_speeds_leave_trajectory_unchanged(self):
         """A cap with no cell to move returns y; built anyway, y_k has y's
@@ -331,9 +289,9 @@ class TestPushThroughInverse:
         out = res.y_k
         assert out.values[0] == y.values[0]
         assert out.values[-1] == y.values[-1]
-        assert np.array_equal(out.values, res.plan.trajectory.values)
+        assert np.array_equal(out.values, res.plan.y.values)
         assert np.abs(np.diff(out.values)).sum() == \
-            np.abs(np.diff(res.plan.trajectory.values)).sum()
+            np.abs(np.diff(res.plan.y.values)).sum()
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
