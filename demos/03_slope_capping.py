@@ -5,8 +5,9 @@ be time-changed into one with slopes at most 2k whose energy exceeds the
 original by at most 1/k, once k is large enough.  The sweep below shows the
 onset: |S_k| is the measure where slopes exceed k, and |A_k| = 2 * deficit
 measures the compensating set, whose cells run at speed 1/2 but the last,
-which runs whole at the speed in [1/2, 1) that saves the rest of the
-deficit (|A_k| is the sum of 2 (1 - s_j) h_j over its cells).
+which runs whole at the speed in [1/2, 1] that saves the rest of the
+deficit and closes the time change (|A_k| is the sum of 2 (1 - s_j) h_j
+over its cells).
 """
 
 import numpy as np

@@ -5,8 +5,9 @@ change phi and return y o phi^{-1}, which has Lipschitz constant at most 2k
 and the same boundary values.  Cells where |y'| >= k (the fast set) are
 slowed by |y'|/k; to land exactly on the right endpoint, a prefix of the
 slow cells (slope <= lambda < k, the compensation set) runs faster: each
-at speed 1/2 but the last, which runs at a speed in [1/2, 1), so that the
-time it saves is exactly the deficit the slowdown created.  For integrands
+at speed 1/2 but the last, which runs at a speed in [1/2, 1], so that the
+time it saves is exactly the deficit the slowdown created; that one free
+speed also absorbs the float defect of phi(b) = b.  For integrands
 that are convex in the velocity, the energy excess of the capped
 trajectory is eventually below 1/k; `find_K` locates that threshold on a
 grid.
@@ -36,9 +37,11 @@ class ReparPlan:
 
     The time change runs the fast cells `s_cells` at |d|/k, the
     compensation cells `a_cells` (a prefix of the slow set `slow_cells`) at
-    1/2 but the last, which runs at `a_last_speed` in [1/2, 1), and the
-    rest at 1; `_moved_blocks` lists the cells of speed other than 1, a
-    block at a time.  The cell sets are read-only intp arrays in mesh order.
+    1/2 but the last, which runs at `a_last_speed`, and the rest at 1;
+    `_moved_blocks` lists the cells of speed other than 1, a block at a
+    time.  `a_last_speed`, in [1/2, 1] from `select_A`, is the one closing
+    speed: `_closure` absorbs the float defect of phi(b) = b into it.  The
+    cell sets are read-only intp arrays in mesh order.
     """
 
     y: Trajectory
@@ -63,7 +66,8 @@ class ReparPlan:
     def measure_a(self) -> float:
         """The sum of 2 (1 - s_j) h_j over the compensation cells: their
         widths, the last one's scaled by 2 (1 - a_last_speed).  The time
-        they save is half of it, and `select_A` makes it 2 * deficit."""
+        they save is half of it: `select_A` makes it 2 * deficit, and
+        `_closure` moves it by twice the float endpoint defect."""
         if not self.a_cells.size:
             return 0.0
         widths = self.y.mesh.widths[self.a_cells]
@@ -74,36 +78,28 @@ class ReparPlan:
         """|d|/k on the fast cells `cells`."""
         return np.abs(self.y.cell_derivatives()[cells]) / self.k
 
-    def _moved_blocks(self, first: int = 0, closure: tuple[int, float] | None = None
+    def _moved_blocks(self, first: int = 0
                       ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """For each block of CELLS cells, from block `first`: its first cell,
         its widths, and its cells of speed other than 1, in mesh order, with
-        those speeds: |d|/k on the fast set (a fast cell at |d|/k = 1 keeps
-        speed 1), 1/2 on the compensation set; then each override (j, speed)
-        runs cell j at that speed, first the last compensation cell at
-        `a_last_speed`, then the `closure`."""
+        those speeds: |d|/k on the fast set, 1/2 on the compensation set but
+        `a_last_speed` on its last cell.  A cell at speed 1 (a fast cell at
+        |d|/k = 1, or the last compensation cell) is not listed."""
         h, s, a = self.y.mesh.widths, self.s_cells, self.a_cells
-        overrides = [(int(a[-1]), self.a_last_speed)] if a.size else []
-        if closure is not None:
-            overrides.append(closure)
         for lo in range(first * CELLS, h.size, CELLS):
             widths = h[lo:lo + CELLS]
             hi = lo + widths.size
             s0, s1, a0, a1 = np.searchsorted(s, (lo, hi)).tolist() + \
                 np.searchsorted(a, (lo, hi)).tolist()
             cells, v = s[s0:s1], self._fast_speeds(s[s0:s1])
+            if a0 < a1:  # the two sets are disjoint
+                va = np.full(a1 - a0, 0.5)
+                if a1 == a.size:
+                    va[-1] = self.a_last_speed
+                at = np.searchsorted(cells, a[a0:a1])
+                cells, v = np.insert(cells, at, a[a0:a1]), np.insert(v, at, va)
             if (v == 1.0).any():
                 cells, v = cells[v != 1.0], v[v != 1.0]
-            if a0 < a1:  # the two sets are disjoint
-                at = np.searchsorted(cells, a[a0:a1])
-                cells, v = np.insert(cells, at, a[a0:a1]), np.insert(v, at, 0.5)
-            for j, speed in overrides:
-                if lo <= j < hi:
-                    i = int(np.searchsorted(cells, j))
-                    if i < cells.size and cells[i] == j:
-                        cells, v = np.delete(cells, i), np.delete(v, i)
-                    if speed != 1.0:
-                        cells, v = np.insert(cells, i, j), np.insert(v, i, speed)
             yield lo, widths, cells, v
 
 
@@ -112,12 +108,12 @@ class ReparResult:
     """One cap: its plan, and Lip and F before and after.
 
     `energy_after` and `lip_after` come from the `changed_cells` cells whose
-    speed is not 1 (see `ReparInput.cap`).  `closure` is the cell and speed
-    `_closure(plan)` closed the time change with (None when nothing moves).
-    The capped trajectory `y_k` is built on first access: its mesh nodes are
-    the closed image phi(t_i) that `_image_blocks` gives for that closure,
-    block by block, and its values those of y; with no changed cell it is
-    the input itself.
+    speed is not 1 (see `ReparInput.cap`).  Where a cell moves, `plan` is
+    closed: its `a_last_speed` is the one closing speed `_closure` gave it.
+    The capped trajectory `y_k` is built on first access from the plan
+    alone: its mesh nodes are the closed image phi(t_i) that
+    `_image_blocks` gives, block by block, and its values those of y; with
+    no changed cell it is the input itself.
     """
 
     plan: ReparPlan
@@ -126,7 +122,6 @@ class ReparResult:
     energy_before: float
     energy_after: float
     changed_cells: int
-    closure: tuple[int, float] | None
 
     @property
     def gap(self) -> float:
@@ -137,7 +132,7 @@ class ReparResult:
         plan = self.plan
         if not self.changed_cells:
             return plan.y
-        blocks = _image_blocks(plan, self.closure)  # consecutive blocks share a node
+        blocks = _image_blocks(plan)  # consecutive blocks share a node
         nodes = np.concatenate([next(blocks), *(nodes[1:] for nodes in blocks)])
         return Trajectory(Mesh(nodes), plan.y.values)
 
@@ -219,10 +214,10 @@ def select_A(plan: ReparPlan) -> ReparPlan:
     Cells of the slow set are taken in mesh order, at speed 1/2, each saving
     half its width in time, up to the first cell j whose width h_j covers
     the measure r still to cover (twice the deficit less the widths before
-    it).  Cell j runs whole at speed 1 - r / (2 h_j), in [1/2, 1), which
-    saves r / 2, so the set saves exactly the deficit; where that speed
-    rounds to 1, cell j is left out and the endpoint closure absorbs the
-    sub-ulp rest.  Requires the slow set strictly larger than twice the
+    it).  Cell j runs whole at speed 1 - r / (2 h_j), in [1/2, 1], which
+    saves r / 2, so the set saves exactly the deficit.  Where that speed
+    rounds to 1, cell j stays in the set: `_closure` closes the time change
+    on its speed.  Requires the slow set strictly larger than twice the
     deficit; otherwise raises InfeasibleError carrying a feasible-k hint.
     """
     if plan.complete:
@@ -253,23 +248,7 @@ def select_A(plan: ReparPlan) -> ReparPlan:
     if not last[j]:
         raise ConsistencyError("compensation selection exhausted the slow set")
     speed = 1.0 - 0.5 * float(remaining[j] / widths[j])
-    if speed == 1.0:
-        return replace(plan, a_cells=cells[:j], complete=True)
     return replace(plan, a_cells=cells[:j + 1], a_last_speed=speed, complete=True)
-
-
-def _trailing_run(cells: np.ndarray, end: int) -> int:
-    """How many of end - 1, end - 2, ... lie in `cells` (distinct, below
-    end, in order) in a row: cells[i] - i never falls, and the run is where
-    it equals end - cells.size, so bisect for that."""
-    lo, hi = 0, cells.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cells[mid] - mid == end - cells.size:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cells.size - lo
 
 
 def _scaled(widths: np.ndarray, cells: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -281,17 +260,17 @@ def _scaled(widths: np.ndarray, cells: np.ndarray, v: np.ndarray) -> np.ndarray:
     return widths
 
 
-def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
+def _image_blocks(plan: ReparPlan, first: int = 0,
                   carry: float = -0.0) -> Iterator[np.ndarray]:
-    """The closed image phi(t_i) of y's nodes, the mesh
-    nodes of y_k, one block of `_moved_blocks(first, closure)` at a time,
-    from the block's left node to its right one (so consecutive blocks share
-    a node): a plus the running sums of speeds * widths, continued from
-    `carry`, the sum of the blocks before `first`, so they have the bits of
-    one np.cumsum.  On the last block, phi(b) must lie within the endpoint
-    tolerance of b (ConsistencyError) and is snapped to b."""
+    """The image phi(t_i) of y's nodes, the mesh nodes of y_k, one block of
+    `plan._moved_blocks(first)` at a time, from the block's left node to
+    its right one (so consecutive blocks share a node): a plus the running
+    sums of speeds * widths, continued from `carry`, the sum of the blocks
+    before `first`, so they have the bits of one np.cumsum.  On the last
+    block, phi(b) must lie within the endpoint tolerance of b
+    (ConsistencyError) and is snapped to b."""
     a, b = plan.y.mesh.a, plan.y.mesh.b
-    for lo, widths, cells, v in plan._moved_blocks(first, closure):
+    for lo, widths, cells, v in plan._moved_blocks(first):
         sums = running_sum(_scaled(widths, cells - lo, v), carry)
         carry, nodes = sums[-1], sums + a
         if lo + widths.size == plan.y.mesh.n_cells:
@@ -301,48 +280,52 @@ def _image_blocks(plan: ReparPlan, closure: tuple[int, float], first: int = 0,
                     f"{ENDPOINT_RTOL * (b - a):.3e}")
             nodes[-1] = b
         yield nodes
+        del sums, nodes  # one block's arrays at a time
 
 
-def _closure(plan: ReparPlan) -> tuple[int, float]:
-    """The cell of y that absorbs the endpoint closure, and its closed
-    speed.
+def _closure(plan: ReparPlan) -> ReparPlan:
+    """The plan closed on its one free speed: `a_last_speed`, which
+    `select_A` set in [1/2, 1].
 
     In exact arithmetic the measure equation makes phi(b) = b; the float
     defect, b - a less the left-to-right sum of speeds * widths, is absorbed
-    into the last unit-speed cell (the last cell if there is none).  Then
-    every speed must be finite and positive, and the closed image from
-    which `ReparResult.y_k` builds its mesh, `_image_blocks`, must end
-    within the endpoint tolerance of b (ConsistencyError) and increase
-    strictly (ArgumentError), so a cap raises what building y_k would.
-    The sums walk `_moved_blocks`, each block's continued from the last by
-    `running_sum`; the blocks before the one that absorbs the defect are
-    summed once.
+    into the speed of the last compensation cell (ConsistencyError if A is
+    empty), and the plan is returned with that speed.  Then every speed must
+    be finite and positive, and the closed image from which `ReparResult.y_k`
+    builds its mesh, `_image_blocks`, must increase strictly (ArgumentError)
+    and end within the endpoint tolerance of b (ConsistencyError), so a cap
+    raises what building y_k would.  The sums walk `_moved_blocks`, each
+    block's continued from the last by `running_sum`, and a nonzero defect
+    re-sums the image from the block that holds the closing cell.  A zero
+    defect returns the plan as it is: its sums were finite, so its speeds
+    are, and `select_A` gave them in [1/2, top].
     """
     if not plan.complete:
         raise ArgumentError("plan is not complete; run select_A first")
     a, b = plan.y.mesh.a, plan.y.mesh.b
     increasing = lambda nodes: bool(np.all(np.diff(nodes) > 0))
-    j, top, carry, starts, ok = None, 1.0, -0.0, [], []
+    top, carry, starts, ok = 1.0, -0.0, [], []
     for lo, widths, cells, v in plan._moved_blocks():
         starts.append(carry)
         sums = running_sum(_scaled(widths, cells - lo, v), carry)
-        ok.append(increasing(sums + a))  # with the closed speeds from j's block on
+        ok.append(increasing(sums + a))  # re-checked from a[-1]'s block if it closes
         carry = sums[-1]
-        run = _trailing_run(cells, lo + widths.size)
-        if run < widths.size:
-            j = lo + widths.size - 1 - run
         if v.size:
             top = max(top, float(v.max()))
-    j, speed = (j, 1.0) if j is not None else (plan.y.mesh.n_cells - 1, float(v[-1]))
-    defect = (b - a) - carry
+    defect = float((b - a) - carry)
     if defect != 0.0:
-        speed += defect / float(plan.y.mesh.widths[j])
-    positive_speeds((top, speed))  # every other speed lies in [1/2, top]
-    first = j // CELLS  # the block holding cell j
-    ok[first:] = map(increasing, _image_blocks(plan, (j, speed), first, starts[first]))
+        if not plan.a_cells.size:
+            raise ConsistencyError(
+                f"endpoint defect {abs(defect):.3e} and no compensation cell to absorb it")
+        j = int(plan.a_cells[-1])
+        plan = replace(plan, a_last_speed=plan.a_last_speed
+                       + defect / float(plan.y.mesh.widths[j]))
+        positive_speeds((top, plan.a_last_speed))  # every other speed lies in [1/2, top]
+        first = j // CELLS  # the block holding cell j
+        ok[first:] = map(increasing, _image_blocks(plan, first, starts[first]))
     if not all(ok):
         raise ArgumentError(NOT_INCREASING)
-    return j, speed
+    return plan
 
 
 def _capped_cells(spec: LagrangianSpec, plan: ReparPlan, cells: np.ndarray,
@@ -421,11 +404,11 @@ class ReparInput:
         plan = select_A(classify(self.y, k, self.lam, self._slow))
         if not plan.a_cells.size and np.all(plan._fast_speeds(plan.s_cells) == 1.0):
             # Lip(y) < k or |d| == k ties: no time change
-            return ReparResult(plan, lip, lip, before, before, changed_cells=0, closure=None)
-        closure = _closure(plan)
+            return ReparResult(plan, lip, lip, before, before, changed_cells=0)
+        plan = _closure(plan)
         d, per_cell = self.y.cell_derivatives(), self._energy.per_cell
         changed, lip_after, gained, lost = 0, 0.0, -0.0, -0.0
-        for lo, widths, cells, v in plan._moved_blocks(0, closure):
+        for lo, widths, cells, v in plan._moved_blocks():
             changed += cells.size
             slopes = np.abs(d[lo:lo + widths.size])  # y's, at speed 1
             slopes[cells - lo] = 0.0
@@ -435,8 +418,7 @@ class ReparInput:
                 gained = float(running_sum(energies, gained)[-1])
                 lip_after = max(lip_after, float(slopes.max()))
                 lost = float(running_sum(per_cell[cells], lost)[-1])
-        return ReparResult(plan, lip, lip_after, before, before + (gained - lost), changed,
-                           closure)
+        return ReparResult(plan, lip, lip_after, before, before + (gained - lost), changed)
 
 
 def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,

@@ -476,6 +476,23 @@ def test_straight_line_start_reaches_the_lattice_global_basin(n, q):
         assert abs(polished - e0) <= 8 * math.ulp(e0), (M, polished, e0)
 
 
+def test_gap_free_control_floor_falls_with_the_slope_bound():
+    """The same solver, meshes and bounds drive a problem without a gap to
+    its infimum.  sqrt_chain, (2 y v - 1)^2, is autonomous and convex in v,
+    so it has no Lavrentiev gap: its infimum 0 is reached by sqrt(t), whose
+    slope is unbounded at 0, and its floor falls about fourfold (as 1/M^2)
+    at each doubling of M.  Mania's integrand has a gap, and its floor stays
+    above 0.025.  With no iteration the line's sqrt_chain energy,
+    the integral of (2t - 1)^2 = 1/3, would fail the decay."""
+    mesh, bounds = graded_mesh(0, 1, 50, 2), [2.0, 4.0, 8.0, 16.0]
+    control, mania = (minimize_bounded(catalog(ident), mesh, bounds, (0.0, 1.0), restarts=0)
+                      for ident in ("sqrt_chain", "mania"))
+    assert all(info.stop_reason == "converged" for *_, info in control + mania)
+    floors = [e for _, e, _ in control]
+    assert all(coarse >= 2.5 * fine for coarse, fine in zip(floors, floors[1:])), floors
+    assert 10.0 * floors[-1] <= mania[-1][1] and mania[-1][1] > 0.025, (floors, mania[-1][1])
+
+
 class TestRestarts:
     @pytest.mark.parametrize("mesh", [uniform_mesh(0, 1, 100), graded_mesh(-0.3, 2.1, 37, 2.0)],
                              ids=["uniform", "graded"])

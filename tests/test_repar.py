@@ -37,9 +37,9 @@ def two_cell(slopes, a=0.0, b=1.0):
 
 
 def former_speeds(plan):
-    """The plan's per-cell speeds before the closure, as first written, on
-    full-length arrays: ones, |d|/k on the fast set, 1/2 on the
-    compensation set but `a_last_speed` on its last cell."""
+    """The plan's per-cell speeds as first written, on full-length arrays:
+    ones, |d|/k on the fast set, 1/2 on the compensation set but
+    `a_last_speed` on its last cell (the closed speed, on a closed plan)."""
     speeds = np.ones(plan.y.mesh.n_cells)
     speeds[plan.s_cells] = np.abs(plan.y.cell_derivatives()[plan.s_cells]) / plan.k
     speeds[plan.a_cells] = 0.5
@@ -47,19 +47,19 @@ def former_speeds(plan):
     return speeds
 
 
-def moved_speeds(plan, closure=None):
-    """The speed of each of y's cells as `_moved_blocks` gives them, with
-    the `closure` (j, speed) if given; 1 on the cells it does not list."""
+def moved_speeds(plan):
+    """The speed of each of y's cells as `_moved_blocks` gives them; 1 on
+    the cells it does not list."""
     speeds = np.ones(plan.y.mesh.n_cells)
-    for _, _, cells, v in plan._moved_blocks(0, closure):
+    for _, _, cells, v in plan._moved_blocks():
         speeds[cells] = v
     return speeds
 
 
 def built_y_k(plan):
-    """y_k of a cap with the complete `plan`, built as `ReparResult.y_k`
-    builds it, whether or not a cell moves."""
-    return ReparResult(plan, 0.0, 0.0, 0.0, 0.0, changed_cells=1, closure=_closure(plan)).y_k
+    """y_k of a cap with the complete `plan`, closed, built as
+    `ReparResult.y_k` builds it, whether or not a cell moves."""
+    return ReparResult(_closure(plan), 0.0, 0.0, 0.0, 0.0, changed_cells=1).y_k
 
 
 class TestChooseLambda:
@@ -172,6 +172,26 @@ class TestSelectA:
         assert done.a_last_speed == pytest.approx(0.8, abs=1e-15)
         assert done.measure_a == pytest.approx(0.2, abs=1e-15)
         assert moved_speeds(done).tolist() == [2.0, done.a_last_speed]
+
+    def test_a_last_speed_that_rounds_to_one_stays_in_A_and_closes_the_cap(self):
+        """A fast cell 3 ulps above k before a wide slow cell: the deficit
+        is so small that 1 - r / (2 h) rounds to 1.  The slow cell stays in
+        A at speed 1, and the cap closes the float endpoint defect on its
+        speed, while the last cell keeps speed 1."""
+        h0 = 2.0 ** -10
+        y1 = 2.0 * h0 * (1.0 + 3.0 * 2.0 ** -52)
+        y = Trajectory(Mesh(np.array([0.3, 0.3 + h0, 0.9, 1.0])), np.array([0.0, y1, y1, y1]))
+        assert 0.0 < y.cell_derivatives()[0] / 2.0 - 1.0 <= 4.0 * 2.0 ** -52
+        plan = select_A(classify(y, 2.0, choose_lambda(y)))
+        assert plan.a_cells.tolist() == [1] and plan.a_last_speed == 1.0
+        assert plan.deficit > 0.0 and moved_speeds(plan)[1:].tolist() == [1.0, 1.0]
+        res = ReparInput.of(V_SQUARED, y).cap(2.0)
+        closed = res.plan.a_last_speed
+        assert res.plan.a_cells.tolist() == [1]
+        assert 0.0 < abs(closed - 1.0) <= 4.0 * 2.0 ** -52
+        assert moved_speeds(res.plan)[1:].tolist() == [closed, 1.0]
+        assert res.changed_cells == 2
+        assert res.y_k.mesh.nodes[-1] == 1.0
 
     def test_infeasible_at_small_k_feasible_at_large(self):
         y = two_cell([4.0, 0.0])
@@ -292,7 +312,7 @@ class TestSelectAReference:
 
 
 class TestFractionalCompensation:
-    """The last compensation cell runs whole at a speed in [1/2, 1), so a
+    """The last compensation cell runs whole at a speed in [1/2, 1], so a
     cap keeps y's cells and the compensation saves exactly the deficit."""
 
     @staticmethod
@@ -322,12 +342,12 @@ class TestFractionalCompensation:
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_last_compensation_speed_is_at_least_half_and_below_one(self, seed):
+    def test_last_compensation_speed_lies_in_half_to_one(self, seed):
         plan = self.random_plan(seed)
         if plan is None or not plan.a_cells.size:
             return
         speeds = moved_speeds(plan)
-        assert 0.5 <= plan.a_last_speed < 1.0
+        assert 0.5 <= plan.a_last_speed <= 1.0
         assert speeds[plan.a_cells[-1]] == plan.a_last_speed
         assert np.all(speeds[plan.a_cells[:-1]] == 0.5)
 
@@ -346,21 +366,21 @@ class TestFractionalCompensation:
 
 
 class TestBuildMap:
-    """The closed time change: the cell and speed `_closure` closes it
-    with, and the image nodes that `ReparResult.y_k` builds from."""
+    """`_closure`: the plan closed on its last compensation speed, and the
+    image nodes that `ReparResult.y_k` builds from it."""
 
     def test_empty_plan_gives_identity(self):
         y = two_cell([0.5, 0.5])
         plan = select_A(classify(y, 2.0, 1.0))
-        assert _closure(plan) == (1, 1.0)
-        assert np.all(moved_speeds(plan, _closure(plan)) == 1.0)
+        assert _closure(plan) is plan  # no defect to absorb
+        assert np.all(moved_speeds(_closure(plan)) == 1.0)
         assert built_y_k(plan).mesh.nodes.tolist() == y.mesh.nodes.tolist()
         assert reparametrize(V_SQUARED, y, 2.0).y_k is y
 
     def test_tie_slopes_give_unit_speeds(self):
         y = two_cell([4.0, 0.0])
         plan = select_A(classify(y, 4.0, 1.0))
-        assert np.all(moved_speeds(plan, _closure(plan)) == 1.0)
+        assert np.all(moved_speeds(_closure(plan)) == 1.0)
         res = reparametrize(V_SQUARED, y, 4.0)
         assert res.changed_cells == 0 and res.y_k is y
 
@@ -371,7 +391,8 @@ class TestBuildMap:
         vals = np.array([0.0, 1.0, 1.25, 1.5])  # slopes 4, 0.5, 1
         y = Trajectory(Mesh(nodes), vals)
         plan = select_A(classify(y, 2.0, 1.0))
-        assert _closure(plan) == (2, 1.0)  # no defect to absorb
+        assert plan.a_cells.tolist() == [1] and plan.a_last_speed == 0.5
+        assert _closure(plan) is plan  # no defect to absorb
         assert 0.25 * 2 + 0.5 * 0.5 + 0.25 * 1 == 1.0
         y_k = reparametrize(V_SQUARED, y, 2.0).y_k
         assert y_k.mesh.nodes.tolist() == [0.0, 0.5, 0.75, 1.0]
@@ -389,7 +410,8 @@ class TestBuildMap:
     @settings(max_examples=80, deadline=None)
     def test_measure_law_random(self, seed):
         """|A_k| = 2 deficit, so the unclosed map misses b by at most
-        1e-12 (b - a), and the closure moves one cell's image by that."""
+        1e-12 (b - a), and the closure moves the last compensation cell's
+        image by that, and no other cell's."""
         rng = np.random.default_rng(seed)
         y = random_trajectory(rng, lo=-4, hi=4)
         lam = choose_lambda(y)
@@ -402,14 +424,15 @@ class TestBuildMap:
         assert abs(plan.measure_a - 2.0 * plan.deficit) <= 1e-12 * span
         speeds, widths = former_speeds(plan), plan.y.mesh.widths
         assert abs(_total(speeds * widths) - span) <= 1e-12 * span
-        j, speed = _closure(plan)
-        assert abs(speed - speeds[j]) * widths[j] <= 1e-12 * span
+        closed = former_speeds(_closure(plan))
+        assert np.flatnonzero(closed != speeds).tolist() in ([], plan.a_cells[-1:].tolist())
+        assert _total(np.abs(closed - speeds) * widths) <= 1e-12 * span
         assert built_y_k(plan).mesh.b == y.mesh.b
 
     def test_closure_defect_is_a_left_to_right_sum(self):
-        """The endpoint defect absorbed by the closure is summed cell by
-        cell from the left (no BLAS dot), so the corrected speeds have fixed
-        bits."""
+        """The endpoint defect absorbed by the last compensation speed is
+        summed cell by cell from the left (no BLAS dot), so the corrected
+        speeds have fixed bits."""
         for seed in range(20):
             rng = np.random.default_rng(seed)
             n = 400
@@ -428,9 +451,9 @@ class TestBuildMap:
                 total += v * h
             defect = 1.0 - total
             if defect != 0.0:
-                j = int(np.flatnonzero(speeds == 1.0)[-1])
+                j = int(plan.a_cells[-1])
                 speeds[j] += defect / float(widths[j])
-            assert np.array_equal(moved_speeds(plan, _closure(plan)), speeds)
+            assert np.array_equal(moved_speeds(_closure(plan)), speeds)
 
 
 class TestReparametrize:
@@ -506,6 +529,27 @@ class TestReparametrize:
         assert res.lip_after <= 2 * k + 1e-9
         assert res.y_k.values[0] == y.values[0]
         assert res.y_k.values[-1] == y.values[-1]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "sqrt"]))
+    @settings(max_examples=100, deadline=None)
+    def test_a_cap_moves_only_fast_and_compensation_cells(self, seed, mode):
+        """C3's random trajectories and sqrt samples: every cell a cap moves
+        lies in S or A, so changed_cells <= |S| + |A|; the endpoint defect
+        moves A's last speed, not a cell of its own."""
+        rng = np.random.default_rng(seed)
+        if mode == "sqrt":
+            y = sample(np.sqrt, graded_mesh(0, 1, int(rng.integers(16, 600)), 2.0))
+        else:
+            y = random_trajectory(rng, lo=-3.0, hi=3.0)
+        lam = choose_lambda(y)
+        try:
+            res = reparametrize(SQRT_CHAIN, y, lam + float(rng.uniform(0.5, 8.0)))
+        except InfeasibleError:
+            return
+        plan = res.plan
+        moved = np.flatnonzero(moved_speeds(plan) != 1.0)
+        assert np.isin(moved, np.union1d(plan.s_cells, plan.a_cells)).all()
+        assert res.changed_cells == moved.size <= plan.s_cells.size + plan.a_cells.size
 
 
 def tie_trajectory(rng, k0):
@@ -610,7 +654,7 @@ class TestChangeOfVariables:
                 res = prepared.cap(k)
             except InfeasibleError:
                 continue
-            speeds = moved_speeds(res.plan, _closure(res.plan))
+            speeds = moved_speeds(res.plan)
             assert res.changed_cells == np.count_nonzero(speeds != 1.0)
             y_k = res.y_k
             if not res.changed_cells:
@@ -670,17 +714,21 @@ class TestChangeOfVariables:
 
 def former_closure(plan):
     """The closed speeds and y_k's mesh nodes as first written, on
-    full-length arrays: `former_speeds`, the defect summed by np.cumsum,
-    the last unit-speed cell found on the reversed speeds; then the image a
-    plus np.cumsum(speeds * widths), a prepended, which must end within the
-    endpoint tolerance of b, snapped to b, and make a mesh.  Returns
-    (speeds, nodes), or raises what those checks raise."""
+    full-length arrays: `former_speeds`, the defect summed by np.cumsum and
+    absorbed into the last compensation cell's speed (a nonzero defect with
+    no such cell raises); then the image a plus np.cumsum(speeds * widths),
+    a prepended, which must end within the endpoint tolerance of b, snapped
+    to b, and make a mesh.  Returns (speeds, nodes), or raises what those
+    checks raise."""
     speeds = former_speeds(plan)
     widths = plan.y.mesh.widths
     a, b = plan.y.mesh.a, plan.y.mesh.b
     defect = (b - a) - _total(speeds * widths)
     if defect != 0.0:
-        j = widths.size - 1 - int(np.argmax(speeds[::-1] == 1.0))
+        if not plan.a_cells.size:
+            raise ConsistencyError(
+                f"endpoint defect {abs(defect):.3e} and no compensation cell to absorb it")
+        j = int(plan.a_cells[-1])
         speeds[j] += defect / float(widths[j])
     positive_speeds(speeds)
     nodes = np.concatenate(([a], a + np.cumsum(speeds * widths)))
@@ -734,8 +782,8 @@ def closure_plan(rng, mode):
     random k, one whose compensation set is short or long by a random
     factor (a large closure, perhaps a speed <= 0), one where every slow
     cell compensates (every cell moves), or slow cells then a fast tail with
-    the last slow cell at a fractional speed (every cell moves, so the
-    closure cell is the last one)."""
+    the last slow cell at a fractional speed (every cell moves, and the
+    closing speed is that of the last slow cell)."""
     if mode == "tail":
         m, r = int(rng.integers(1, 40)), int(rng.integers(1, 40))
         mesh = uniform_mesh(0.0, 1.0, m + r)
@@ -777,9 +825,9 @@ class TestBlockedCap:
            st.sampled_from([1, 2, 3, 8, CELLS]))
     @settings(max_examples=150, deadline=None)
     def test_closure_matches_the_full_length_checks(self, seed, mode, cells):
-        """The closure cell and speed, what the image checks raise, and the
-        nodes of y_k are those of the full-length closure and image, phi(b)
-        snapped to b."""
+        """The closed speeds, what the image checks raise, and the nodes of
+        y_k are those of the full-length closure and image, phi(b) snapped
+        to b."""
         rng = np.random.default_rng(seed)
         try:
             plan = closure_plan(rng, mode)
@@ -788,20 +836,18 @@ class TestBlockedCap:
         expected = closure_outcome(plan)
         with mock.patch.object(lavlab.repar, "CELLS", cells):
             try:
-                j, speed = _closure(plan)
+                closed = _closure(plan)
             except (ArgumentError, ConsistencyError) as exc:
                 assert (type(exc), str(exc).split(" exceeds")[0]) == expected
                 return
             assert not isinstance(expected[0], type), expected
-            speeds = former_speeds(plan)
-            speeds[j] = speed
-            assert speeds.tobytes() == expected[0].tobytes()
+            assert former_speeds(closed).tobytes() == expected[0].tobytes()
             y_k = built_y_k(plan)
             assert y_k.mesh.nodes.tobytes() == expected[1].tobytes()
             assert y_k.values.tobytes() == plan.y.values.tobytes()
         if mode == "tail":
             assert 0.5 < plan.a_last_speed < 1.0
-            assert j == plan.y.mesh.n_cells - 1
+            assert plan.a_cells[-1] == plan.slow_cells[-1]
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),
            st.sampled_from(["random", "sqrt"]), st.sampled_from([1, 3, 8, CELLS]))
@@ -830,20 +876,22 @@ class TestBlockedCap:
                 y_k = res.y_k
             assert (res.energy_after, res.lip_after, res.changed_cells) == expected
             if res.changed_cells:  # else y_k is y
-                nodes = former_closure(res.plan)[1]
+                speeds, nodes = former_closure(select_A(classify(y, k, lam)))
+                assert res.plan.a_last_speed == speeds[res.plan.a_cells[-1]]
                 assert y_k.mesh.nodes.tobytes() == nodes.tobytes()
                 assert y_k.values.tobytes() == res.plan.y.values.tobytes()
 
     def test_y_k_reuses_the_closure_of_its_cap(self):
         """One cap and its y_k close the time change once: y_k builds its
-        nodes from the (cell, speed) the cap kept, with the same bits."""
+        nodes from the closed plan the cap kept, with the same bits."""
         prepared = ReparInput.of(SQRT_CHAIN, sample(np.sqrt, graded_mesh(0, 1, 400, 2.0)))
         with mock.patch.object(lavlab.repar, "_closure", wraps=_closure) as closure:
             res = prepared.cap(2.0)
             y_k = res.y_k
         assert res.changed_cells and closure.call_count == 1
-        assert res.closure == _closure(res.plan)
-        assert y_k.mesh.nodes.tobytes() == built_y_k(res.plan).mesh.nodes.tobytes()
+        plan = select_A(classify(prepared.y, 2.0, prepared.lam))
+        assert res.plan.a_last_speed == _closure(plan).a_last_speed
+        assert y_k.mesh.nodes.tobytes() == built_y_k(plan).mesh.nodes.tobytes()
 
     def test_cap_memory_follows_the_changed_cells(self):
         """At k = 256 a sqrt sample moves about n / 500 cells: one cap's

@@ -262,13 +262,14 @@ class TestPushThroughInverse:
 
     def test_not_endpoint_exact_rejected(self):
         """The image's last block raises unless phi(b) is within the
-        endpoint tolerance of b; the closure's own speed passes."""
+        endpoint tolerance of b; the closed speed passes."""
         y = Trajectory(uniform_mesh(0, 1, 4), np.array([0.0, 0.75, 1.0, 1.25, 1.5]))
         plan = select_A(classify(y, 2.0, 1.0))
-        assert _closure(plan) == (3, 1.0)
-        assert list(_image_blocks(plan, (3, 1.0)))[-1].tolist() == [0.0, 0.375, 0.5, 0.75, 1.0]
+        assert plan.a_cells.tolist() == [1] and plan.a_last_speed == 0.5
+        assert _closure(plan) is plan  # no defect to absorb
+        assert list(_image_blocks(plan))[-1].tolist() == [0.0, 0.375, 0.5, 0.75, 1.0]
         with pytest.raises(ConsistencyError, match="endpoint defect 2.500e-01"):
-            list(_image_blocks(plan, (3, 2.0)))
+            list(_image_blocks(dataclasses.replace(plan, a_last_speed=1.5)))
 
     def test_hand_composed_two_cell_example(self):
         # slopes (3, 1, 1, 1) on equal cells, capped at k = 2: speeds
