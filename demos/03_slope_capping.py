@@ -12,24 +12,20 @@ over its cells).
 
 import numpy as np
 
-from lavlab import FindKReport, KRow, ReparInput, catalog, graded_mesh, sample
+from lavlab import ReparInput, catalog, find_K, graded_mesh, sample
 
 spec = catalog("sqrt_chain")
 y = sample(np.sqrt, graded_mesh(0.0, 1.0, 4096, 2.0))
 print(f"input: max slope {y.lipschitz_constant:.1f}, boundary {y.boundary}")
 
-grid = [2, 4, 8, 16, 32, 64, 128, 256]
+report = find_K(spec, y, [2, 4, 8, 16, 32, 64, 128, 256])  # each k judged against 1/k
 print(f"\n{'k':>6} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>10} "
       f"{'F(y_k)-F(y)':>14} {'1/k':>10}")
-prepared = ReparInput.of(spec, y)  # lambda, F(y) and Lip(y) once for the sweep
-rows = []
-for k in grid:
-    res = prepared.cap(k)
-    rows.append(KRow.of(res))  # the same run judged against the 1/k bound
-    print(f"{k:6d} {res.plan.measure_s:12.3e} {res.plan.measure_a:12.3e} "
-          f"{res.lip_after:10.2f} {res.gap:14.6e} {1 / k:10.4g}")
+for r in report.rows:
+    print(f"{r.k:6g} {r.measure_s:12.3e} {r.measure_a:12.3e} "
+          f"{r.lip:10.2f} {r.gap:14.6e} {1 / r.k:10.4g}")
 
-print(f"\nenergy excess <= 1/k for every grid k >= {FindKReport.of(rows).K}")
+print(f"\nenergy excess <= 1/k for every grid k >= {report.K}")
 
 print("\nthe same cap applied to sqrt(t) under the extended half-inverse")
 print("integrand keeps the energy finite (it slows the steep first cells):")

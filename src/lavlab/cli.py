@@ -34,14 +34,13 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import gapscan, necessary
+from . import gapscan, necessary, repar
 from .errors import (ArgumentError, CatalogKeyError, ConfigError,
                      InfeasibleError, LavlabError, SamplingError,
                      UnsupportedLagrangianError)
 from .functional import (DEFAULT_ORDER, EXACT_PROFILES, MAX_ORDER, energy,
                          energy_converged)
 from .lagrangian import CATALOG_IDS, TWO_PI, catalog, polynomial_lagrangian
-from .repar import FindKReport, KRow, ReparInput
 from .trajectory import (Trajectory, float_texts, graded_family, graded_mesh,
                          row_pieces, sample)
 
@@ -326,20 +325,15 @@ def _run_repar(config: dict) -> dict:
         y = sample(f, graded_mesh(config["a"], config["b"], config["n"], config["power"]))
     else:
         y = _load_trajectory(config["trajectory"])
-    prepared = ReparInput.of(spec, y, config["order"])
-    rows = [KRow.of(prepared.cap(k)) for k in sorted(config["k_grid"])]  # rows hold no plan
+    report = repar.find_K(spec, y, config["k_grid"], config["order"])
     lines = [f"{'k':>8} {'|S_k|':>12} {'|A_k|':>12} {'Lip(y_k)':>12} "
              f"{'F(y)':>14} {'F(y_k)':>14} {'gap':>12}  status"]
-    for r in rows:
+    for r in report.rows:
         lines.append(f"{r.k:8g} {r.measure_s:12.5g} {r.measure_a:12.5g} {r.lip:12.5g} "
                      f"{r.energy_before:14.8g} {r.energy_after:14.8g} {r.gap:12.5g}  "
                      f"{r.status}")
     sys.stderr.write("\n".join(lines) + "\n")
-    return {
-        "rows": rows,
-        # ReparInput.of has already refused non-autonomous integrands
-        "K": FindKReport.of(rows).K if spec.convex_in_v else None,
-    }
+    return {"rows": report.rows, "K": report.K}
 
 
 def _run_necessary(config: dict) -> tuple[dict, Callable, Callable]:
@@ -415,13 +409,16 @@ def resolve(name: str, given: dict[str, Any]) -> dict[str, Any]:
 def run(config: dict, out: str | None = None, csv_out: str | None = None) -> int:
     """Run a resolved config, write the report (with the config) to `out`,
     stdout when None, and the CSV rows to `csv_out`; returns the exit status.
-    An output path that cannot be written fails before the run.  The report
-    is written as it is encoded, so only an unencodable payload (a
-    programming error) can leave a partial file."""
+    An output path that cannot be written fails before the run, and so do
+    `out` and `csv_out` naming one file, where the CSV would overwrite the
+    report.  The report is written as it is encoded, so only an unencodable
+    payload (a programming error) can leave a partial file."""
     command = COMMANDS[config["subcommand"]]
     for path, what in ((out, "report file"), (csv_out, "CSV file")):
         if path:
             _check_output(path, what)
+    if out and csv_out and os.path.realpath(out) == os.path.realpath(csv_out):
+        raise ConfigError(f"report file {out} and CSV file {csv_out} are one file")
     result = command.run(config)
     body, csv_writer, texts = result if command.rows else (result, None, None)
     report = {"config": config, **body}

@@ -347,7 +347,8 @@ def _capped_cells(spec: LagrangianSpec, plan: ReparPlan, cells: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class ReparInput:
-    """A trajectory prepared for slope capping at any number of thresholds.
+    """A trajectory prepared for slope capping at any number of thresholds,
+    as `find_K` caps a grid.
 
     What depends on y alone is computed once: the autonomy check, lambda
     and Lip(y) by `of`, the slow set by the first `cap(k)`, and F(y) with
@@ -429,80 +430,72 @@ def reparametrize(spec: LagrangianSpec, y: Trajectory, k: float,
     sees only (y, v)) with finite energy on y, and k above choose_lambda(y).
     If max |y'| < k the input is returned unchanged, bitwise.  For convex
     integrands the guarantee energy_after <= energy_before + 1/k is
-    asymptotic in k; use find_K to locate the onset.  A sweep over many k
-    should build one `ReparInput` and cap each k from it.
+    asymptotic in k; `find_K`, the sweep over many k, locates the onset
+    from one `ReparInput`.
     """
     return ReparInput.of(spec, y, order).cap(k)
 
 
 @dataclass(frozen=True)
 class KRow:
-    """One k of a sweep, as `lavlab repar` writes it: the cap's measures of
-    the fast and compensation sets, Lip(y_k), F(y), F(y_k), the gap and the
-    changed cells, judged by the bound gap <= 1/k.  A k that `find_K` skips
-    (at or below lambda) or cannot cap (infeasible) has None for all but
-    `k` and `status`."""
+    """One k of a sweep, as `find_K` gives it and `lavlab repar` writes it:
+    the cap's measures of the fast and compensation sets, Lip(y_k), F(y),
+    F(y_k), the gap and the changed cells, judged "ok" by the bound
+    gap <= 1/k, allowing a relative slack of 1e-12 on the energy, or else
+    "above_bound".  Every field is set: a k that cannot be capped stops the
+    sweep instead of making a row."""
 
     k: float
-    status: str  # "ok" | "above_bound" | "skipped_lambda" | "infeasible"
-    measure_s: float | None = None
-    measure_a: float | None = None
-    lip: float | None = None
-    energy_before: float | None = None
-    energy_after: float | None = None
-    gap: float | None = None
-    changed_cells: int | None = None
-
-    @classmethod
-    def of(cls, res: ReparResult) -> "KRow":
-        """Judge one reparametrization by the bound gap <= 1/k, allowing a
-        relative slack of 1e-12 on the energy."""
-        plan = res.plan
-        slack = 1e-12 * max(1.0, abs(res.energy_before))
-        ok = res.energy_after <= res.energy_before + 1.0 / plan.k + slack
-        return cls(plan.k, "ok" if ok else "above_bound", plan.measure_s, plan.measure_a,
-                   res.lip_after, res.energy_before, res.energy_after, res.gap,
-                   res.changed_cells)
+    status: str  # "ok" | "above_bound"
+    measure_s: float
+    measure_a: float
+    lip: float
+    energy_before: float
+    energy_after: float
+    gap: float
+    changed_cells: int
 
 
 @dataclass(frozen=True)
 class FindKReport:
-    """Sweep of the energy-excess bound gap <= 1/k over a threshold grid.
+    """Sweep of the energy-excess bound gap <= 1/k over a threshold grid,
+    one row per grid point in ascending k.
 
     K is the smallest grid point from which the bound holds for every larger
-    grid point; None when no trailing run satisfies it.
+    grid point; None when no trailing run satisfies it, or when the
+    integrand is not flagged convex in v, the case the bound is proved for.
     """
 
     K: float | None
     rows: tuple[KRow, ...]
 
-    @classmethod
-    def of(cls, rows: Sequence[KRow]) -> "FindKReport":
-        """Report over rows in ascending k: K starts the trailing "ok" run."""
-        K = None
+
+def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
+           order: int = DEFAULT_ORDER) -> FindKReport:
+    """Locate the onset of energy_after <= energy_before + 1/k on a grid.
+
+    One `ReparInput` caps y at each k of the sorted grid, and each cap is
+    judged as a `KRow`.  The sweep stops at the first k that `cap` refuses:
+    a k at or below lambda raises ArgumentError, before F(y) is evaluated
+    (such a k sorts first), and an infeasible k raises InfeasibleError
+    with its `k_hint`.
+    """
+    prepared = ReparInput.of(spec, y, order)
+    rows = []
+    for k in sorted(map(float, k_grid)):
+        res = prepared.cap(k)
+        slack = 1e-12 * max(1.0, abs(res.energy_before))
+        ok = res.energy_after <= res.energy_before + 1.0 / k + slack
+        rows.append(KRow(k, "ok" if ok else "above_bound", res.plan.measure_s,
+                         res.plan.measure_a, res.lip_after, res.energy_before,
+                         res.energy_after, res.gap, res.changed_cells))
+    K = None
+    if spec.convex_in_v:  # the bound is proved for these alone
         for row in reversed(rows):
             if row.status != "ok":
                 break
             K = row.k
-        return cls(K=K, rows=tuple(rows))
-
-
-def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
-           order: int = DEFAULT_ORDER) -> FindKReport:
-    """Locate the onset of energy_after <= energy_before + 1/k on a grid."""
-    prepared = ReparInput.of(spec, y, order)
-    if not spec.convex_in_v:
-        raise ArgumentError(f"{spec.id}: find_K requires convex_in_v")
-    rows: list[KRow] = []
-    for k in sorted(float(k) for k in k_grid):
-        if not k > prepared.lam:
-            rows.append(KRow(k, "skipped_lambda"))
-            continue
-        try:
-            rows.append(KRow.of(prepared.cap(k)))
-        except InfeasibleError:
-            rows.append(KRow(k, "infeasible"))
-    return FindKReport.of(rows)
+    return FindKReport(K, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class TestMainInProcess:
                                                        monkeypatch):
         import lavlab.repar
         from lavlab import ReparInput, catalog, find_K
-        ks, energies, lambdas, builds = [], [], [], []
+        ks, energies, lambdas, builds, sweeps = [], [], [], [], []
 
         def counting(fn, calls, key=lambda *args: None):
             def counted(*args):
@@ -108,7 +108,9 @@ class TestMainInProcess:
 
         # classify runs once per capped k; energy, choose_lambda and
         # ReparResult.y_k, which builds a capped trajectory, are counted
-        # wherever repar calls them
+        # wherever repar calls them; the sweep is find_K's
+        monkeypatch.setattr(lavlab.repar, "find_K",
+                            counting(lavlab.repar.find_K, sweeps))
         monkeypatch.setattr(lavlab.repar, "classify",
                             counting(lavlab.repar.classify, ks, lambda y, k, *_: k))
         monkeypatch.setattr(lavlab.repar, "energy",
@@ -123,6 +125,7 @@ class TestMainInProcess:
                      "--n", "64", "--power", "2",
                      "--k", ",".join(str(k) for k in reversed(grid)),
                      "--out", str(out)]) == 0
+        assert len(sweeps) == 1
         assert ks == grid
         assert len(lambdas) == 1
         # F(y) once; every F(y_k) from the changed cells, no y_k built
@@ -139,6 +142,46 @@ class TestMainInProcess:
         # one row type: the rows are find_K's, field for field
         assert payload["rows"] == [dataclasses.asdict(r) for r in expected.rows]
         assert [r["changed_cells"] for r in payload["rows"]] == changed
+
+    def test_repar_nonconvex_integrand_writes_rows_and_null_K(self, tmp_path, capsys):
+        out = tmp_path / "repar.json"
+        assert main(["repar", "--lagrangian", "quartic", "--exact", "sqrt",
+                     "--n", "256", "--power", "2", "--k", "2,8,32",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["K"] is None
+        assert [r["k"] for r in payload["rows"]] == [2.0, 8.0, 32.0]
+        assert all(None not in r.values() for r in payload["rows"])
+        assert capsys.readouterr().err.count("\n") == 4  # header and three rows
+
+    @pytest.mark.parametrize("argv", [
+        ["necessary-check", "--lagrangian", "sqrt_chain", "--trajectory", "TRAJ"],
+        ["gap-scan", "--n", "20", "--M", "5", "--restarts", "0"],
+    ], ids=["necessary-check", "gap-scan"])
+    @pytest.mark.parametrize("csv_name", ["x", "./x", "link"])
+    def test_report_and_csv_naming_one_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                   argv, csv_name):
+        """The CSV would overwrite the report: the run stops before it
+        starts, and writes nothing."""
+        traj = tmp_path / "in" / "y.csv"
+        traj.parent.mkdir()
+        with traj.open("w", newline="") as f:
+            sample(np.sqrt, graded_mesh(0, 1, 16, 2.0)).to_csv(f)
+        work = tmp_path / "out"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if csv_name == "link":
+            (work / "x").write_text("kept")
+            (work / "link").symlink_to(work / "x")
+        argv = [str(traj) if a == "TRAJ" else a for a in argv]
+        assert main([*argv, "--out", "x", "--csv-out", csv_name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report file x and CSV file") and "one file" in err
+        if csv_name == "link":
+            assert (work / "x").read_text() == "kept"
+            assert sorted(p.name for p in work.iterdir()) == ["link", "x"]
+        else:
+            assert list(work.iterdir()) == []
 
     def test_repar_non_autonomous_exits_2(self, capsys):
         assert main(["repar", "--lagrangian", "mania", "--exact", "cuberoot",

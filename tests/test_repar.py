@@ -893,22 +893,46 @@ class TestBlockedCap:
         assert res.plan.a_last_speed == _closure(plan).a_last_speed
         assert y_k.mesh.nodes.tobytes() == built_y_k(plan).mesh.nodes.tobytes()
 
+    @staticmethod
+    def cap_peak(y, k=256.0):
+        """The traced peak of one cap of y at k, after F(y) and the slow
+        set, and its changed cells."""
+        prepared = ReparInput.of(SQRT_CHAIN, y)
+        prepared.cap(2.0)  # F(y) and the slow set, once
+        tracemalloc.start()
+        try:
+            changed = prepared.cap(k).changed_cells
+            return tracemalloc.get_traced_memory()[1], changed
+        finally:
+            tracemalloc.stop()
+
     def test_cap_memory_follows_the_changed_cells(self):
         """At k = 256 a sqrt sample moves about n / 500 cells: one cap's
         traced peak is the same for 2^14 and 2^16 cells, below one
         2^16-entry float array."""
-        def cap_peak(n):
-            prepared = ReparInput.of(SQRT_CHAIN, sample(np.sqrt, graded_mesh(0, 1, n, 2.0)))
-            prepared.cap(2.0)  # F(y) and the slow set, once
-            tracemalloc.start()
-            try:
-                changed = prepared.cap(256.0).changed_cells
-                return tracemalloc.get_traced_memory()[1], changed
-            finally:
-                tracemalloc.stop()
-
-        (small, few), (large, more) = cap_peak(2 ** 14), cap_peak(2 ** 16)
+        (small, few), (large, more) = (self.cap_peak(sample(np.sqrt, graded_mesh(0, 1, n, 2.0)))
+                                       for n in (2 ** 14, 2 ** 16))
         assert few < more < 2 ** 16 // 100
+        assert large < 2 ** 16 * 8, (small, large)
+        assert large - small < 2 ** 14, (small, large)
+
+    def test_closing_pass_memory_follows_the_changed_cells(self):
+        """On a 2^16-cell sqrt sample whose interior nodes move by up to a
+        quarter of the smaller adjacent cell, the cap at k = 256 closes on
+        a nonzero defect, so `_closure` re-sums the image over the blocks
+        from a[-1]'s on.  That pass holds one block's arrays at a time: the
+        cap's traced peak stays within 2^14 bytes of a clean 2^14-cell
+        sample's, below one 2^16-entry float array."""
+        rng = np.random.default_rng(4)
+        nodes = graded_mesh(0, 1, 2 ** 16, 2.0).nodes.copy()
+        h = np.diff(nodes)
+        nodes[1:-1] += rng.uniform(-0.25, 0.25, h.size - 1) * np.minimum(h[:-1], h[1:])
+        y = sample(np.sqrt, Mesh(nodes))
+        plan = select_A(classify(y, 256.0, choose_lambda(y)))
+        assert _closure(plan) is not plan
+        small, _ = self.cap_peak(sample(np.sqrt, graded_mesh(0, 1, 2 ** 14, 2.0)))
+        large, changed = self.cap_peak(y)
+        assert 0 < changed < 2 ** 16 // 100
         assert large < 2 ** 16 * 8, (small, large)
         assert large - small < 2 ** 14, (small, large)
 
@@ -949,6 +973,13 @@ class TestFindK:
             if row.k >= rep.K:
                 assert row.energy_after <= row.energy_before + 1 / row.k + 1e-12
 
+    def test_rows_set_every_field(self):
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(KRow))
+        y = sample(np.sqrt, graded_mesh(0, 1, 1024, 2.0))
+        for row in find_K(SQRT_CHAIN, y, [2, 8, 32]).rows:
+            assert None not in dataclasses.astuple(row)
+            assert row.status in ("ok", "above_bound")
+
     def test_identity_profile_zero_gap(self):
         y = sample(lambda t: np.asarray(t, float), uniform_mesh(0, 1, 32))
         for r in find_K(V_SQUARED, y, [2, 4, 8]).rows:
@@ -968,22 +999,27 @@ class TestFindK:
             assert math.isfinite(r.energy_after)
             assert r.lip <= 2 * r.k + 1e-9
 
-    def test_nonconvex_flag_rejected(self):
-        y = sample(np.sin, uniform_mesh(0, 1, 8))
-        with pytest.raises(ArgumentError):
-            find_K(catalog("quartic"), y, [2.0])
+    def test_nonconvex_integrand_gets_rows_and_no_K(self):
+        """The bound is proved for integrands convex in v: the quartic's
+        rows are all "ok" here, yet K is None, and the same spec flagged
+        convex gets the same rows and a K."""
+        y = sample(np.sqrt, graded_mesh(0, 1, 256, 2.0))
+        quartic = catalog("quartic")
+        rep = find_K(quartic, y, [2.0, 8.0, 32.0])
+        assert [r.status for r in rep.rows] == ["ok"] * 3
+        assert all(r.changed_cells > 0 for r in rep.rows)
+        assert rep.K is None
+        flagged = find_K(dataclasses.replace(quartic, convex_in_v=True), y, [2.0, 8.0, 32.0])
+        assert flagged.rows == rep.rows and flagged.K == 2.0
 
-    def test_grid_points_below_lambda_are_skipped(self):
+    def test_grid_point_at_or_below_lambda_raises(self):
         y = sample(lambda t: 3 * t, uniform_mesh(0, 1, 8))  # lambda = 3
-        rep = find_K(SQRT_CHAIN, y, [1.0, 2.0, 8.0])
-        statuses = {r.k: r.status for r in rep.rows}
-        assert statuses[1.0] == "skipped_lambda"
-        assert statuses[2.0] == "skipped_lambda"
-        assert statuses[8.0] == "ok"
-        assert rep.rows[0] == KRow(1.0, "skipped_lambda", *[None] * 7)
-        assert rep.K == 8.0
+        for grid in ([8.0, 1.0, 2.0], [3.0, 8.0]):
+            with pytest.raises(ArgumentError, match=r"choose_lambda\(y\) = 3.0 \(got k="):
+                find_K(SQRT_CHAIN, y, grid)
+        assert find_K(SQRT_CHAIN, y, [8.0]).K == 8.0
 
-    def test_infeasible_row_and_input_energy_once(self, monkeypatch):
+    def test_infeasible_k_raises_with_hint_and_input_energy_once(self, monkeypatch):
         energies = []
 
         def counted(spec, y, order):
@@ -992,13 +1028,14 @@ class TestFindK:
 
         monkeypatch.setattr(lavlab.repar, "energy", counted)
         # slopes (4, 0), lambda 1: at k=2 twice the deficit (1) exceeds the
-        # slow set (1/2); at k=8 the input is already below the cap
+        # slow set (1/2); at the hint k=4 the input is already at the cap
         y = Trajectory(uniform_mesh(0, 1, 2), [0, 2, 2])
-        rep = find_K(SQRT_CHAIN, y, [2, 8])
-        assert [r.status for r in rep.rows] == ["infeasible", "ok"]
-        assert rep.rows[0] == KRow(2.0, "infeasible", *[None] * 7)
-        assert rep.K == 8.0
-        assert len(energies) == 1 and energies[0] is y
+        with pytest.raises(InfeasibleError) as exc:
+            find_K(SQRT_CHAIN, y, [8, 2])
+        assert exc.value.k_hint == 4.0
+        assert len(energies) <= 1 and all(e is y for e in energies)
+        rep = find_K(SQRT_CHAIN, y, [exc.value.k_hint, 8])
+        assert [r.status for r in rep.rows] == ["ok", "ok"] and rep.K == 4.0
 
     def test_grid_at_or_below_lambda_never_evaluates_energy(self, monkeypatch):
         def refuse(*args):
@@ -1006,9 +1043,10 @@ class TestFindK:
 
         monkeypatch.setattr(lavlab.repar, "energy", refuse)
         y = sample(lambda t: 3 * t, uniform_mesh(0, 1, 8))  # lambda = 3
-        rep = find_K(SQRT_CHAIN, y, [1.0, 3.0, 2.0])
-        assert [r.status for r in rep.rows] == ["skipped_lambda"] * 3
-        assert rep.K is None
+        with pytest.raises(ArgumentError):
+            find_K(SQRT_CHAIN, y, [1.0, 3.0, 2.0])
+        with pytest.raises(ArgumentError):  # sorted: 2 is capped first
+            find_K(SQRT_CHAIN, y, [8.0, 2.0])
 
 
 class TestLemmaP:
