@@ -10,6 +10,8 @@ only the final endpoint pinned have energies at quadrature-noise level.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -468,6 +470,72 @@ def mania_reference_energy(order: int = DEFAULT_ORDER) -> float:
                             order=order, tol=1e-6).value
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _mesh_size(n) -> int:
+    """n as a mesh size: an integral number >= 1 that is not a bool."""
+    try:
+        if not isinstance(n, (bool, np.bool_)) and n >= 1 and int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ArgumentError(f"mesh sizes must be integers >= 1, got {n!r}")
+
+
+def _forked(work, groups: list[list[int]]) -> dict:
+    """{n: work(n)} over the n of every group: group 0's in this process, each
+    other group's in a child made by `os.fork`.  A child pickles its dict, or
+    its exception, back through a pipe and leaves by `os._exit`, so it neither
+    flushes inherited stdio nor runs atexit hooks.  A child's exception is
+    raised here with its own type, and a child that ends without a reply
+    raises ChildProcessError.  If anything raises, the children still running
+    are killed; every child is reaped."""
+    running = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        reply = (True, {n: work(n) for n in group})
+                    except BaseException as exc:
+                        reply = (False, exc)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running[pid] = open(read, "rb")
+            os.close(write)
+        found = {n: work(n) for n in groups[0]}
+        for pid in list(running):
+            with running.pop(pid) as pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            if status or not blob:
+                raise ChildProcessError(f"mesh child {pid} ended with wait status {status}"
+                                        " and no reply")
+            ok, value = pickle.loads(blob)
+            if not ok:
+                raise value
+            found.update(value)
+        return found
+    except BaseException:
+        import signal  # only here, so that importing lavlab loads nothing more
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
                             restarts: int = 8, seed: int = DEFAULT_SEED,
                             order: int = DEFAULT_ORDER) -> GapReport:
@@ -479,15 +547,29 @@ def mania_two_endpoint_scan(n_grid: Sequence[int], M_grid: Sequence[float],
     is a candidate unchanged and the best energy is non-increasing in the
     bound by construction.  Each row carries the optimizer's stop reason and
     projected-gradient residual.
+
+    The distinct mesh sizes, largest first, go to the lightest of
+    min(sizes, usable CPUs) groups, at a cost proportional to n; group 0
+    runs here and each other in a forked child (`_forked`).  A mesh's rows
+    do not depend on where it runs, so the report has the same bits on any
+    number of CPUs.  Rows come in the order of `n_grid`.
     """
     if not n_grid or not M_grid:
         raise ArgumentError("grids must be non-empty")
-    bounds, rows = sorted(float(M) for M in M_grid), []
-    for n in n_grid:
-        found = minimize_bounded(catalog("mania"), uniform_mesh(0.0, 1.0, int(n)), bounds,
-                                 (0.0, 1.0), restarts=restarts, seed=seed, order=order)
-        rows += [GapRow(mesh_n=int(n), slope_bound=M, best_energy=e, **asdict(info))
-                 for M, (_, e, info) in zip(bounds, found)]
+    sizes = [_mesh_size(n) for n in n_grid]
+    bounds = sorted(float(M) for M in M_grid)
+
+    def rows_of(n: int) -> list[GapRow]:
+        runs = minimize_bounded(catalog("mania"), uniform_mesh(0.0, 1.0, n), bounds,
+                                (0.0, 1.0), restarts=restarts, seed=seed, order=order)
+        return [GapRow(mesh_n=n, slope_bound=M, best_energy=e, **asdict(info))
+                for M, (_, e, info) in zip(bounds, runs)]
+
+    groups = [[] for _ in range(min(len(set(sizes)), _usable_cpus()))]
+    for n in sorted(set(sizes), reverse=True):
+        min(groups, key=sum).append(n)
+    found = _forked(rows_of, groups)
+    rows = [row for n in sizes for row in found[n]]
     reference = mania_reference_energy(order=order)
     floor = min(r.best_energy for r in rows)
     return GapReport(rows=tuple(rows), floor_estimate=floor,

@@ -399,7 +399,7 @@ class TestSettings:
         ("necessary-check", "--order", "order", 3),
         ("gap-scan", "--lagrangian", "lagrangian", "mania"),
         ("repar", "--restarts", "restarts", 5),
-        ("gap-scan", "--jobs", "jobs", 2),  # removed: mesh sizes run serially
+        ("gap-scan", "--jobs", "jobs", 2),  # removed: a scan uses every usable CPU
         ("gap-scan", "--format", "format", "csv"),  # removed: CSV rows go to --csv-out
         ("necessary-check", "--format", "format", "json"),
     ])
@@ -623,6 +623,20 @@ def test_runs_load_neither_numpy_random_nor_numpy_polynomial(tmp_path):
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_forked_gap_scan_prints_one_report():
+    """The scan's children leave by `os._exit`: none writes a report or
+    flushes the parent's stdout, so stdout holds one JSON document."""
+    script = ("import sys\n"
+              "from lavlab import cli, gapscan\n"
+              "gapscan._usable_cpus = lambda: 2\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    res = subprocess.run([sys.executable, "-c", script, "gap-scan", "--n", "20,40",
+                          "--M", "5", "--restarts", "1"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert [r["mesh_n"] for r in json.loads(res.stdout)["report"]["rows"]] == [20, 40]
+    assert res.stderr == ""
 
 
 class TestSubprocessReproducibility:

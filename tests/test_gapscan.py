@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
-                    LagrangianSpec, Mesh, Trajectory, catalog,
+                    LagrangianSpec, Mesh, Trajectory, catalog, cli,
                     cuberoot_truncation, energy, gapscan, graded_mesh, lagrangian,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
@@ -407,7 +408,9 @@ class TestSPGDiagnostics:
 
 
 def test_c7_rows_are_stationary(monkeypatch):
-    # every start of every stack converges, not only each row's winner
+    # every start of every stack converges, not only each row's winner; on
+    # one CPU every stack runs in this process, where the spy sees it
+    monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 1)
     stops = []
 
     def spg(*args):
@@ -429,6 +432,96 @@ def test_c7_rows_are_stationary(monkeypatch):
     for n in (100, 200, 500):
         energies = [r.best_energy for r in report.rows if r.mesh_n == n]
         assert energies == sorted(energies, reverse=True)
+
+
+def _on_mesh(monkeypatch, act):
+    """Make the scan's `minimize_bounded` call `act(n)` first, n its mesh's cells."""
+    real = gapscan.minimize_bounded
+
+    def run(spec, mesh, *args, **kwargs):
+        act(mesh.n_cells)
+        return real(spec, mesh, *args, **kwargs)
+
+    monkeypatch.setattr(gapscan, "minimize_bounded", run)
+
+
+def _raise_at(n, error):
+    def act(cells):
+        if cells == n:
+            raise error
+    return act
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedScan:
+    """A scan's meshes run in forked children, one group per usable CPU."""
+
+    @pytest.mark.parametrize("n_grid, M_grid", [
+        ([100, 200, 500], [5, 10, 20]),
+        ([20, 10, 20], [5, 10]),
+    ], ids=["C7", "repeated-size"])
+    def test_report_does_not_depend_on_the_cpu_count(self, n_grid, M_grid, monkeypatch):
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(gapscan, "_usable_cpus", lambda: cpus)
+            reports.append(mania_two_endpoint_scan(n_grid, M_grid, seed=DEFAULT_SEED))
+        assert reports[0] == reports[1] == reports[2]
+        assert [r.mesh_n for r in reports[0].rows] == [n for n in n_grid for _ in M_grid]
+        _assert_no_child_left()
+
+    def test_parent_runs_the_largest_mesh(self, monkeypatch):
+        # sizes go largest first to the lightest group: [500] here, [200, 100] in a child
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        here = []
+        _on_mesh(monkeypatch, here.append)
+        mania_two_endpoint_scan([100, 200, 500], [5], restarts=0)
+        assert here == [500]
+
+    def test_child_error_reaches_the_caller_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        _on_mesh(monkeypatch, _raise_at(10, ArgumentError("no mesh of 10 cells")))
+        with pytest.raises(ArgumentError, match="no mesh of 10 cells"):
+            mania_two_endpoint_scan([20, 10], [5], restarts=0)
+        _assert_no_child_left()
+
+    def test_child_error_exits_2_from_the_cli(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        _on_mesh(monkeypatch, _raise_at(10, ArgumentError("no mesh of 10 cells")))
+        argv = ["gap-scan", "--n", "20,10", "--M", "5", "--restarts", "0",
+                "--out", str(tmp_path / "gap.json")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: no mesh of 10 cells\n"
+        _assert_no_child_left()
+
+    def test_parent_error_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        _on_mesh(monkeypatch, _raise_at(20, KeyError("parent")))
+        with pytest.raises(KeyError, match="parent"):
+            mania_two_endpoint_scan([20, 10], [5], restarts=0)
+        _assert_no_child_left()
+
+    def test_child_that_dies_without_a_reply(self, monkeypatch):
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        _on_mesh(monkeypatch, lambda cells: cells == 10 and os._exit(7))
+        with pytest.raises(ChildProcessError, match="wait status 1792"):
+            mania_two_endpoint_scan([20, 10], [5], restarts=0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [100.5, True, np.True_, 0, -3, math.inf, math.nan, "20"])
+    def test_mesh_size_must_be_an_integer_of_at_least_1(self, n, monkeypatch):
+        # checked before anything is forked
+        monkeypatch.setattr(gapscan, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        with pytest.raises(ArgumentError, match="mesh sizes must be integers >= 1"):
+            mania_two_endpoint_scan([20, n], [5], restarts=0)
+
+    def test_integral_mesh_sizes_of_any_type(self):
+        report = mania_two_endpoint_scan([np.int64(10), 10.0], [5], restarts=0)
+        assert [(type(r.mesh_n), r.mesh_n) for r in report.rows] == [(int, 10)] * 2
 
 
 def _lattice_paths(spec, mesh, bounds, lattice):
