@@ -17,7 +17,8 @@ for r in report.rows:
     print(f"{r.mesh_n:6d} {r.slope_bound:6g} {r.best_energy:14.6e} {r.iterations:11d} "
           f"{r.stop_reason:>10} {r.pg_residual:12.2e}")
 print(f"floor estimate   : {report.floor_estimate:.6e}")
-print(f"minimizer energy : {report.reference_energy:.3e}")
+print(f"minimizer energy : {report.reference_energy:.3e}"
+      "  (quadrature estimate of F(t**(1/3)) = 0, the infimum over W^{1,1})")
 print(f"gap estimate     : {report.gap_estimate:.6e}")
 
 print("\none-endpoint truncations of t**(1/3):")

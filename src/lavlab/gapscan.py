@@ -243,17 +243,15 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
     A start that already satisfies the constraints (exact endpoints,
     Lipschitz constant <= M) is used as given; others are projected by
     `prob.project` onto |s| <= M (1 - 1e-12).  Each row of a `prob.evaluate`
-    call, a start's or a trial step's, counts one energy evaluation; a
-    gradient evaluation is counted where the iteration uses one, at the
-    start and at each accepted step, whose gradient came with its energy.
-    The rows advance in lockstep and leave as they converge, stall or spend
-    the budget; no sum mixes rows, so a row ends with the bits and counts of
-    its start run alone, whatever its stack.  Returns each row's state as it
-    stopped: slopes, nodal values, energy, gradient, Barzilai-Borwein step,
-    the last _SPG_MEMORY accepted energies (-inf where unused; the
-    backtracking reference is their maximum), iterations, the slope bound it
-    was projected onto, energy and gradient evaluations, projected-gradient
-    residual and stop reason.
+    call, a start's or a trial step's, counts one energy evaluation.  A row
+    whose line search fails keeps its point and is flagged; at the loop head
+    it leaves with the rows that converge, spend the budget or are not
+    finite.  The rows advance in lockstep and no sum mixes rows, so a row
+    ends with the bits and counts of its start run alone, whatever its
+    stack.  Returns each row's nodal values, energy, iterations, energy
+    evaluations, projected-gradient residual and stop reason as it stopped.
+    A row's gradient evaluations, one at its start and one per accepted
+    step, are its iterations + 1.
     """
     y = np.array(inits, dtype=float)
     m = M * (1.0 - 1e-12)
@@ -265,36 +263,30 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
     e, g = prob.evaluate(y)
     h, k = prob.h, e.size
     memory = np.where(np.arange(_SPG_MEMORY) == 0, e[:, None], -np.inf)
-    once = np.ones(k, dtype=int)
     st = [np.arange(k), s, y, e, g, np.full(k, np.nan), memory,
-          np.zeros(k, dtype=int), m, once, once.copy()]
-    final, residual, reason = [np.empty_like(a) for a in st[1:]], np.empty(k), np.empty(k, "<U9")
-
-    def settle(stop: np.ndarray, why, res: np.ndarray) -> np.ndarray:  # rows leave
-        gone = st[0][stop]
-        for out, a in zip(final, st[1:]):
-            out[gone] = a[stop]
-        reason[gone], residual[gone] = why, res[stop]
-        st[:] = [a[~stop] for a in st]
-        return ~stop
-
-    while st[0].size:
-        _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
+          np.zeros(k, dtype=int), m, np.ones(k, dtype=int), np.zeros(k, dtype=bool)]
+    final = [np.empty_like(y), np.empty(k), np.empty(k, dtype=int), np.empty(k, dtype=int),
+             np.empty(k), np.empty(k, "<U9")]
+    while True:
+        _, s, y, e, g, step, memory, iters, m, e_evals, stalled = st
         bad = ~(np.isfinite(e) & np.isfinite(g).all(axis=-1))
         pg = np.abs(prob.project(np.where(bad[:, None], s, s - g), m) - s).max(axis=-1)
         pg[bad] = np.inf
-        stop = bad | (pg <= _PG_TOL) | (iters == budget)
-        if stop.any():
-            why = np.select([bad, pg <= _PG_TOL], ["stalled", "converged"], "max_iters")
-            pg = pg[settle(stop, why[stop], pg)]
-            if not pg.size:
-                break
-            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
-        st[5] = step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
+        stop = bad | stalled | (pg <= _PG_TOL) | (iters == budget)
+        if stop.any():  # rows leave
+            why = np.select([bad | stalled, pg <= _PG_TOL], ["stalled", "converged"], "max_iters")
+            for out, a in zip(final, (y, e, iters, e_evals, pg, why)):
+                out[st[0][stop]] = a[stop]
+            if stop.all():
+                return final
+            st = [a[~stop] for a in st]
+            _, s, y, e, g, step, memory, iters, m, e_evals, stalled = st
+            pg = pg[~stop]
+        step = np.where(np.isnan(step), np.clip(1 / pg, _SPG_STEP_MIN, _SPG_STEP_MAX), step)
         d = prob.project(s - step[:, None] * g, m) - s
         slope, ref = _total(h * g * d), memory.max(axis=-1)
         reach, floor = np.abs(d).max(axis=-1), 1e-16 * np.maximum(1.0, np.abs(s).max(axis=-1))
-        alpha, stalled = np.ones(pg.size), np.zeros(pg.size, dtype=bool)
+        alpha = np.ones(pg.size)
         s_new, y_new, e_new, g_new = s + d, np.empty_like(y), np.empty(pg.size), np.empty_like(g)
         todo = np.arange(pg.size)  # rows whose trial step is to be judged
         while todo.size:
@@ -311,21 +303,15 @@ def _spg(prob: _SlopeProblem, inits: Sequence[np.ndarray], M: np.ndarray,
             alpha[todo] = np.where((_SPG_SIGMA[0] * a <= trial) & (trial <= _SPG_SIGMA[1] * a),
                                    trial, a / 2.0)
             s_new[todo] = s[todo] + alpha[todo, None] * d[todo]
-        if stalled.any():
-            keep = settle(stalled, "stalled", pg)
-            if not keep.any():
-                continue
-            s_new, y_new, e_new, g_new = s_new[keep], y_new[keep], e_new[keep], g_new[keep]
-            _, s, y, e, g, step, memory, iters, m, e_evals, g_evals = st
-        g_evals += 1
+        for new, old in zip((s_new, y_new, e_new, g_new), (s, y, e, g)):
+            new[stalled] = old[stalled]  # a stalled row keeps its point until the loop head
         ds, dg = s_new - s, g_new - g
         curvature = _total(h * ds * dg)
         quotient = np.divide(_total(h * ds * ds), curvature, where=curvature > 0.0,
                              out=np.full(curvature.size, _SPG_STEP_MAX))
         memory[np.arange(iters.size), (iters + 1) % _SPG_MEMORY] = e_new
         st[1:8] = (s_new, y_new, e_new, g_new,
-                   np.clip(quotient, _SPG_STEP_MIN, _SPG_STEP_MAX), memory, iters + 1)
-    return [*final, residual, reason]
+                   np.clip(quotient, _SPG_STEP_MIN, _SPG_STEP_MAX), memory, iters + ~stalled)
 
 
 def _perturbations(mesh: Mesh, M: float, count: int, seed: int) -> np.ndarray:
@@ -421,10 +407,10 @@ def minimize_bounded(spec: LagrangianSpec, mesh: Mesh, bounds: Sequence[float],
         if out:  # the warm start goes after the straight line
             warm = _spg(prob, [out[-1][0].values], np.array([M]), max_iters)
             rows = [np.concatenate((a[:1], b, a[1:])) for a, b in zip(rows, warm)]
-        _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = rows
+        y, e, iters, e_evals, pg, why = rows
         best = int(np.argmin(e))
         info = MinimizeInfo(iterations=int(iters.sum()), energy_evals=int(e_evals.sum()),
-                            gradient_evals=int(g_evals.sum()),
+                            gradient_evals=int(iters.sum()) + e.size,
                             pg_residual=float(pg[best]), stop_reason=str(why[best]))
         out.append((Trajectory(mesh, y[best]), float(e[best]), info))
     return out

@@ -33,11 +33,11 @@ def _best_start(spec, mesh, M, boundary, starts, max_iters=3150):
     M, picked and reported as minimize_bounded picks and reports a bound's
     answer."""
     prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, boundary)
-    _, y, e, _, _, _, iters, _, e_evals, g_evals, pg, why = _spg(
-        prob, starts, np.full(len(starts), M), max_iters)
+    y, e, iters, e_evals, pg, why = _spg(prob, starts, np.full(len(starts), M), max_iters)
     best = int(np.argmin(e))
     return y[best], float(e[best]), MinimizeInfo(
-        int(iters.sum()), int(e_evals.sum()), int(g_evals.sum()), float(pg[best]), str(why[best]))
+        int(iters.sum()), int(e_evals.sum()), int(iters.sum()) + len(starts), float(pg[best]),
+        str(why[best]))
 
 
 class TestMinimizeBounded:
@@ -621,9 +621,9 @@ class TestLockstep:
     @pytest.mark.parametrize("spec, M, k", [(catalog("mania"), 5.0, 7), (V_SQUARED, 2.0, 4)],
                              ids=["mania_two_endpoint", "v_squared_two_endpoint"])
     def test_each_start_ends_as_when_run_alone(self, spec, M, k):
-        # no row sum may mix rows or go through BLAS, so a start's slopes,
-        # energy, iteration and evaluation counts and stop reason do not
-        # depend on its stack, nor on the bounds of the other rows
+        # no row sum may mix rows or go through BLAS, so a start's values,
+        # energy, iteration and evaluation counts, residual and stop reason
+        # do not depend on its stack, nor on the bounds of the other rows
         mesh = uniform_mesh(0.0, 1.0, 200)
         rng = np.random.default_rng(23)
         prob = _SlopeProblem(spec, mesh, DEFAULT_ORDER, (0.0, 1.0))
@@ -633,11 +633,54 @@ class TestLockstep:
         for i in range(k):
             one = _spg(prob, inits[i:i + 1], bounds[i:i + 1], 60)
             for a, b in zip(done, one, strict=True):
-                # slopes, ..., bound, evaluation counts, residual, stop reason
+                # values, energy, iterations, energy evaluations, residual, stop reason
                 assert np.array_equal(a[i], b[0])
         if spec is not V_SQUARED:  # whose starts all converge in 2 iterations
             assert set(done[-1].tolist()) == {"converged", "max_iters"}
             assert len(set(bounds.tolist())) > 1
+
+    def test_stalled_rows_end_as_when_run_alone(self):
+        # a normal start, one whose energy is +inf (it bulges above the
+        # brachistochrone's height 1) and one whose every trial step is
+        # rejected: the two odd rows stall at their starts, with residual
+        # inf and |P(s - g) - s| there, and each row ends as it does alone
+        mesh = uniform_mesh(0.0, 1.0, 100)
+        t = mesh.nodes
+
+        def stalling():
+            # every evaluation after the first gives +inf energy to rows with
+            # a slope above 1, which the normal start (bound 0.6) never has
+            prob = _SlopeProblem(catalog("brachistochrone"), mesh, DEFAULT_ORDER, (0.0, 0.5))
+            real, calls = prob.evaluate, []
+
+            def evaluate(y):
+                e, g = real(y)
+                if calls:
+                    e[np.abs(np.diff(y) / prob.h).max(axis=-1) > 1.0] = np.inf
+                calls.append(len(y))
+                return e, g
+
+            prob.evaluate = evaluate
+            return prob
+
+        inits = 0.5 * t + np.array([0.0, 0.9, -0.4])[:, None] * np.sin(np.pi * t)
+        inits[:, -1] = 0.5
+        bounds = np.array([0.6, 10.0, 10.0])
+        done = _spg(stalling(), inits, bounds, 40)
+        for i in range(3):
+            one = _spg(stalling(), inits[i:i + 1], bounds[i:i + 1], 40)
+            for a, b in zip(done, one, strict=True):
+                assert np.array_equal(a[i], b[0])
+        y, e, iters, e_evals, pg, why = done
+        assert why[0] != "stalled" and iters[0] > 0
+        assert why[1:].tolist() == ["stalled"] * 2 and iters[1:].tolist() == [0, 0]
+        assert e[1] == math.inf and e_evals[1] == 1 and pg[1] == math.inf
+        assert np.array_equal(y[1:], inits[1:]) and e_evals[2] > 2
+        prob = _SlopeProblem(catalog("brachistochrone"), mesh, DEFAULT_ORDER, (0.0, 0.5))
+        e_start, g = prob.evaluate(inits[2:])
+        s = np.diff(inits[2]) / prob.h
+        assert e[2] == e_start[0] and math.isfinite(e[2])
+        assert pg[2] == np.abs(prob.project(s - g[0], 10.0 * (1.0 - 1e-12)) - s).max()
 
     def test_bound_grid_equals_a_chain_of_one_bound_calls(self):
         # each bound's answer is that of `_spg` on the line, the previous
