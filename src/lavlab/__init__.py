@@ -15,8 +15,8 @@ from .functional import (DEFAULT_ORDER, EXACT_PROFILES, ConvergenceResult,
                          exact_profile_energy)
 from .gapscan import (DEFAULT_SEED, GapReport, GapRow, cuberoot_truncation,
                       halfinverse_lower_bound, mania_one_endpoint_truncations,
-                      mania_reference_energy, mania_two_endpoint_scan,
-                      minimize_bounded, plateau_tent, sawtooth, sqrt_ramp)
+                      mania_two_endpoint_scan, minimize_bounded, plateau_tent,
+                      sawtooth, sqrt_ramp)
 from .lagrangian import (CATALOG_IDS, LagrangianSpec, brachistochrone_problem,
                          catalog, convexity_probe, minimal_surface,
                          polynomial_lagrangian)

@@ -397,10 +397,13 @@ class ReparInput:
         Lip(y_k) is the larger of max |d_j| / s_j over them and max |d_i|
         over the rest, and F(y_k) is F(y) plus the energies of those cells
         after the change, less y's energies of the same cells.  Raises what
-        building y_k would, without building it.
+        building y_k would, without building it, and ArgumentError for an
+        infinite k, as `minimize_bounded` does for an infinite slope bound.
         """
         if not k > self.lam:
             raise ArgumentError(f"need k > choose_lambda(y) = {self.lam} (got k={k})")
+        if not math.isfinite(k):
+            raise ArgumentError(f"need a finite k (got k={k})")
         lip, before = self.lip, self.energy_before
         plan = select_A(classify(self.y, k, self.lam, self._slow))
         if not plan.a_cells.size and np.all(plan._fast_speeds(plan.s_cells) == 1.0):
@@ -477,8 +480,8 @@ def find_K(spec: LagrangianSpec, y: Trajectory, k_grid: Sequence[float],
     One `ReparInput` caps y at each k of the sorted grid, and each cap is
     judged as a `KRow`.  The sweep stops at the first k that `cap` refuses:
     a k at or below lambda raises ArgumentError, before F(y) is evaluated
-    (such a k sorts first), and an infeasible k raises InfeasibleError
-    with its `k_hint`.
+    (such a k sorts first), an infeasible k raises InfeasibleError with its
+    `k_hint`, and an infinite k (which sorts last) raises ArgumentError.
     """
     prepared = ReparInput.of(spec, y, order)
     rows = []

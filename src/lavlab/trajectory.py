@@ -218,17 +218,24 @@ class Trajectory:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Trajectory":
+        """The trajectory of {"nodes": [...], "values": [...]}, whose every
+        entry is a JSON number: a bool, a string or null raises ArgumentError."""
+        needs = "trajectory JSON needs numeric 'nodes' and 'values' lists"
         try:
-            nodes, values = (np.asarray(obj[key], dtype=float)
-                             for key in ("nodes", "values"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArgumentError("trajectory JSON needs numeric 'nodes' and "
-                                f"'values' lists ({exc!r})") from None
+            lists = {key: obj[key] for key in ("nodes", "values")}
+            nodes, values = (np.asarray(a, dtype=float) for a in lists.values())
+            odd = [(key, x) for key, a in lists.items() for x in a
+                   if isinstance(x, bool) or not isinstance(x, (int, float))]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ArgumentError(f"{needs} ({exc!r})") from None
+        if odd:
+            raise ArgumentError("{} ({!r} holds {!r})".format(needs, *odd[0]))
         return cls(Mesh(nodes), values)
 
     def to_csv(self, f) -> None:
         """Write a 't,y' header and one line per node, PIECE lines at a
-        time, with shortest round-trip formatting (>= 15 digits)."""
+        time, each float as `float.__repr__` writes it (the shortest text
+        that reads back to the same bits, such as 0.0 or 0.5)."""
         f.write("t,y\n")
         pairs = zip(float_texts(self.mesh.nodes), float_texts(self.values))
         for _, rows in row_pieces(self.mesh.nodes, pairs):

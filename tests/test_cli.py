@@ -194,6 +194,9 @@ class TestMainInProcess:
         ("short_row.csv", "t,y\n0,1\n0.5\n1,2\n", "line 3"),
         ("no_values.json", '{"nodes": [0, 1]}', "KeyError('values')"),
         ("string_value.json", '{"nodes": [0, 1], "values": [0, "one"]}', "'one'"),
+        ("bool_values.json", '{"nodes": [0, 0.5, 1], "values": [false, true, true]}',
+         "'values' holds False"),
+        ("numeric_string.json", '{"nodes": [0, "1"], "values": [0, 1]}', "'nodes' holds '1'"),
         ("empty.csv", "", "header 't,y'"),
         ("other_header.csv", "x,y\n0,1\n1,2\n", "header 't,y'"),
         ("blank_rows_only.csv", "t,y\n\r\n", "no rows"),
@@ -463,6 +466,8 @@ class TestSettings:
         (["energy", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--a", "-1", "--b", "1",
           "--n", "64"], "f or f' is NaN at the Gauss point t=-0.99"),
         (["gap-scan", "--n", "4", "--M", "1e308"], "slope bounds times 1e6 must be finite"),
+        (["repar", "--lagrangian", "sqrt_chain", "--exact", "sqrt", "--n", "64",
+          "--k", "2,inf"], "need a finite k (got k=inf)"),
     ])
     def test_out_of_range_setting_exits_2(self, argv, message, capsys):
         assert main(argv) == 2

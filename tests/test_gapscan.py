@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from lavlab import (DEFAULT_ORDER, DEFAULT_SEED, ArgumentError, DomainError,
-                    LagrangianSpec, Mesh, Trajectory, catalog, cli,
+                    LagrangianSpec, Mesh, ReparInput, Trajectory, catalog, cli,
                     cuberoot_truncation, energy, gapscan, graded_mesh, lagrangian,
                     halfinverse_lower_bound, mania_one_endpoint_truncations,
                     mania_two_endpoint_scan, minimize_bounded,
@@ -569,6 +570,17 @@ def test_straight_line_start_reaches_the_lattice_global_basin(n, q):
         assert abs(polished - e0) <= 8 * math.ulp(e0), (M, polished, e0)
 
 
+CONTROL_MESH, CONTROL_BOUNDS = graded_mesh(0, 1, 50, 2), (2.0, 4.0, 8.0, 16.0)
+
+
+@functools.cache
+def _control_scan(ident):
+    """The gap-free control's grid, run once per integrand for every test
+    that reads it."""
+    return minimize_bounded(catalog(ident), CONTROL_MESH, CONTROL_BOUNDS, (0.0, 1.0),
+                            restarts=0)
+
+
 def test_gap_free_control_floor_falls_with_the_slope_bound():
     """The same solver, meshes and bounds drive a problem without a gap to
     its infimum.  sqrt_chain, (2 y v - 1)^2, is autonomous and convex in v,
@@ -577,13 +589,31 @@ def test_gap_free_control_floor_falls_with_the_slope_bound():
     at each doubling of M.  Mania's integrand has a gap, and its floor stays
     above 0.025.  With no iteration the line's sqrt_chain energy,
     the integral of (2t - 1)^2 = 1/3, would fail the decay."""
-    mesh, bounds = graded_mesh(0, 1, 50, 2), [2.0, 4.0, 8.0, 16.0]
-    control, mania = (minimize_bounded(catalog(ident), mesh, bounds, (0.0, 1.0), restarts=0)
-                      for ident in ("sqrt_chain", "mania"))
+    control, mania = _control_scan("sqrt_chain"), _control_scan("mania")
     assert all(info.stop_reason == "converged" for *_, info in control + mania)
     floors = [e for _, e, _ in control]
     assert all(coarse >= 2.5 * fine for coarse, fine in zip(floors, floors[1:])), floors
     assert 10.0 * floors[-1] <= mania[-1][1] and mania[-1][1] > 0.025, (floors, mania[-1][1])
+
+
+def test_control_rows_lie_below_the_proofs_competitor():
+    """The non-occurrence proof's competitor is a witness against the
+    optimizer.  sqrt(t), the control's minimizer, capped at slope M by the
+    time change of `repar` and interpolated on the optimizer's mesh, is a
+    feasible point of the optimizer's problem at bound M, since the chords
+    of a Lipschitz-M curve have slope at most M.  So each row, the best
+    energy the optimizer found at M, must lie at or below the witness's.
+    The slack of 1e-9 relative covers the witness's nodes, rounded to
+    floats, whose slopes may exceed M by a few ulps.  The straight line
+    (energy 1/3), a row stopped before its first step, fails at every M."""
+    spec = catalog("sqrt_chain")
+    prepared = ReparInput.of(spec, sample(np.sqrt, graded_mesh(0, 1, 2 ** 14, 2)))
+    for M, (_, row, _) in zip(CONTROL_BOUNDS, _control_scan("sqrt_chain")):
+        witness = Trajectory(CONTROL_MESH, prepared.cap(M).y_k.eval(CONTROL_MESH.nodes))
+        assert witness.boundary == (0.0, 1.0)
+        assert witness.lipschitz_constant <= M * (1.0 + 1e-12), (M, witness.lipschitz_constant)
+        bound = energy(spec, witness).value
+        assert row <= bound * (1.0 + 1e-9), (M, row, bound)
 
 
 class TestRestarts:

@@ -620,6 +620,16 @@ class TestReparInput:
         with pytest.raises(ArgumentError, match="need k > choose_lambda"):
             inf.cap(1.0)
 
+    def test_infinite_k_is_refused(self):
+        """An infinite k would be judged against 1/k = 0; the cap refuses
+        it, and so do reparametrize and find_K, which cap through it."""
+        y = sample(np.sqrt, graded_mesh(0, 1, 64, 2.0))
+        for cap in (ReparInput.of(SQRT_CHAIN, y).cap,
+                    lambda k: reparametrize(SQRT_CHAIN, y, k),
+                    lambda k: find_K(SQRT_CHAIN, y, [2.0, k])):
+            with pytest.raises(ArgumentError, match=r"need a finite k \(got k=inf\)"):
+                cap(math.inf)
+
 
 class TestChangeOfVariables:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["sqrt_chain", "half_inverse"]),

@@ -195,7 +195,7 @@ NECESSARY = {"lagrangian": "surface_of_revolution"}
 
 @pytest.mark.parametrize("name, settings, path, keys", [
     ("gap-scan", GAP_SCAN, ["report"],  # GapReport
-     {"rows", "floor_estimate", "reference_energy", "gap_estimate"}),
+     {"rows", "floor_estimate", "reference_energy"}),
     ("gap-scan", GAP_SCAN, ["report", "rows", 0],  # GapRow
      {"mesh_n", "slope_bound", "best_energy", "iterations", "stop_reason",
       "pg_residual", "energy_evals", "gradient_evals"}),

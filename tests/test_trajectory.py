@@ -463,3 +463,18 @@ class TestSerialization:
         y = sample(np.cbrt, graded_mesh(0, 1, 5, 3.0))
         back = Trajectory.from_json_dict(y.to_json_dict())
         assert np.array_equal(back.values, y.values)
+
+    @pytest.mark.parametrize("key, entry", [("values", False), ("values", True),
+                                            ("values", "1"), ("values", None),
+                                            ("nodes", "0.5"), ("nodes", True)])
+    def test_json_entries_must_be_numbers(self, key, entry):
+        """A bool, a numeric string or null is not a JSON number, though
+        numpy would read it as one (false as 0, "1" as 1, null as NaN)."""
+        obj = {"nodes": [0, 0.5, 1], "values": [0, 1, 1]}
+        obj[key][1] = entry
+        with pytest.raises(ArgumentError, match=f"'{key}' holds {entry!r}"):
+            Trajectory.from_json_dict(obj)
+
+    def test_json_int_beyond_the_floats_is_an_argument_error(self):
+        with pytest.raises(ArgumentError, match="OverflowError"):
+            Trajectory.from_json_dict({"nodes": [0, 1], "values": [0, 10 ** 400]})
